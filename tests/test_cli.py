@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from goursatkit.classify import Box, sample_regular_points
 from goursatkit.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                            ConfigError, builtin_checks, main, parse_config_text,
-                            run, selftest)
+                            ConfigError, _consistency_assertions, build_web,
+                            builtin_checks, main, parse_config_text, run, selftest)
 
 PRODUCT_CFG = """
 [web]
@@ -41,6 +42,16 @@ seed = 3
 
 [suites]
 run = classify
+"""
+
+CLOSED_N8_CFG = """
+[web]
+n = 8
+expr = (x1+x2)*(x3+x4) + exp(x5*x6) + sin(x1*x5) + x1*x3^2*x5/3 + x2*x4*x5^2/5 + x6*x7 + cos(x7*x8)
+
+[sampling]
+box = 0.5:1.5
+count = 8
 """
 
 
@@ -147,6 +158,18 @@ identity_trials = 40
         assert len(sample["conditions"]["m"]) == 6
         json_text = report.to_json()
         assert "non-finite" not in json_text
+
+    @pytest.mark.parametrize("seed", [7, 10, 25])
+    def test_gauge_assertion_holds_near_small_gradient(self, seed):
+        # these samples come close to F_7 = 0, where the Pfaffian derivatives
+        # reach ~1e7; affinity in the gauge must hold to rounding relative
+        # to the values compared
+        cfg = parse_config_text(CLOSED_N8_CFG + f"seed = {seed}\n")
+        web = build_web(cfg)
+        points = sample_regular_points(web, Box(cfg.box), cfg.count, seed)
+        passed = {a["name"]: a["passed"]
+                  for a in _consistency_assertions(web, points, cfg)}
+        assert passed["derivs_affine_in_gauge"]
 
     def test_low_order_degrades_to_failure_records(self):
         cfg = parse_config_text(PRODUCT_CFG + "\n[tolerances]\norder = 2\n")
