@@ -1,22 +1,10 @@
 """Pfaffian systems in coordinates: ranks, kernels, Frobenius integrability.
 
 Systems are lists of 1-form fields with jet-evaluable coefficients.  The
-named constructors expand the web's torsion-weighted forms in coordinates
-with common nonzero factors dropped (kernels and integrability verdicts are
-unchanged; the normalized residual makes the thresholds scale-free):
-
-    S10       F13 dx3 + F14 dx4                            + dx_s, s>=5
-    S11       F23 dx3 + F24 dx4                            + dx_s, s>=5
-    S12       F13 dx1 + F23 dx2                            + dx_s, s>=5
-    S13       F14 dx1 + F24 dx2                            + dx_s, s>=5
-    S10_11    union of the S10/S11 lead forms              + dx_s, s>=5
-    THETA_RHO S10 lead + S12 lead                          + dx_s, s>=5
-    DELTA2    F3 dx3+F4 dx4+F5 dx5; F13 dx3+F14 dx4+F15 dx5;
-              F23 dx3+F24 dx4+F25 dx5; F1 dx1+F2 dx2       + dx_s, s>=6
-    DELTA3    F1b dx1 + F2b dx2 + Fb*F3 dx3, b = 3, 4, 5   + dx_s, s>=6
-    DELTA4    (F3 F14 - F4 F13) dx4 + (F3 F15 - F5 F13) dx5 + dx_s, s>=6
-    DELTA4B   (F3 F24 - F4 F23) dx4 + (F3 F25 - F5 F23) dx5 + dx_s, s>=6
-    DELTA4P   (F3 F14 - F4 F13) dx1 + (F3 F24 - F4 F23) dx2 + dx_s, s>=6
+named systems are defined in one place, the ``SYSTEMS`` table below: each
+generator is a list of (slot, coefficient) pairs whose coefficients are
+signed sums of products of partial derivatives of the defining function F,
+and ``Jet.partial`` plus jet arithmetic supply their Jacobians.
 
 Integrability is tested by the differential-forms criterion: for each
 generator t^i of a system spanned by t^1..t^k, the (k+2)-form
@@ -27,6 +15,7 @@ coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
@@ -39,9 +28,6 @@ DEFAULT_RANK_TOL = 1e-8
 DEFAULT_FROBENIUS_TOL = 1e-7
 NON_INTEGRABLE_FLOOR = 1e-3
 NORM_FLOOR = 1e-12
-
-SYSTEM_NAMES = ("S10", "S11", "S12", "S13", "S10_11", "THETA_RHO",
-                "DELTA2", "DELTA3", "DELTA4", "DELTA4B", "DELTA4P")
 
 
 @dataclass(frozen=True)
@@ -104,143 +90,90 @@ class PfaffianSystem:
             CoFormField.coordinate(self.arity, s) for s in self.sigma)
 
 
-def _mixed(jet, p_idx: int, cols: Sequence[int]) -> np.ndarray:
-    return np.array([jet.deriv((p_idx, c)) for c in cols])
+# A coefficient is a signed sum of products of partial derivatives of F: a
+# list of terms (sign, idx, idx, ...), one index tuple per factor, so
+# [(+1, (3,), (1, 4)), (-1, (4,), (1, 3))] is F3 F14 - F4 F13.  A generator
+# row lists (slot, coefficient) pairs; the form is sum coefficient dx_slot.
+# SYSTEMS maps each name to (rows, first sigma slot s0, expected kernel
+# dimension); the system adds dx_s for s0 <= s <= n.  Common nonzero factors
+# of the torsion-weighted forms are cleared (kernels and integrability
+# verdicts are unchanged; the normalized residual makes thresholds
+# scale-free).
+_THETA_1 = [(3, [(+1, (1, 3))]), (4, [(+1, (1, 4))])]
+_THETA_2 = [(3, [(+1, (2, 3))]), (4, [(+1, (2, 4))])]
+_RHO_3 = [(1, [(+1, (1, 3))]), (2, [(+1, (2, 3))])]
+_RHO_4 = [(1, [(+1, (1, 4))]), (2, [(+1, (2, 4))])]
+
+SYSTEMS = {
+    "S10": ([_THETA_1], 5, 3),
+    "S11": ([_THETA_2], 5, 3),
+    "S12": ([_RHO_3], 5, 3),
+    "S13": ([_RHO_4], 5, 3),
+    "S10_11": ([_THETA_1, _THETA_2], 5, 2),
+    "THETA_RHO": ([_THETA_1, _RHO_3], 5, 2),
+    "DELTA2": ([[(3, [(+1, (3,))]), (4, [(+1, (4,))]), (5, [(+1, (5,))])],
+                [(3, [(+1, (1, 3))]), (4, [(+1, (1, 4))]), (5, [(+1, (1, 5))])],
+                [(3, [(+1, (2, 3))]), (4, [(+1, (2, 4))]), (5, [(+1, (2, 5))])],
+                [(1, [(+1, (1,))]), (2, [(+1, (2,))])]], 6, 2),
+    "DELTA3": ([[(1, [(+1, (1, b))]), (2, [(+1, (2, b))]), (3, [(+1, (b,), (3,))])]
+                for b in (3, 4, 5)], 6, 3),
+    "DELTA4": ([[(4, [(+1, (3,), (1, 4)), (-1, (4,), (1, 3))]),
+                 (5, [(+1, (3,), (1, 5)), (-1, (5,), (1, 3))])]], 6, 4),
+    "DELTA4B": ([[(4, [(+1, (3,), (2, 4)), (-1, (4,), (2, 3))]),
+                  (5, [(+1, (3,), (2, 5)), (-1, (5,), (2, 3))])]], 6, 4),
+    "DELTA4P": ([[(1, [(+1, (3,), (1, 4)), (-1, (4,), (1, 3))]),
+                  (2, [(+1, (3,), (2, 4)), (-1, (4,), (2, 3))])]], 6, 4),
+}
+
+SYSTEM_NAMES = tuple(SYSTEMS)
 
 
-def _web_field(web: WebFunction, label: str,
-               coeff_fn: Callable[[object], np.ndarray],
-               grad_fn: Callable[[object], np.ndarray]) -> CoFormField:
-    def ev(p: Point):
-        jet = web.jet(p, 3)
-        return coeff_fn(jet), grad_fn(jet)
-    return CoFormField(web.arity, label, ev)
+def _row_label(row) -> str:
+    """A SYSTEMS row in the README's notation, e.g. '(F3 F14 - F4 F13) dx4'."""
+    def coefficient(terms) -> str:
+        text = " ".join(("- " if sign < 0 else "+ ")
+                        + " ".join("F" + "".join(map(str, idx)) for idx in factors)
+                        for sign, *factors in terms).removeprefix("+ ")
+        return f"({text})" if len(terms) > 1 else text
+    return " + ".join(f"{coefficient(terms)} dx{slot}" for slot, terms in row)
 
 
-def _torsion_row_field(web: WebFunction, row: int, cols: tuple[int, ...],
-                       slots: tuple[int, ...], label: str) -> CoFormField:
-    """Form sum_j F_{row, cols[j]} dx_{slots[j]} with full coefficient Jacobian."""
+def _row_field(web: WebFunction, row) -> CoFormField:
+    """The form of a SYSTEMS row; each coefficient is built as an order-1 jet
+    from the order-3 jet of F, so its Jacobian comes out of the arithmetic."""
     n = web.arity
 
     def ev(p: Point):
         jet = web.jet(p, 3)
+
+        def factor(idx: tuple[int, ...]):
+            part = jet
+            for i in idx:
+                part = part.partial(i)
+            return part.truncated(1)
+
         c = np.zeros(n)
         dc = np.zeros((n, n))
-        for col, slot in zip(cols, slots):
-            c[slot - 1] = jet.deriv((row, col))
-            for g in range(1, n + 1):
-                dc[slot - 1, g - 1] = jet.deriv((row, col, g))
+        for slot, terms in row:
+            coeff = sum(sign * math.prod(factor(idx) for idx in factors)
+                        for sign, *factors in terms)
+            c[slot - 1] = coeff.data[0]
+            dc[slot - 1] = coeff.data[1:]
         return c, dc
 
-    return CoFormField(n, label, ev)
+    return CoFormField(n, _row_label(row), ev)
 
 
 def make_system(web: WebFunction, name: str) -> PfaffianSystem:
     n = web.arity
     name = name.upper()
-    if name not in SYSTEM_NAMES:
+    if name not in SYSTEMS:
         raise ValueError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
     if name.startswith("DELTA") and n < 5:
         raise ValueError(f"{name} needs arity n >= 5, got {n}")
-
-    def sigma_from(start: int) -> tuple[int, ...]:
-        return tuple(range(start, n + 1))
-
-    if name in ("S10", "S11", "S12", "S13", "S10_11", "THETA_RHO"):
-        theta_row1 = _torsion_row_field(web, 1, (3, 4), (3, 4), "F13 dx3 + F14 dx4")
-        theta_row2 = _torsion_row_field(web, 2, (3, 4), (3, 4), "F23 dx3 + F24 dx4")
-        rho_col3 = _torsion_row_field(web, 3, (1, 2), (1, 2), "F13 dx1 + F23 dx2")
-        rho_col4 = _torsion_row_field(web, 4, (1, 2), (1, 2), "F14 dx1 + F24 dx2")
-        fields = {
-            "S10": (theta_row1,), "S11": (theta_row2,),
-            "S12": (rho_col3,), "S13": (rho_col4,),
-            "S10_11": (theta_row1, theta_row2),
-            "THETA_RHO": (theta_row1, rho_col3),
-        }[name]
-        kern = {"S10": 3, "S11": 3, "S12": 3, "S13": 3, "S10_11": 2, "THETA_RHO": 2}[name]
-        return PfaffianSystem(name, n, fields, sigma_from(5), kern)
-
-    if name == "DELTA2":
-        def grad_345(p: Point):
-            jet = web.jet(p, 3)
-            c = np.zeros(n)
-            dc = np.zeros((n, n))
-            for slot in (3, 4, 5):
-                c[slot - 1] = jet.deriv((slot,))
-                for g in range(1, n + 1):
-                    dc[slot - 1, g - 1] = jet.deriv((slot, g))
-            return c, dc
-
-        def grad_12(p: Point):
-            jet = web.jet(p, 3)
-            c = np.zeros(n)
-            dc = np.zeros((n, n))
-            for slot in (1, 2):
-                c[slot - 1] = jet.deriv((slot,))
-                for g in range(1, n + 1):
-                    dc[slot - 1, g - 1] = jet.deriv((slot, g))
-            return c, dc
-
-        fields = (
-            CoFormField(n, "F3 dx3 + F4 dx4 + F5 dx5", grad_345),
-            _torsion_row_field(web, 1, (3, 4, 5), (3, 4, 5), "F13 dx3 + F14 dx4 + F15 dx5"),
-            _torsion_row_field(web, 2, (3, 4, 5), (3, 4, 5), "F23 dx3 + F24 dx4 + F25 dx5"),
-            CoFormField(n, "F1 dx1 + F2 dx2", grad_12),
-        )
-        return PfaffianSystem(name, n, fields, sigma_from(6), 2)
-
-    if name == "DELTA3":
-        def row_field(b: int) -> CoFormField:
-            def ev(p: Point):
-                jet = web.jet(p, 3)
-                c = np.zeros(n)
-                dc = np.zeros((n, n))
-                c[0] = jet.deriv((1, b))
-                c[1] = jet.deriv((2, b))
-                c[2] = jet.deriv((b,)) * jet.deriv((3,))
-                for g in range(1, n + 1):
-                    dc[0, g - 1] = jet.deriv((1, b, g))
-                    dc[1, g - 1] = jet.deriv((2, b, g))
-                    dc[2, g - 1] = (jet.deriv((b, g)) * jet.deriv((3,))
-                                    + jet.deriv((b,)) * jet.deriv((3, g)))
-                return c, dc
-            return CoFormField(n, f"F1{b} dx1 + F2{b} dx2 + F{b}*F3 dx3", ev)
-
-        fields = tuple(row_field(b) for b in (3, 4, 5))
-        return PfaffianSystem(name, n, fields, sigma_from(6), 3)
-
-    # DELTA4 / DELTA4B / DELTA4P: cleared difference forms
-    row = 2 if name == "DELTA4B" else 1
-    slots = (1, 2) if name == "DELTA4P" else (4, 5)
-
-    def diff_field(p: Point):
-        jet = web.jet(p, 3)
-        c = np.zeros(n)
-        dc = np.zeros((n, n))
-        if name == "DELTA4P":
-            pairs = (((1, 4), (1, 3), 4, 3, 1), ((2, 4), (2, 3), 4, 3, 2))
-        else:
-            pairs = (((row, 4), (row, 3), 4, 3, 4), ((row, 5), (row, 3), 5, 3, 5))
-        for (hi_idx, lo_idx, hb, lb, slot) in pairs:
-            f_hi = jet.deriv(hi_idx)
-            f_lo = jet.deriv(lo_idx)
-            g_hi = jet.deriv((hb,))
-            g_lo = jet.deriv((lb,))
-            c[slot - 1] = g_lo * f_hi - g_hi * f_lo
-            for g in range(1, n + 1):
-                dc[slot - 1, g - 1] = (jet.deriv((lb, g)) * f_hi
-                                       + g_lo * jet.deriv(tuple(sorted(hi_idx + (g,))))
-                                       - jet.deriv((hb, g)) * f_lo
-                                       - g_hi * jet.deriv(tuple(sorted(lo_idx + (g,)))))
-        return c, dc
-
-    labels = {
-        "DELTA4": "(F3 F14 - F4 F13) dx4 + (F3 F15 - F5 F13) dx5",
-        "DELTA4B": "(F3 F24 - F4 F23) dx4 + (F3 F25 - F5 F23) dx5",
-        "DELTA4P": "(F3 F14 - F4 F13) dx1 + (F3 F24 - F4 F23) dx2",
-    }
-    fields = (CoFormField(n, labels[name], diff_field),)
-    return PfaffianSystem(name, n, fields, sigma_from(6), 4)
+    rows, first_sigma, kernel_dim = SYSTEMS[name]
+    return PfaffianSystem(name, n, tuple(_row_field(web, row) for row in rows),
+                          tuple(range(first_sigma, n + 1)), kernel_dim)
 
 
 def coefficient_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
@@ -349,7 +282,8 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
     point = as_point(p, sys.arity)
     gens = sys.generators
     k = len(gens)
-    coeffs = [g.coefficients(point) for g in gens]
+    fields = [g.evaluate(point) for g in gens]
+    coeffs = [c for c, _ in fields]
     mat = np.array(coeffs)
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = int((sv > rank_tol * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
@@ -359,8 +293,8 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
     norms = [max(float(np.linalg.norm(c)), NORM_FLOOR) for c in coeffs]
     norm_product = float(np.prod(norms))
     residuals = []
-    for i, g in enumerate(gens):
-        dtheta = d_form(g, point)
+    for _, jac in fields:
+        dtheta = jac.T - jac
         dnorm = float(np.sqrt((dtheta[np.triu_indices_from(dtheta, 1)] ** 2).sum()))
         if dnorm == 0.0:
             residuals.append(0.0)

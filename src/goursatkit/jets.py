@@ -131,6 +131,16 @@ def space(m: int, order: int) -> JetSpace:
     )
 
 
+@lru_cache(maxsize=None)
+def _partial_index(m: int, order: int, i: int) -> np.ndarray:
+    """Position in space(m, order) of t + (i,) for each t of space(m, order - 1)."""
+    if not (1 <= i <= m):
+        raise IndexError(f"slot index {i} out of range 1..{m}")
+    src = space(m, order)
+    return np.asarray([src.pos[tuple(sorted(t + (i,)))] for t in space(m, order - 1).tuples],
+                      dtype=np.intp)
+
+
 @dataclass(frozen=True)
 class Jet:
     space: JetSpace
@@ -174,6 +184,11 @@ class Jet:
             return self
         sp = space(self.space.m, order)
         return Jet(sp, self.data[: sp.size].copy())
+
+    def partial(self, i: int) -> "Jet":
+        """Order K-1 jet of the partial derivative along slot ``i`` (1-based)."""
+        sp = self.space
+        return Jet(space(sp.m, sp.order - 1), self.data[_partial_index(sp.m, sp.order, i)])
 
     # arithmetic -----------------------------------------------------------
 
