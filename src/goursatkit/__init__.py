@@ -16,7 +16,7 @@ from .identities import (ConditionValues, condition_values,
                          first_kind_derivative_residuals, implication_test,
                          sample_second_kind_torsion,
                          second_kind_polynomial_residuals, witness_search)
-from .jets import Jet, apply_unary, combine, eval_jet, seed
+from .jets import Jet, apply_unary, eval_jet, seed
 from .web import (Gauge, PfaffianDerivs, RegularityError, TorsionTensor,
                   WebFunction, coframe, pfaffian_derivs, torsion)
 

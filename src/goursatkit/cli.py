@@ -17,7 +17,8 @@ The machine report is JSON with top-level keys "meta", "classification",
 the schema is versioned as "goursat-kit/1".  Identical config and seed give
 byte-identical JSON up to meta.timing_seconds.  Exit codes: 0 all recorded
 assertions passed, 1 some assertion failed, 2 config/input error,
-3 numerical failure.
+3 numerical failure.  A reader that closes stdout early (``run ... | head``)
+does not change the exit code, and the ``--json`` report is still written.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -44,6 +46,8 @@ from .web import Gauge, RegularityError, WebFunction, pfaffian_derivs, torsion
 
 SCHEMA_VERSION = "goursat-kit/1"
 SUITES = ("classify", "frobenius", "identities")
+# the README's scope; jet tables and wedge minors grow combinatorially in n
+MAX_ARITY = 8
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -77,8 +81,8 @@ class RunConfig:
     identity_trials: int = 200
 
     def validate(self):
-        if self.n < 4:
-            raise ConfigError("n must be at least 4")
+        if not 4 <= self.n <= MAX_ARITY:
+            raise ConfigError(f"n must be between 4 and {MAX_ARITY}")
         if self.source not in ("expr", "family"):
             raise ConfigError("web source must be 'expr' or 'family'")
         if self.source == "expr" and not self.expr_text:
@@ -171,6 +175,8 @@ def parse_config_text(text: str) -> RunConfig:
     n = as_int("web", "n", 0)
     if n <= 0:
         raise ConfigError("[web] n is required")
+    if n > MAX_ARITY:  # before n sizes the box below
+        raise ConfigError(f"n must be between 4 and {MAX_ARITY}")
     source = (get("web", "source") or ("family" if "family" in sections else "expr")).lower()
 
     box_raw = get("sampling", "box", "0.8:1.2")
@@ -599,15 +605,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    print(render_human(report))
+    code = EXIT_OK if report.all_assertions_passed() else EXIT_ASSERTION
+    text = render_human(report)
     if args.json_path:
         try:
             Path(args.json_path).write_text(report.to_json() + "\n", encoding="utf-8")
         except OSError as err:
             print(f"error: cannot write report: {err}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(f"wrote {args.json_path}")
-    return EXIT_OK if report.all_assertions_passed() else EXIT_ASSERTION
+            code = EXIT_CONFIG
+        else:
+            text += f"\nwrote {args.json_path}"
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): the report file is already
+        # written, and stdout goes to devnull so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

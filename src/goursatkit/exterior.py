@@ -282,8 +282,8 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
     point = as_point(p, sys.arity)
     gens = sys.generators
     k = len(gens)
-    fields = [g.evaluate(point) for g in gens]
-    coeffs = [c for c, _ in fields]
+    evaluated = [g.evaluate(point) for g in gens]
+    coeffs = [c for c, _ in evaluated]
     mat = np.array(coeffs)
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = int((sv > rank_tol * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
@@ -293,7 +293,7 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
     norms = [max(float(np.linalg.norm(c)), NORM_FLOOR) for c in coeffs]
     norm_product = float(np.prod(norms))
     residuals = []
-    for _, jac in fields:
+    for _, jac in evaluated:
         dtheta = jac.T - jac
         dnorm = float(np.sqrt((dtheta[np.triu_indices_from(dtheta, 1)] ** 2).sum()))
         if dnorm == 0.0:

@@ -12,7 +12,9 @@ the position-subset Leibniz expansion (summing over all 2^k position masks of
 a result tuple yields exactly the multinomial multiplicities), quotients are
 solved triangularly order by order, and unary functions are composed through
 Faa di Bruno set partitions.  Per-(m, K) index tables are precomputed once
-and shared, so the hot loops are vectorized numpy gathers.
+and shared, so the hot loops are vectorized numpy gathers.  ``Jet.partial(i)``
+is such a gather too: it reads the order K-1 jet of dF/dx_i out of the order
+K jet, through an index table cached per (m, K, i).
 """
 
 from __future__ import annotations
@@ -275,18 +277,6 @@ def divide(a: Jet, b: Jet) -> Jet:
         np.add.at(partial, sp.mul_out[sel], c[sp.mul_i[sel]] * b.data[sp.mul_j[sel]])
         c[lo:hi] = (a.data[lo:hi] - partial[lo:hi]) / b0
     return Jet(sp, c)
-
-
-def combine(op: str, a: Jet, b: Jet) -> Jet:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return divide(a, b)
-    raise ValueError(f"unknown binary op {op!r}")
 
 
 def _outer_derivatives(fn: str, v: float, order: int, exponent: float | None) -> list[float]:

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import pytest
 
@@ -65,6 +67,10 @@ class TestConfigParsing:
     def test_missing_n(self):
         with pytest.raises(ConfigError):
             parse_config_text("[web]\nsource = expr\nexpr = x1*x3\n")
+
+    def test_n_above_scope(self):
+        with pytest.raises(ConfigError):
+            parse_config_text(PRODUCT_CFG.replace("n = 4", "n = 9"))
 
     def test_bad_box(self):
         with pytest.raises(ConfigError):
@@ -188,6 +194,18 @@ class TestMain:
         data = json.loads(out.read_text())
         assert data["classification"]["first_kind"] is True
         assert "classification" in capsys.readouterr().out
+
+    def test_closed_stdout(self, tmp_path, monkeypatch):
+        # `goursatkit run ... | head`: the reader is gone before the report
+        cfg = tmp_path / "web.cfg"
+        cfg.write_text(PRODUCT_CFG)
+        out = tmp_path / "report.json"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert main(["run", "--config", str(cfg), "--json", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["classification"]["first_kind"] is True
 
     def test_flag_overrides(self, tmp_path):
         cfg = tmp_path / "web.cfg"

@@ -28,23 +28,25 @@ class TestSeed:
 
 
 class TestCombine:
+    """Binary jet operators."""
+
     def test_square(self):
         s = J.seed(1, 3.0, 1, 2)
-        sq = J.combine("mul", s, s)
+        sq = s * s
         assert (sq.value, sq.deriv((1,)), sq.deriv((1, 1))) == (9, 6, 2)
 
     def test_reciprocal_derivatives(self):
-        r = J.combine("div", J.constant(1.0, 1, 3), J.seed(1, 2.0, 1, 3))
+        r = J.constant(1.0, 1, 3) / J.seed(1, 2.0, 1, 3)
         assert (r.value, r.deriv((1,)), r.deriv((1, 1)), r.deriv((1, 1, 1))) == \
             (0.5, -0.25, 0.25, -0.375)
 
     def test_mismatched_orders_error(self):
         with pytest.raises(ValueError):
-            J.combine("add", J.seed(1, 0.0, 2, 1), J.seed(1, 0.0, 2, 2))
+            J.seed(1, 0.0, 2, 1) + J.seed(1, 0.0, 2, 2)
 
     def test_division_by_zero_value(self):
         with pytest.raises(J.JetDomainError):
-            J.combine("div", J.constant(1.0, 1, 2), J.constant(0.0, 1, 2))
+            J.constant(1.0, 1, 2) / J.constant(0.0, 1, 2)
 
     def test_div_mul_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -54,6 +56,27 @@ class TestCombine:
         b.data[0] = 2.0
         back = (a / b) * b
         assert np.allclose(back.data, a.data, atol=1e-12)
+
+
+class TestPartial:
+    def test_matches_source_derivatives(self):
+        jet = J.eval_jet(parse("exp(x1*x2) + x1^3*x3", 3),
+                         {"x1": 0.7, "x2": -0.4, "x3": 1.3}, ["x1", "x2", "x3"], 3)
+        d1 = jet.partial(1)
+        assert d1.order == 2 and d1.slots == 3
+        for t in d1.space.tuples:
+            assert d1.deriv(t) == jet.deriv(t + (1,))
+        d13 = d1.partial(3)
+        assert d13.order == 1 and d13.value == jet.deriv((1, 3))
+        assert list(d13.gradient()) == [jet.deriv((1, 3, g)) for g in (1, 2, 3)]
+
+    def test_slot_out_of_range(self):
+        with pytest.raises(IndexError):
+            J.seed(1, 0.0, 2, 2).partial(3)
+
+    def test_order_one_has_no_partial(self):
+        with pytest.raises(ValueError):
+            J.seed(1, 0.0, 2, 1).partial(1)
 
 
 class TestUnary:
