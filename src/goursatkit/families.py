@@ -32,7 +32,7 @@ import numpy as np
 
 from . import jets as J
 from .expr import Expr
-from .web import Point, WebFunction, _WarmStartCache, as_point
+from .web import Point, WebFunction, as_point
 
 
 class FamilySpecError(ValueError):
@@ -202,22 +202,11 @@ def _joint_jet(spec: FamilySpec, p: Point, a: float, order: int) -> J.Jet:
     return J.eval_with_bindings(spec.phi, bindings, m, order)
 
 
-def _constraint_joint_jet(joint: J.Jet, n: int, order: int) -> J.Jet:
-    """G = dPhi/da as a joint jet of the requested order."""
-    gspace = J.space(n + 1, order)
-    src = joint.space
-    data = np.empty(gspace.size)
-    a_slot = n + 1
-    for pos, t in enumerate(gspace.tuples):
-        data[pos] = joint.data[src.pos[tuple(sorted(t + (a_slot,)))]]
-    return J.Jet(gspace, data)
-
-
 def _solve_delta(spec: FamilySpec, p: Point, a: float, order: int) -> tuple[J.Jet, J.Jet]:
     """Solve G(x, a + delta(x)) == 0 order by order; returns (joint Phi, delta)."""
     n = spec.arity
     joint = _joint_jet(spec, p, a, order + 1)
-    G = _constraint_joint_jet(joint, n, order)
+    G = joint.partial(n + 1)  # dPhi/da, a joint jet of the requested order
     slope = G.deriv((n + 1,))
     if abs(slope) < spec.newton.min_slope:
         raise SingularEnvelope(p, a, slope)
@@ -255,25 +244,22 @@ def _family_jet(spec: FamilySpec, p: Point, a: float, order: int) -> J.Jet:
 def family_web(spec: FamilySpec) -> WebFunction:
     """WebFunction whose jets flow through the implicit parameter solve.
 
-    Roots are tracked across evaluations by warm-starting each Newton solve
-    from the most recent root (falling back to the spec's a0), which keeps a
-    deterministic point sweep on a single smooth branch.  The per-point root
-    cache is synchronized and semantically transparent.
+    Each Newton solve starts from the most recent root (falling back to the
+    spec's a0), which keeps a deterministic point sweep on a single smooth
+    branch.  There is no root cache: the web's per-point jet memo already
+    solves each point once.
     """
-    cache = _WarmStartCache()
+    warm: float | None = None
 
     def evaluator(point: Point, order: int) -> J.Jet:
-        key = point.tobytes()
-        a = cache.get(key)
-        if a is None:
-            warm = cache.warm_start()
-            try:
-                a = solve_parameter(spec, point, warm)
-            except (NoConvergence, SingularEnvelope):
-                if warm is None:
-                    raise
-                a = solve_parameter(spec, point, None)
-            cache.put(key, a)
+        nonlocal warm
+        try:
+            a = solve_parameter(spec, point, warm)
+        except (NoConvergence, SingularEnvelope):
+            if warm is None:
+                raise
+            a = solve_parameter(spec, point, None)
+        warm = a
         return _family_jet(spec, point, a, order)
 
     return WebFunction(arity=spec.arity, evaluator=evaluator, source="family")

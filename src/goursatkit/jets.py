@@ -14,7 +14,8 @@ solved triangularly order by order, and unary functions are composed through
 Faa di Bruno set partitions.  Per-(m, K) index tables are precomputed once
 and shared, so the hot loops are vectorized numpy gathers.  ``Jet.partial(i)``
 is such a gather too: it reads the order K-1 jet of dF/dx_i out of the order
-K jet, through an index table cached per (m, K, i).
+K jet, through an index table cached per (m, K, i); ``restrict_last`` gathers
+through a table cached per (m, K, a_order, target order).
 """
 
 from __future__ import annotations
@@ -413,6 +414,17 @@ def eval_jet(expr: ex.Expr, point: Mapping[str, float],
     return eval_with_bindings(expr, bindings, m, order)
 
 
+@lru_cache(maxsize=None)
+def _restrict_index(m: int, order: int, a_order: int, target_order: int) -> np.ndarray:
+    """Position in space(m, order) of t + (m,) * a_order for each leading t of
+    space(m - 1, target_order) whose joint order fits in ``order``."""
+    src = space(m, order)
+    tail = (m,) * a_order
+    # t holds slots below m, so t + tail is already nondecreasing
+    return np.asarray([src.pos[t + tail] for t in space(m - 1, target_order).tuples
+                       if len(t) + a_order <= order], dtype=np.intp)
+
+
 def restrict_last(jet: Jet, a_order: int, target: JetSpace) -> Jet:
     """Sub-jet of (d/d last-slot)^a_order applied to ``jet``, over the
     remaining slots, divided by a_order!.
@@ -422,15 +434,12 @@ def restrict_last(jet: Jet, a_order: int, target: JetSpace) -> Jet:
     so truncation discards them.
     """
     src = jet.space
-    last = src.m
     if target.m != src.m - 1:
         raise ValueError("target space must drop exactly the last slot")
+    idx = _restrict_index(src.m, src.order, a_order, target.order)
     data = np.zeros(target.size)
-    fact = math.factorial(a_order)
-    for p, t in enumerate(target.tuples):
-        full = tuple(sorted(t + (last,) * a_order))
-        if len(full) <= src.order:
-            data[p] = jet.data[src.pos[full]] / fact
+    # tuples are ordered by length, so the entries that fit lead the target
+    data[: idx.size] = jet.data[idx] / math.factorial(a_order)
     return Jet(target, data)
 
 
@@ -444,7 +453,7 @@ def substitute_last(joint: Jet, delta: Jet) -> Jet:
     if delta.data[0] != 0.0:
         raise ValueError("delta jet must have zero value")
     target = delta.space
-    out = restrict_last(joint, 0, target).data.copy()
+    out = restrict_last(joint, 0, target).data
     dpow = None
     for j in range(1, target.order + 1):
         dpow = delta if dpow is None else dpow * delta

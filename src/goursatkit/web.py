@@ -31,6 +31,7 @@ import numpy as np
 from .jets import Jet
 
 DEFAULT_REGULARITY = 1e-9
+_MEMO_SIZE = 4096  # points per web; the memo is cleared when full
 
 Point = np.ndarray
 
@@ -86,6 +87,13 @@ class WebFunction:
     the n coordinate slots and be pure up to transparent caching; evaluation
     from concurrent tasks over distinct points is safe for the built-in
     constructors.
+
+    Each point's jet is evaluated once, at ``max_order``, and kept in a
+    per-web memo keyed by the point's bytes (at most ``_MEMO_SIZE`` points;
+    the memo is cleared when full).  A lower order is the prefix of that jet
+    (``Jet.truncated``), which is exactly the jet a direct evaluation at the
+    lower order gives.  The regularity check runs on every call; an
+    evaluator that raises leaves nothing in the memo.
     """
 
     arity: int
@@ -93,6 +101,9 @@ class WebFunction:
     source: str = "closed-form"
     regularity_threshold: float = DEFAULT_REGULARITY
     max_order: int = 3
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                       repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 4:
@@ -102,7 +113,17 @@ class WebFunction:
         if not (1 <= order <= self.max_order):
             raise ValueError(f"order must be in 1..{self.max_order}")
         point = as_point(p, self.arity)
-        jet = self.evaluator(point, order)
+        key = point.tobytes()
+        with self._memo_lock:
+            top = self._memo.get(key)
+        # max_order may be raised after a point was memoized
+        if top is None or top.order < order:
+            top = self.evaluator(point, self.max_order)
+            with self._memo_lock:
+                if len(self._memo) >= _MEMO_SIZE:
+                    self._memo.clear()
+                self._memo[key] = top
+        jet = top.truncated(order)
         if check_regularity:
             grad = jet.gradient()
             small = np.abs(grad) <= self.regularity_threshold
@@ -286,33 +307,3 @@ def pfaffian_derivs(web: WebFunction, p: Sequence[float],
                 vals[al, be, g] = val
                 vals[be, al, g] = val
     return PfaffianDerivs(n, vals, gauge)
-
-
-class _WarmStartCache:
-    """Thread-safe memo of parameter roots keyed by point bytes.
-
-    Semantically transparent: hits return exactly the value a fresh solve
-    from the same warm start produced.  Also tracks the most recent root as
-    the warm start for branch continuity along a deterministic point sweep.
-    """
-
-    def __init__(self, maxsize: int = 4096):
-        self._lock = threading.Lock()
-        self._store: dict[bytes, float] = {}
-        self._maxsize = maxsize
-        self.last_root: float | None = None
-
-    def get(self, key: bytes) -> float | None:
-        with self._lock:
-            return self._store.get(key)
-
-    def put(self, key: bytes, root: float):
-        with self._lock:
-            if len(self._store) >= self._maxsize:
-                self._store.clear()
-            self._store[key] = root
-            self.last_root = root
-
-    def warm_start(self) -> float | None:
-        with self._lock:
-            return self.last_root

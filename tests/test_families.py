@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from goursatkit import catalog
-from goursatkit.classify import (first_kind_residual, sample_regular_points,
+from goursatkit.classify import (classify, first_kind_residual, sample_regular_points,
                                  second_kind_pde_residual, second_kind_residuals)
+from goursatkit.exterior import frobenius_residual, make_system
 from goursatkit.expr import evaluate, parse
 from goursatkit.families import (FamilySpec, FamilySpecError, SingularEnvelope,
                                  constraint, family_web, parameter_jet,
                                  solve_parameter, solve_parameter_with_info)
-from goursatkit.web import torsion
+from goursatkit.web import pfaffian_derivs, torsion
 
 ONES4 = [1.0] * 4
 ONES5 = [1.0] * 5
@@ -175,6 +176,32 @@ class TestFamilyWeb:
             parallel = list(pool.map(lambda p: web2.jet(p, 2).value, pts))
         assert serial == parallel
 
+    def test_jet_order_consistency(self):
+        # a web capped at order 2 solves that order directly; it must equal
+        # the prefix of the order-3 jet bit for bit
+        spec = catalog.random_second_kind_spec(np.random.default_rng(11), 5)
+        web = family_web(spec)
+        capped = family_web(spec)
+        capped.max_order = 2
+        for p in np.random.default_rng(12).uniform(0.8, 1.2, (4, 5)):
+            j3 = web.jet(p, 3)
+            j2 = capped.jet(p, 2)
+            assert np.array_equal(j3.data[: j2.space.size], j2.data)
+
+    def test_roots_independent_of_evaluation_order(self):
+        # each Newton solve warm-starts from the most recent root, and with the
+        # cubic term these constraints have more than one root; the root
+        # found at a point must still not depend on the points before it
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(0.0, 3.0, (12, 5))
+        for _ in range(6):
+            spec = catalog.random_first_kind_spec(rng, 5, quadratic_tail=True)
+            forward, reverse = family_web(spec), family_web(spec)
+            ahead = [forward.jet(p, 3, check_regularity=False) for p in pts]
+            behind = [reverse.jet(p, 3, check_regularity=False) for p in pts[::-1]][::-1]
+            for p, j1, j2 in zip(pts, ahead, behind):
+                assert np.allclose(j1.data, j2.data, rtol=1e-10, atol=1e-10), (spec, p)
+
     def test_second_kind_family_not_first_kind(self):
         # the randomized second-kind construction must not collapse into the
         # smaller first-kind class, or the dimension claims become vacuous
@@ -183,3 +210,33 @@ class TestFamilyWeb:
         p = sample_regular_points(web, box, 1, seed=2)[0]
         _, rel = first_kind_residual(torsion(web, p))
         assert rel > 1e-3
+
+
+def _count_evaluations(web):
+    calls = []
+    inner = web.evaluator
+
+    def evaluator(point, order):
+        calls.append(point.tobytes())
+        return inner(point, order)
+
+    web.evaluator = evaluator
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (catalog.control_web(5), catalog.control_box(5)),
+    lambda: (family_web(catalog.second_kind_demo_spec()), catalog.family_box(5)),
+], ids=["closed-form", "family"])
+def test_one_evaluation_per_point(make):
+    web, box = make()
+    calls = _count_evaluations(web)
+    points = sample_regular_points(web, box, 6, seed=4)
+    system = make_system(web, "THETA_RHO")
+    for p in points:
+        torsion(web, p)
+        pfaffian_derivs(web, p)
+        frobenius_residual(system, p)
+    classify(web, box, 6, seed=4)
+    # every draw was regular on these boxes, so the draws are the points
+    assert len(calls) == len(points) == len({p.tobytes() for p in points})

@@ -239,6 +239,29 @@ def test_restrict_and_substitute_last():
     out = J.substitute_last(H, delta)
     assert np.allclose(out.data, 0.0, atol=1e-15)
 
+def _restrict_last_reference(jet, a_order, target):
+    """Entry-by-entry restriction, the definition restrict_last implements."""
+    src = jet.space
+    data = np.zeros(target.size)
+    for p, t in enumerate(target.tuples):
+        full = tuple(sorted(t + (src.m,) * a_order))
+        if len(full) <= src.order:
+            data[p] = jet.data[src.pos[full]] / math.factorial(a_order)
+    return data
+
+
+@pytest.mark.parametrize("m,order", [(2, 4), (5, 3), (7, 4)])
+def test_restrict_last_matches_reference(m, order):
+    rng = np.random.default_rng(m)
+    jet = J.Jet(J.space(m, order), rng.normal(size=J.space(m, order).size))
+    for target_order in range(1, order + 1):
+        target = J.space(m - 1, target_order)
+        for a_order in range(target_order + 1):
+            got = J.restrict_last(jet, a_order, target)
+            assert got.space is target
+            assert np.array_equal(got.data, _restrict_last_reference(jet, a_order, target))
+
+
 def test_substitute_requires_zero_value():
     H = J.eval_jet(parse("x1 + u", 1, ["u"]), {"x1": 0.0, "u": 0.0}, ["x1", "u"], 2)
     with pytest.raises(ValueError):

@@ -142,11 +142,60 @@ class TestPfaffianDerivs:
 
 class TestWebFunction:
     def test_jet_order_consistency(self):
+        # a web capped at order 2 evaluates that order directly; the memoized
+        # order-3 jet must truncate to the same bits
         web = catalog.control_web(4)
+        capped = catalog.control_web(4)
+        capped.max_order = 2
         p = [1.2, 0.8, 1.1, 0.9]
         j3 = web.jet(p, 3)
-        j2 = web.jet(p, 2)
-        assert np.allclose(j3.data[: j2.space.size], j2.data, atol=0, rtol=0)
+        j2 = capped.jet(p, 2)
+        assert np.array_equal(j3.data[: j2.space.size], j2.data)
+        assert np.array_equal(web.jet(p, 2).data, j2.data)
+
+    def test_memo_serves_every_order_from_one_evaluation(self):
+        web = catalog.control_web(4)
+        orders = []
+        inner = web.evaluator
+        web.evaluator = lambda point, order: orders.append(order) or inner(point, order)
+        p = [1.2, 0.8, 1.1, 0.9]
+        for order in (1, 3, 2, 1):
+            assert web.jet(p, order).order == order
+        assert orders == [3]
+
+    def test_memo_raised_max_order_reevaluates(self):
+        web = catalog.control_web(4)
+        web.max_order = 2
+        p = [1.2, 0.8, 1.1, 0.9]
+        web.jet(p, 1)
+        web.max_order = 3
+        assert web.jet(p, 3).order == 3
+
+    def test_memo_is_bounded(self, monkeypatch):
+        import goursatkit.web as web_module
+        monkeypatch.setattr(web_module, "_MEMO_SIZE", 3)
+        web = catalog.control_web(4)
+        for i in range(7):
+            web.jet([1.0 + 0.01 * i, 1.0, 1.0, 1.0], 1)
+            assert len(web._memo) <= 3
+
+    def test_irregular_point_raises_on_every_call(self):
+        web = WebFunction.from_expr(parse("x1*x3", 4))
+        for _ in range(2):
+            with pytest.raises(RegularityError):
+                web.jet([0.0, 1.0, 1.0, 1.0], 2)
+        assert web.jet([0.0, 1.0, 1.0, 1.0], 2, check_regularity=False).value == 0.0
+
+    def test_failed_evaluation_is_not_memoized(self):
+        from goursatkit.jets import JetDomainError
+        web = WebFunction.from_expr(parse("ln(x1) + x2*x3 + x4", 4))
+        calls = []
+        inner = web.evaluator
+        web.evaluator = lambda point, order: calls.append(order) or inner(point, order)
+        for _ in range(2):
+            with pytest.raises(JetDomainError):
+                web.jet([-1.0, 1.0, 1.0, 1.0], 1)
+        assert calls == [3, 3]
 
     def test_order_cap(self):
         web = catalog.product_web(4)
