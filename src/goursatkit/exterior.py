@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -214,6 +215,24 @@ def d_form(f: CoFormField, p: Sequence[float]) -> np.ndarray:
     return jac.T - jac
 
 
+@lru_cache(maxsize=None)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, 1)
+
+
+@lru_cache(maxsize=None)
+def _wedge_terms(n: int, deg: int) -> tuple:
+    """Per sorted subset S of size deg, the terms (S_p, S_q, rest, sign) for
+    each position pair p<q inside S: rest is S without S_p and S_q, and sign
+    is (-1)^(p+q-1)."""
+    return tuple(
+        tuple((subset[pi], subset[qi],
+               [subset[r] for r in range(deg) if r not in (pi, qi)],
+               (-1.0) ** (pi + qi - 1))
+              for pi, qi in combinations(range(deg), 2))
+        for subset in combinations(range(n), deg))
+
+
 def _wedge_max(dtheta: np.ndarray, thetas: Sequence[np.ndarray]) -> float:
     """Max absolute coefficient of dtheta ^ theta_1 ^ ... ^ theta_k.
 
@@ -228,15 +247,14 @@ def _wedge_max(dtheta: np.ndarray, thetas: Sequence[np.ndarray]) -> float:
         return 0.0
     theta_mat = np.array(thetas) if k else np.empty((0, n))
     best = 0.0
-    for subset in combinations(range(n), deg):
+    for terms in _wedge_terms(n, deg):
         total = 0.0
-        for pi, qi in combinations(range(deg), 2):
-            a = dtheta[subset[pi], subset[qi]]
+        for i, j, rest, sign in terms:
+            a = dtheta[i, j]
             if a == 0.0:
                 continue
-            rest = [subset[r] for r in range(deg) if r not in (pi, qi)]
             minor = np.linalg.det(theta_mat[:, rest]) if k else 1.0
-            total += (-1.0) ** (pi + qi - 1) * a * minor
+            total += sign * a * minor
         best = max(best, abs(total))
     return best
 
@@ -295,7 +313,7 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
     residuals = []
     for _, jac in evaluated:
         dtheta = jac.T - jac
-        dnorm = float(np.sqrt((dtheta[np.triu_indices_from(dtheta, 1)] ** 2).sum()))
+        dnorm = float(np.sqrt((dtheta[_triu(sys.arity)] ** 2).sum()))
         if dnorm == 0.0:
             residuals.append(0.0)
             continue
