@@ -328,7 +328,12 @@ def _consistency_assertions(web: WebFunction, points: np.ndarray, config: RunCon
         raw, _ = first_kind_residual(t)
         raw_pde, _ = first_kind_pde_residual(web, p)
         factor = float(np.prod(jet.gradient()[:4]))
-        scale = max(abs(raw_pde), abs(raw * factor), 1e-12)
+        # relative to the largest monomial of either form, as classify._rel
+        # scales: both residuals can be rounding-sized on first-kind webs
+        scale = max(abs(jet.deriv((1, 3)) * jet.deriv((2, 4))),
+                    abs(jet.deriv((1, 4)) * jet.deriv((2, 3))),
+                    abs(t.entry(1, 3) * t.entry(2, 4) * factor),
+                    abs(t.entry(1, 4) * t.entry(2, 3) * factor), 1e-12)
         worst_eq = max(worst_eq, abs(raw_pde - raw * factor) / scale)
         if web.arity >= 5:
             res = second_kind_residuals(t)

@@ -177,6 +177,26 @@ identity_trials = 40
                   for a in _consistency_assertions(web, points, cfg)}
         assert passed["derivs_affine_in_gauge"]
 
+    def test_pde_form_assertion_detects_disagreement(self, monkeypatch):
+        import goursatkit.cli as cli_module
+        cfg = parse_config_text(CLOSED_N8_CFG + "seed = 0\n")
+        web = build_web(cfg)
+        points = sample_regular_points(web, Box(cfg.box), cfg.count, cfg.seed)
+
+        def passed():
+            return {a["name"]: a["passed"] for a in _consistency_assertions(web, points, cfg)}[
+                "pde_form_matches_torsion_form"]
+
+        assert passed()
+        honest = cli_module.first_kind_pde_residual
+
+        def offset(web, p):
+            raw, rel = honest(web, p)
+            return raw * (1 + 1e-6), rel
+
+        monkeypatch.setattr(cli_module, "first_kind_pde_residual", offset)
+        assert not passed()
+
     def test_low_order_degrades_to_failure_records(self):
         cfg = parse_config_text(PRODUCT_CFG + "\n[tolerances]\norder = 2\n")
         report = run(cfg)
