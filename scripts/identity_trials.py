@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Constrained-random identity experiments on the torsion condition systems.
 
-Runs the two-imply-third check for each pairing of the m/n/r condition
-systems and the witness search showing the s-family does not force the
-u/v-family:
+Runs the polynomial identities on the second-kind variety, the
+two-imply-third check for each pairing of the m/n/r condition systems and the
+witness search showing the s-family does not force the u/v-family:
 
   python scripts/identity_trials.py --trials 1000 --seed 0
 """
@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
-from goursatkit.identities import (implication_test, sample_second_kind_torsion,
-                                   second_kind_polynomial_residuals, witness_search)
+from goursatkit.identities import implication_test, polynomial_sweep, witness_search
 
 
 def main() -> int:
@@ -24,12 +21,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.trials):
-        t = sample_second_kind_torsion(rng)
-        for rs in second_kind_polynomial_residuals(t).values():
-            worst = max(worst, rs.max_relative)
+    worst = polynomial_sweep(args.trials, args.seed)
     print(f"polynomial identities on the constraint variety "
           f"({args.trials} samples): max rel {worst:.3e}")
 

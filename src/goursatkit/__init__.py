@@ -14,7 +14,7 @@ from .families import (FamilySpec, NewtonSettings, NoConvergence, SingularEnvelo
                        constraint, family_web, parameter_jet, solve_parameter)
 from .identities import (ConditionValues, condition_values,
                          first_kind_derivative_residuals, implication_test,
-                         sample_second_kind_torsion,
+                         polynomial_sweep, sample_second_kind_torsion,
                          second_kind_polynomial_residuals, witness_search)
 from .jets import Jet, apply_unary, eval_jet, seed
 from .web import (Gauge, PfaffianDerivs, RegularityError, TorsionTensor,

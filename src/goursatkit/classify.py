@@ -132,8 +132,15 @@ def torsion_minors(t: TorsionTensor) -> tuple[float, float, float]:
     A + B + C equals the row-of-ones determinant, hence vanishes exactly on
     second-kind webs.
     """
-    a13, a14, a15 = (t.entry(1, q) for q in (3, 4, 5))
-    a23, a24, a25 = (t.entry(2, q) for q in (3, 4, 5))
+    A, B, C = cyclic_minors(t.values)
+    return float(A), float(B), float(C)
+
+
+def cyclic_minors(values: np.ndarray) -> tuple:
+    """:func:`torsion_minors` of a torsion matrix, or of a stack of them
+    along leading axes (one array per minor)."""
+    a13, a14, a15 = (values[..., 0, q] for q in (2, 3, 4))
+    a23, a24, a25 = (values[..., 1, q] for q in (2, 3, 4))
     return (a13 * a24 - a14 * a23,
             a14 * a25 - a15 * a24,
             a15 * a23 - a13 * a25)

@@ -98,6 +98,8 @@ class RunConfig:
                 raise ConfigError(f"invalid box interval {lo}:{hi}")
         if self.order not in (1, 2, 3):
             raise ConfigError("order must be 1, 2 or 3")
+        if self.identity_trials <= 0:
+            raise ConfigError("identity_trials must be a positive integer")
         if self.gauge and len(self.gauge) != self.n:
             raise ConfigError("gauge must have n components")
         for s in self.suites:
@@ -441,12 +443,7 @@ def run(config: RunConfig) -> RunReport:
                 "imposed_max_rel": wr.s_max_relative,
                 "violated_rel": wr.uv_max_relative,
             }
-            rng = np.random.default_rng(config.seed)
-            worst_poly = 0.0
-            for _ in range(trials):
-                ts = ident.sample_second_kind_torsion(rng)
-                for rs in ident.second_kind_polynomial_residuals(ts).values():
-                    worst_poly = max(worst_poly, rs.max_relative)
+            worst_poly = ident.polynomial_sweep(trials, config.seed)
             algebra["polynomial_constrained_max"] = worst_poly
             report.identities = {"gauge": list(gauge.w), "samples": samples,
                                  "algebra": algebra}

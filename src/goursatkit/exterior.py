@@ -221,42 +221,42 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _wedge_terms(n: int, deg: int) -> tuple:
-    """Per sorted subset S of size deg, the terms (S_p, S_q, rest, sign) for
-    each position pair p<q inside S: rest is S without S_p and S_q, and sign
-    is (-1)^(p+q-1)."""
-    return tuple(
-        tuple((subset[pi], subset[qi],
-               [subset[r] for r in range(deg) if r not in (pi, qi)],
-               (-1.0) ** (pi + qi - 1))
-              for pi, qi in combinations(range(deg), 2))
-        for subset in combinations(range(n), deg))
+def _wedge_table(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Index tables for dtheta ^ theta_1 ^ ... ^ theta_k in n slots.
+
+    ``cols`` lists the k-subsets of the slots in ``combinations`` order.  The
+    other tables have one row per sorted (k+2)-subset S and one column per
+    position pair p<q inside S, both in ``combinations`` order: the pair's
+    slots ``i = S_p``, ``j = S_q`` and the row ``rest`` of ``cols`` holding
+    S without them; ``sign = (-1)^(p+q-1)`` has one entry per pair.
+    """
+    cols = list(combinations(range(n), k))
+    row_of = {c: r for r, c in enumerate(cols)}
+    subsets = np.array(list(combinations(range(n), k + 2)))
+    p, q = np.array(list(combinations(range(k + 2), 2))).T
+    rest = np.array([[row_of[tuple(x for r, x in enumerate(s) if r not in (a, b))]
+                      for a, b in zip(p, q)] for s in subsets.tolist()])
+    return np.array(cols), subsets[:, p], subsets[:, q], rest, (-1.0) ** (p + q - 1)
 
 
-def _wedge_max(dtheta: np.ndarray, thetas: Sequence[np.ndarray]) -> float:
+def _wedge_max(dtheta: np.ndarray, minors: np.ndarray, table: tuple) -> float:
     """Max absolute coefficient of dtheta ^ theta_1 ^ ... ^ theta_k.
 
     Expansion over index subsets: for each sorted subset S of size k+2 and
     each position pair p<q inside S, the contribution is
     (-1)^(p+q-1) dtheta[S_p, S_q] * minor of the theta rows on S without p, q.
+    ``minors`` holds those minors for every row of the table's ``cols``.
+    Each subset's pairs are added one position pair at a time, in order,
+    skipping pairs with dtheta[S_p, S_q] == 0.
     """
-    n = dtheta.shape[0]
-    k = len(thetas)
-    deg = k + 2
-    if deg > n:
-        return 0.0
-    theta_mat = np.array(thetas) if k else np.empty((0, n))
-    best = 0.0
-    for terms in _wedge_terms(n, deg):
-        total = 0.0
-        for i, j, rest, sign in terms:
-            a = dtheta[i, j]
-            if a == 0.0:
-                continue
-            minor = np.linalg.det(theta_mat[:, rest]) if k else 1.0
-            total += sign * a * minor
-        best = max(best, abs(total))
-    return best
+    _, i, j, rest, sign = table
+    a = dtheta[i, j]
+    terms = np.where(a == 0.0, 0.0, sign * a * minors[rest])
+    total = np.zeros(len(terms))
+    for column in terms.T:
+        total = total + column
+    size = np.abs(total)
+    return float(np.max(size, where=size > 0.0, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -310,6 +310,11 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
                                "degenerate")
     norms = [max(float(np.linalg.norm(c)), NORM_FLOOR) for c in coeffs]
     norm_product = float(np.prod(norms))
+    wedge = k + 2 <= sys.arity
+    if wedge:
+        # the k-column minors of the generator matrix, shared by every generator
+        table = _wedge_table(sys.arity, k)
+        minors = np.linalg.det(mat[:, table[0]].transpose(1, 0, 2))
     residuals = []
     for _, jac in evaluated:
         dtheta = jac.T - jac
@@ -317,7 +322,7 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
         if dnorm == 0.0:
             residuals.append(0.0)
             continue
-        raw = _wedge_max(dtheta, coeffs)
+        raw = _wedge_max(dtheta, minors, table) if wedge else 0.0
         residuals.append(raw / max(dnorm * norm_product, NORM_FLOOR))
     worst = max(residuals)
     if worst < tol:

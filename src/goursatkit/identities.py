@@ -28,18 +28,34 @@ affine in the gauge with slopes proportional to second-kind residuals (the
 cleared difference-ratio and twice the determinant), hence gauge-invariant on
 second-kind data; u_k, v_k carry genuinely nonzero slopes and are reported at
 the caller's gauge.
+
+Trial axis: the condition algebra works on arrays with leading trial axes,
+torsion ``(..., n, n)`` and derivatives ``(..., n, n, n)``, so one pass
+evaluates a whole chunk of constrained-random trials; the per-tensor
+functions run the same code with no trial axis.  Every trial sees the same
+float operations in the same order as a one-trial formula: sums start from
+0.0 and add left to right, and maxima are left folds that keep the earlier
+value unless a later one is greater, as Python's ``sum`` and ``max`` do.  The
+samplers draw their trials in chunks of at most ``TRIAL_CHUNK``, with the same
+generator calls in the same order as a one-trial-at-a-time loop (per trial:
+the torsion draw with its rejection loop, then the derivative draw), and
+reduce over exactly the trials that loop would use, so their results do not
+depend on the chunk size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .classify import SCALE_FLOOR, torsion_minors
+from .classify import SCALE_FLOOR, cyclic_minors
 from .web import Gauge, PfaffianDerivs, TorsionTensor
+
+# trials evaluated per array pass: bounds memory, never changes a result
+TRIAL_CHUNK = 256
 
 # coefficient of a_pqh in the m-closure: d(det)/d a_pq
 M_COEFFS = (
@@ -52,8 +68,36 @@ M_COEFFS = (
 )
 
 
-def _scale(monomials: Sequence[float]) -> float:
-    return max([abs(m) for m in monomials] + [SCALE_FLOOR])
+def _e(x: np.ndarray, alpha: int, beta: int) -> np.ndarray:
+    """Entry (alpha, beta), 1-based, of every matrix in the stack ``x``."""
+    return x[..., alpha - 1, beta - 1]
+
+
+def _sum(terms):
+    """Left-to-right sum from 0.0, as Python's ``sum``."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _fold_max(items):
+    """Elementwise Python ``max``: a later item replaces the running value
+    only when it is greater, so ties and NaNs keep the earlier one."""
+    best = items[0]
+    for item in items[1:]:
+        best = np.where(item > best, item, best)
+    return best
+
+
+def _running_max(worst: float, values: np.ndarray) -> float:
+    """``worst = max(worst, x)`` folded over ``values``: only values greater
+    than the running maximum can replace it, so NaNs never do."""
+    return float(np.max(values, where=values > worst, initial=worst))
+
+
+def _scale(monomials: Sequence) -> np.ndarray:
+    return _fold_max([np.abs(m) for m in monomials] + [SCALE_FLOOR])
 
 
 @dataclass(frozen=True)
@@ -91,6 +135,24 @@ def first_kind_derivative_residuals(t: TorsionTensor, d: PfaffianDerivs) -> Resi
     return ResidualSet(values, scales)
 
 
+@np.errstate(all="ignore")
+def _polynomial_residuals(t: np.ndarray) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
+    """(key, values, scales) per index selection; values and scales have a
+    last axis of length 2, the linear and the quadratic residual."""
+    out = []
+    for p, q in ((1, 2), (2, 1)):
+        for (a, b, c) in permutations((3, 4, 5)):
+            pa, pb, pc = (_e(t, p, i) for i in (a, b, c))
+            qa, qb, qc = (_e(t, q, i) for i in (a, b, c))
+            lin = (pa * (qc - qb), pb * (qa - qc), pc * (qb - qa))
+            quad = (pa * pa * (qb - qc), pb * pb * (qc - qa), pc * pc * (qa - qb),
+                    pa * qa * (pc - pb), pb * qb * (pa - pc), pc * qc * (pb - pa))
+            out.append(((p, q, a, b, c),
+                        np.stack([_sum(lin), _sum(quad)], axis=-1),
+                        np.stack([_scale(lin), _scale(quad)], axis=-1)))
+    return out
+
+
 def second_kind_polynomial_residuals(t: TorsionTensor) -> dict[tuple, ResidualSet]:
     """The two torsion-only polynomial consequences of the second-kind
     condition, for every admissible index selection.
@@ -98,19 +160,8 @@ def second_kind_polynomial_residuals(t: TorsionTensor) -> dict[tuple, ResidualSe
     Keyed by (p, q, a, b, c) with p != q in {1, 2} and (a, b, c) a permutation
     of (3, 4, 5); each value holds the linear and the quadratic residual.
     """
-    out: dict[tuple, ResidualSet] = {}
-    for p, q in ((1, 2), (2, 1)):
-        for (a, b, c) in permutations((3, 4, 5)):
-            pa, pb, pc = (t.entry(p, i) for i in (a, b, c))
-            qa, qb, qc = (t.entry(q, i) for i in (a, b, c))
-            lin = (pa * (qc - qb), pb * (qa - qc), pc * (qb - qa))
-            quad = (pa * pa * (qb - qc), pb * pb * (qc - qa), pc * pc * (qa - qb),
-                    pa * qa * (pc - pb), pb * qb * (pa - pc), pc * qc * (pb - pa))
-            out[(p, q, a, b, c)] = ResidualSet(
-                np.array([sum(lin), sum(quad)]),
-                np.array([_scale(lin), _scale(quad)]),
-            )
-    return out
+    return {key: ResidualSet(values, scales)
+            for key, values, scales in _polynomial_residuals(t.values)}
 
 
 @dataclass(frozen=True)
@@ -138,102 +189,114 @@ class ConditionValues:
         }
 
 
-def _m_residual(t: TorsionTensor, d: PfaffianDerivs, h: int,
-                A: float, B: float, C: float) -> tuple[float, float]:
-    monos = []
-    for (hi, lo, tgt) in M_COEFFS:
-        coeff = t.entry(*hi) - t.entry(*lo)
-        monos.append(coeff * d.entry(tgt[0], tgt[1], h))
+# The residual evaluators take the torsion stack t and the derivative slice
+# dh = d[..., h - 1] at slot h, and return (value, scale) arrays.
+
+def _m_residual(t: np.ndarray, dh: np.ndarray, h: int, A, B, C) -> tuple:
+    monos = [(_e(t, *hi) - _e(t, *lo)) * _e(dh, *tgt) for hi, lo, tgt in M_COEFFS]
     rhs = 0.0
     if h == 3:
-        rhs = C * t.entry(3, 4) + A * t.entry(3, 5)
+        rhs = C * _e(t, 3, 4) + A * _e(t, 3, 5)
     elif h == 4:
-        rhs = B * t.entry(3, 4) + A * t.entry(4, 5)
+        rhs = B * _e(t, 3, 4) + A * _e(t, 4, 5)
     elif h == 5:
-        rhs = B * t.entry(3, 5) + C * t.entry(4, 5)
-    value = sum(monos) - rhs
-    return value, _scale(monos + [rhs])
+        rhs = B * _e(t, 3, 5) + C * _e(t, 4, 5)
+    return _sum(monos) - rhs, _scale(monos + [rhs])
 
 
-def _n_residual(t: TorsionTensor, d: PfaffianDerivs, h: int, row: int) -> tuple[float, float]:
-    a3, a4, a5 = (t.entry(row, q) for q in (3, 4, 5))
-    monos = [(a5 - a4) * d.entry(row, 3, h),
-             (a3 - a5) * d.entry(row, 4, h),
-             (a4 - a3) * d.entry(row, 5, h)]
+def _n_residual(t: np.ndarray, dh: np.ndarray, h: int, row: int) -> tuple:
+    a3, a4, a5 = (_e(t, row, q) for q in (3, 4, 5))
+    monos = [(a5 - a4) * _e(dh, row, 3),
+             (a3 - a5) * _e(dh, row, 4),
+             (a4 - a3) * _e(dh, row, 5)]
     rhs = 0.0
     if h == 3:
-        rhs = a3 * ((a5 - a3) * t.entry(3, 4) + (a3 - a4) * t.entry(3, 5))
-    value = sum(monos) - rhs
-    return value, _scale(monos + [rhs])
+        rhs = a3 * ((a5 - a3) * _e(t, 3, 4) + (a3 - a4) * _e(t, 3, 5))
+    return _sum(monos) - rhs, _scale(monos + [rhs])
 
 
-def _s_residual(t: TorsionTensor, d: PfaffianDerivs, h: int,
-                A: float, B: float, C: float) -> tuple[float, float]:
-    monos = [(t.entry(2, 3) - t.entry(2, 5)) * (d.entry(1, 4, h) - d.entry(1, 3, h)),
-             (t.entry(1, 5) - t.entry(1, 3)) * (d.entry(2, 4, h) - d.entry(2, 3, h))]
-    rhs = {3: -C * t.entry(3, 4),
-           4: B * t.entry(3, 4),
-           5: C * (t.entry(3, 5) - t.entry(4, 5))}[h]
-    value = sum(monos) - rhs
-    return value, _scale(monos + [rhs])
+def _s_residual(t: np.ndarray, dh: np.ndarray, h: int, A, B, C) -> tuple:
+    monos = [(_e(t, 2, 3) - _e(t, 2, 5)) * (_e(dh, 1, 4) - _e(dh, 1, 3)),
+             (_e(t, 1, 5) - _e(t, 1, 3)) * (_e(dh, 2, 4) - _e(dh, 2, 3))]
+    if h == 3:
+        rhs = -C * _e(t, 3, 4)
+    elif h == 4:
+        rhs = B * _e(t, 3, 4)
+    else:
+        rhs = C * (_e(t, 3, 5) - _e(t, 4, 5))
+    return _sum(monos) - rhs, _scale(monos + [rhs])
 
 
-def _uv(t: TorsionTensor, d: PfaffianDerivs, k: int) -> tuple[float, float, float]:
-    cu = t.entry(2, 3) - t.entry(2, 4)
-    cv = t.entry(1, 4) - t.entry(1, 3)
-    u = cu * d.entry(1, 3, k) - cv * d.entry(2, 3, k)
-    v = cu * d.entry(1, 4, k) - cv * d.entry(2, 4, k)
-    scale = _scale([cu * d.entry(1, 3, k), cv * d.entry(2, 3, k),
-                    cu * d.entry(1, 4, k), cv * d.entry(2, 4, k)])
-    return u, v, scale
+def _uv(t: np.ndarray, dh: np.ndarray, k: int, A) -> tuple:
+    """(u_k, v_k - u_k) residuals, each as (value, scale)."""
+    cu = _e(t, 2, 3) - _e(t, 2, 4)
+    cv = _e(t, 1, 4) - _e(t, 1, 3)
+    monos = [cu * _e(dh, 1, 3), cv * _e(dh, 2, 3), cu * _e(dh, 1, 4), cv * _e(dh, 2, 4)]
+    u = monos[0] - monos[1]
+    v = monos[2] - monos[3]
+    scale = _scale(monos)
+    a34, a35 = _e(t, 3, 4), _e(t, 3, 5)
+    u_rhs = 2 * A * (a34 if k == 4 else a35)
+    v_rhs = -A * a34 if k == 4 else A * (a34 - a35)
+    return (u - u_rhs, _scale([scale, u_rhs])), ((v - u) - v_rhs, _scale([scale, v_rhs]))
+
+
+def _stacked(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """(values, scales) pairs to two arrays with the pairs on the last axis."""
+    return (np.stack([v for v, _ in pairs], axis=-1),
+            np.stack([s for _, s in pairs], axis=-1))
+
+
+@np.errstate(all="ignore")
+def _conditions(t: np.ndarray, d: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The ConditionValues fields over the trial axes: six (values, scales)
+    pairs in field order, then residual40 and its scale."""
+    n = t.shape[-1]
+    A, B, C = cyclic_minors(t)
+    slot = [d[..., h - 1] for h in range(1, n + 1)]
+    uv = [_uv(t, slot[k - 1], k, A) for k in (4, 5)]
+    families = [
+        _stacked([_m_residual(t, slot[h - 1], h, A, B, C) for h in range(1, n + 1)]),
+        _stacked([_n_residual(t, slot[h - 1], h, 1) for h in (1, 2, 3)]),
+        _stacked([_n_residual(t, slot[h - 1], h, 2) for h in (1, 2, 3)]),
+        _stacked([_s_residual(t, slot[h - 1], h, A, B, C) for h in (3, 4, 5)]),
+        _stacked([u for u, _ in uv]),
+        _stacked([v for _, v in uv]),
+    ]
+    # the one-product closure: n_1 - n_2 written with grouped differences
+    a13, a14, a15 = (_e(t, 1, q) for q in (3, 4, 5))
+    terms40 = [(a15 - a14) * (_e(slot[0], 1, 3) - _e(slot[1], 1, 3)),
+               (a13 - a15) * (_e(slot[0], 1, 4) - _e(slot[1], 1, 4)),
+               (a14 - a13) * (_e(slot[0], 1, 5) - _e(slot[1], 1, 5))]
+    return families, _sum(terms40), _scale(terms40)
 
 
 def condition_values(t: TorsionTensor, d: PfaffianDerivs) -> ConditionValues:
     if t.n < 5:
         raise ValueError("condition families need arity n >= 5")
-    A, B, C = torsion_minors(t)
-    n = t.n
-    m_vals = np.empty(n)
-    m_scales = np.empty(n)
-    for h in range(1, n + 1):
-        m_vals[h - 1], m_scales[h - 1] = _m_residual(t, d, h, A, B, C)
-    n_vals = np.empty(3); n_scales = np.empty(3)
-    r_vals = np.empty(3); r_scales = np.empty(3)
-    for h in (1, 2, 3):
-        n_vals[h - 1], n_scales[h - 1] = _n_residual(t, d, h, 1)
-        r_vals[h - 1], r_scales[h - 1] = _n_residual(t, d, h, 2)
-    s_vals = np.empty(3); s_scales = np.empty(3)
-    for i, h in enumerate((3, 4, 5)):
-        s_vals[i], s_scales[i] = _s_residual(t, d, h, A, B, C)
-    u_vals = np.empty(2); v_vals = np.empty(2)
-    u_scales = np.empty(2); v_scales = np.empty(2)
-    for i, k in enumerate((4, 5)):
-        u, v, scale = _uv(t, d, k)
-        a34, a35 = t.entry(3, 4), t.entry(3, 5)
-        u_rhs = 2 * A * (a34 if k == 4 else a35)
-        v_rhs = -A * a34 if k == 4 else A * (a34 - a35)
-        u_vals[i] = u - u_rhs
-        v_vals[i] = (v - u) - v_rhs
-        u_scales[i] = _scale([scale, u_rhs])
-        v_scales[i] = _scale([scale, v_rhs])
-    # the one-product closure: n_1 - n_2 written with grouped differences
-    a13, a14, a15 = (t.entry(1, q) for q in (3, 4, 5))
-    terms40 = [(a15 - a14) * (d.entry(1, 3, 1) - d.entry(1, 3, 2)),
-               (a13 - a15) * (d.entry(1, 4, 1) - d.entry(1, 4, 2)),
-               (a14 - a13) * (d.entry(1, 5, 1) - d.entry(1, 5, 2))]
-    return ConditionValues(
-        m=ResidualSet(m_vals, m_scales),
-        n_row1=ResidualSet(n_vals, n_scales),
-        r_row2=ResidualSet(r_vals, r_scales),
-        s_cross=ResidualSet(s_vals, s_scales),
-        u_col=ResidualSet(u_vals, u_scales),
-        v_col=ResidualSet(v_vals, v_scales),
-        residual40=float(sum(terms40)),
-        residual40_scale=_scale(terms40),
-    )
+    families, r40, r40_scale = _conditions(t.values, d.values)
+    return ConditionValues(*(ResidualSet(v, s) for v, s in families),
+                           residual40=float(r40), residual40_scale=float(r40_scale))
 
 
 # --- constrained random sampling -------------------------------------------
+
+def _draw_torsion(rng: np.random.Generator, n: int = 5, span: float = 2.0,
+                  pivot_floor: float = 1e-3) -> np.ndarray:
+    """The matrix of :func:`sample_second_kind_torsion` (diagonal not NaN)."""
+    while True:
+        vals = rng.uniform(-span, span, size=(n, n))
+        vals = (vals + vals.T) / 2.0
+        a13, a14, a15 = vals[0, 2:5].tolist()
+        a23, a24 = vals[1, 2:4].tolist()
+        if abs(a14 - a13) < pivot_floor:
+            continue
+        a25 = (a14 * a23 - a13 * a24 + a15 * a24 - a15 * a23) / (a14 - a13)
+        if abs(a25) > 10 * span:
+            continue
+        vals[1, 4] = vals[4, 1] = a25
+        return vals
+
 
 def sample_second_kind_torsion(rng: np.random.Generator, n: int = 5,
                                span: float = 2.0, pivot_floor: float = 1e-3) -> TorsionTensor:
@@ -245,24 +308,51 @@ def sample_second_kind_torsion(rng: np.random.Generator, n: int = 5,
     """
     if n < 5:
         raise ValueError("need n >= 5")
-    while True:
-        vals = rng.uniform(-span, span, size=(n, n))
-        vals = (vals + vals.T) / 2.0
-        a13, a14, a15 = vals[0, 2], vals[0, 3], vals[0, 4]
-        a23, a24 = vals[1, 2], vals[1, 3]
-        if abs(a14 - a13) < pivot_floor:
-            continue
-        a25 = (a14 * a23 - a13 * a24 + a15 * a24 - a15 * a23) / (a14 - a13)
-        if abs(a25) > 10 * span:
-            continue
-        vals[1, 4] = vals[4, 1] = a25
-        return TorsionTensor.from_matrix(vals)
+    return TorsionTensor.from_matrix(_draw_torsion(rng, n, span, pivot_floor))
 
 
 def sample_derivs(rng: np.random.Generator, n: int = 5, span: float = 2.0,
                   gauge: Gauge | None = None) -> PfaffianDerivs:
     vals = rng.uniform(-span, span, size=(n, n, n))
     return PfaffianDerivs.from_array(vals, gauge or Gauge.zero(n))
+
+
+def _draw_trials(rng: np.random.Generator, size: int,
+                 needs_derivs: Callable[[np.ndarray], bool]) -> tuple:
+    """``size`` trials in draw order: per trial a second-kind torsion matrix,
+    then, where ``needs_derivs(torsion)``, a uniform (5, 5, 5) derivative draw
+    (zeros elsewhere).  Returns (torsion stack, derivative stack, drawn mask).
+    """
+    t = np.empty((size, 5, 5))
+    d = np.zeros((size, 5, 5, 5))
+    drawn = np.zeros(size, dtype=bool)
+    for i in range(size):
+        t[i] = _draw_torsion(rng)
+        if needs_derivs(t[i]):
+            d[i] = rng.uniform(-2.0, 2.0, size=(5, 5, 5))
+            drawn[i] = True
+    return t, d, drawn
+
+
+def _symmetrized(d: np.ndarray) -> np.ndarray:
+    """First-slot symmetrization, as :meth:`PfaffianDerivs.from_array`."""
+    return (d + d.swapaxes(-3, -2)) / 2.0
+
+
+def polynomial_sweep(trials: int, seed: int) -> float:
+    """Worst relative residual of the polynomial identities over ``trials``
+    second-kind torsion draws from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    done = 0
+    while done < trials:
+        size = min(TRIAL_CHUNK, trials - done)
+        t = np.array([_draw_torsion(rng) for _ in range(size)])
+        for _, values, scales in _polynomial_residuals(t):
+            # per selection as ResidualSet.max_relative: a NaN propagates
+            worst = _running_max(worst, (np.abs(values) / scales).max(axis=-1))
+        done += size
+    return worst
 
 
 @dataclass(frozen=True)
@@ -277,73 +367,59 @@ class ImplicationResult:
 _SYSTEMS = ("m", "n", "r")
 
 
-def _impose_and_check(t: TorsionTensor, d_vals: np.ndarray, h: int,
-                      imposed: tuple[str, str], checked: str,
-                      pivot_floor: float = 1e-3) -> float | None:
-    """Adjust one designated derivative per imposed condition, then evaluate
-    the third; returns its relative residual or None when a pivot is small.
+@np.errstate(all="ignore")
+def _implication_trials(t: np.ndarray, d: np.ndarray, imposed: tuple[str, str],
+                      checked: str, levels: Sequence[int],
+                      pivot_floor: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial and level h, adjust one designated derivative per imposed
+    condition, then evaluate the third; returns (accepted, worst relative
+    residual of the third over the levels).  A trial is rejected at any
+    level where a pivot is small or a solved condition fails to re-check.
 
     Designated unknowns: the row-1 closure and the mixed closure solve for
     a13h (coefficients a15-a14 and a24-a25); the row-2 closure solves for
     a23h (coefficient a25-a24).  The mixed closure is imposed after the
     single-row one so the solves stay triangular.
     """
-    A, B, C = torsion_minors(t)
-    d = PfaffianDerivs.from_array(d_vals)
-
-    def rhs(name: str) -> float:
-        if h != 3:
-            return 0.0
-        if name == "m":
-            return C * t.entry(3, 4) + A * t.entry(3, 5)
+    A, B, C = cyclic_minors(t)
+    residual = {"m": lambda dh, h: _m_residual(t, dh, h, A, B, C),
+                "n": lambda dh, h: _n_residual(t, dh, h, 1),
+                "r": lambda dh, h: _n_residual(t, dh, h, 2)}
+    solves = []
+    for name in sorted(imposed, key=lambda s: 0 if s in ("n", "r") else 1):
         if name == "n":
-            return t.entry(1, 3) * ((t.entry(1, 5) - t.entry(1, 3)) * t.entry(3, 4)
-                                    + (t.entry(1, 3) - t.entry(1, 4)) * t.entry(3, 5))
-        return t.entry(2, 3) * ((t.entry(2, 5) - t.entry(2, 3)) * t.entry(3, 4)
-                                + (t.entry(2, 3) - t.entry(2, 4)) * t.entry(3, 5))
-
-    def residual(name: str) -> tuple[float, float]:
-        if name == "m":
-            return _m_residual(t, d, h, A, B, C)
-        if name == "n":
-            return _n_residual(t, d, h, 1)
-        return _n_residual(t, d, h, 2)
-
-    order = sorted(imposed, key=lambda s: 0 if s in ("n", "r") else 1)
-    for name in order:
-        if name == "n":
-            pivot = t.entry(1, 5) - t.entry(1, 4)
-            slot = (0, 2)  # a13h
+            solves.append((name, _e(t, 1, 5) - _e(t, 1, 4), (0, 2)))  # a13h
         elif name == "r":
-            pivot = t.entry(2, 5) - t.entry(2, 4)
-            slot = (1, 2)  # a23h
+            solves.append((name, _e(t, 2, 5) - _e(t, 2, 4), (1, 2)))  # a23h
+        elif "n" not in imposed:
+            solves.append((name, _e(t, 2, 4) - _e(t, 2, 5), (0, 2)))  # coefficient of a13h
         else:
-            free = "n" not in imposed
-            if free:
-                pivot = t.entry(2, 4) - t.entry(2, 5)  # coefficient of a13h
-                slot = (0, 2)
-            else:
-                pivot = t.entry(1, 5) - t.entry(1, 4)  # coefficient of a23h
-                slot = (1, 2)
-        if abs(pivot) < pivot_floor:
-            return None
-        value, _ = residual(name)
-        # value is (closure - rhs) with the current unknown included; zero it
-        arr = d.values.copy()
-        arr[slot[0], slot[1], h - 1] -= value / pivot
-        arr[slot[1], slot[0], h - 1] = arr[slot[0], slot[1], h - 1]
-        d = PfaffianDerivs.from_array(arr)
-        check_val, _ = residual(name)
-        if abs(check_val) > 1e-9 * max(1.0, abs(value)):
-            return None
-    value, scale = residual(checked)
-    return abs(value) / scale
+            solves.append((name, _e(t, 1, 5) - _e(t, 1, 4), (1, 2)))  # coefficient of a23h
+    accepted = np.ones(len(t), dtype=bool)
+    worst = np.zeros(len(t))
+    d = _symmetrized(d)
+    for h in levels:
+        dh = d[..., h - 1].copy()
+        for name, pivot, (i, j) in solves:
+            accepted &= ~(np.abs(pivot) < pivot_floor)
+            value, _ = residual[name](dh, h)
+            # value is (closure - rhs) with the current unknown included; zero it
+            dh[:, i, j] -= value / pivot
+            dh[:, j, i] = dh[:, i, j]
+            check, _ = residual[name](dh, h)
+            accepted &= ~(np.abs(check) > 1e-9 * _fold_max([1.0, np.abs(value)]))
+        value, scale = residual[checked](dh, h)
+        worst = _fold_max([worst, np.abs(value) / scale])
+    return accepted, worst
 
 
 def implication_test(trials: int, seed: int, imposed: tuple[str, str],
                      checked: str, levels: Sequence[int] = (1, 2, 3)) -> ImplicationResult:
     """Impose two of the three condition systems on constrained random data
-    and report the worst relative residual of the third."""
+    and report the worst relative residual of the third.
+
+    Rejected trials are redrawn until ``trials`` have been accepted.
+    """
     if set(imposed) | {checked} != set(_SYSTEMS) or len(set(imposed)) != 2:
         raise ValueError("imposed/checked must partition {'m', 'n', 'r'}")
     rng = np.random.default_rng(seed)
@@ -351,21 +427,13 @@ def implication_test(trials: int, seed: int, imposed: tuple[str, str],
     rejected = 0
     done = 0
     while done < trials:
-        t = sample_second_kind_torsion(rng)
-        d_vals = rng.uniform(-2.0, 2.0, size=(5, 5, 5))
-        ok = True
-        trial_worst = 0.0
-        for h in levels:
-            rel = _impose_and_check(t, d_vals, h, imposed, checked)
-            if rel is None:
-                ok = False
-                break
-            trial_worst = max(trial_worst, rel)
-        if not ok:
-            rejected += 1
-            continue
-        worst = max(worst, trial_worst)
-        done += 1
+        # a chunk never holds more than the missing accepted trials, so every
+        # trial in it is one the one-at-a-time loop would have drawn
+        t, d, _ = _draw_trials(rng, min(TRIAL_CHUNK, trials - done), lambda _: True)
+        accepted, trial_worst = _implication_trials(t, d, imposed, checked, levels)
+        rejected += int(np.count_nonzero(~accepted))
+        done += int(np.count_nonzero(accepted))
+        worst = _running_max(worst, trial_worst[accepted])
     return ImplicationResult(tuple(imposed), checked, trials, rejected, worst)
 
 
@@ -377,30 +445,43 @@ class WitnessResult:
     uv_max_relative: float      # size of the checked residual at the witness
 
 
+def _s_pivot(t: np.ndarray) -> np.ndarray:
+    return _e(t, 2, 3) - _e(t, 2, 5)  # coefficient of a14h in s_h
+
+
+@np.errstate(all="ignore")
+def _witness_trials(t: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve s_3 = s_4 = s_5 = 0 for a14h per trial; returns the relative
+    residuals (worst s, worst of u and v) of the adjusted data."""
+    A, B, C = cyclic_minors(t)
+    pivot = _s_pivot(t)
+    d = _symmetrized(d)
+    for h in (3, 4, 5):
+        value, _ = _s_residual(t, d[..., h - 1], h, A, B, C)
+        d[:, 0, 3, h - 1] -= value / pivot
+        d[:, 3, 0, h - 1] = d[:, 0, 3, h - 1]
+    families, _, _ = _conditions(t, d)
+    # per family as ResidualSet.max_relative
+    s_rel, u_rel, v_rel = ((np.abs(v) / s).max(axis=-1) for v, s in families[3:])
+    return s_rel, _fold_max([u_rel, v_rel])
+
+
 def witness_search(trials: int, seed: int, threshold: float = 1e-2) -> WitnessResult:
     """Search for constrained data satisfying the cross-row difference
     conditions while violating one of the first-column conditions.
 
-    Demonstrates that the s-family does not imply the u/v-family.
+    Demonstrates that the s-family does not imply the u/v-family.  Trials
+    whose s-pivot is small are skipped without a derivative draw.
     """
     rng = np.random.default_rng(seed)
-    for trial in range(1, trials + 1):
-        t = sample_second_kind_torsion(rng)
-        pivot = t.entry(2, 3) - t.entry(2, 5)  # coefficient of a14h in s_h
-        if abs(pivot) < 1e-3:
-            continue
-        d_vals = rng.uniform(-2.0, 2.0, size=(5, 5, 5))
-        d = PfaffianDerivs.from_array(d_vals)
-        A, B, C = torsion_minors(t)
-        arr = d.values.copy()
-        for h in (3, 4, 5):
-            value, _ = _s_residual(t, d, h, A, B, C)
-            arr[0, 3, h - 1] -= value / pivot
-            arr[3, 0, h - 1] = arr[0, 3, h - 1]
-            d = PfaffianDerivs.from_array(arr)
-        cv = condition_values(t, d)
-        s_rel = cv.s_cross.max_relative
-        uv_rel = max(cv.u_col.max_relative, cv.v_col.max_relative)
-        if s_rel <= 1e-10 and uv_rel > threshold:
-            return WitnessResult(True, trial, s_rel, uv_rel)
+    used = 0
+    while used < trials:
+        t, d, drawn = _draw_trials(rng, min(TRIAL_CHUNK, trials - used),
+                                   lambda ti: not abs(_s_pivot(ti)) < 1e-3)
+        s_rel, uv_rel = _witness_trials(t, d)
+        hits = np.flatnonzero(drawn & (s_rel <= 1e-10) & (uv_rel > threshold))
+        if hits.size:
+            i = hits[0]
+            return WitnessResult(True, used + int(i) + 1, float(s_rel[i]), float(uv_rel[i]))
+        used += len(t)
     return WitnessResult(False, trials, float("nan"), float("nan"))

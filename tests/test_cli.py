@@ -72,6 +72,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(PRODUCT_CFG.replace("n = 4", "n = 9"))
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_identity_trials_not_positive(self, trials, tmp_path, capsys):
+        # zero or negative trials would pass the identity assertions vacuously
+        text = (FAMILY_CFG.replace("run = classify", "run = identities")
+                + f"identity_trials = {trials}\n")
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
+        cfg = tmp_path / "trials.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "identity_trials" in capsys.readouterr().err
+
     def test_bad_box(self):
         with pytest.raises(ConfigError):
             parse_config_text(PRODUCT_CFG.replace("0.5:1.5", "2.0:1.0"))

@@ -1,16 +1,38 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from goursatkit import catalog
 from goursatkit.classify import sample_regular_points
-from goursatkit.exterior import (CoFormField, PfaffianSystem, SYSTEM_NAMES, d_form,
-                                 frobenius_residual, kernel_basis, make_system,
-                                 rank_at, subspace_distance)
+from goursatkit.exterior import (CoFormField, PfaffianSystem, SYSTEM_NAMES, _wedge_max,
+                                 _wedge_table, d_form, frobenius_residual, kernel_basis,
+                                 make_system, rank_at, subspace_distance)
 from goursatkit.expr import parse
 from goursatkit.families import family_web
 from goursatkit.web import WebFunction
 
 ONES4 = [1.0] * 4
+
+
+def reference_wedge_max(dtheta, thetas):
+    """Max |coefficient| of dtheta ^ theta_1 ^ ... ^ theta_k, one determinant
+    per minor, summed pair by pair in subset order (reference for the
+    table-driven kernel)."""
+    n = dtheta.shape[0]
+    deg = len(thetas) + 2
+    theta_mat = np.array(thetas)
+    best = 0.0
+    for subset in combinations(range(n), deg):
+        total = 0.0
+        for pi, qi in combinations(range(deg), 2):
+            a = dtheta[subset[pi], subset[qi]]
+            if a == 0.0:
+                continue
+            rest = [subset[r] for r in range(deg) if r not in (pi, qi)]
+            total += (-1.0) ** (pi + qi - 1) * a * np.linalg.det(theta_mat[:, rest])
+        best = max(best, abs(total))
+    return best
 
 
 def contact_form():
@@ -150,6 +172,20 @@ class TestFrobenius:
         cp = sample_regular_points(ctrl, catalog.control_box(4), 1, seed=5)[0]
         cmod = PfaffianSystem("S10*", 4, (scaled(csys.fields[0]),), csys.sigma)
         assert frobenius_residual(cmod, cp).verdict == "non_integrable"
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 8])
+    def test_wedge_kernel_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(1, n - 1):
+            table = _wedge_table(n, k)
+            for _ in range(5):
+                thetas = rng.uniform(-2, 2, (k, n))
+                jac = rng.uniform(-2, 2, (n, n))
+                jac[rng.uniform(size=(n, n)) < 0.3] = 0.0
+                dtheta = jac.T - jac
+                minors = np.linalg.det(thetas[:, table[0]].transpose(1, 0, 2))
+                assert _wedge_max(dtheta, minors, table) == reference_wedge_max(
+                    dtheta, list(thetas))
 
     def test_degenerate_on_dependent_generators(self):
         dup = CoFormField.constant([1, 1, 0, 0], "dup")

@@ -1,16 +1,247 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goursatkit import catalog
-from goursatkit.classify import second_kind_residuals, torsion_minors
+from goursatkit.classify import SCALE_FLOOR, second_kind_residuals, torsion_minors
 from goursatkit.families import family_web
-from goursatkit.identities import (condition_values, first_kind_derivative_residuals,
-                                   implication_test, sample_derivs,
+from goursatkit.identities import (M_COEFFS, TRIAL_CHUNK, ConditionValues,
+                                   ImplicationResult, ResidualSet, WitnessResult,
+                                   condition_values, first_kind_derivative_residuals,
+                                   implication_test, polynomial_sweep, sample_derivs,
                                    sample_second_kind_torsion,
                                    second_kind_polynomial_residuals, witness_search)
 from goursatkit.web import Gauge, PfaffianDerivs, TorsionTensor, pfaffian_derivs, torsion
+
+
+# --- scalar reference -------------------------------------------------------
+# One trial at a time with Python floats: the trial algebra as it was written
+# before it worked on arrays with a trial axis.  The batched code must give
+# exactly (==) these results.
+
+def ref_scale(monomials):
+    return max([abs(m) for m in monomials] + [SCALE_FLOOR])
+
+
+def ref_sample_torsion(rng, n=5, span=2.0, pivot_floor=1e-3):
+    while True:
+        vals = rng.uniform(-span, span, size=(n, n))
+        vals = (vals + vals.T) / 2.0
+        a13, a14, a15 = vals[0, 2], vals[0, 3], vals[0, 4]
+        a23, a24 = vals[1, 2], vals[1, 3]
+        if abs(a14 - a13) < pivot_floor:
+            continue
+        a25 = (a14 * a23 - a13 * a24 + a15 * a24 - a15 * a23) / (a14 - a13)
+        if abs(a25) > 10 * span:
+            continue
+        vals[1, 4] = vals[4, 1] = a25
+        return TorsionTensor.from_matrix(vals)
+
+
+def ref_minors(t):
+    a13, a14, a15 = (t.entry(1, q) for q in (3, 4, 5))
+    a23, a24, a25 = (t.entry(2, q) for q in (3, 4, 5))
+    return (a13 * a24 - a14 * a23, a14 * a25 - a15 * a24, a15 * a23 - a13 * a25)
+
+
+def ref_polynomial_residuals(t):
+    out = {}
+    for p, q in ((1, 2), (2, 1)):
+        for (a, b, c) in permutations((3, 4, 5)):
+            pa, pb, pc = (t.entry(p, i) for i in (a, b, c))
+            qa, qb, qc = (t.entry(q, i) for i in (a, b, c))
+            lin = (pa * (qc - qb), pb * (qa - qc), pc * (qb - qa))
+            quad = (pa * pa * (qb - qc), pb * pb * (qc - qa), pc * pc * (qa - qb),
+                    pa * qa * (pc - pb), pb * qb * (pa - pc), pc * qc * (pb - pa))
+            out[(p, q, a, b, c)] = ResidualSet(
+                np.array([sum(lin), sum(quad)]),
+                np.array([ref_scale(lin), ref_scale(quad)]))
+    return out
+
+
+def ref_m_residual(t, d, h, A, B, C):
+    monos = []
+    for (hi, lo, tgt) in M_COEFFS:
+        coeff = t.entry(*hi) - t.entry(*lo)
+        monos.append(coeff * d.entry(tgt[0], tgt[1], h))
+    rhs = 0.0
+    if h == 3:
+        rhs = C * t.entry(3, 4) + A * t.entry(3, 5)
+    elif h == 4:
+        rhs = B * t.entry(3, 4) + A * t.entry(4, 5)
+    elif h == 5:
+        rhs = B * t.entry(3, 5) + C * t.entry(4, 5)
+    return sum(monos) - rhs, ref_scale(monos + [rhs])
+
+
+def ref_n_residual(t, d, h, row):
+    a3, a4, a5 = (t.entry(row, q) for q in (3, 4, 5))
+    monos = [(a5 - a4) * d.entry(row, 3, h),
+             (a3 - a5) * d.entry(row, 4, h),
+             (a4 - a3) * d.entry(row, 5, h)]
+    rhs = 0.0
+    if h == 3:
+        rhs = a3 * ((a5 - a3) * t.entry(3, 4) + (a3 - a4) * t.entry(3, 5))
+    return sum(monos) - rhs, ref_scale(monos + [rhs])
+
+
+def ref_s_residual(t, d, h, A, B, C):
+    monos = [(t.entry(2, 3) - t.entry(2, 5)) * (d.entry(1, 4, h) - d.entry(1, 3, h)),
+             (t.entry(1, 5) - t.entry(1, 3)) * (d.entry(2, 4, h) - d.entry(2, 3, h))]
+    rhs = {3: -C * t.entry(3, 4),
+           4: B * t.entry(3, 4),
+           5: C * (t.entry(3, 5) - t.entry(4, 5))}[h]
+    return sum(monos) - rhs, ref_scale(monos + [rhs])
+
+
+def ref_uv(t, d, k):
+    cu = t.entry(2, 3) - t.entry(2, 4)
+    cv = t.entry(1, 4) - t.entry(1, 3)
+    u = cu * d.entry(1, 3, k) - cv * d.entry(2, 3, k)
+    v = cu * d.entry(1, 4, k) - cv * d.entry(2, 4, k)
+    scale = ref_scale([cu * d.entry(1, 3, k), cv * d.entry(2, 3, k),
+                       cu * d.entry(1, 4, k), cv * d.entry(2, 4, k)])
+    return u, v, scale
+
+
+def ref_condition_values(t, d):
+    A, B, C = ref_minors(t)
+    n = t.n
+    m_vals, m_scales = np.empty(n), np.empty(n)
+    for h in range(1, n + 1):
+        m_vals[h - 1], m_scales[h - 1] = ref_m_residual(t, d, h, A, B, C)
+    n_vals, n_scales = np.empty(3), np.empty(3)
+    r_vals, r_scales = np.empty(3), np.empty(3)
+    for h in (1, 2, 3):
+        n_vals[h - 1], n_scales[h - 1] = ref_n_residual(t, d, h, 1)
+        r_vals[h - 1], r_scales[h - 1] = ref_n_residual(t, d, h, 2)
+    s_vals, s_scales = np.empty(3), np.empty(3)
+    for i, h in enumerate((3, 4, 5)):
+        s_vals[i], s_scales[i] = ref_s_residual(t, d, h, A, B, C)
+    u_vals, v_vals = np.empty(2), np.empty(2)
+    u_scales, v_scales = np.empty(2), np.empty(2)
+    for i, k in enumerate((4, 5)):
+        u, v, scale = ref_uv(t, d, k)
+        a34, a35 = t.entry(3, 4), t.entry(3, 5)
+        u_rhs = 2 * A * (a34 if k == 4 else a35)
+        v_rhs = -A * a34 if k == 4 else A * (a34 - a35)
+        u_vals[i] = u - u_rhs
+        v_vals[i] = (v - u) - v_rhs
+        u_scales[i] = ref_scale([scale, u_rhs])
+        v_scales[i] = ref_scale([scale, v_rhs])
+    a13, a14, a15 = (t.entry(1, q) for q in (3, 4, 5))
+    terms40 = [(a15 - a14) * (d.entry(1, 3, 1) - d.entry(1, 3, 2)),
+               (a13 - a15) * (d.entry(1, 4, 1) - d.entry(1, 4, 2)),
+               (a14 - a13) * (d.entry(1, 5, 1) - d.entry(1, 5, 2))]
+    return ConditionValues(
+        ResidualSet(m_vals, m_scales), ResidualSet(n_vals, n_scales),
+        ResidualSet(r_vals, r_scales), ResidualSet(s_vals, s_scales),
+        ResidualSet(u_vals, u_scales), ResidualSet(v_vals, v_scales),
+        float(sum(terms40)), ref_scale(terms40))
+
+
+def ref_impose_and_check(t, d_vals, h, imposed, checked, pivot_floor=1e-3):
+    A, B, C = ref_minors(t)
+    d = PfaffianDerivs.from_array(d_vals)
+
+    def residual(name):
+        if name == "m":
+            return ref_m_residual(t, d, h, A, B, C)
+        if name == "n":
+            return ref_n_residual(t, d, h, 1)
+        return ref_n_residual(t, d, h, 2)
+
+    for name in sorted(imposed, key=lambda s: 0 if s in ("n", "r") else 1):
+        if name == "n":
+            pivot, slot = t.entry(1, 5) - t.entry(1, 4), (0, 2)
+        elif name == "r":
+            pivot, slot = t.entry(2, 5) - t.entry(2, 4), (1, 2)
+        elif "n" not in imposed:
+            pivot, slot = t.entry(2, 4) - t.entry(2, 5), (0, 2)
+        else:
+            pivot, slot = t.entry(1, 5) - t.entry(1, 4), (1, 2)
+        if abs(pivot) < pivot_floor:
+            return None
+        value, _ = residual(name)
+        arr = d.values.copy()
+        arr[slot[0], slot[1], h - 1] -= value / pivot
+        arr[slot[1], slot[0], h - 1] = arr[slot[0], slot[1], h - 1]
+        d = PfaffianDerivs.from_array(arr)
+        check_val, _ = residual(name)
+        if abs(check_val) > 1e-9 * max(1.0, abs(value)):
+            return None
+    value, scale = residual(checked)
+    return abs(value) / scale
+
+
+def ref_implication_test(trials, seed, imposed, checked, levels=(1, 2, 3)):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    rejected = 0
+    done = 0
+    while done < trials:
+        t = ref_sample_torsion(rng)
+        d_vals = rng.uniform(-2.0, 2.0, size=(5, 5, 5))
+        ok = True
+        trial_worst = 0.0
+        for h in levels:
+            rel = ref_impose_and_check(t, d_vals, h, imposed, checked)
+            if rel is None:
+                ok = False
+                break
+            trial_worst = max(trial_worst, rel)
+        if not ok:
+            rejected += 1
+            continue
+        worst = max(worst, trial_worst)
+        done += 1
+    return ImplicationResult(tuple(imposed), checked, trials, rejected, worst)
+
+
+def ref_witness_search(trials, seed, threshold=1e-2):
+    rng = np.random.default_rng(seed)
+    for trial in range(1, trials + 1):
+        t = ref_sample_torsion(rng)
+        pivot = t.entry(2, 3) - t.entry(2, 5)
+        if abs(pivot) < 1e-3:
+            continue
+        d = PfaffianDerivs.from_array(rng.uniform(-2.0, 2.0, size=(5, 5, 5)))
+        A, B, C = ref_minors(t)
+        arr = d.values.copy()
+        for h in (3, 4, 5):
+            value, _ = ref_s_residual(t, d, h, A, B, C)
+            arr[0, 3, h - 1] -= value / pivot
+            arr[3, 0, h - 1] = arr[0, 3, h - 1]
+            d = PfaffianDerivs.from_array(arr)
+        cv = ref_condition_values(t, d)
+        s_rel = cv.s_cross.max_relative
+        uv_rel = max(cv.u_col.max_relative, cv.v_col.max_relative)
+        if s_rel <= 1e-10 and uv_rel > threshold:
+            return WitnessResult(True, trial, s_rel, uv_rel)
+    return WitnessResult(False, trials, float("nan"), float("nan"))
+
+
+def ref_polynomial_sweep(trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        for rs in ref_polynomial_residuals(ref_sample_torsion(rng)).values():
+            worst = max(worst, rs.max_relative)
+    return worst
+
+
+def same_witness(a, b):
+    """Field-wise equality with NaN equal to NaN (a miss reports NaNs)."""
+    return (a.found, a.trials_used) == (b.found, b.trials_used) and np.array_equal(
+        [a.s_max_relative, a.uv_max_relative], [b.s_max_relative, b.uv_max_relative],
+        equal_nan=True)
+
+
+PAIRINGS = [(("m", "n"), "r"), (("n", "r"), "m"), (("m", "r"), "n")]
+CHUNK_TRIALS = [1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1]
 
 
 def zero_inputs(n=5):
@@ -181,3 +412,96 @@ class TestImplications:
         assert wr.found
         assert wr.s_max_relative <= 1e-10
         assert wr.uv_max_relative > 1e-2
+
+
+class TestMatchesScalarReference:
+    """The batched trial algebra against the one-trial scalar reference,
+    compared with ==: draw order, rejections and reductions are unchanged."""
+
+    # seed 194 rejects trial TRIAL_CHUNK; at seed 124 one rejection pushes the
+    # last accepted trial into a second chunk, and for the m+r and n+r
+    # pairings that trial sets the worst residual
+    @pytest.mark.parametrize("seed", [124, 194])
+    @pytest.mark.parametrize("imposed,checked", PAIRINGS)
+    def test_implication_at_chunk_boundaries(self, imposed, checked, seed):
+        for trials in CHUNK_TRIALS:
+            assert (implication_test(trials, seed, imposed, checked)
+                    == ref_implication_test(trials, seed, imposed, checked))
+
+    @pytest.mark.parametrize("imposed,checked", PAIRINGS)
+    def test_implication_2000_trials(self, imposed, checked):
+        assert (implication_test(2000, 17, imposed, checked)
+                == ref_implication_test(2000, 17, imposed, checked))
+
+    def test_implication_with_rejections_and_levels(self):
+        ref = ref_implication_test(TRIAL_CHUNK + 1, 3, ("n", "r"), "m")
+        assert ref.rejected > 0
+        assert implication_test(TRIAL_CHUNK + 1, 3, ("n", "r"), "m") == ref
+        levels = (5, 2, 4)
+        assert (implication_test(TRIAL_CHUNK + 1, 5, ("m", "r"), "n", levels)
+                == ref_implication_test(TRIAL_CHUNK + 1, 5, ("m", "r"), "n", levels))
+
+    @pytest.mark.parametrize("trials,seed,threshold", [
+        (1, 0, 1e-2), (2000, 23, 1e-2),
+        (2000, 17, 3.6),   # found inside the first chunk
+        (2000, 3, 3.6),    # found in the second chunk
+        (TRIAL_CHUNK - 1, 0, 10.0), (TRIAL_CHUNK, 0, 10.0), (TRIAL_CHUNK + 1, 0, 10.0),
+        (2000, 0, 10.0),   # never found; some trials skip on a small pivot
+    ])
+    def test_witness(self, trials, seed, threshold):
+        assert same_witness(witness_search(trials, seed, threshold),
+                            ref_witness_search(trials, seed, threshold))
+
+    # at seed 145 the worst residual is set by trial TRIAL_CHUNK + 1, at 391
+    # by trial TRIAL_CHUNK
+    @pytest.mark.parametrize("seed", [0, 145, 391])
+    def test_polynomial_sweep(self, seed):
+        for trials in CHUNK_TRIALS + [2000]:
+            assert polynomial_sweep(trials, seed) == ref_polynomial_sweep(trials, seed)
+
+    def test_no_trials(self):
+        assert polynomial_sweep(0, 1) == 0.0
+        assert implication_test(0, 1, ("m", "n"), "r") == ImplicationResult(
+            ("m", "n"), "r", 0, 0, 0.0)
+
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_condition_values_on_random_inputs(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            t = TorsionTensor.from_matrix(rng.uniform(-2, 2, (n, n)))
+            d = PfaffianDerivs.from_array(rng.uniform(-2, 2, (n, n, n)),
+                                          Gauge.of(rng.uniform(-1, 1, n)))
+            cv, ref = condition_values(t, d), ref_condition_values(t, d)
+            assert cv.to_dict() == ref.to_dict()
+            assert cv.residual40_scale == ref.residual40_scale
+            for name in ("m", "n_row1", "r_row2", "s_cross", "u_col", "v_col"):
+                assert getattr(cv, name).scales.tolist() == getattr(ref, name).scales.tolist()
+
+    def test_polynomial_residuals_on_random_inputs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            for t in (TorsionTensor.from_matrix(rng.uniform(-2, 2, (5, 5))),
+                      sample_second_kind_torsion(rng)):
+                got, ref = second_kind_polynomial_residuals(t), ref_polynomial_residuals(t)
+                assert list(got) == list(ref)
+                for key, rs in ref.items():
+                    assert got[key].values.tolist() == rs.values.tolist()
+                    assert got[key].scales.tolist() == rs.scales.tolist()
+
+    def test_non_finite_inputs_fold_like_python_max(self):
+        # NaN and inf entries: the maxima keep the earlier value, as max() does
+        rng = np.random.default_rng(13)
+        vals = rng.uniform(-2, 2, (5, 5))
+        vals[0, 3] = vals[3, 0] = np.inf
+        derivs = rng.uniform(-2, 2, (5, 5, 5))
+        derivs[1, 2, 3] = derivs[2, 1, 3] = np.nan
+        t = TorsionTensor.from_matrix(vals)
+        d = PfaffianDerivs.from_array(derivs)
+        cv, ref = condition_values(t, d), ref_condition_values(t, d)
+        assert repr(cv.to_dict()) == repr(ref.to_dict())
+        for name in ("m", "n_row1", "r_row2", "s_cross", "u_col", "v_col"):
+            assert repr(getattr(cv, name).scales.tolist()) == repr(
+                getattr(ref, name).scales.tolist())
+        got, want = second_kind_polynomial_residuals(t), ref_polynomial_residuals(t)
+        assert repr({k: v.scales.tolist() for k, v in got.items()}) == repr(
+            {k: v.scales.tolist() for k, v in want.items()})
