@@ -82,12 +82,14 @@ def _sum(terms):
 
 
 def _fold_max(items):
-    """Elementwise Python ``max``: a later item replaces the running value
-    only when it is greater, so ties and NaNs keep the earlier one."""
+    """Elementwise Python ``max`` over items that are NaN or non-negative
+    (never -0.0): a later item replaces the running value only when it is
+    greater, so a NaN in first place is kept and a later NaN is skipped, as
+    ``np.fmax`` skips it."""
     best = items[0]
     for item in items[1:]:
-        best = np.where(item > best, item, best)
-    return best
+        best = np.fmax(best, item)
+    return np.where(np.isnan(items[0]), items[0], best)
 
 
 def _running_max(worst: float, values: np.ndarray) -> float:
