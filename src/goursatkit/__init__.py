@@ -10,8 +10,8 @@ from .exterior import (CoFormField, FrobeniusReport, PfaffianSystem, SYSTEM_NAME
                        d_form, frobenius_residual, kernel_basis, make_system,
                        rank_at, subspace_distance)
 from .expr import Expr, evaluate, parse, to_text
-from .families import (FamilySpec, NewtonSettings, NoConvergence, SingularEnvelope,
-                       constraint, family_web, parameter_jet, solve_parameter)
+from .families import (FamilySpec, NoConvergence, SingularEnvelope, constraint,
+                       family_web, parameter_jet, solve_parameter)
 from .identities import (ConditionValues, condition_values,
                          first_kind_derivative_residuals, implication_test,
                          polynomial_sweep, sample_second_kind_torsion,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .classify import Box
 from .expr import parse
-from .families import FamilySpec, NewtonSettings, family_web, solve_parameter
+from .families import FamilySpec, family_web, solve_parameter
 from .web import WebFunction
 
 DEFAULT_FAMILY_BOX = (0.8, 1.2)
@@ -137,7 +137,6 @@ def random_first_kind_spec(rng: np.random.Generator, n: int,
         psi=parse(psi_txt, n, ["a"]),
         arity=n,
         a0=0.0,
-        newton=NewtonSettings(),
     )
     center = np.full(n, sum(DEFAULT_FAMILY_BOX) / 2)
     a_center = solve_parameter(spec, center, a0=0.0)
@@ -177,7 +176,6 @@ def random_second_kind_spec(rng: np.random.Generator, n: int) -> FamilySpec:
         psi=parse(psi_txt, n, ["a"]),
         arity=n,
         a0=0.0,
-        newton=NewtonSettings(),
     )
     center = np.full(n, sum(DEFAULT_FAMILY_BOX) / 2)
     a_center = solve_parameter(spec, center, a0=0.0)

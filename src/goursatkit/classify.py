@@ -15,8 +15,8 @@ import numpy as np
 from .web import TorsionTensor, WebFunction, torsion
 
 SCALE_FLOOR = 1e-12
-DEGENERACY_TOL = 1e-10
 DEFAULT_TOL = 1e-7
+OVERSAMPLE = 10  # draws allowed per wanted regular point
 
 
 class TooFewRegularPoints(RuntimeError):
@@ -53,19 +53,18 @@ class Box:
         return rng.uniform(lows, highs, size=(count, self.dim))
 
 
-def sample_regular_points(web: WebFunction, box: Box, count: int, seed: int,
-                          oversample: int = 10) -> np.ndarray:
-    """Deterministic regular-point sample; draws up to oversample*count points."""
+def sample_regular_points(web: WebFunction, box: Box, count: int, seed: int) -> np.ndarray:
+    """Deterministic regular-point sample; draws up to OVERSAMPLE*count points."""
     if box.dim != web.arity:
         raise ValueError("box dimension must match the web arity")
     rng = np.random.default_rng(seed)
     points = []
     attempts = 0
-    while len(points) < count and attempts < oversample * count:
+    while len(points) < count and attempts < OVERSAMPLE * count:
         batch = box.sample(rng, count)
         for p in batch:
             attempts += 1
-            if attempts > oversample * count:
+            if attempts > OVERSAMPLE * count:
                 break
             if web.is_regular(p):
                 points.append(p)

@@ -7,10 +7,14 @@ Config files are flat ``key = value`` lines under bracketed section headers;
     [family]     kind (first | second), phi, psi, slot, a0
     [sampling]   box (lo:hi or comma list of lo:hi per coordinate),
                  count, seed
-    [tolerances] classify, frobenius, order
+    [tolerances] classify, frobenius (finite, > 0), order (only 3)
     [gauge]      w (comma list, length n)
     [suites]     run (comma list of classify | frobenius | identities | all),
                  frobenius_systems (comma list), identity_trials
+
+Jets of the defining function are taken to the fixed order 3, the order the
+Pfaffian derivatives need; ``order = 3`` is accepted for old configs, and any
+other order is a config error.
 
 The machine report is JSON with top-level keys "meta", "classification",
 "frobenius", "identities"; residual arrays are ordered by sample index and
@@ -42,7 +46,7 @@ from .exterior import SYSTEM_NAMES, frobenius_residual, make_system
 from .expr import Expr, ExprError, parse
 from .families import FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope, \
     family_web
-from .web import Gauge, RegularityError, WebFunction, pfaffian_derivs, torsion
+from .web import JET_ORDER, Gauge, RegularityError, WebFunction, pfaffian_derivs, torsion
 
 SCHEMA_VERSION = "goursat-kit/1"
 SUITES = ("classify", "frobenius", "identities")
@@ -74,11 +78,11 @@ class RunConfig:
     seed: int = 0
     classify_tol: float = 1e-7
     frobenius_tol: float = 1e-7
-    order: int = 3
     gauge: tuple[float, ...] = ()
     suites: tuple[str, ...] = SUITES
     frobenius_systems: tuple[str, ...] = ("S10", "S10_11", "THETA_RHO")
     identity_trials: int = 200
+    order = JET_ORDER  # not a field: reported, never set
 
     def validate(self):
         if not 4 <= self.n <= MAX_ARITY:
@@ -91,17 +95,24 @@ class RunConfig:
             raise ConfigError("source 'family' needs kind, phi and psi")
         if self.count < 1:
             raise ConfigError("count must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if len(self.box) != self.n:
             raise ConfigError("box must provide one interval per coordinate")
         for lo, hi in self.box:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            # the width is finite only when both ends are and it does not
+            # overflow, which would make the uniform draw raise
+            if not (lo < hi and math.isfinite(hi - lo)):
                 raise ConfigError(f"invalid box interval {lo}:{hi}")
-        if self.order not in (1, 2, 3):
-            raise ConfigError("order must be 1, 2 or 3")
+        for name, tol in (("classify", self.classify_tol), ("frobenius", self.frobenius_tol)):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ConfigError(f"{name} tolerance must be finite and > 0, got {tol}")
         if self.identity_trials <= 0:
             raise ConfigError("identity_trials must be a positive integer")
         if self.gauge and len(self.gauge) != self.n:
             raise ConfigError("gauge must have n components")
+        if not all(math.isfinite(w) for w in self.gauge):
+            raise ConfigError("gauge components must be finite")
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
@@ -132,6 +143,14 @@ class RunConfig:
             "frobenius_systems": [s.upper() for s in self.frobenius_systems],
             "identity_trials": self.identity_trials,
         }
+
+
+def _expand_suites(suites: tuple[str, ...], n: int) -> tuple[str, ...]:
+    """Replace a list holding ``all`` with every suite that runs at arity n."""
+    if "all" not in suites:
+        return suites
+    # the identity suite needs the five-column torsion block
+    return SUITES if n >= 5 else ("classify", "frobenius")
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -204,10 +223,10 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError("[gauge] w must be a comma list of numbers") from err
 
     suites_raw = (get("suites", "run", "all") or "all").lower()
-    suites = tuple(s.strip() for s in suites_raw.split(",") if s.strip())
-    if "all" in suites:
-        # the identity suite needs the five-column torsion block
-        suites = SUITES if n >= 5 else ("classify", "frobenius")
+    suites = _expand_suites(tuple(s.strip() for s in suites_raw.split(",") if s.strip()), n)
+
+    if as_int("tolerances", "order", JET_ORDER) != JET_ORDER:
+        raise ConfigError(f"[tolerances] order is fixed at {JET_ORDER}")
 
     systems_raw = get("suites", "frobenius_systems", "S10,S10_11,THETA_RHO")
     systems = tuple(s.strip().upper() for s in systems_raw.split(",") if s.strip())
@@ -226,7 +245,6 @@ def parse_config_text(text: str) -> RunConfig:
         seed=as_int("sampling", "seed", 0),
         classify_tol=as_float("tolerances", "classify", 1e-7),
         frobenius_tol=as_float("tolerances", "frobenius", 1e-7),
-        order=as_int("tolerances", "order", 3),
         gauge=gauge,
         suites=suites,
         frobenius_systems=systems,
@@ -256,7 +274,6 @@ def build_web(config: RunConfig) -> WebFunction:
         except (ExprError, FamilySpecError) as err:
             raise ConfigError(f"bad family spec: {err}") from err
         web = family_web(spec)
-    web.max_order = config.order
     return web
 
 
@@ -345,17 +362,16 @@ def _consistency_assertions(web: WebFunction, points: np.ndarray, config: RunCon
                             abs(res.sum25 - res.det24) / scale,
                             abs(res.expr26 - 2 * res.det24) / scale,
                             abs((A + B + C) - res.det24) / scale)
-        if config.order >= 3:
-            w = Gauge.of(rng.uniform(-1.0, 1.0, web.arity))
-            d0 = pfaffian_derivs(web, p)
-            dw = pfaffian_derivs(web, p, w)
-            slope = t.values[:, :, None] * np.asarray(w.w)[None, None, :]
-            shift = dw.values - d0.values + slope
-            # relative to the values compared (floored at 1): near F_g = 0 the
-            # derivatives grow large and an absolute bound fails on rounding
-            scale = np.maximum.reduce([np.abs(d0.values), np.abs(dw.values),
-                                       np.abs(slope), np.ones_like(slope)])
-            worst_gauge = max(worst_gauge, float(np.nanmax(np.abs(shift) / scale)))
+        w = Gauge.of(rng.uniform(-1.0, 1.0, web.arity))
+        d0 = pfaffian_derivs(web, p)
+        dw = pfaffian_derivs(web, p, w)
+        slope = t.values[:, :, None] * np.asarray(w.w)[None, None, :]
+        shift = dw.values - d0.values + slope
+        # relative to the values compared (floored at 1): near F_g = 0 the
+        # derivatives grow large and an absolute bound fails on rounding
+        scale = np.maximum.reduce([np.abs(d0.values), np.abs(dw.values),
+                                   np.abs(slope), np.ones_like(slope)])
+        worst_gauge = max(worst_gauge, float(np.nanmax(np.abs(shift) / scale)))
     out.append(_assert_entry(
         "pde_form_matches_torsion_form", worst_eq < 1e-9,
         f"max relative gap {worst_eq:.3e} between cleared mixed-partial and torsion forms"))
@@ -363,10 +379,9 @@ def _consistency_assertions(web: WebFunction, points: np.ndarray, config: RunCon
         out.append(_assert_entry(
             "determinant_forms_agree", worst_det < 1e-12,
             f"max relative gap {worst_det:.3e} among det/minor-sum/expansion forms"))
-    if config.order >= 3:
-        out.append(_assert_entry(
-            "derivs_affine_in_gauge", worst_gauge < 1e-10,
-            f"max relative deviation {worst_gauge:.3e} from slope -a_ab per gauge component"))
+    out.append(_assert_entry(
+        "derivs_affine_in_gauge", worst_gauge < 1e-10,
+        f"max relative deviation {worst_gauge:.3e} from slope -a_ab per gauge component"))
     return out
 
 
@@ -381,79 +396,70 @@ def run(config: RunConfig) -> RunReport:
     points = sample_regular_points(web, box, config.count, config.seed)
 
     if "classify" in config.suites:
-        if config.order < 2:
-            report.failures.append({"suite": "classify", "error": "order < 2"})
-        else:
-            rep = classify(web, box, config.count, config.classify_tol, config.seed)
-            report.classification = rep.to_dict()
+        rep = classify(web, box, config.count, config.classify_tol, config.seed)
+        report.classification = rep.to_dict()
 
     if "frobenius" in config.suites:
-        if config.order < 3:
-            report.failures.append({"suite": "frobenius", "error": "order < 3"})
-        else:
-            for name in config.frobenius_systems:
-                entry = {"system": name.upper(), "points": []}
+        for name in config.frobenius_systems:
+            entry = {"system": name.upper(), "points": []}
+            try:
+                system = make_system(web, name)
+            except ValueError as err:
+                report.failures.append({"suite": "frobenius", "system": name,
+                                        "error": str(err)})
+                continue
+            entry["expected_kernel_dim"] = system.expected_kernel_dim
+            verdicts: dict[str, int] = {}
+            for p in points:
                 try:
-                    system = make_system(web, name)
-                except ValueError as err:
-                    report.failures.append({"suite": "frobenius", "system": name,
-                                            "error": str(err)})
-                    continue
-                entry["expected_kernel_dim"] = system.expected_kernel_dim
-                verdicts: dict[str, int] = {}
-                for p in points:
-                    try:
-                        fr = frobenius_residual(system, p, config.frobenius_tol)
-                        entry["points"].append(fr.to_dict())
-                        verdicts[fr.verdict] = verdicts.get(fr.verdict, 0) + 1
-                    except (RegularityError, ArithmeticError) as err:
-                        entry["points"].append({"point": list(map(float, p)),
-                                                "failure": str(err)})
-                entry["verdict_counts"] = dict(sorted(verdicts.items()))
-                report.frobenius.append(entry)
+                    fr = frobenius_residual(system, p, config.frobenius_tol)
+                    entry["points"].append(fr.to_dict())
+                    verdicts[fr.verdict] = verdicts.get(fr.verdict, 0) + 1
+                except (RegularityError, ArithmeticError) as err:
+                    entry["points"].append({"point": list(map(float, p)),
+                                            "failure": str(err)})
+            entry["verdict_counts"] = dict(sorted(verdicts.items()))
+            report.frobenius.append(entry)
 
     if "identities" in config.suites:
-        if config.order < 3:
-            report.failures.append({"suite": "identities", "error": "order < 3"})
-        else:
-            samples = []
-            for p in points[: min(len(points), 16)]:
-                t = torsion(web, p)
-                d = pfaffian_derivs(web, p, gauge)
-                cv = ident.condition_values(t, d)
-                eq15 = ident.first_kind_derivative_residuals(t, d)
-                samples.append({
-                    "point": list(map(float, p)),
-                    "first_kind_derivative_max_rel": eq15.max_relative,
-                    "conditions": cv.to_dict(),
-                })
-            trials = config.identity_trials
-            algebra = {
-                "implications": {}, "witness": None, "polynomial_constrained_max": None,
+        samples = []
+        for p in points[: min(len(points), 16)]:
+            t = torsion(web, p)
+            d = pfaffian_derivs(web, p, gauge)
+            cv = ident.condition_values(t, d)
+            eq15 = ident.first_kind_derivative_residuals(t, d)
+            samples.append({
+                "point": list(map(float, p)),
+                "first_kind_derivative_max_rel": eq15.max_relative,
+                "conditions": cv.to_dict(),
+            })
+        trials = config.identity_trials
+        algebra = {
+            "implications": {}, "witness": None, "polynomial_constrained_max": None,
+        }
+        for imposed, checked in ((("m", "n"), "r"), (("n", "r"), "m"), (("m", "r"), "n")):
+            res = ident.implication_test(trials, config.seed, imposed, checked)
+            algebra["implications"]["+".join(imposed) + "->" + checked] = {
+                "max_relative": res.max_relative, "rejected": res.rejected,
+                "trials": res.trials,
             }
-            for imposed, checked in ((("m", "n"), "r"), (("n", "r"), "m"), (("m", "r"), "n")):
-                res = ident.implication_test(trials, config.seed, imposed, checked)
-                algebra["implications"]["+".join(imposed) + "->" + checked] = {
-                    "max_relative": res.max_relative, "rejected": res.rejected,
-                    "trials": res.trials,
-                }
-            wr = ident.witness_search(trials, config.seed)
-            algebra["witness"] = {
-                "found": wr.found, "trials_used": wr.trials_used,
-                "imposed_max_rel": wr.s_max_relative,
-                "violated_rel": wr.uv_max_relative,
-            }
-            worst_poly = ident.polynomial_sweep(trials, config.seed)
-            algebra["polynomial_constrained_max"] = worst_poly
-            report.identities = {"gauge": list(gauge.w), "samples": samples,
-                                 "algebra": algebra}
-            report.assertions.append(_assert_entry(
-                "implications_two_imply_third",
-                max(v["max_relative"] for v in algebra["implications"].values()) < 1e-8,
-                "worst third-system relative residual over constrained trials"))
-            report.assertions.append(_assert_entry(
-                "polynomial_identities_on_variety", worst_poly < 1e-10,
-                f"max relative residual {worst_poly:.3e} on constrained samples"))
+        wr = ident.witness_search(trials, config.seed)
+        algebra["witness"] = {
+            "found": wr.found, "trials_used": wr.trials_used,
+            "imposed_max_rel": wr.s_max_relative,
+            "violated_rel": wr.uv_max_relative,
+        }
+        worst_poly = ident.polynomial_sweep(trials, config.seed)
+        algebra["polynomial_constrained_max"] = worst_poly
+        report.identities = {"gauge": list(gauge.w), "samples": samples,
+                             "algebra": algebra}
+        report.assertions.append(_assert_entry(
+            "implications_two_imply_third",
+            max(v["max_relative"] for v in algebra["implications"].values()) < 1e-8,
+            "worst third-system relative residual over constrained trials"))
+        report.assertions.append(_assert_entry(
+            "polynomial_identities_on_variety", worst_poly < 1e-10,
+            f"max relative residual {worst_poly:.3e} on constrained samples"))
 
     report.assertions.extend(_consistency_assertions(web, points, config))
     report.timing_seconds = time.perf_counter() - started
@@ -543,13 +549,8 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if args.tol is not None:
         config.classify_tol = args.tol
         config.frobenius_tol = args.tol
-    if args.order is not None:
-        config.order = args.order
     if args.suite:
-        suites = tuple(s.lower() for s in args.suite)
-        if "all" in suites:
-            suites = SUITES if config.n >= 5 else ("classify", "frobenius")
-        config.suites = suites
+        config.suites = _expand_suites(tuple(s.lower() for s in args.suite), config.n)
     if args.gauge is not None:
         try:
             config.gauge = tuple(float(v) for v in args.gauge.split(","))
@@ -573,7 +574,6 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--points", type=int, help="override sample count")
     runp.add_argument("--seed", type=int, help="override RNG seed")
     runp.add_argument("--tol", type=float, help="override classify and frobenius tolerances")
-    runp.add_argument("--order", type=int, help="override jet order (1..3)")
     runp.add_argument("--suite", action="append",
                       help="suite to run (repeatable): classify | frobenius | identities | all")
     runp.add_argument("--gauge", help="connection coefficients, e.g. '0,0,0,0'")

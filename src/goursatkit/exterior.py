@@ -25,7 +25,7 @@ import numpy as np
 
 from .web import Point, WebFunction, as_point
 
-DEFAULT_RANK_TOL = 1e-8
+RANK_TOL = 1e-8  # singular values below this fraction of the largest count as zero
 DEFAULT_FROBENIUS_TOL = 1e-7
 NON_INTEGRABLE_FLOOR = 1e-3
 NORM_FLOOR = 1e-12
@@ -181,25 +181,23 @@ def coefficient_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
     return np.array([g.coefficients(p) for g in sys.generators])
 
 
-def rank_at(sys: PfaffianSystem, p: Sequence[float],
-            tol: float = DEFAULT_RANK_TOL) -> tuple[int, int]:
+def _rank(sv: np.ndarray) -> int:
+    """Numerical rank from singular values in descending order."""
+    if sv.size == 0 or not sv[0] > 0.0:
+        return 0
+    return int((sv > RANK_TOL * sv[0]).sum())
+
+
+def rank_at(sys: PfaffianSystem, p: Sequence[float]) -> tuple[int, int]:
     """(rank, kernel dimension) of the span at p, by singular values."""
-    mat = coefficient_matrix(sys, p)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0, sys.arity
-    rank = int((sv > tol * sv[0]).sum())
+    rank = _rank(np.linalg.svd(coefficient_matrix(sys, p), compute_uv=False))
     return rank, sys.arity - rank
 
 
-def kernel_basis(sys: PfaffianSystem, p: Sequence[float],
-                 tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def kernel_basis(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
     """Orthonormal basis (columns) of the common kernel at p."""
-    mat = coefficient_matrix(sys, p)
-    _, sv, vt = np.linalg.svd(mat)
-    top = sv[0] if sv.size else 0.0
-    rank = int((sv > tol * top).sum()) if top > 0 else 0
-    return vt[rank:].T
+    _, sv, vt = np.linalg.svd(coefficient_matrix(sys, p))
+    return vt[_rank(sv):].T
 
 
 def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
@@ -287,8 +285,7 @@ class FrobeniusReport:
 
 
 def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
-                       tol: float = DEFAULT_FROBENIUS_TOL,
-                       rank_tol: float = DEFAULT_RANK_TOL) -> FrobeniusReport:
+                       tol: float = DEFAULT_FROBENIUS_TOL) -> FrobeniusReport:
     """Normalized residuals of d t^i ^ t^1 ^ ... ^ t^k per generator.
 
     Residuals are divided by ||d t^i|| times the product of generator norms
@@ -303,8 +300,7 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
     evaluated = [g.evaluate(point) for g in gens]
     coeffs = [c for c, _ in evaluated]
     mat = np.array(coeffs)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    rank = int((sv > rank_tol * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
+    rank = _rank(np.linalg.svd(mat, compute_uv=False))
     if rank < k:
         return FrobeniusReport(sys.name, point, rank, sys.arity - rank, (), tol,
                                "degenerate")

@@ -25,7 +25,7 @@ along the solved increment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,13 @@ import numpy as np
 from . import jets as J
 from .expr import Expr
 from .web import Point, WebFunction, as_point
+
+PARAM = "a"  # the family parameter's symbol in phi and psi
+# damped Newton solve for the parameter root
+NEWTON_TOL = 1e-12  # |G| at or below this is a root
+NEWTON_MAX_ITER = 50
+MIN_SLOPE = 1e-10  # |dG/da| below this is a singular envelope
+MAX_HALVINGS = 20  # step halvings per Newton step
 
 
 class FamilySpecError(ValueError):
@@ -60,19 +67,12 @@ class SingularEnvelope(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class NewtonSettings:
-    tol: float = 1e-12
-    max_iter: int = 50
-    min_slope: float = 1e-10
-    max_halvings: int = 20
-
-
-@dataclass(frozen=True)
 class FamilySpec:
     """Data (phi, psi, a0) defining a first- or second-kind family.
 
-    ``slot`` names the parameter symbol of ``phi`` that receives psi's value
-    in second-kind families.
+    The family parameter is the symbol ``a`` (``PARAM``); ``slot`` names the
+    parameter symbol of ``phi`` that receives psi's value in second-kind
+    families.
     """
 
     kind: str  # "first" | "second"
@@ -81,8 +81,6 @@ class FamilySpec:
     arity: int
     a0: float
     slot: str = "s"
-    param: str = "a"
-    newton: NewtonSettings = field(default_factory=NewtonSettings)
 
     def __post_init__(self):
         n = self.arity
@@ -96,10 +94,10 @@ class FamilySpec:
             raise FamilySpecError("phi and psi must be declared over the full arity")
         if self.kind == "first":
             banned_phi, banned_psi = {3, 4}, {1, 2}
-            allowed_phi_params = {self.param}
+            allowed_phi_params = {PARAM}
         else:
             banned_phi, banned_psi = {3, 4, 5}, {1, 2}
-            allowed_phi_params = {self.param, self.slot}
+            allowed_phi_params = {PARAM, self.slot}
         bad = self.phi.variables_used & banned_phi
         if bad:
             raise FamilySpecError(f"phi must not depend on x{sorted(bad)} ({self.kind} kind)")
@@ -109,14 +107,14 @@ class FamilySpec:
         if not self.phi.parameters_used <= allowed_phi_params:
             extra = self.phi.parameters_used - allowed_phi_params
             raise FamilySpecError(f"phi uses unexpected parameters {sorted(extra)}")
-        if not self.psi.parameters_used <= {self.param}:
-            extra = self.psi.parameters_used - {self.param}
+        if not self.psi.parameters_used <= {PARAM}:
+            extra = self.psi.parameters_used - {PARAM}
             raise FamilySpecError(f"psi uses unexpected parameters {sorted(extra)}")
 
 
 def _env(spec: FamilySpec, p: Point, a: float) -> dict:
     env = {f"x{i + 1}": float(p[i]) for i in range(spec.arity)}
-    env[spec.param] = float(a)
+    env[PARAM] = float(a)
     return env
 
 
@@ -124,11 +122,11 @@ def _composed_parameter_jet(spec: FamilySpec, p: Point, a: float, order: int) ->
     """Jet of Phi(x, .) in the parameter alone (x frozen at p)."""
     env = _env(spec, p, a)
     if spec.kind == "first":
-        return (J.eval_jet(spec.phi, env, [spec.param], order)
-                + J.eval_jet(spec.psi, env, [spec.param], order))
-    psi = J.eval_jet(spec.psi, env, [spec.param], order)
+        return (J.eval_jet(spec.phi, env, [PARAM], order)
+                + J.eval_jet(spec.psi, env, [PARAM], order))
+    psi = J.eval_jet(spec.psi, env, [PARAM], order)
     bindings: dict[str, J.Binding] = dict(env)
-    bindings[spec.param] = J.seed(1, float(a), 1, order)
+    bindings[PARAM] = J.seed(1, float(a), 1, order)
     bindings[spec.slot] = psi
     return J.eval_with_bindings(spec.phi, bindings, 1, order)
 
@@ -155,21 +153,20 @@ def solve_parameter_with_info(spec: FamilySpec, p: Sequence[float],
                               a0: float | None = None) -> tuple[float, int]:
     """Damped Newton iteration for the envelope root; returns (root, iterations)."""
     point = as_point(p, spec.arity)
-    cfg = spec.newton
     a = float(spec.a0 if a0 is None else a0)
     g, dg = constraint_with_slope(spec, point, a)
-    for iteration in range(cfg.max_iter + 1):
-        if abs(g) <= cfg.tol:
-            if abs(dg) < cfg.min_slope:
+    for iteration in range(NEWTON_MAX_ITER + 1):
+        if abs(g) <= NEWTON_TOL:
+            if abs(dg) < MIN_SLOPE:
                 raise SingularEnvelope(point, a, dg)
             return a, iteration
-        if iteration == cfg.max_iter:
+        if iteration == NEWTON_MAX_ITER:
             break
-        if abs(dg) < cfg.min_slope:
+        if abs(dg) < MIN_SLOPE:
             raise SingularEnvelope(point, a, dg)
         step = -g / dg
         candidate = None
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             try:
                 g_new, dg_new = constraint_with_slope(spec, point, a + step)
             except (J.JetDomainError, ArithmeticError):
@@ -183,7 +180,7 @@ def solve_parameter_with_info(spec: FamilySpec, p: Sequence[float],
         if candidate is None:
             raise NoConvergence(point, a, abs(g), iteration + 1)
         a, g, dg = candidate
-    raise NoConvergence(point, a, abs(g), cfg.max_iter)
+    raise NoConvergence(point, a, abs(g), NEWTON_MAX_ITER)
 
 
 def _joint_jet(spec: FamilySpec, p: Point, a: float, order: int) -> J.Jet:
@@ -193,7 +190,7 @@ def _joint_jet(spec: FamilySpec, p: Point, a: float, order: int) -> J.Jet:
     bindings: dict[str, J.Binding] = {
         f"x{i + 1}": J.seed(i + 1, float(p[i]), m, order) for i in range(n)
     }
-    bindings[spec.param] = J.seed(m, float(a), m, order)
+    bindings[PARAM] = J.seed(m, float(a), m, order)
     if spec.kind == "first":
         return (J.eval_with_bindings(spec.phi, bindings, m, order)
                 + J.eval_with_bindings(spec.psi, bindings, m, order))
@@ -208,7 +205,7 @@ def _solve_delta(spec: FamilySpec, p: Point, a: float, order: int) -> tuple[J.Je
     joint = _joint_jet(spec, p, a, order + 1)
     G = joint.partial(n + 1)  # dPhi/da, a joint jet of the requested order
     slope = G.deriv((n + 1,))
-    if abs(slope) < spec.newton.min_slope:
+    if abs(slope) < MIN_SLOPE:
         raise SingularEnvelope(p, a, slope)
     xspace = J.space(n, order)
     delta = J.constant(0.0, n, order)
@@ -262,4 +259,4 @@ def family_web(spec: FamilySpec) -> WebFunction:
         warm = a
         return _family_jet(spec, point, a, order)
 
-    return WebFunction(arity=spec.arity, evaluator=evaluator, source="family")
+    return WebFunction(arity=spec.arity, evaluator=evaluator)

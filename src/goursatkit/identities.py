@@ -56,6 +56,11 @@ from .web import Gauge, PfaffianDerivs, TorsionTensor
 
 # trials evaluated per array pass: bounds memory, never changes a result
 TRIAL_CHUNK = 256
+# constrained-random trials: 5x5 torsion and (5,5,5) derivative draws,
+# uniform in [-SPAN, SPAN]; a solve whose pivot is below PIVOT_FLOOR is redrawn
+TRIAL_ARITY = 5
+SPAN = 2.0
+PIVOT_FLOOR = 1e-3
 
 # coefficient of a_pqh in the m-closure: d(det)/d a_pq
 M_COEFFS = (
@@ -283,40 +288,39 @@ def condition_values(t: TorsionTensor, d: PfaffianDerivs) -> ConditionValues:
 
 # --- constrained random sampling -------------------------------------------
 
-def _draw_torsion(rng: np.random.Generator, n: int = 5, span: float = 2.0,
-                  pivot_floor: float = 1e-3) -> np.ndarray:
+def _draw_torsion(rng: np.random.Generator) -> np.ndarray:
     """The matrix of :func:`sample_second_kind_torsion` (diagonal not NaN)."""
     while True:
-        vals = rng.uniform(-span, span, size=(n, n))
+        vals = rng.uniform(-SPAN, SPAN, size=(TRIAL_ARITY, TRIAL_ARITY))
         vals = (vals + vals.T) / 2.0
         a13, a14, a15 = vals[0, 2:5].tolist()
         a23, a24 = vals[1, 2:4].tolist()
-        if abs(a14 - a13) < pivot_floor:
+        if abs(a14 - a13) < PIVOT_FLOOR:
             continue
         a25 = (a14 * a23 - a13 * a24 + a15 * a24 - a15 * a23) / (a14 - a13)
-        if abs(a25) > 10 * span:
+        if abs(a25) > 10 * SPAN:
             continue
         vals[1, 4] = vals[4, 1] = a25
         return vals
 
 
-def sample_second_kind_torsion(rng: np.random.Generator, n: int = 5,
-                               span: float = 2.0, pivot_floor: float = 1e-3) -> TorsionTensor:
-    """Random torsion matrix on the second-kind variety.
+def _draw_derivs(rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(-SPAN, SPAN, size=(TRIAL_ARITY,) * 3)
 
-    All off-diagonal entries are uniform in [-span, span]; a25 is then solved
+
+def sample_second_kind_torsion(rng: np.random.Generator) -> TorsionTensor:
+    """Random 5x5 torsion matrix on the second-kind variety.
+
+    All off-diagonal entries are uniform in [-SPAN, SPAN]; a25 is then solved
     from the vanishing of the row-of-ones determinant (linear with pivot
     a14 - a13, redrawn while the pivot is small).
     """
-    if n < 5:
-        raise ValueError("need n >= 5")
-    return TorsionTensor.from_matrix(_draw_torsion(rng, n, span, pivot_floor))
+    return TorsionTensor.from_matrix(_draw_torsion(rng))
 
 
-def sample_derivs(rng: np.random.Generator, n: int = 5, span: float = 2.0,
-                  gauge: Gauge | None = None) -> PfaffianDerivs:
-    vals = rng.uniform(-span, span, size=(n, n, n))
-    return PfaffianDerivs.from_array(vals, gauge or Gauge.zero(n))
+def sample_derivs(rng: np.random.Generator) -> PfaffianDerivs:
+    """Random 5x5x5 Pfaffian derivatives, uniform in [-SPAN, SPAN], zero gauge."""
+    return PfaffianDerivs.from_array(_draw_derivs(rng), Gauge.zero(TRIAL_ARITY))
 
 
 def _draw_trials(rng: np.random.Generator, size: int,
@@ -325,13 +329,13 @@ def _draw_trials(rng: np.random.Generator, size: int,
     then, where ``needs_derivs(torsion)``, a uniform (5, 5, 5) derivative draw
     (zeros elsewhere).  Returns (torsion stack, derivative stack, drawn mask).
     """
-    t = np.empty((size, 5, 5))
-    d = np.zeros((size, 5, 5, 5))
+    t = np.empty((size,) + (TRIAL_ARITY,) * 2)
+    d = np.zeros((size,) + (TRIAL_ARITY,) * 3)
     drawn = np.zeros(size, dtype=bool)
     for i in range(size):
         t[i] = _draw_torsion(rng)
         if needs_derivs(t[i]):
-            d[i] = rng.uniform(-2.0, 2.0, size=(5, 5, 5))
+            d[i] = _draw_derivs(rng)
             drawn[i] = True
     return t, d, drawn
 
@@ -371,8 +375,7 @@ _SYSTEMS = ("m", "n", "r")
 
 @np.errstate(all="ignore")
 def _implication_trials(t: np.ndarray, d: np.ndarray, imposed: tuple[str, str],
-                      checked: str, levels: Sequence[int],
-                      pivot_floor: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+                      checked: str, levels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Per trial and level h, adjust one designated derivative per imposed
     condition, then evaluate the third; returns (accepted, worst relative
     residual of the third over the levels).  A trial is rejected at any
@@ -403,7 +406,7 @@ def _implication_trials(t: np.ndarray, d: np.ndarray, imposed: tuple[str, str],
     for h in levels:
         dh = d[..., h - 1].copy()
         for name, pivot, (i, j) in solves:
-            accepted &= ~(np.abs(pivot) < pivot_floor)
+            accepted &= ~(np.abs(pivot) < PIVOT_FLOOR)
             value, _ = residual[name](dh, h)
             # value is (closure - rhs) with the current unknown included; zero it
             dh[:, i, j] -= value / pivot
@@ -473,17 +476,21 @@ def witness_search(trials: int, seed: int, threshold: float = 1e-2) -> WitnessRe
     conditions while violating one of the first-column conditions.
 
     Demonstrates that the s-family does not imply the u/v-family.  Trials
-    whose s-pivot is small are skipped without a derivative draw.
+    whose s-pivot is small are skipped without a derivative draw.  A witness
+    is usually among the first trials, so the chunks grow from one trial,
+    doubling up to ``TRIAL_CHUNK``.
     """
     rng = np.random.default_rng(seed)
     used = 0
+    chunk = 1
     while used < trials:
-        t, d, drawn = _draw_trials(rng, min(TRIAL_CHUNK, trials - used),
-                                   lambda ti: not abs(_s_pivot(ti)) < 1e-3)
+        t, d, drawn = _draw_trials(rng, min(chunk, trials - used),
+                                   lambda ti: not abs(_s_pivot(ti)) < PIVOT_FLOOR)
         s_rel, uv_rel = _witness_trials(t, d)
         hits = np.flatnonzero(drawn & (s_rel <= 1e-10) & (uv_rel > threshold))
         if hits.size:
             i = hits[0]
             return WitnessResult(True, used + int(i) + 1, float(s_rel[i]), float(uv_rel[i]))
         used += len(t)
+        chunk = min(2 * chunk, TRIAL_CHUNK)
     return WitnessResult(False, trials, float("nan"), float("nan"))

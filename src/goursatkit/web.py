@@ -18,6 +18,9 @@ is not defined by the structure equations; zero is the one convention that
 makes the formula total).  The connection form is not derivable from the
 defining function alone, so it enters as an explicit gauge vector, zero by
 default; a_abg is affine in the gauge with slope -a_ab per component.
+
+Jets of F are taken to the fixed order ``JET_ORDER = 3``, the order a_abg
+needs; torsion reads the order-2 prefix and the co-frame the order-1 prefix.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import numpy as np
 
 from .jets import Jet
 
-DEFAULT_REGULARITY = 1e-9
+JET_ORDER = 3  # every jet is evaluated to this order; lower orders are its prefix
+REGULARITY_THRESHOLD = 1e-9  # |F_a| at or below this fails the co-frame
+DEGENERACY_TOL = 1e-10  # a torsion entry below this counts as vanishing
 _MEMO_SIZE = 4096  # points per web; the memo is cleared when full
 
 Point = np.ndarray
@@ -81,14 +86,14 @@ class Gauge:
 
 @dataclass
 class WebFunction:
-    """Defining function with jet evaluation up to order 3.
+    """Defining function with jet evaluation up to order ``JET_ORDER``.
 
     ``evaluator(point, order)`` must return the jet of F at the point over
     the n coordinate slots and be pure up to transparent caching; evaluation
     from concurrent tasks over distinct points is safe for the built-in
     constructors.
 
-    Each point's jet is evaluated once, at ``max_order``, and kept in a
+    Each point's jet is evaluated once, at ``JET_ORDER``, and kept in a
     per-web memo keyed by the point's bytes (at most ``_MEMO_SIZE`` points;
     the memo is cleared when full).  A lower order is the prefix of that jet
     (``Jet.truncated``), which is exactly the jet a direct evaluation at the
@@ -98,9 +103,6 @@ class WebFunction:
 
     arity: int
     evaluator: Callable[[Point, int], Jet]
-    source: str = "closed-form"
-    regularity_threshold: float = DEFAULT_REGULARITY
-    max_order: int = 3
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _memo_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                        repr=False, compare=False)
@@ -110,15 +112,14 @@ class WebFunction:
             raise ValueError("webs of this family need arity n >= 4")
 
     def jet(self, p: Sequence[float], order: int, check_regularity: bool = True) -> Jet:
-        if not (1 <= order <= self.max_order):
-            raise ValueError(f"order must be in 1..{self.max_order}")
+        if not (1 <= order <= JET_ORDER):
+            raise ValueError(f"order must be in 1..{JET_ORDER}")
         point = as_point(p, self.arity)
         key = point.tobytes()
         with self._memo_lock:
             top = self._memo.get(key)
-        # max_order may be raised after a point was memoized
-        if top is None or top.order < order:
-            top = self.evaluator(point, self.max_order)
+        if top is None:
+            top = self.evaluator(point, JET_ORDER)
             with self._memo_lock:
                 if len(self._memo) >= _MEMO_SIZE:
                     self._memo.clear()
@@ -126,10 +127,10 @@ class WebFunction:
         jet = top.truncated(order)
         if check_regularity:
             grad = jet.gradient()
-            small = np.abs(grad) <= self.regularity_threshold
+            small = np.abs(grad) <= REGULARITY_THRESHOLD
             if small.any():
                 alpha = int(np.argmax(small)) + 1
-                raise RegularityError(alpha, float(grad[alpha - 1]), self.regularity_threshold)
+                raise RegularityError(alpha, float(grad[alpha - 1]), REGULARITY_THRESHOLD)
         return jet
 
     def is_regular(self, p: Sequence[float]) -> bool:
@@ -145,17 +146,10 @@ class WebFunction:
     def scaled(self, c: float) -> "WebFunction":
         """The web defined by c*F (same foliations, torsion divided by c)."""
         base = self.evaluator
-        return WebFunction(
-            arity=self.arity,
-            evaluator=lambda p, order: base(p, order) * c,
-            source=self.source,
-            regularity_threshold=self.regularity_threshold,
-            max_order=self.max_order,
-        )
+        return WebFunction(self.arity, lambda p, order: base(p, order) * c)
 
     @classmethod
-    def from_expr(cls, expression, params: dict | None = None,
-                  regularity_threshold: float = DEFAULT_REGULARITY) -> "WebFunction":
+    def from_expr(cls, expression, params: dict | None = None) -> "WebFunction":
         """Closed-form web from an :class:`~goursatkit.expr.Expr`."""
         from . import jets as J
 
@@ -171,8 +165,7 @@ class WebFunction:
             env.update(params)
             return J.eval_jet(expression, env, names, order)
 
-        return cls(arity=n, evaluator=evaluator, source="closed-form",
-                   regularity_threshold=regularity_threshold)
+        return cls(arity=n, evaluator=evaluator)
 
 
 @dataclass(frozen=True)
@@ -203,9 +196,8 @@ class TorsionTensor:
     def block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         return np.array([[self.entry(r, c) for c in cols] for r in rows])
 
-    def row_vanishes(self, p: int, cols: Sequence[int] = (3, 4, 5),
-                     tol: float = 1e-10) -> bool:
-        return all(abs(self.entry(p, c)) < tol for c in cols if c != p)
+    def row_vanishes(self, p: int, cols: Sequence[int] = (3, 4, 5)) -> bool:
+        return all(abs(self.entry(p, c)) < DEGENERACY_TOL for c in cols if c != p)
 
     @classmethod
     def from_matrix(cls, values: np.ndarray) -> "TorsionTensor":

@@ -1,8 +1,14 @@
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goursatkit.classify import Box, sample_regular_points
 from goursatkit.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
@@ -88,6 +94,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(PRODUCT_CFG.replace("0.5:1.5", "2.0:1.0"))
 
+    def test_box_too_wide(self):
+        # hi - lo overflows to inf, which the uniform draw rejects with a traceback
+        with pytest.raises(ConfigError, match="box"):
+            parse_config_text(PRODUCT_CFG.replace("0.5:1.5", "-1e308:1e308"))
+
     def test_key_outside_section(self):
         with pytest.raises(ConfigError):
             parse_config_text("n = 4\n")
@@ -109,6 +120,26 @@ class TestConfigParsing:
     def test_all_suites_adapt_to_n4(self):
         cfg = parse_config_text("[web]\nn = 4\nexpr = (x1+x2)*(x3+x4)\n")
         assert cfg.suites == ("classify", "frobenius")
+
+    def test_order_three_still_parses(self):
+        cfg = parse_config_text(PRODUCT_CFG + "\n[tolerances]\norder = 3\n")
+        assert cfg.order == 3 and cfg.to_dict()["order"] == 3
+
+    @pytest.mark.parametrize("w", ["nan,0,0,0,0", "0,inf,0,0,0", "0,0,0,0,-inf"])
+    def test_gauge_not_finite(self, w):
+        with pytest.raises(ConfigError, match="gauge"):
+            parse_config_text(FAMILY_CFG + f"\n[gauge]\nw = {w}\n")
+
+    @pytest.mark.parametrize("key", ["classify", "frobenius"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-7"])
+    def test_tolerance_not_finite_positive(self, key, value):
+        # a NaN tolerance used to report every web as not first kind, exit 0
+        with pytest.raises(ConfigError, match="tolerance"):
+            parse_config_text(PRODUCT_CFG + f"\n[tolerances]\n{key} = {value}\n")
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config_text(PRODUCT_CFG.replace("seed = 11", "seed = -1"))
 
 
 class TestRun:
@@ -209,13 +240,6 @@ identity_trials = 40
         monkeypatch.setattr(cli_module, "first_kind_pde_residual", offset)
         assert not passed()
 
-    def test_low_order_degrades_to_failure_records(self):
-        cfg = parse_config_text(PRODUCT_CFG + "\n[tolerances]\norder = 2\n")
-        report = run(cfg)
-        assert report.classification is not None
-        assert any(f.get("suite") == "frobenius" for f in report.failures)
-        assert report.frobenius == []
-
 
 class TestMain:
     def test_run_exit_zero(self, tmp_path, capsys):
@@ -272,6 +296,31 @@ class TestMain:
         cfg.write_text(FAMILY_CFG)
         assert main(["run", "--config", str(cfg), "--gauge", "0.1,0,0,0,0"]) == EXIT_OK
 
+    def test_low_order_exits_two(self, tmp_path, capsys):
+        # the jet order is fixed at 3: a lower order is a config error, not a
+        # crash (order = 1 used to end in a ValueError traceback)
+        cfg = tmp_path / "web.cfg"
+        for order in (1, 2):
+            cfg.write_text(PRODUCT_CFG + f"\n[tolerances]\norder = {order}\n")
+            assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+            assert "order is fixed at 3" in capsys.readouterr().err
+
+    def test_order_flag_removed(self, tmp_path, capsys):
+        cfg = tmp_path / "web.cfg"
+        cfg.write_text(PRODUCT_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--order", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--gauge", "nan,0,0,0,0"], ["--tol", "nan"],
+                                       ["--tol", "0"], ["--seed", "-1"]])
+    def test_bad_flag_values_exit_two(self, flags, tmp_path, capsys):
+        cfg = tmp_path / "web.cfg"
+        cfg.write_text(FAMILY_CFG)
+        assert main(["run", "--config", str(cfg)] + flags) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_all_pass(self, capsys):
@@ -306,3 +355,50 @@ class TestSelftest:
         bad = tmp_path / "missing_dir" / "out.json"
         assert main(["run", "--config", str(cfg), "--json", str(bad)]) == EXIT_CONFIG
         assert "cannot write" in capsys.readouterr().err
+
+
+# one line of FUZZ_CFG is replaced by "key = value" with a hostile value
+FUZZ_CFG = """[web]
+n = 5
+expr = x1*x3 + x2*x4 + x5*(x1 + x3) + x2*x5^2
+[sampling]
+box = 0.8:1.2
+count = 3
+seed = 0
+[tolerances]
+classify = 1e-7
+frobenius = 1e-7
+order = 3
+[gauge]
+w = 0,0,0,0,0
+[suites]
+run = all
+frobenius_systems = S10
+identity_trials = 5
+"""
+FUZZ_LINES = FUZZ_CFG.splitlines()
+HOSTILE = ["0", "-1", "1", "9", "nan", "inf", "-inf", "", "1:0", "0.8:", "nan:1",
+           "0:1:2", "-1e308:1e308", ",", "nan,0,0,0,0", "inf,0,0,0,0",
+           "ln(x1 - 5)", "1/(x1 - x1)", "x1*"]
+# count and identity_trials stay small (<= 4, <= 5) so a run stays fast
+FUZZ_EDITS = [(i, value) for i, line in enumerate(FUZZ_LINES) if "=" in line
+              for value in HOSTILE
+              if not (line.startswith(("count", "identity_trials")) and value == "9")]
+
+
+class TestConfigFuzz:
+    @given(st.sampled_from(FUZZ_EDITS))
+    @example((FUZZ_LINES.index("order = 3"), "1"))
+    @example((FUZZ_LINES.index("w = 0,0,0,0,0"), "nan,0,0,0,0"))
+    @example((FUZZ_LINES.index("box = 0.8:1.2"), "-1e308:1e308"))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_one_hostile_line(self, edit):
+        i, value = edit
+        key = FUZZ_LINES[i].split("=")[0].strip()
+        text = "\n".join(FUZZ_LINES[:i] + [f"{key} = {value}"] + FUZZ_LINES[i + 1:])
+        with TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "fuzz.cfg"
+            cfg.write_text(text + "\n")
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(["run", "--config", str(cfg)])
+        assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL)

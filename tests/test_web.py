@@ -142,14 +142,13 @@ class TestPfaffianDerivs:
 
 class TestWebFunction:
     def test_jet_order_consistency(self):
-        # a web capped at order 2 evaluates that order directly; the memoized
-        # order-3 jet must truncate to the same bits
+        # the memoized order-3 jet must truncate to the bits of a direct
+        # order-2 evaluation
         web = catalog.control_web(4)
-        capped = catalog.control_web(4)
-        capped.max_order = 2
         p = [1.2, 0.8, 1.1, 0.9]
         j3 = web.jet(p, 3)
-        j2 = capped.jet(p, 2)
+        j2 = web.evaluator(np.asarray(p), 2)
+        assert j2.order == 2
         assert np.array_equal(j3.data[: j2.space.size], j2.data)
         assert np.array_equal(web.jet(p, 2).data, j2.data)
 
@@ -162,14 +161,6 @@ class TestWebFunction:
         for order in (1, 3, 2, 1):
             assert web.jet(p, order).order == order
         assert orders == [3]
-
-    def test_memo_raised_max_order_reevaluates(self):
-        web = catalog.control_web(4)
-        web.max_order = 2
-        p = [1.2, 0.8, 1.1, 0.9]
-        web.jet(p, 1)
-        web.max_order = 3
-        assert web.jet(p, 3).order == 3
 
     def test_memo_is_bounded(self, monkeypatch):
         import goursatkit.web as web_module
