@@ -2,17 +2,21 @@
 
 Every condition is reported both raw and relative; the relative form divides
 by the largest monomial entering the condition, floored at 1e-12, so verdicts
-are invariant under rescaling the defining function.
+are invariant under rescaling the defining function.  The torsion forms take
+a tensor or a stack of them and the PDE forms a derivative bundle, so a run
+evaluates every point at once; the per-point PDE functions are one-point
+bundles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
-from .web import TorsionTensor, WebFunction, torsion
+from .web import DerivativeBundle, TorsionTensor, WebFunction, derivative_bundle
 
 SCALE_FLOOR = 1e-12
 DEFAULT_TOL = 1e-7
@@ -75,28 +79,60 @@ def sample_regular_points(web: WebFunction, box: Box, count: int, seed: int) -> 
     return np.array(points)
 
 
-def _rel(value: float, monomials: Sequence[float]) -> float:
-    scale = max([abs(m) for m in monomials] + [SCALE_FLOOR])
-    return abs(value) / scale
+def fold_max(items):
+    """Elementwise Python ``max`` over items that are NaN or non-negative
+    (never -0.0): a later item replaces the running value only when it is
+    greater, so a NaN in first place is kept and a later NaN is skipped, as
+    ``np.fmax`` skips it.  A scalar result is a numpy float."""
+    best = items[0]
+    for item in items[1:]:
+        best = np.fmax(best, item)
+    return np.where(np.isnan(items[0]), items[0], best)[()]
 
 
-def first_kind_residual(t: TorsionTensor) -> tuple[float, float]:
-    """a13*a24 - a14*a23, raw and relative."""
-    x = t.entry(1, 3) * t.entry(2, 4)
-    y = t.entry(1, 4) * t.entry(2, 3)
+def running_max(worst: float, values: np.ndarray) -> float:
+    """``worst = max(worst, x)`` folded over ``values``: only values greater
+    than the running maximum can replace it, so NaNs never do."""
+    return float(np.max(values, where=values > worst, initial=worst))
+
+
+def _rel(value, monomials: Sequence):
+    return np.abs(value) / fold_max([np.abs(m) for m in monomials] + [SCALE_FLOOR])
+
+
+def _first_kind(m: np.ndarray) -> tuple:
+    """m13*m24 - m14*m23 over the last two axes, raw and relative."""
+    x = m[..., 0, 2] * m[..., 1, 3]
+    y = m[..., 0, 3] * m[..., 1, 2]
     return x - y, _rel(x - y, (x, y))
 
 
-def first_kind_pde_residual(web: WebFunction, p: Sequence[float]) -> tuple[float, float]:
-    """Cleared determinant F13*F24 - F14*F23, raw and relative.
+def _row_det(top: np.ndarray, m: np.ndarray) -> tuple:
+    """The rows [top3, top4, top5], [m13, m14, m15], [m23, m24, m25] over the
+    last axes, and their determinant."""
+    rows = np.stack([top[..., 2:5], m[..., 0, 2:5], m[..., 1, 2:5]], axis=-2)
+    return rows, np.linalg.det(rows)
+
+
+def first_kind_residual(t: TorsionTensor) -> tuple[float, float]:
+    """a13*a24 - a14*a23, raw and relative (arrays for a stack of tensors)."""
+    return _first_kind(t.values)
+
+
+def first_kind_pde(b: DerivativeBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Cleared determinant F13*F24 - F14*F23 at every bundle point, raw and
+    relative.
 
     Equals F1*F2*F3*F4 times the torsion-form residual, so the two forms
     agree after normalization.
     """
-    jet = web.jet(p, 2)
-    x = jet.deriv((1, 3)) * jet.deriv((2, 4))
-    y = jet.deriv((1, 4)) * jet.deriv((2, 3))
-    return x - y, _rel(x - y, (x, y))
+    return _first_kind(b.hess)
+
+
+def first_kind_pde_residual(web: WebFunction, p: Sequence[float]) -> tuple[float, float]:
+    """:func:`first_kind_pde` at one point."""
+    raw, rel = first_kind_pde(derivative_bundle(web, [p]))
+    return float(raw[0]), float(rel[0])
 
 
 @dataclass(frozen=True)
@@ -146,39 +182,38 @@ def cyclic_minors(values: np.ndarray) -> tuple:
 
 
 def second_kind_residuals(t: TorsionTensor) -> SecondKindResiduals:
+    """The four forms on a tensor, or on a stack of them (array fields)."""
     if t.n < 5:
         raise ValueError("second-kind conditions need arity n >= 5")
-    a13, a14, a15 = (t.entry(1, q) for q in (3, 4, 5))
-    a23, a24, a25 = (t.entry(2, q) for q in (3, 4, 5))
-    det24 = float(np.linalg.det(np.array(
-        [[1.0, 1.0, 1.0], [a13, a14, a15], [a23, a24, a25]])))
-    A, B, C = torsion_minors(t)
+    v = t.values
+    a13, a14, a15 = (v[..., 0, q] for q in (2, 3, 4))
+    a23, a24, a25 = (v[..., 1, q] for q in (2, 3, 4))
+    _, det24 = _row_det(np.ones(v.shape[:-1]), v)
+    A, B, C = cyclic_minors(v)
     sum25 = A + B + C
     expr26 = (a13 * (a24 - a25) + a14 * (a25 - a23) + a15 * (a23 - a24)
               + a23 * (a15 - a14) + a24 * (a13 - a15) + a25 * (a14 - a13))
     cross27 = (a13 - a14) * (a23 - a25) - (a23 - a24) * (a13 - a15)
-    scale = max(abs(a13 * a24), abs(a14 * a23), abs(a14 * a25),
-                abs(a15 * a24), abs(a15 * a23), abs(a13 * a25), SCALE_FLOOR)
+    scale = fold_max([abs(a13 * a24), abs(a14 * a23), abs(a14 * a25),
+                      abs(a15 * a24), abs(a15 * a23), abs(a13 * a25), SCALE_FLOOR])
     return SecondKindResiduals(det24, sum25, expr26, cross27, scale)
 
 
-def second_kind_pde_residual(web: WebFunction, p: Sequence[float]) -> tuple[float, float]:
-    """det [[F3,F4,F5],[F13,F14,F15],[F23,F24,F25]], raw and relative."""
-    if web.arity < 5:
+def second_kind_pde(b: DerivativeBundle) -> tuple[np.ndarray, np.ndarray]:
+    """det [[F3,F4,F5],[F13,F14,F15],[F23,F24,F25]] at every bundle point, raw
+    and relative to the largest expansion monomial."""
+    if b.n < 5:
         raise ValueError("second-kind PDE needs arity n >= 5")
-    jet = web.jet(p, 2)
-    g = jet.gradient()
-    rows = np.array([
-        [g[2], g[3], g[4]],
-        [jet.deriv((1, 3)), jet.deriv((1, 4)), jet.deriv((1, 5))],
-        [jet.deriv((2, 3)), jet.deriv((2, 4)), jet.deriv((2, 5))],
-    ])
-    det = float(np.linalg.det(rows))
-    # scale: largest expansion monomial of the 3x3 determinant
-    monos = []
-    for c0, c1, c2 in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        monos.append(rows[0, c0] * rows[1, c1] * rows[2, c2])
+    rows, det = _row_det(b.grad, b.hess)
+    monos = [rows[..., 0, c0] * rows[..., 1, c1] * rows[..., 2, c2]
+             for c0, c1, c2 in permutations(range(3))]
     return det, _rel(det, monos)
+
+
+def second_kind_pde_residual(web: WebFunction, p: Sequence[float]) -> tuple[float, float]:
+    """:func:`second_kind_pde` at one point."""
+    det, rel = second_kind_pde(derivative_bundle(web, [p]))
+    return float(det[0]), float(rel[0])
 
 
 @dataclass
@@ -235,26 +270,19 @@ def classify(web: WebFunction, box: Box, count: int = 32,
     (up to ten times the requested count).
     """
     points = sample_regular_points(web, box, count, seed)
-    first = np.empty(count)
-    first_pde = np.empty(count)
-    has_second = web.arity >= 5
-    second = np.empty(count) if has_second else None
-    second_pde = np.empty(count) if has_second else None
-    row1_deg = row2_deg = True
+    return classify_bundle(derivative_bundle(web, points), tol, seed)
+
+
+def classify_bundle(b: DerivativeBundle, tol: float = DEFAULT_TOL,
+                    seed: int = 0) -> ClassificationReport:
+    """The kind conditions at every point of a derivative bundle."""
+    t = TorsionTensor(b.n, b.torsion_values())
+    has_second = b.n >= 5
     cols = (3, 4, 5) if has_second else (3, 4)
-    for i, p in enumerate(points):
-        t = torsion(web, p)
-        _, first[i] = first_kind_residual(t)
-        _, first_pde[i] = first_kind_pde_residual(web, p)
-        row1_deg &= t.row_vanishes(1, cols)
-        row2_deg &= t.row_vanishes(2, cols)
-        if has_second:
-            res = second_kind_residuals(t)
-            second[i] = res.det24_rel
-            _, second_pde[i] = second_kind_pde_residual(web, p)
     return ClassificationReport(
-        n=web.arity, tol=tol, seed=seed, points=points,
-        first_rel=first, first_pde_rel=first_pde,
-        second_rel=second, second_pde_rel=second_pde,
-        degenerate_rows=(row1_deg, row2_deg),
+        n=b.n, tol=tol, seed=seed, points=b.points,
+        first_rel=first_kind_residual(t)[1], first_pde_rel=first_kind_pde(b)[1],
+        second_rel=second_kind_residuals(t).det24_rel if has_second else None,
+        second_pde_rel=second_kind_pde(b)[1] if has_second else None,
+        degenerate_rows=(t.row_vanishes(1, cols), t.row_vanishes(2, cols)),
     )

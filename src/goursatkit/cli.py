@@ -33,6 +33,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,13 +41,14 @@ import numpy as np
 
 from . import __version__
 from . import identities as ident
-from .classify import Box, TooFewRegularPoints, classify, first_kind_pde_residual, \
-    first_kind_residual, second_kind_residuals, sample_regular_points, torsion_minors
-from .exterior import SYSTEM_NAMES, frobenius_residual, make_system
+from .classify import Box, TooFewRegularPoints, classify_bundle, first_kind_pde, \
+    first_kind_residual, fold_max, running_max, sample_regular_points, second_kind_residuals
+from .exterior import NON_FINITE, SYSTEM_NAMES, frobenius_reports, make_system
 from .expr import Expr, ExprError, parse
 from .families import FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope, \
     family_web
-from .web import JET_ORDER, Gauge, RegularityError, WebFunction, pfaffian_derivs, torsion
+from .web import JET_ORDER, DerivativeBundle, Gauge, PfaffianDerivs, RegularityError, \
+    TorsionTensor, WebFunction, derivative_bundle
 
 SCHEMA_VERSION = "goursat-kit/1"
 SUITES = ("classify", "frobenius", "identities")
@@ -334,48 +336,43 @@ def _assert_entry(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _consistency_assertions(web: WebFunction, points: np.ndarray, config: RunConfig) -> list[dict]:
-    """Exact algebraic cross-checks recorded into the report."""
+def _consistency_assertions(b: DerivativeBundle, config: RunConfig) -> list[dict]:
+    """Exact algebraic cross-checks on the first eight bundle points, recorded
+    into the report."""
     out = []
-    worst_eq = 0.0
-    worst_det = 0.0
-    worst_gauge = 0.0
-    rng = np.random.default_rng(config.seed + 1)
-    for p in points[: min(len(points), 8)]:
-        t = torsion(web, p)
-        jet = web.jet(p, 2)
-        raw, _ = first_kind_residual(t)
-        raw_pde, _ = first_kind_pde_residual(web, p)
-        factor = float(np.prod(jet.gradient()[:4]))
-        # relative to the largest monomial of either form, as classify._rel
-        # scales: both residuals can be rounding-sized on first-kind webs
-        scale = max(abs(jet.deriv((1, 3)) * jet.deriv((2, 4))),
-                    abs(jet.deriv((1, 4)) * jet.deriv((2, 3))),
-                    abs(t.entry(1, 3) * t.entry(2, 4) * factor),
-                    abs(t.entry(1, 4) * t.entry(2, 3) * factor), 1e-12)
-        worst_eq = max(worst_eq, abs(raw_pde - raw * factor) / scale)
-        if web.arity >= 5:
-            res = second_kind_residuals(t)
-            A, B, C = torsion_minors(t)
-            scale = max(res.scale, 1e-12)
-            worst_det = max(worst_det,
-                            abs(res.sum25 - res.det24) / scale,
-                            abs(res.expr26 - 2 * res.det24) / scale,
-                            abs((A + B + C) - res.det24) / scale)
-        w = Gauge.of(rng.uniform(-1.0, 1.0, web.arity))
-        d0 = pfaffian_derivs(web, p)
-        dw = pfaffian_derivs(web, p, w)
-        slope = t.values[:, :, None] * np.asarray(w.w)[None, None, :]
-        shift = dw.values - d0.values + slope
-        # relative to the values compared (floored at 1): near F_g = 0 the
-        # derivatives grow large and an absolute bound fails on rounding
-        scale = np.maximum.reduce([np.abs(d0.values), np.abs(dw.values),
-                                   np.abs(slope), np.ones_like(slope)])
-        worst_gauge = max(worst_gauge, float(np.nanmax(np.abs(shift) / scale)))
+    b = b[:8]
+    n = b.n
+    t = TorsionTensor(n, b.torsion_values())
+    raw, _ = first_kind_residual(t)
+    raw_pde, _ = first_kind_pde(b)
+    factor = b.grad[:, :4].prod(axis=-1)
+    h, v = b.hess, t.values
+    # relative to the largest monomial of either form, as classify._rel
+    # scales: both residuals can be rounding-sized on first-kind webs
+    scale = fold_max([abs(h[:, 0, 2] * h[:, 1, 3]), abs(h[:, 0, 3] * h[:, 1, 2]),
+                      abs(v[:, 0, 2] * v[:, 1, 3] * factor),
+                      abs(v[:, 0, 3] * v[:, 1, 2] * factor), 1e-12])
+    worst_eq = running_max(0.0, abs(raw_pde - raw * factor) / scale)
+    if n >= 5:
+        res = second_kind_residuals(t)
+        scale = np.maximum(res.scale, 1e-12)
+        # sum25 is the cyclic minor sum A + B + C, so this also covers it
+        gaps = [abs(res.sum25 - res.det24) / scale, abs(res.expr26 - 2 * res.det24) / scale]
+        worst_det = running_max(0.0, np.stack(gaps, axis=-1))
+    # one random gauge per point, drawn point by point
+    w = np.random.default_rng(config.seed + 1).uniform(-1.0, 1.0, b.points.shape)
+    d0 = b.pfaffian_values(np.zeros(n))
+    dw = b.pfaffian_values(w)
+    slope = v[..., None] * w[:, None, None, :]
+    shift = dw - d0 + slope
+    # relative to the values compared (floored at 1): near F_g = 0 the
+    # derivatives grow large and an absolute bound fails on rounding
+    scale = np.maximum.reduce([np.abs(d0), np.abs(dw), np.abs(slope), np.ones_like(slope)])
+    worst_gauge = running_max(0.0, np.nanmax(np.abs(shift) / scale, axis=(1, 2, 3)))
     out.append(_assert_entry(
         "pde_form_matches_torsion_form", worst_eq < 1e-9,
         f"max relative gap {worst_eq:.3e} between cleared mixed-partial and torsion forms"))
-    if web.arity >= 5:
+    if n >= 5:
         out.append(_assert_entry(
             "determinant_forms_agree", worst_det < 1e-12,
             f"max relative gap {worst_det:.3e} among det/minor-sum/expansion forms"))
@@ -393,46 +390,39 @@ def run(config: RunConfig) -> RunReport:
     box = Box(config.box)
     gauge = Gauge.of(config.gauge) if config.gauge else Gauge.zero(config.n)
 
+    # one sample, one jet read per point: every suite works on this bundle
     points = sample_regular_points(web, box, config.count, config.seed)
+    derivs = derivative_bundle(web, points)
 
     if "classify" in config.suites:
-        rep = classify(web, box, config.count, config.classify_tol, config.seed)
-        report.classification = rep.to_dict()
+        report.classification = classify_bundle(
+            derivs, config.classify_tol, config.seed).to_dict()
 
     if "frobenius" in config.suites:
         for name in config.frobenius_systems:
-            entry = {"system": name.upper(), "points": []}
             try:
                 system = make_system(web, name)
             except ValueError as err:
                 report.failures.append({"suite": "frobenius", "system": name,
                                         "error": str(err)})
                 continue
-            entry["expected_kernel_dim"] = system.expected_kernel_dim
-            verdicts: dict[str, int] = {}
-            for p in points:
-                try:
-                    fr = frobenius_residual(system, p, config.frobenius_tol)
-                    entry["points"].append(fr.to_dict())
-                    verdicts[fr.verdict] = verdicts.get(fr.verdict, 0) + 1
-                except (RegularityError, ArithmeticError) as err:
-                    entry["points"].append({"point": list(map(float, p)),
-                                            "failure": str(err)})
-            entry["verdict_counts"] = dict(sorted(verdicts.items()))
+            entry = {"system": system.name, "expected_kernel_dim": system.expected_kernel_dim}
+            reports = frobenius_reports(system, derivs.points, config.frobenius_tol, derivs)
+            entry["points"] = [fr.to_dict() if fr else {"point": p.tolist(), "failure": NON_FINITE}
+                               for p, fr in zip(derivs.points, reports)]
+            entry["verdict_counts"] = dict(sorted(Counter(
+                fr.verdict for fr in reports if fr).items()))
             report.frobenius.append(entry)
 
     if "identities" in config.suites:
-        samples = []
-        for p in points[: min(len(points), 16)]:
-            t = torsion(web, p)
-            d = pfaffian_derivs(web, p, gauge)
-            cv = ident.condition_values(t, d)
-            eq15 = ident.first_kind_derivative_residuals(t, d)
-            samples.append({
-                "point": list(map(float, p)),
-                "first_kind_derivative_max_rel": eq15.max_relative,
-                "conditions": cv.to_dict(),
-            })
+        head = derivs[:16]
+        t = TorsionTensor(config.n, head.torsion_values())
+        d = PfaffianDerivs(config.n, head.pfaffian_values(gauge.w), gauge)
+        conditions = ident.condition_values(t, d).to_dict()
+        eq15 = ident.first_kind_derivative_residuals(t, d).relative.max(axis=-1)
+        samples = [{"point": p.tolist(), "first_kind_derivative_max_rel": float(rel),
+                    "conditions": {key: value[i] for key, value in conditions.items()}}
+                   for i, (p, rel) in enumerate(zip(head.points, eq15))]
         trials = config.identity_trials
         algebra = {
             "implications": {}, "witness": None, "polynomial_constrained_max": None,
@@ -461,7 +451,7 @@ def run(config: RunConfig) -> RunReport:
             "polynomial_identities_on_variety", worst_poly < 1e-10,
             f"max relative residual {worst_poly:.3e} on constrained samples"))
 
-    report.assertions.extend(_consistency_assertions(web, points, config))
+    report.assertions.extend(_consistency_assertions(derivs, config))
     report.timing_seconds = time.perf_counter() - started
     return report
 

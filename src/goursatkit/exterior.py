@@ -4,7 +4,9 @@ Systems are lists of 1-form fields with jet-evaluable coefficients.  The
 named systems are defined in one place, the ``SYSTEMS`` table below: each
 generator is a list of (slot, coefficient) pairs whose coefficients are
 signed sums of products of partial derivatives of the defining function F,
-and ``Jet.partial`` plus jet arithmetic supply their Jacobians.
+read with their Jacobians from a derivative bundle by one product rule.
+:func:`frobenius_reports` works on all points at once (a stacked SVD and
+determinant); :func:`frobenius_residual` is its one-point call.
 
 Integrability is tested by the differential-forms criterion: for each
 generator t^i of a system spanned by t^1..t^k, the (k+2)-form
@@ -15,20 +17,21 @@ coefficients.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .web import Point, WebFunction, as_point
+from .classify import fold_max
+from .web import DerivativeBundle, Point, WebFunction, as_point, derivative_bundle
 
 RANK_TOL = 1e-8  # singular values below this fraction of the largest count as zero
 DEFAULT_FROBENIUS_TOL = 1e-7
 NON_INTEGRABLE_FLOOR = 1e-3
 NORM_FLOOR = 1e-12
+NON_FINITE = "non-finite generator coefficients"
 
 
 @dataclass(frozen=True)
@@ -36,12 +39,13 @@ class CoFormField:
     """A 1-form field: coefficient values and their Jacobian at a point.
 
     ``evaluate(p)`` returns (c, dc) with c[i] the dx_{i+1} coefficient and
-    dc[i, j] = d c_i / d x_{j+1}.
+    dc[i, j] = d c_i / d x_{j+1}; a ``SYSTEMS`` ``row`` is read from a bundle.
     """
 
     arity: int
     label: str
     evaluate: Callable[[Point], tuple[np.ndarray, np.ndarray]]
+    row: list | None = None
 
     def coefficients(self, p: Sequence[float]) -> np.ndarray:
         return self.evaluate(as_point(p, self.arity))[0]
@@ -57,7 +61,7 @@ class CoFormField:
     def coordinate(cls, n: int, index: int) -> "CoFormField":
         c = np.zeros(n)
         c[index - 1] = 1.0
-        return cls.constant(c, f"dx{index}")
+        return replace(cls.constant(c, f"dx{index}"), row=[(index, [(+1,)])])
 
     @classmethod
     def gradient(cls, web: WebFunction) -> "CoFormField":
@@ -139,30 +143,35 @@ def _row_label(row) -> str:
     return " + ".join(f"{coefficient(terms)} dx{slot}" for slot, terms in row)
 
 
-def _row_field(web: WebFunction, row) -> CoFormField:
-    """The form of a SYSTEMS row; each coefficient is built as an order-1 jet
-    from the order-3 jet of F, so its Jacobian comes out of the arithmetic."""
-    n = web.arity
+def _term(b: DerivativeBundle, factors) -> np.ndarray:
+    """Order-1 jets (N, n + 1) of a product of partials of F (1 for none), as
+    the jet product computes them: entry k of a*b is 0.0 + a0*b_k + a_k*b0."""
+    if not factors:
+        return np.eye(1, b.n + 1).repeat(len(b.points), axis=0)
+    prod = b.jet1(factors[0])
+    for idx in factors[1:]:
+        f = b.jet1(idx)
+        out = 0.0 + prod[:, :1] * f
+        out[:, 1:] += prod[:, 1:] * f[:, :1]
+        prod = out
+    return prod
 
-    def ev(p: Point):
-        jet = web.jet(p, 3)
 
-        def factor(idx: tuple[int, ...]):
-            part = jet
-            for i in idx:
-                part = part.partial(i)
-            return part.truncated(1)
+def _row_values(row, b: DerivativeBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (N, n) and Jacobians (N, n, n) of a SYSTEMS row; each
+    coefficient sums its terms from 0.0 in table order."""
+    jets = np.zeros((len(b.points), b.n, b.n + 1))
+    for slot, terms in row:
+        total = 0.0
+        for sign, *factors in terms:
+            total = total + _term(b, factors) * float(sign)
+        jets[:, slot - 1] = total
+    return jets[..., 0], jets[..., 1:]
 
-        c = np.zeros(n)
-        dc = np.zeros((n, n))
-        for slot, terms in row:
-            coeff = sum(sign * math.prod(factor(idx) for idx in factors)
-                        for sign, *factors in terms)
-            c[slot - 1] = coeff.data[0]
-            dc[slot - 1] = coeff.data[1:]
-        return c, dc
 
-    return CoFormField(n, _row_label(row), ev)
+def _row_at(web: WebFunction, row, p: Point) -> tuple[np.ndarray, np.ndarray]:
+    c, dc = _row_values(row, derivative_bundle(web, [p]))
+    return c[0], dc[0]
 
 
 def make_system(web: WebFunction, name: str) -> PfaffianSystem:
@@ -173,24 +182,41 @@ def make_system(web: WebFunction, name: str) -> PfaffianSystem:
     if name.startswith("DELTA") and n < 5:
         raise ValueError(f"{name} needs arity n >= 5, got {n}")
     rows, first_sigma, kernel_dim = SYSTEMS[name]
-    return PfaffianSystem(name, n, tuple(_row_field(web, row) for row in rows),
-                          tuple(range(first_sigma, n + 1)), kernel_dim)
+    fields = tuple(CoFormField(n, _row_label(row), partial(_row_at, web, row), row)
+                   for row in rows)
+    return PfaffianSystem(name, n, fields, tuple(range(first_sigma, n + 1)), kernel_dim)
 
 
 def coefficient_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
     return np.array([g.coefficients(p) for g in sys.generators])
 
 
-def _rank(sv: np.ndarray) -> int:
-    """Numerical rank from singular values in descending order."""
-    if sv.size == 0 or not sv[0] > 0.0:
-        return 0
-    return int((sv > RANK_TOL * sv[0]).sum())
+def _generators(sys: PfaffianSystem, points, b: DerivativeBundle | None = None) -> tuple:
+    """Coefficients (N, k, n) of the generators and their exterior derivatives
+    dtheta = J.T - J (N, k, n, n), filled one generator at a time: rows are
+    read from the bundle, other fields stack their ``evaluate`` output."""
+    gens = sys.generators
+    coeffs = np.empty((len(points), len(gens), sys.arity))
+    dtheta = np.empty((len(points), len(gens), sys.arity, sys.arity))
+    for g, gen in enumerate(gens):
+        if b is not None and gen.row is not None:
+            coeffs[:, g], jac = _row_values(gen.row, b)
+        else:
+            coeffs[:, g], jac = map(np.array, zip(*(gen.evaluate(as_point(p, sys.arity))
+                                                    for p in points)))
+        dtheta[:, g] = jac.swapaxes(-1, -2) - jac
+    return coeffs, dtheta
+
+
+def _rank(sv: np.ndarray):
+    """Numerical ranks from singular values in descending order (last axis)."""
+    top = sv[..., :1]
+    return np.where(top[..., 0] > 0.0, (sv > RANK_TOL * top).sum(axis=-1), 0)[()]
 
 
 def rank_at(sys: PfaffianSystem, p: Sequence[float]) -> tuple[int, int]:
     """(rank, kernel dimension) of the span at p, by singular values."""
-    rank = _rank(np.linalg.svd(coefficient_matrix(sys, p), compute_uv=False))
+    rank = int(_rank(np.linalg.svd(coefficient_matrix(sys, p), compute_uv=False)))
     return rank, sys.arity - rank
 
 
@@ -237,8 +263,9 @@ def _wedge_table(n: int, k: int) -> tuple[np.ndarray, ...]:
     return np.array(cols), subsets[:, p], subsets[:, q], rest, (-1.0) ** (p + q - 1)
 
 
-def _wedge_max(dtheta: np.ndarray, minors: np.ndarray, table: tuple) -> float:
-    """Max absolute coefficient of dtheta ^ theta_1 ^ ... ^ theta_k.
+def _wedge_max(dtheta: np.ndarray, minors: np.ndarray, table: tuple):
+    """Max absolute coefficient of dtheta ^ theta_1 ^ ... ^ theta_k, over the
+    leading axes of ``dtheta`` (..., n, n) and ``minors`` (..., len(cols)).
 
     Expansion over index subsets: for each sorted subset S of size k+2 and
     each position pair p<q inside S, the contribution is
@@ -248,13 +275,12 @@ def _wedge_max(dtheta: np.ndarray, minors: np.ndarray, table: tuple) -> float:
     skipping pairs with dtheta[S_p, S_q] == 0.
     """
     _, i, j, rest, sign = table
-    a = dtheta[i, j]
-    terms = np.where(a == 0.0, 0.0, sign * a * minors[rest])
-    total = np.zeros(len(terms))
-    for column in terms.T:
-        total = total + column
+    total = 0.0
+    for col in range(len(sign)):
+        a = dtheta[..., i[:, col], j[:, col]]
+        total = total + np.where(a == 0.0, 0.0, sign[col] * a * minors[..., rest[:, col]])
     size = np.abs(total)
-    return float(np.max(size, where=size > 0.0, initial=0.0))
+    return np.max(size, axis=-1, where=size > 0.0, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -286,46 +312,60 @@ class FrobeniusReport:
 
 def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
                        tol: float = DEFAULT_FROBENIUS_TOL) -> FrobeniusReport:
-    """Normalized residuals of d t^i ^ t^1 ^ ... ^ t^k per generator.
+    """:func:`frobenius_reports` at one point; a non-finite generator
+    coefficient raises ArithmeticError."""
+    report, = frobenius_reports(sys, [p], tol)
+    if report is None:
+        raise ArithmeticError(NON_FINITE)
+    return report
+
+
+@np.errstate(all="ignore")
+def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIUS_TOL,
+                      b: DerivativeBundle | None = None) -> list[FrobeniusReport | None]:
+    """Normalized residuals of d t^i ^ t^1 ^ ... ^ t^k per generator at every
+    point (the rows of ``b`` when given); None where a generator coefficient
+    is not finite.
 
     Residuals are divided by ||d t^i|| times the product of generator norms
     (floored at 1e-12); a generator with d t^i = 0 contributes residual 0.
     Verdict: 'integrable' below tol, 'non_integrable' above the 1e-3 floor,
     'inconclusive' between, 'degenerate' when the generators are dependent
-    at p.
+    at p.  Every point sees the float operations of a one-point evaluation.
     """
-    point = as_point(p, sys.arity)
-    gens = sys.generators
-    k = len(gens)
-    evaluated = [g.evaluate(point) for g in gens]
-    coeffs = [c for c, _ in evaluated]
-    mat = np.array(coeffs)
-    rank = _rank(np.linalg.svd(mat, compute_uv=False))
-    if rank < k:
-        return FrobeniusReport(sys.name, point, rank, sys.arity - rank, (), tol,
-                               "degenerate")
-    norms = [max(float(np.linalg.norm(c)), NORM_FLOOR) for c in coeffs]
-    norm_product = float(np.prod(norms))
-    wedge = k + 2 <= sys.arity
-    if wedge:
-        # the k-column minors of the generator matrix, shared by every generator
-        table = _wedge_table(sys.arity, k)
-        minors = np.linalg.det(mat[:, table[0]].transpose(1, 0, 2))
-    residuals = []
-    for _, jac in evaluated:
-        dtheta = jac.T - jac
-        dnorm = float(np.sqrt((dtheta[_triu(sys.arity)] ** 2).sum()))
-        if dnorm == 0.0:
-            residuals.append(0.0)
-            continue
-        raw = _wedge_max(dtheta, minors, table) if wedge else 0.0
-        residuals.append(raw / max(dnorm * norm_product, NORM_FLOOR))
-    worst = max(residuals)
-    if worst < tol:
-        verdict = "integrable"
-    elif worst > NON_INTEGRABLE_FLOOR:
-        verdict = "non_integrable"
-    else:
-        verdict = "inconclusive"
-    return FrobeniusReport(sys.name, point, rank, sys.arity - rank,
-                           tuple(residuals), tol, verdict)
+    points = np.asarray(points, dtype=float)
+    coeffs, dtheta = _generators(sys, points, b)
+    n, k = sys.arity, coeffs.shape[1]
+    finite = np.isfinite(coeffs).all(axis=(1, 2))
+    coeffs = np.where(finite[:, None, None], coeffs, 0.0)
+    ranks = _rank(np.linalg.svd(coeffs, compute_uv=False))
+    # a row times a column sums as np.linalg.norm does for one row
+    norms = np.maximum(np.sqrt((coeffs[..., None, :] @ coeffs[..., None])[..., 0, 0]),
+                       NORM_FLOOR)
+    iu, ju = _triu(n)
+    # take fills a C-ordered array, so each row sums as a single row does
+    upper = np.take(dtheta.reshape(*dtheta.shape[:2], n * n), iu * n + ju, axis=-1)
+    dnorm = np.sqrt(np.square(upper, out=upper).sum(axis=-1))
+    raw = np.zeros_like(dnorm)
+    if k + 2 <= n:
+        # the k-column minors of the generator matrix, shared by every generator;
+        # one stacked determinant per column subset keeps the gather small
+        table = _wedge_table(n, k)
+        minors = np.stack([np.linalg.det(coeffs[:, :, cols]) for cols in table[0]], axis=-1)
+        raw = _wedge_max(dtheta, minors[:, None, :], table)
+    residuals = np.where(dnorm == 0.0, 0.0,
+                         raw / np.maximum(dnorm * norms.prod(axis=-1)[:, None], NORM_FLOOR))
+    worst = fold_max(list(residuals.T))
+    reports = []
+    for point, ok, rank, res, top in zip(points, finite, ranks.tolist(), residuals, worst):
+        if not ok:
+            reports.append(None)
+        elif rank < k:
+            reports.append(FrobeniusReport(sys.name, point, rank, n - rank, (), tol,
+                                           "degenerate"))
+        else:
+            verdict = ("integrable" if top < tol else "non_integrable"
+                       if top > NON_INTEGRABLE_FLOOR else "inconclusive")
+            reports.append(FrobeniusReport(sys.name, point, rank, n - rank,
+                                           tuple(res.tolist()), tol, verdict))
+    return reports

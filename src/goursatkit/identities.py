@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classify import SCALE_FLOOR, cyclic_minors
+from .classify import SCALE_FLOOR, cyclic_minors, fold_max, running_max
 from .web import Gauge, PfaffianDerivs, TorsionTensor
 
 # trials evaluated per array pass: bounds memory, never changes a result
@@ -86,25 +86,8 @@ def _sum(terms):
     return total
 
 
-def _fold_max(items):
-    """Elementwise Python ``max`` over items that are NaN or non-negative
-    (never -0.0): a later item replaces the running value only when it is
-    greater, so a NaN in first place is kept and a later NaN is skipped, as
-    ``np.fmax`` skips it."""
-    best = items[0]
-    for item in items[1:]:
-        best = np.fmax(best, item)
-    return np.where(np.isnan(items[0]), items[0], best)
-
-
-def _running_max(worst: float, values: np.ndarray) -> float:
-    """``worst = max(worst, x)`` folded over ``values``: only values greater
-    than the running maximum can replace it, so NaNs never do."""
-    return float(np.max(values, where=values > worst, initial=worst))
-
-
 def _scale(monomials: Sequence) -> np.ndarray:
-    return _fold_max([np.abs(m) for m in monomials] + [SCALE_FLOOR])
+    return fold_max([np.abs(m) for m in monomials] + [SCALE_FLOOR])
 
 
 @dataclass(frozen=True)
@@ -124,22 +107,18 @@ class ResidualSet:
 
 
 def first_kind_derivative_residuals(t: TorsionTensor, d: PfaffianDerivs) -> ResidualSet:
-    """a24 a13c + a13 a24c - a14 a23c - a23 a14c for c = 1..4.
+    """a24 a13c + a13 a24c - a14 a23c - a23 a14c for c = 1..4 (last axis).
 
     Vanishes on first-kind webs; the gauge contribution is
     -2 w_c (a13 a24 - a14 a23), so the residual is gauge-invariant exactly
     when the first-kind condition holds.
     """
-    values = np.empty(4)
-    scales = np.empty(4)
-    for c in range(1, 5):
-        monos = (t.entry(2, 4) * d.entry(1, 3, c),
-                 t.entry(1, 3) * d.entry(2, 4, c),
-                 -t.entry(1, 4) * d.entry(2, 3, c),
-                 -t.entry(2, 3) * d.entry(1, 4, c))
-        values[c - 1] = sum(monos)
-        scales[c - 1] = _scale(monos)
-    return ResidualSet(values, scales)
+    tv, dv = t.values, d.values
+    monos = [[_e(tv, 2, 4) * dv[..., 0, 2, c], _e(tv, 1, 3) * dv[..., 1, 3, c],
+              -_e(tv, 1, 4) * dv[..., 1, 2, c], -_e(tv, 2, 3) * dv[..., 0, 3, c]]
+             for c in range(4)]
+    return ResidualSet(np.stack([_sum(m) for m in monos], axis=-1),
+                       np.stack([_scale(m) for m in monos], axis=-1))
 
 
 @np.errstate(all="ignore")
@@ -173,7 +152,8 @@ def second_kind_polynomial_residuals(t: TorsionTensor) -> dict[tuple, ResidualSe
 
 @dataclass(frozen=True)
 class ConditionValues:
-    """Residuals of the named condition families at one point and gauge."""
+    """Residuals of the named condition families at one point and gauge, or
+    at a stack of points (leading axes on every field)."""
 
     m: ResidualSet           # length n
     n_row1: ResidualSet      # h = 1, 2, 3
@@ -192,7 +172,7 @@ class ConditionValues:
             "s": self.s_cross.values.tolist(),
             "u": self.u_col.values.tolist(),
             "v": self.v_col.values.tolist(),
-            "residual40": self.residual40,
+            "residual40": np.asarray(self.residual40).tolist(),
         }
 
 
@@ -279,11 +259,13 @@ def _conditions(t: np.ndarray, d: np.ndarray) -> tuple[list, np.ndarray, np.ndar
 
 
 def condition_values(t: TorsionTensor, d: PfaffianDerivs) -> ConditionValues:
+    """The condition families at one point, or at every point of stacked
+    ``t`` and ``d`` (one pass of the batched algebra)."""
     if t.n < 5:
         raise ValueError("condition families need arity n >= 5")
     families, r40, r40_scale = _conditions(t.values, d.values)
     return ConditionValues(*(ResidualSet(v, s) for v, s in families),
-                           residual40=float(r40), residual40_scale=float(r40_scale))
+                           residual40=r40[()], residual40_scale=r40_scale[()])
 
 
 # --- constrained random sampling -------------------------------------------
@@ -356,7 +338,7 @@ def polynomial_sweep(trials: int, seed: int) -> float:
         t = np.array([_draw_torsion(rng) for _ in range(size)])
         for _, values, scales in _polynomial_residuals(t):
             # per selection as ResidualSet.max_relative: a NaN propagates
-            worst = _running_max(worst, (np.abs(values) / scales).max(axis=-1))
+            worst = running_max(worst, (np.abs(values) / scales).max(axis=-1))
         done += size
     return worst
 
@@ -412,9 +394,9 @@ def _implication_trials(t: np.ndarray, d: np.ndarray, imposed: tuple[str, str],
             dh[:, i, j] -= value / pivot
             dh[:, j, i] = dh[:, i, j]
             check, _ = residual[name](dh, h)
-            accepted &= ~(np.abs(check) > 1e-9 * _fold_max([1.0, np.abs(value)]))
+            accepted &= ~(np.abs(check) > 1e-9 * fold_max([1.0, np.abs(value)]))
         value, scale = residual[checked](dh, h)
-        worst = _fold_max([worst, np.abs(value) / scale])
+        worst = fold_max([worst, np.abs(value) / scale])
     return accepted, worst
 
 
@@ -438,7 +420,7 @@ def implication_test(trials: int, seed: int, imposed: tuple[str, str],
         accepted, trial_worst = _implication_trials(t, d, imposed, checked, levels)
         rejected += int(np.count_nonzero(~accepted))
         done += int(np.count_nonzero(accepted))
-        worst = _running_max(worst, trial_worst[accepted])
+        worst = running_max(worst, trial_worst[accepted])
     return ImplicationResult(tuple(imposed), checked, trials, rejected, worst)
 
 
@@ -468,7 +450,7 @@ def _witness_trials(t: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarra
     families, _, _ = _conditions(t, d)
     # per family as ResidualSet.max_relative
     s_rel, u_rel, v_rel = ((np.abs(v) / s).max(axis=-1) for v, s in families[3:])
-    return s_rel, _fold_max([u_rel, v_rel])
+    return s_rel, fold_max([u_rel, v_rel])
 
 
 def witness_search(trials: int, seed: int, threshold: float = 1e-2) -> WitnessResult:

@@ -15,7 +15,8 @@ Faa di Bruno set partitions.  Per-(m, K) index tables are precomputed once
 and shared, so the hot loops are vectorized numpy gathers.  ``Jet.partial(i)``
 is such a gather too: it reads the order K-1 jet of dF/dx_i out of the order
 K jet, through an index table cached per (m, K, i); ``restrict_last`` gathers
-through a table cached per (m, K, a_order, target order).
+through a table cached per (m, K, a_order, target order), and the derivative
+tensors of one order through ``derivative_index`` tables cached per (m, k).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -144,6 +145,16 @@ def _partial_index(m: int, order: int, i: int) -> np.ndarray:
                       dtype=np.intp)
 
 
+@lru_cache(maxsize=None)
+def derivative_index(m: int, k: int) -> np.ndarray:
+    """Positions of the order-k derivatives as an ``(m,) * k`` array: entry
+    ``[i, j, ...]`` is where slot tuple (i+1, j+1, ...) lives in every space
+    over m slots of order >= k (tuples are ordered by length first)."""
+    pos = space(m, k).pos
+    return np.asarray([pos[tuple(sorted(t))] for t in product(range(1, m + 1), repeat=k)],
+                      dtype=np.intp).reshape((m,) * k)
+
+
 @dataclass(frozen=True)
 class Jet:
     space: JetSpace
@@ -175,12 +186,7 @@ class Jet:
         return self.data[s[1]:s[2]].copy()
 
     def hessian(self) -> np.ndarray:
-        m = self.space.m
-        h = np.empty((m, m))
-        for i in range(1, m + 1):
-            for j in range(i, m + 1):
-                h[i - 1, j - 1] = h[j - 1, i - 1] = self.deriv((i, j))
-        return h
+        return self.data[derivative_index(self.space.m, 2)]
 
     def truncated(self, order: int) -> "Jet":
         if order == self.space.order:

@@ -20,7 +20,9 @@ defining function alone, so it enters as an explicit gauge vector, zero by
 default; a_abg is affine in the gauge with slope -a_ab per component.
 
 Jets of F are taken to the fixed order ``JET_ORDER = 3``, the order a_abg
-needs; torsion reads the order-2 prefix and the co-frame the order-1 prefix.
+needs.  A run reads each sample point's jet once into a
+:class:`DerivativeBundle` of stacked F_i, F_ij, F_ijk, which every suite
+reads; the per-point functions here are one-point bundles.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet
+from .jets import Jet, derivative_index, space
 
 JET_ORDER = 3  # every jet is evaluated to this order; lower orders are its prefix
 REGULARITY_THRESHOLD = 1e-9  # |F_a| at or below this fails the co-frame
@@ -60,6 +62,10 @@ class RegularityError(ArithmeticError):
         )
         self.alpha = alpha
         self.value = value
+
+
+class NonFiniteJet(ArithmeticError):
+    """The jet of the defining function has an infinite or NaN entry."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,8 @@ class WebFunction:
     per-web memo keyed by the point's bytes (at most ``_MEMO_SIZE`` points;
     the memo is cleared when full).  A lower order is the prefix of that jet
     (``Jet.truncated``), which is exactly the jet a direct evaluation at the
-    lower order gives.  The regularity check runs on every call; an
+    lower order gives.  The regularity check runs on every call and also
+    rejects a point whose order-``JET_ORDER`` jet has a non-finite entry; an
     evaluator that raises leaves nothing in the memo.
     """
 
@@ -131,17 +138,16 @@ class WebFunction:
             if small.any():
                 alpha = int(np.argmax(small)) + 1
                 raise RegularityError(alpha, float(grad[alpha - 1]), REGULARITY_THRESHOLD)
+            if not np.isfinite(top.data).all():
+                raise NonFiniteJet(f"non-finite jet entry at {point.tolist()}")
         return jet
 
     def is_regular(self, p: Sequence[float]) -> bool:
         try:
             self.jet(p, 1)
             return True
-        except (RegularityError, ArithmeticError):
+        except ArithmeticError:
             return False
-
-    def value(self, p: Sequence[float]) -> float:
-        return self.jet(p, 1, check_regularity=False).value
 
     def scaled(self, c: float) -> "WebFunction":
         """The web defined by c*F (same foliations, torsion divided by c)."""
@@ -173,14 +179,15 @@ class TorsionTensor:
     """Off-diagonal symmetric matrix of torsion components at a point.
 
     The diagonal is not part of the tensor and reads back as NaN; use
-    :meth:`entry_or_zero` where a formula sums over all indices.
+    :meth:`entry_or_zero` where a formula sums over all indices.  ``values``
+    may carry leading point axes; the entry readers take one point.
     """
 
     n: int
-    values: np.ndarray = field(repr=False)  # (n, n), diagonal NaN
+    values: np.ndarray = field(repr=False)  # (..., n, n), diagonal NaN
 
     def __post_init__(self):
-        if self.values.shape != (self.n, self.n):
+        if self.values.shape[-2:] != (self.n, self.n):
             raise ValueError("torsion matrix shape mismatch")
 
     def entry(self, alpha: int, beta: int) -> float:
@@ -193,31 +200,31 @@ class TorsionTensor:
             return 0.0
         return float(self.values[alpha - 1, beta - 1])
 
-    def block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        return np.array([[self.entry(r, c) for c in cols] for r in rows])
-
     def row_vanishes(self, p: int, cols: Sequence[int] = (3, 4, 5)) -> bool:
-        return all(abs(self.entry(p, c)) < DEGENERACY_TOL for c in cols if c != p)
+        """Whether row p vanishes on ``cols`` (at every point of a stack)."""
+        cols = [c - 1 for c in cols if c != p]
+        return bool(np.all(np.abs(self.values[..., p - 1, cols]) < DEGENERACY_TOL))
 
     @classmethod
     def from_matrix(cls, values: np.ndarray) -> "TorsionTensor":
         a = np.asarray(values, dtype=float).copy()
-        n = a.shape[0]
-        if a.shape != (n, n):
+        n = a.shape[-1]
+        if a.shape[-2:] != (n, n):
             raise ValueError("torsion matrix must be square")
         off = ~np.eye(n, dtype=bool)
-        if not np.array_equal(a[off], a.T[off]):
-            a = (a + a.T) / 2.0
-        np.fill_diagonal(a, np.nan)
+        if not np.array_equal(a[..., off], a.swapaxes(-1, -2)[..., off]):
+            a = (a + a.swapaxes(-1, -2)) / 2.0
+        a[..., range(n), range(n)] = np.nan
         return cls(n, a)
 
 
 @dataclass(frozen=True)
 class PfaffianDerivs:
-    """Values a_abg at a point, symmetric in the first two slots."""
+    """Values a_abg at a point, symmetric in the first two slots; ``values``
+    may carry leading point axes."""
 
     n: int
-    values: np.ndarray = field(repr=False)  # (n, n, n); [a-1, b-1, g-1], diag(a,b) NaN
+    values: np.ndarray = field(repr=False)  # (..., n, n, n); [a-1, b-1, g-1], diag(a,b) NaN
     gauge: Gauge = None
 
     def entry(self, alpha: int, beta: int, gamma: int) -> float:
@@ -227,20 +234,86 @@ class PfaffianDerivs:
 
     @classmethod
     def from_array(cls, values: np.ndarray, gauge: Gauge | None = None) -> "PfaffianDerivs":
-        a = np.asarray(values, dtype=float).copy()
-        n = a.shape[0]
-        a = (a + a.transpose(1, 0, 2)) / 2.0  # enforce first-slot symmetry
-        for i in range(n):
-            a[i, i, :] = np.nan
+        a = np.asarray(values, dtype=float)
+        n = a.shape[-1]
+        a = (a + a.swapaxes(-3, -2)) / 2.0  # enforce first-slot symmetry
+        a[..., range(n), range(n), :] = np.nan
         return cls(n, a, gauge or Gauge.zero(n))
 
     def regauged(self, torsion: TorsionTensor, new_gauge: Gauge) -> "PfaffianDerivs":
         """Exact affine transport to another gauge: shift by -a_ab * (w' - w)."""
         dw = np.asarray(new_gauge.w) - np.asarray(self.gauge.w)
-        shifted = self.values - torsion.values[:, :, None] * dw[None, None, :]
-        for i in range(self.n):
-            shifted[i, i, :] = np.nan
+        shifted = self.values - torsion.values[..., None] * dw
+        shifted[..., range(self.n), range(self.n), :] = np.nan
         return PfaffianDerivs(self.n, shifted, new_gauge)
+
+
+@dataclass(frozen=True)
+class DerivativeBundle:
+    """The order-``JET_ORDER`` jets of F at N points, stacked on a leading
+    point axis; ``grad``, ``hess`` and ``third`` gather F_i, F_ij and F_ijl
+    (0-based slots) from them."""
+
+    points: np.ndarray  # (N, n)
+    data: np.ndarray    # (N, jet size), each row a point's Jet.data
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[1]
+
+    def __getitem__(self, rows: slice) -> "DerivativeBundle":
+        return DerivativeBundle(self.points[rows], self.data[rows])
+
+    def _order(self, k: int) -> np.ndarray:
+        return self.data[:, derivative_index(self.n, k)]
+
+    grad = property(lambda self: self._order(1))    # (N, n)
+    hess = property(lambda self: self._order(2))    # (N, n, n)
+    third = property(lambda self: self._order(3))   # (N, n, n, n)
+
+    def jet1(self, idx: tuple[int, ...]) -> np.ndarray:
+        """Order-1 jets (value, then gradient) of the partial F_idx (1-based
+        slots, at most two), shape (N, n + 1)."""
+        at = tuple(i - 1 for i in idx)
+        return self.data[:, np.append(derivative_index(self.n, len(idx))[at],
+                                      derivative_index(self.n, len(idx) + 1)[at])]
+
+    def torsion_values(self) -> np.ndarray:
+        """a_ab = F_ab / (F_a F_b) at every point, (N, n, n), diagonal NaN."""
+        values = self.hess / (self.grad[:, :, None] * self.grad[:, None, :])
+        values[:, range(self.n), range(self.n)] = np.nan
+        return values
+
+    def pfaffian_values(self, w) -> np.ndarray:
+        """a_abg at gauge ``w`` (n,) or one gauge per point (N, n), (N, n, n, n):
+        (1/F_g) d_g a_ab - a_ab (a_ga + a_bg) - a_ab w_g with zero-diagonal
+        torsion in the bracket.  Each pair a < b is computed and mirrored, so
+        first-slot symmetry is exact; the gauge term is subtracted last, so the
+        slope -a_ab is exact too."""
+        g, h, n = self.grad, self.hess, self.n
+        a = h / (g[:, :, None] * g[:, None, :])
+        a[:, range(n), range(n)] = 0.0
+        ga, gb = g[:, :, None, None], g[:, None, :, None]
+        h_ab = h[:, :, :, None]
+        da = (self.third - h_ab * h[:, :, None, :] / ga
+              - h_ab * h[:, None, :, :] / gb) / (ga * gb)
+        t_ab = a[:, :, :, None]
+        bracket = a.swapaxes(1, 2)[:, :, None, :] + a[:, None, :, :]
+        vals = (da / g[:, None, None, :] - t_ab * bracket
+                - t_ab * np.asarray(w, dtype=float)[..., None, None, :])
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
+        vals = np.where(upper, vals, vals.swapaxes(1, 2))
+        vals[:, range(n), range(n)] = np.nan
+        return vals
+
+
+def derivative_bundle(web: WebFunction, points) -> DerivativeBundle:
+    """One ``web.jet`` call per point: it reads the jet that sampling memoized."""
+    n = web.arity
+    pts = np.array([as_point(p, n) for p in points]).reshape(len(points), n)
+    data = np.array([web.jet(p, JET_ORDER).data for p in pts]).reshape(
+        len(pts), space(n, JET_ORDER).size)
+    return DerivativeBundle(pts, data)
 
 
 def coframe(web: WebFunction, p: Sequence[float]) -> np.ndarray:
@@ -250,12 +323,7 @@ def coframe(web: WebFunction, p: Sequence[float]) -> np.ndarray:
 
 
 def torsion(web: WebFunction, p: Sequence[float]) -> TorsionTensor:
-    jet = web.jet(p, 2)
-    grad = jet.gradient()
-    hess = jet.hessian()
-    values = hess / np.outer(grad, grad)
-    np.fill_diagonal(values, np.nan)
-    return TorsionTensor(web.arity, values)
+    return TorsionTensor(web.arity, derivative_bundle(web, [p]).torsion_values()[0])
 
 
 def pfaffian_derivs(web: WebFunction, p: Sequence[float],
@@ -264,38 +332,4 @@ def pfaffian_derivs(web: WebFunction, p: Sequence[float],
     gauge = gauge or Gauge.zero(n)
     if len(gauge) != n:
         raise ValueError("gauge length must equal the web arity")
-    jet = web.jet(p, 3)
-    grad = jet.gradient()
-    hess = jet.hessian()
-    third = np.empty((n, n, n))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                v = jet.deriv((i, j, k))
-                third[i - 1, j - 1, k - 1] = v
-                third[i - 1, k - 1, j - 1] = v
-                third[j - 1, i - 1, k - 1] = v
-                third[j - 1, k - 1, i - 1] = v
-                third[k - 1, i - 1, j - 1] = v
-                third[k - 1, j - 1, i - 1] = v
-
-    a = hess / np.outer(grad, grad)
-    np.fill_diagonal(a, 0.0)
-    w = np.asarray(gauge.w)
-    # a_abg = (1/F_g) d_g a_ab - a_ab (a_ga + a_bg) - a_ab w_g, with
-    # zero-diagonal torsion inside the bracket.  Each (a, b) pair is computed
-    # once and mirrored, so first-slot symmetry is exact; the gauge term is
-    # subtracted separately, so the affine-in-gauge slope -a_ab is exact too.
-    vals = np.full((n, n, n), np.nan)
-    for al in range(n):
-        for be in range(al + 1, n):
-            t_ab = a[al, be]
-            for g in range(n):
-                da = (third[al, be, g]
-                      - hess[al, be] * hess[al, g] / grad[al]
-                      - hess[al, be] * hess[be, g] / grad[be]) / (grad[al] * grad[be])
-                bracket = a[g, al] + a[be, g]
-                val = da / grad[g] - t_ab * bracket - t_ab * w[g]
-                vals[al, be, g] = val
-                vals[be, al, g] = val
-    return PfaffianDerivs(n, vals, gauge)
+    return PfaffianDerivs(n, derivative_bundle(web, [p]).pfaffian_values(gauge.w)[0], gauge)

@@ -191,6 +191,13 @@ class TestClassify:
                        count=6, seed=0)
         assert rep.degenerate_rows == (True, True)
         assert rep.first_kind is True  # vacuous, flagged by degenerate_rows
+        # one row at a time: F = x1*x4 + ... has a13 = 0, a14 != 0 and a row 2
+        # of zeros
+        for expr, flags in (("x1*x4 + x2^2/2 + x3^2/2 + x4^2/2", (False, True)),
+                            ("x2*x3 + x1^2/2 + x3^2/2 + x4^2/2", (True, False))):
+            web = WebFunction.from_expr(parse(expr, 4))
+            rep = classify(web, catalog.control_box(4), count=6, seed=0)
+            assert rep.degenerate_rows == flags
 
     def test_report_dict_shape(self):
         rep = classify(catalog.control_web(5), catalog.control_box(5),

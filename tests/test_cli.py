@@ -11,9 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goursatkit.classify import Box, sample_regular_points
+from goursatkit.web import derivative_bundle
 from goursatkit.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                             ConfigError, _consistency_assertions, build_web,
                             builtin_checks, main, parse_config_text, run, selftest)
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 PRODUCT_CFG = """
 [web]
@@ -150,6 +153,40 @@ class TestRun:
         assert systems["THETA_RHO"]["verdict_counts"] == {"integrable": 8}
         assert report.all_assertions_passed()
 
+    def test_one_evaluation_per_draw_in_a_run(self, monkeypatch):
+        # every suite reads the bundle: one evaluation per draw, and at most
+        # one further jet read per sampled point
+        import goursatkit.cli as cli_module
+        from goursatkit.web import WebFunction
+        cfg = parse_config_text((GOLDEN / "family2-n6.cfg").read_text())
+        counts = {"evaluator": 0, "jet": 0, "draws": 0}
+        build = cli_module.build_web
+
+        def counted_build(config):
+            web = build(config)
+            inner = web.evaluator
+
+            def evaluator(point, order):
+                counts["evaluator"] += 1
+                return inner(point, order)
+
+            web.evaluator = evaluator
+            return web
+
+        def counted(key, method):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli_module, "build_web", counted_build)
+        monkeypatch.setattr(WebFunction, "jet", counted("jet", WebFunction.jet))
+        monkeypatch.setattr(WebFunction, "is_regular", counted("draws", WebFunction.is_regular))
+        run(cfg)
+        assert counts["draws"] >= cfg.count
+        assert counts["evaluator"] == counts["draws"]
+        assert counts["jet"] <= counts["draws"] + cfg.count
+
     def test_family_run_second_kind(self):
         report = run(parse_config_text(FAMILY_CFG))
         assert report.classification["second_kind"] is True
@@ -217,7 +254,7 @@ identity_trials = 40
         web = build_web(cfg)
         points = sample_regular_points(web, Box(cfg.box), cfg.count, seed)
         passed = {a["name"]: a["passed"]
-                  for a in _consistency_assertions(web, points, cfg)}
+                  for a in _consistency_assertions(derivative_bundle(web, points), cfg)}
         assert passed["derivs_affine_in_gauge"]
 
     def test_pde_form_assertion_detects_disagreement(self, monkeypatch):
@@ -225,19 +262,20 @@ identity_trials = 40
         cfg = parse_config_text(CLOSED_N8_CFG + "seed = 0\n")
         web = build_web(cfg)
         points = sample_regular_points(web, Box(cfg.box), cfg.count, cfg.seed)
+        derivs = derivative_bundle(web, points)
 
         def passed():
-            return {a["name"]: a["passed"] for a in _consistency_assertions(web, points, cfg)}[
+            return {a["name"]: a["passed"] for a in _consistency_assertions(derivs, cfg)}[
                 "pde_form_matches_torsion_form"]
 
         assert passed()
-        honest = cli_module.first_kind_pde_residual
+        honest = cli_module.first_kind_pde
 
-        def offset(web, p):
-            raw, rel = honest(web, p)
+        def offset(b):
+            raw, rel = honest(b)
             return raw * (1 + 1e-6), rel
 
-        monkeypatch.setattr(cli_module, "first_kind_pde_residual", offset)
+        monkeypatch.setattr(cli_module, "first_kind_pde", offset)
         assert not passed()
 
 
@@ -290,6 +328,17 @@ class TestMain:
                        "[sampling]\nbox = -0.000000001:0.000000001\ncount = 4\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_jet_is_a_rejected_draw(self, tmp_path, capsys):
+        # x1^(-100) overflows in the third derivatives over part of the box; a
+        # NaN or inf jet used to pass the regularity check and crash the
+        # Frobenius SVD with a traceback
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[web]\nn = 5\nexpr = x1^(-100)*x3 + x2*x4 + x5*x1\n"
+                       "[sampling]\nbox = 0.0005:0.0015\ncount = 4\nseed = 0\n"
+                       "[suites]\nrun = all\nfrobenius_systems = S10, DELTA2\n")
+        assert main(["run", "--config", str(cfg)]) in (EXIT_OK, EXIT_ASSERTION, EXIT_NUMERICAL)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_gauge_flag(self, tmp_path):
         cfg = tmp_path / "web.cfg"

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from goursatkit import catalog
 from goursatkit.expr import parse
-from goursatkit.web import (Gauge, PfaffianDerivs, RegularityError, TorsionTensor,
-                            WebFunction, coframe, pfaffian_derivs, torsion)
+from goursatkit.web import (Gauge, NonFiniteJet, PfaffianDerivs, RegularityError,
+                            TorsionTensor, WebFunction, coframe, pfaffian_derivs, torsion)
 
 ONES4 = [1.0, 1.0, 1.0, 1.0]
 
@@ -176,6 +176,16 @@ class TestWebFunction:
             with pytest.raises(RegularityError):
                 web.jet([0.0, 1.0, 1.0, 1.0], 2)
         assert web.jet([0.0, 1.0, 1.0, 1.0], 2, check_regularity=False).value == 0.0
+
+    def test_non_finite_jet_is_not_regular(self):
+        # F_111 = -100*101*102 x1^(-103) overflows at x1 = 0.001
+        web = WebFunction.from_expr(parse("x1^(-100)*x3 + x2*x4", 4))
+        p = [0.001, 1.0, 1.0, 1.0]
+        assert np.isfinite(web.jet(p, 1, check_regularity=False).data).all()
+        with pytest.raises(NonFiniteJet):
+            web.jet(p, 1)
+        assert not web.is_regular(p)
+        assert web.is_regular([0.002, 1.0, 1.0, 1.0])
 
     def test_failed_evaluation_is_not_memoized(self):
         from goursatkit.jets import JetDomainError
