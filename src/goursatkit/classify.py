@@ -58,7 +58,9 @@ class Box:
 
 
 def sample_regular_points(web: WebFunction, box: Box, count: int, seed: int) -> np.ndarray:
-    """Deterministic regular-point sample; draws up to OVERSAMPLE*count points."""
+    """Deterministic regular-point sample; draws up to OVERSAMPLE*count points
+    in batches of ``count``, each evaluated in one call, and keeps the
+    regular draws in draw order."""
     if box.dim != web.arity:
         raise ValueError("box dimension must match the web arity")
     rng = np.random.default_rng(seed)
@@ -66,11 +68,10 @@ def sample_regular_points(web: WebFunction, box: Box, count: int, seed: int) -> 
     attempts = 0
     while len(points) < count and attempts < OVERSAMPLE * count:
         batch = box.sample(rng, count)
-        for p in batch:
+        _, failures = web.jets(batch)
+        for p, failure in zip(batch, failures):
             attempts += 1
-            if attempts > OVERSAMPLE * count:
-                break
-            if web.is_regular(p):
+            if failure is None:
                 points.append(p)
                 if len(points) == count:
                     break

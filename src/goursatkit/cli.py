@@ -336,6 +336,7 @@ def _assert_entry(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+@np.errstate(all="ignore")  # non-finite values are recorded, not warned about
 def _consistency_assertions(b: DerivativeBundle, config: RunConfig) -> list[dict]:
     """Exact algebraic cross-checks on the first eight bundle points, recorded
     into the report."""

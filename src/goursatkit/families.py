@@ -24,7 +24,6 @@ along the solved increment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -112,23 +111,23 @@ class FamilySpec:
             raise FamilySpecError(f"psi uses unexpected parameters {sorted(extra)}")
 
 
-def _env(spec: FamilySpec, p: Point, a: float) -> dict:
-    env = {f"x{i + 1}": float(p[i]) for i in range(spec.arity)}
-    env[PARAM] = float(a)
-    return env
+def _parameter_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,
+                    order: int) -> J.Jet:
+    """Jets of Phi(x, .) in the parameter alone, x frozen at the columns of
+    ``coords`` (n, N), the parameter at ``a`` (N,)."""
+    bindings: dict[str, J.Binding] = {f"x{i + 1}": coords[i] for i in range(spec.arity)}
+    bindings[PARAM] = J.seed(1, a, 1, order)
+    if spec.kind == "first":
+        return (J.eval_with_bindings(spec.phi, bindings, 1, order)
+                + J.eval_with_bindings(spec.psi, bindings, 1, order))
+    bindings[spec.slot] = J.eval_with_bindings(spec.psi, bindings, 1, order)
+    return J.eval_with_bindings(spec.phi, bindings, 1, order)
 
 
 def _composed_parameter_jet(spec: FamilySpec, p: Point, a: float, order: int) -> J.Jet:
     """Jet of Phi(x, .) in the parameter alone (x frozen at p)."""
-    env = _env(spec, p, a)
-    if spec.kind == "first":
-        return (J.eval_jet(spec.phi, env, [PARAM], order)
-                + J.eval_jet(spec.psi, env, [PARAM], order))
-    psi = J.eval_jet(spec.psi, env, [PARAM], order)
-    bindings: dict[str, J.Binding] = dict(env)
-    bindings[PARAM] = J.seed(1, float(a), 1, order)
-    bindings[spec.slot] = psi
-    return J.eval_with_bindings(spec.phi, bindings, 1, order)
+    return J.at_one_point(J.space(1, order), lambda rows: _parameter_jets(
+        spec, p[:, None], np.array([float(a)]), order))
 
 
 def constraint(spec: FamilySpec, p: Sequence[float], a: float) -> float:
@@ -153,62 +152,99 @@ def solve_parameter_with_info(spec: FamilySpec, p: Sequence[float],
                               a0: float | None = None) -> tuple[float, int]:
     """Damped Newton iteration for the envelope root; returns (root, iterations)."""
     point = as_point(p, spec.arity)
-    a = float(spec.a0 if a0 is None else a0)
-    g, dg = constraint_with_slope(spec, point, a)
+    roots, iterations, failures = _newton(spec, point[None], spec.a0 if a0 is None else a0)
+    if failures[0] is not None:
+        raise failures[0]
+    return float(roots[0]), int(iterations[0])
+
+
+@np.errstate(all="ignore")
+def _newton(spec: FamilySpec, points: np.ndarray, a0: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """Damped Newton iteration from ``a0`` for the envelope root at every
+    point of ``points`` (N, n) at once; each point follows the one-point
+    control flow under masks.  Returns (roots, iterations, failures), a
+    failure being None, :class:`SingularEnvelope`, :class:`NoConvergence`
+    or the point's jet domain error at ``a0``."""
+    coords = np.ascontiguousarray(points.T)
+
+    def slopes(rows: np.ndarray, a: np.ndarray):
+        failed: list = [None] * rows.size
+        jet = J.per_point(J.space(1, 2), lambda sub: _parameter_jets(
+            spec, coords[:, rows[sub]], a[sub], 2), failed)
+        return jet.data[1], jet.data[2], failed
+
+    a = np.full(len(points), float(a0))
+    g, dg, failures = slopes(np.arange(len(points)), a)
+    iterations = np.zeros(len(points), dtype=int)
+    active = np.array([f is None for f in failures], dtype=bool)
     for iteration in range(NEWTON_MAX_ITER + 1):
-        if abs(g) <= NEWTON_TOL:
-            if abs(dg) < MIN_SLOPE:
-                raise SingularEnvelope(point, a, dg)
-            return a, iteration
-        if iteration == NEWTON_MAX_ITER:
+        converged = active & (np.abs(g) <= NEWTON_TOL)
+        iterations[converged] = iteration
+        active &= ~converged
+        checked = converged | active if iteration < NEWTON_MAX_ITER else converged
+        for i in np.flatnonzero(checked & (np.abs(dg) < MIN_SLOPE)):
+            failures[i] = SingularEnvelope(points[i], float(a[i]), float(dg[i]))
+            active[i] = False
+        if iteration == NEWTON_MAX_ITER or not active.any():
             break
-        if abs(dg) < MIN_SLOPE:
-            raise SingularEnvelope(point, a, dg)
-        step = -g / dg
-        candidate = None
+        rows = np.flatnonzero(active)
+        step = -g[rows] / dg[rows]
+        found = np.zeros(rows.size, dtype=bool)
+        new_a, new_g, new_dg = a[rows], g[rows], dg[rows]
+        search = np.arange(rows.size)  # points still halving their step
         for _ in range(MAX_HALVINGS + 1):
-            try:
-                g_new, dg_new = constraint_with_slope(spec, point, a + step)
-            except (J.JetDomainError, ArithmeticError):
-                step /= 2.0
-                continue
-            if math.isfinite(g_new) and math.isfinite(dg_new):
-                candidate = (a + step, g_new, dg_new)
-                if abs(g_new) < abs(g):
-                    break
-            step /= 2.0
-        if candidate is None:
-            raise NoConvergence(point, a, abs(g), iteration + 1)
-        a, g, dg = candidate
-    raise NoConvergence(point, a, abs(g), NEWTON_MAX_ITER)
+            trial = a[rows[search]] + step[search]
+            g_try, dg_try, _ = slopes(rows[search], trial)
+            finite = np.isfinite(g_try) & np.isfinite(dg_try)
+            at = search[finite]
+            new_a[at], new_g[at], new_dg[at] = trial[finite], g_try[finite], dg_try[finite]
+            found[at] = True
+            better = finite & (np.abs(g_try) < np.abs(g[rows[search]]))
+            search = search[~better]
+            step[search] /= 2.0
+            if not search.size:
+                break
+        for i in rows[~found]:
+            failures[i] = NoConvergence(points[i], float(a[i]), float(abs(g[i])), iteration + 1)
+            active[i] = False
+        kept = rows[found]
+        a[kept], g[kept], dg[kept] = new_a[found], new_g[found], new_dg[found]
+    for i in np.flatnonzero(active):
+        failures[i] = NoConvergence(points[i], float(a[i]), float(abs(g[i])), NEWTON_MAX_ITER)
+    return a, iterations, failures
 
 
-def _joint_jet(spec: FamilySpec, p: Point, a: float, order: int) -> J.Jet:
-    """Joint jet of Phi over the n+1 slots (x1..xn, a)."""
+def _joint_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray, order: int) -> J.Jet:
+    """Joint jets of Phi over the n+1 slots (x1..xn, a) at the columns of
+    ``coords`` (n, N) and ``a`` (N,)."""
     n = spec.arity
     m = n + 1
     bindings: dict[str, J.Binding] = {
-        f"x{i + 1}": J.seed(i + 1, float(p[i]), m, order) for i in range(n)
+        f"x{i + 1}": J.seed(i + 1, coords[i], m, order) for i in range(n)
     }
-    bindings[PARAM] = J.seed(m, float(a), m, order)
+    bindings[PARAM] = J.seed(m, a, m, order)
     if spec.kind == "first":
         return (J.eval_with_bindings(spec.phi, bindings, m, order)
                 + J.eval_with_bindings(spec.psi, bindings, m, order))
-    psi = J.eval_with_bindings(spec.psi, bindings, m, order)
-    bindings[spec.slot] = psi
+    bindings[spec.slot] = J.eval_with_bindings(spec.psi, bindings, m, order)
     return J.eval_with_bindings(spec.phi, bindings, m, order)
 
 
-def _solve_delta(spec: FamilySpec, p: Point, a: float, order: int) -> tuple[J.Jet, J.Jet]:
-    """Solve G(x, a + delta(x)) == 0 order by order; returns (joint Phi, delta)."""
+def _solve_delta(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,
+                 order: int) -> tuple[J.Jet, J.Jet]:
+    """Solve G(x, a + delta(x)) == 0 order by order at every column of
+    ``coords``; returns (joint Phi, delta).  Raises
+    :class:`~goursatkit.jets.PointFailures` for the singular points."""
     n = spec.arity
-    joint = _joint_jet(spec, p, a, order + 1)
+    joint = _joint_jets(spec, coords, a, order + 1)
     G = joint.partial(n + 1)  # dPhi/da, a joint jet of the requested order
-    slope = G.deriv((n + 1,))
-    if abs(slope) < MIN_SLOPE:
-        raise SingularEnvelope(p, a, slope)
+    slope = G.data[G.space.pos[(n + 1,)]]
+    singular = np.flatnonzero(np.abs(slope) < MIN_SLOPE)
+    if singular.size:
+        raise J.PointFailures({int(i): SingularEnvelope(coords[:, i], float(a[i]), float(slope[i]))
+                               for i in singular})
     xspace = J.space(n, order)
-    delta = J.constant(0.0, n, order)
+    delta = J.Jet(xspace, np.zeros((xspace.size,) + slope.shape))
     for k in range(1, order + 1):
         residual = J.substitute_last(G, delta)
         data = delta.data.copy()
@@ -224,39 +260,35 @@ def parameter_jet(spec: FamilySpec, p: Sequence[float], order: int,
     point = as_point(p, spec.arity)
     if a is None:
         a = solve_parameter(spec, point)
-    _, delta = _solve_delta(spec, point, a, order)
+    delta = J.at_one_point(J.space(spec.arity, order), lambda rows: _solve_delta(
+        spec, point[:, None], np.array([float(a)]), order)[1])
     out = delta.data.copy()
     out[0] = a
     return J.Jet(delta.space, out)
 
 
-def _family_jet(spec: FamilySpec, p: Point, a: float, order: int) -> J.Jet:
+def _family_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray, order: int) -> J.Jet:
     n = spec.arity
-    joint, delta = _solve_delta(spec, p, a, order)
+    joint, delta = _solve_delta(spec, coords, a, order)
     sp_k = J.space(n + 1, order)
-    joint_k = J.Jet(sp_k, joint.data[: sp_k.size].copy())
-    return J.substitute_last(joint_k, delta)
+    return J.substitute_last(J.Jet(sp_k, joint.data[: sp_k.size]), delta)
 
 
 def family_web(spec: FamilySpec) -> WebFunction:
     """WebFunction whose jets flow through the implicit parameter solve.
 
-    Each Newton solve starts from the most recent root (falling back to the
-    spec's a0), which keeps a deterministic point sweep on a single smooth
-    branch.  There is no root cache: the web's per-point jet memo already
-    solves each point once.
+    Every Newton solve starts at the spec's a0, so a(x) depends on x alone;
+    the solves of an evaluated batch run together, batched over points, and
+    so do the jets at the roots.  There is no root cache: the web's
+    per-point jet memo already solves each point once.
     """
-    warm: float | None = None
+    n = spec.arity
 
-    def evaluator(point: Point, order: int) -> J.Jet:
-        nonlocal warm
-        try:
-            a = solve_parameter(spec, point, warm)
-        except (NoConvergence, SingularEnvelope):
-            if warm is None:
-                raise
-            a = solve_parameter(spec, point, None)
-        warm = a
-        return _family_jet(spec, point, a, order)
+    def evaluator(points: np.ndarray, order: int):
+        roots, _, failures = _newton(spec, points, spec.a0)
+        coords = np.ascontiguousarray(points.T)
+        jet = J.per_point(J.space(n, order), lambda rows: _family_jets(
+            spec, coords[:, rows], roots[rows], order), failures)
+        return jet, failures
 
-    return WebFunction(arity=spec.arity, evaluator=evaluator)
+    return WebFunction(arity=n, evaluator=evaluator)

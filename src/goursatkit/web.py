@@ -20,7 +20,8 @@ defining function alone, so it enters as an explicit gauge vector, zero by
 default; a_abg is affine in the gauge with slope -a_ab per component.
 
 Jets of F are taken to the fixed order ``JET_ORDER = 3``, the order a_abg
-needs.  A run reads each sample point's jet once into a
+needs.  A web evaluates a batch of points in one call (sampling passes each
+draw batch); a run reads each sample point's jet once into a
 :class:`DerivativeBundle` of stacked F_i, F_ij, F_ijk, which every suite
 reads; the per-point functions here are one-point bundles.
 """
@@ -47,6 +48,18 @@ def as_point(p: Sequence[float], n: int) -> Point:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"expected a point with {n} coordinates, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("point coordinates must be finite")
+    return arr
+
+
+def as_points(points, n: int) -> np.ndarray:
+    """Points as an ``(N, n)`` array (each checked as :func:`as_point`)."""
+    arr = np.asarray(points, dtype=float)
+    if arr.size == 0:
+        arr = arr.reshape(0, n)
+    if arr.ndim != 2 or arr.shape[1] != n:
+        raise ValueError(f"expected points with {n} coordinates, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("point coordinates must be finite")
     return arr
@@ -94,22 +107,26 @@ class Gauge:
 class WebFunction:
     """Defining function with jet evaluation up to order ``JET_ORDER``.
 
-    ``evaluator(point, order)`` must return the jet of F at the point over
-    the n coordinate slots and be pure up to transparent caching; evaluation
-    from concurrent tasks over distinct points is safe for the built-in
-    constructors.
+    ``evaluator(points, order)`` takes an ``(N, n)`` array of points and
+    returns the jet of F at all of them over the n coordinate slots (data
+    ``(size, N)``) and one failure per point: None, or the
+    ``ArithmeticError`` a one-point evaluation raises there (that point's
+    jet column is then ignored).  It must be pure up to transparent caching,
+    and a point's jet must not depend on the other points of its batch;
+    evaluation from concurrent tasks over distinct points is safe for the
+    built-in constructors.
 
     Each point's jet is evaluated once, at ``JET_ORDER``, and kept in a
     per-web memo keyed by the point's bytes (at most ``_MEMO_SIZE`` points;
-    the memo is cleared when full).  A lower order is the prefix of that jet
-    (``Jet.truncated``), which is exactly the jet a direct evaluation at the
-    lower order gives.  The regularity check runs on every call and also
-    rejects a point whose order-``JET_ORDER`` jet has a non-finite entry; an
-    evaluator that raises leaves nothing in the memo.
+    the memo is cleared when full).  A lower order is the prefix of that
+    jet, which is exactly the jet a direct evaluation at the lower order
+    gives.  The regularity check runs on every call and also
+    rejects a point whose order-``JET_ORDER`` jet has a non-finite entry; a
+    point the evaluator failed at leaves nothing in the memo.
     """
 
     arity: int
-    evaluator: Callable[[Point, int], Jet]
+    evaluator: Callable[[np.ndarray, int], "tuple[Jet, list]"]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _memo_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                        repr=False, compare=False)
@@ -118,29 +135,50 @@ class WebFunction:
         if self.arity < 4:
             raise ValueError("webs of this family need arity n >= 4")
 
+    def jets(self, points, check_regularity: bool = True) -> tuple[np.ndarray, list]:
+        """Order-``JET_ORDER`` jet rows ``(N, size)`` at ``points`` and one
+        failure per point (None where the point is usable).  The points not
+        in the memo are evaluated in one evaluator call."""
+        n = self.arity
+        pts = as_points(points, n)
+        keys = [p.tobytes() for p in pts]
+        with self._memo_lock:
+            rows = [self._memo.get(key) for key in keys]
+        failures: list = [None] * len(keys)
+        missing = [i for i, row in enumerate(rows) if row is None]
+        if missing:
+            jet, missed = self.evaluator(pts[missing], JET_ORDER)
+            fresh = np.ascontiguousarray(jet.data.T)
+            with self._memo_lock:
+                for i, row, failure in zip(missing, fresh, missed):
+                    rows[i], failures[i] = row, failure
+                    if failure is None:
+                        if len(self._memo) >= _MEMO_SIZE:
+                            self._memo.clear()
+                        self._memo[keys[i]] = row
+        data = np.array(rows).reshape(len(keys), space(n, JET_ORDER).size)
+        if check_regularity:
+            small = np.abs(data[:, 1:n + 1]) <= REGULARITY_THRESHOLD
+            finite = np.isfinite(data).all(axis=1)
+            for i in np.flatnonzero(small.any(axis=1) | ~finite):
+                if failures[i] is not None:
+                    continue
+                if small[i].any():
+                    alpha = int(np.argmax(small[i])) + 1
+                    failures[i] = RegularityError(alpha, float(data[i, alpha]),
+                                                  REGULARITY_THRESHOLD)
+                else:
+                    failures[i] = NonFiniteJet(f"non-finite jet entry at {pts[i].tolist()}")
+        return data, failures
+
     def jet(self, p: Sequence[float], order: int, check_regularity: bool = True) -> Jet:
         if not (1 <= order <= JET_ORDER):
             raise ValueError(f"order must be in 1..{JET_ORDER}")
-        point = as_point(p, self.arity)
-        key = point.tobytes()
-        with self._memo_lock:
-            top = self._memo.get(key)
-        if top is None:
-            top = self.evaluator(point, JET_ORDER)
-            with self._memo_lock:
-                if len(self._memo) >= _MEMO_SIZE:
-                    self._memo.clear()
-                self._memo[key] = top
-        jet = top.truncated(order)
-        if check_regularity:
-            grad = jet.gradient()
-            small = np.abs(grad) <= REGULARITY_THRESHOLD
-            if small.any():
-                alpha = int(np.argmax(small)) + 1
-                raise RegularityError(alpha, float(grad[alpha - 1]), REGULARITY_THRESHOLD)
-            if not np.isfinite(top.data).all():
-                raise NonFiniteJet(f"non-finite jet entry at {point.tolist()}")
-        return jet
+        data, failures = self.jets(as_point(p, self.arity)[None], check_regularity)
+        if failures[0] is not None:
+            raise failures[0]
+        sp = space(self.arity, order)
+        return Jet(sp, data[0, :sp.size])
 
     def is_regular(self, p: Sequence[float]) -> bool:
         try:
@@ -152,7 +190,12 @@ class WebFunction:
     def scaled(self, c: float) -> "WebFunction":
         """The web defined by c*F (same foliations, torsion divided by c)."""
         base = self.evaluator
-        return WebFunction(self.arity, lambda p, order: base(p, order) * c)
+
+        def evaluator(points: np.ndarray, order: int):
+            jet, failures = base(points, order)
+            return jet * c, failures
+
+        return WebFunction(self.arity, evaluator)
 
     @classmethod
     def from_expr(cls, expression, params: dict | None = None) -> "WebFunction":
@@ -164,12 +207,18 @@ class WebFunction:
         missing = expression.parameters_used - set(params)
         if missing:
             raise ValueError(f"unbound parameters: {sorted(missing)}")
-        names = [f"x{i}" for i in range(1, n + 1)]
 
-        def evaluator(point: Point, order: int) -> Jet:
-            env = {name: float(point[i]) for i, name in enumerate(names)}
-            env.update(params)
-            return J.eval_jet(expression, env, names, order)
+        def evaluator(points: np.ndarray, order: int):
+            coords = np.ascontiguousarray(points.T)
+
+            def jet_at(rows: np.ndarray) -> Jet:
+                bindings: dict = {f"x{i + 1}": J.seed(i + 1, coords[i, rows], n, order)
+                                  for i in range(n)}
+                bindings.update(params)
+                return J.eval_with_bindings(expression, bindings, n, order)
+
+            failures: list = [None] * len(points)
+            return J.per_point(space(n, order), jet_at, failures), failures
 
         return cls(arity=n, evaluator=evaluator)
 
@@ -278,12 +327,14 @@ class DerivativeBundle:
         return self.data[:, np.append(derivative_index(self.n, len(idx))[at],
                                       derivative_index(self.n, len(idx) + 1)[at])]
 
+    @np.errstate(all="ignore")
     def torsion_values(self) -> np.ndarray:
         """a_ab = F_ab / (F_a F_b) at every point, (N, n, n), diagonal NaN."""
         values = self.hess / (self.grad[:, :, None] * self.grad[:, None, :])
         values[:, range(self.n), range(self.n)] = np.nan
         return values
 
+    @np.errstate(all="ignore")
     def pfaffian_values(self, w) -> np.ndarray:
         """a_abg at gauge ``w`` (n,) or one gauge per point (N, n), (N, n, n, n):
         (1/F_g) d_g a_ab - a_ab (a_ga + a_bg) - a_ab w_g with zero-diagonal
@@ -308,11 +359,13 @@ class DerivativeBundle:
 
 
 def derivative_bundle(web: WebFunction, points) -> DerivativeBundle:
-    """One ``web.jet`` call per point: it reads the jet that sampling memoized."""
-    n = web.arity
-    pts = np.array([as_point(p, n) for p in points]).reshape(len(points), n)
-    data = np.array([web.jet(p, JET_ORDER).data for p in pts]).reshape(
-        len(pts), space(n, JET_ORDER).size)
+    """The memoized jet rows of ``points`` (sampling evaluated them); raises
+    the first point's failure, if any."""
+    pts = as_points(points, web.arity)
+    data, failures = web.jets(pts)
+    for failure in failures:
+        if failure is not None:
+            raise failure
     return DerivativeBundle(pts, data)
 
 

@@ -17,17 +17,18 @@ def _leaf(rng: np.random.Generator, n_vars: int) -> str:
     return f"({c0:.4f} + {c1:.4f}*x{i})"
 
 
-def _build(rng: np.random.Generator, n_vars: int, depth: int) -> str:
+def random_tree(rng: np.random.Generator, n_vars: int, depth: int = 3) -> str:
+    """Text of a random tree over x1..x_n_vars (its value is not checked)."""
     if depth == 0 or rng.random() < 0.25:
         return _leaf(rng, n_vars)
     kind = rng.integers(0, 8)
-    a = _build(rng, n_vars, depth - 1)
+    a = random_tree(rng, n_vars, depth - 1)
     if kind == 0:
-        return f"({a} + {_build(rng, n_vars, depth - 1)})"
+        return f"({a} + {random_tree(rng, n_vars, depth - 1)})"
     if kind == 1:
         return f"({a} - {rng.uniform(0.1, 0.9):.4f}*{_leaf(rng, n_vars)})"
     if kind == 2:
-        return f"({a} * {_build(rng, n_vars, depth - 1)})"
+        return f"({a} * {random_tree(rng, n_vars, depth - 1)})"
     if kind == 3:
         return f"({a} / {_leaf(rng, n_vars)})"
     if kind == 4:
@@ -51,7 +52,7 @@ def random_smooth_expression(rng: np.random.Generator, n_vars: int = 3,
     escapes [1e-6, 1e6] are redrawn.
     """
     for _ in range(max_tries):
-        text = _build(rng, n_vars, depth)
+        text = random_tree(rng, n_vars, depth)
         e = parse(text, n_vars)
         point = {f"x{i}": float(rng.uniform(-1.0, 1.0)) for i in range(1, n_vars + 1)}
         try:

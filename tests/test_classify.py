@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goursatkit import catalog
-from goursatkit.classify import (Box, TooFewRegularPoints, classify,
+from goursatkit.classify import (OVERSAMPLE, Box, TooFewRegularPoints, classify,
                                  first_kind_pde_residual, first_kind_residual,
                                  sample_regular_points, second_kind_pde_residual,
                                  second_kind_residuals, torsion_minors)
@@ -13,6 +13,22 @@ from goursatkit.web import TorsionTensor, WebFunction, torsion
 
 ONES4 = [1.0] * 4
 ONES5 = [1.0] * 5
+
+
+def _sample_point_by_point(web, box, count, seed):
+    """The sampling loop from before draw batches were evaluated in one call."""
+    rng = np.random.default_rng(seed)
+    points, attempts = [], 0
+    while len(points) < count and attempts < OVERSAMPLE * count:
+        for p in box.sample(rng, count):
+            attempts += 1
+            if attempts > OVERSAMPLE * count:
+                break
+            if web.is_regular(p):
+                points.append(p)
+                if len(points) == count:
+                    break
+    return np.array(points)
 
 
 def random_torsion(rng, n=5, span=2.0):
@@ -185,6 +201,21 @@ class TestClassify:
         tiny = Box.cube(4, -1e-11, 1e-11)
         with pytest.raises(TooFewRegularPoints):
             sample_regular_points(web, tiny, 5, seed=0)
+
+    def test_batched_sampling_matches_point_by_point(self):
+        # ln(x1 - 1) fails at the draws with x1 < 1, and ln(x2 - 1), evaluated
+        # on the rest, at those with x2 < 1
+        def make():
+            return WebFunction.from_expr(parse("ln(x1 - 1) + ln(x2 - 1) + x2*x3 + x4", 4))
+
+        box = Box(((0.5, 2.5),) * 2 + ((0.5, 1.5),) * 2)
+        second = 0
+        for seed in range(4):
+            draws = box.sample(np.random.default_rng(seed), 8)
+            second += ((draws[:, 0] > 1.0) & (draws[:, 1] < 1.0)).sum()
+            got = sample_regular_points(make(), box, 8, seed)
+            assert np.array_equal(got, _sample_point_by_point(make(), box, 8, seed))
+        assert second
 
     def test_degeneracy_flags(self):
         rep = classify(catalog.separable_web(4), catalog.control_box(4),

@@ -2,10 +2,12 @@ import io
 import json
 import os
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from goursatkit.web import derivative_bundle
 from goursatkit.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                             ConfigError, _consistency_assertions, build_web,
                             builtin_checks, main, parse_config_text, run, selftest)
+from genexpr import random_tree
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -154,38 +157,37 @@ class TestRun:
         assert report.all_assertions_passed()
 
     def test_one_evaluation_per_draw_in_a_run(self, monkeypatch):
-        # every suite reads the bundle: one evaluation per draw, and at most
-        # one further jet read per sampled point
+        # every suite reads the bundle: each drawn point is evaluated once,
+        # in one evaluator call per draw batch, and nothing after sampling
         import goursatkit.cli as cli_module
-        from goursatkit.web import WebFunction
         cfg = parse_config_text((GOLDEN / "family2-n6.cfg").read_text())
-        counts = {"evaluator": 0, "jet": 0, "draws": 0}
+        drawn, evaluated, batches = [], [], []
         build = cli_module.build_web
+        sample = Box.sample
 
         def counted_build(config):
             web = build(config)
             inner = web.evaluator
 
-            def evaluator(point, order):
-                counts["evaluator"] += 1
-                return inner(point, order)
+            def evaluator(points, order):
+                batches.append(len(points))
+                evaluated.extend(p.tobytes() for p in points)
+                return inner(points, order)
 
             web.evaluator = evaluator
             return web
 
-        def counted(key, method):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return method(*args, **kwargs)
-            return wrapper
+        def counted_sample(box, rng, count):
+            points = sample(box, rng, count)
+            drawn.extend(p.tobytes() for p in points)
+            return points
 
         monkeypatch.setattr(cli_module, "build_web", counted_build)
-        monkeypatch.setattr(WebFunction, "jet", counted("jet", WebFunction.jet))
-        monkeypatch.setattr(WebFunction, "is_regular", counted("draws", WebFunction.is_regular))
+        monkeypatch.setattr(Box, "sample", counted_sample)
         run(cfg)
-        assert counts["draws"] >= cfg.count
-        assert counts["evaluator"] == counts["draws"]
-        assert counts["jet"] <= counts["draws"] + cfg.count
+        assert len(drawn) >= cfg.count
+        assert evaluated == drawn
+        assert len(batches) == len(drawn) // cfg.count
 
     def test_family_run_second_kind(self):
         report = run(parse_config_text(FAMILY_CFG))
@@ -451,3 +453,42 @@ class TestConfigFuzz:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(["run", "--config", str(cfg)])
         assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL)
+
+
+# a generated tree, alone or added to a regular web, optionally with a tree
+# that leaves its domain (or overflows) at some draws of the box
+TREE_CFG = """[web]
+n = 5
+expr = {expr}
+[sampling]
+box = 0.5:1.5
+count = 3
+seed = 0
+[suites]
+run = all
+frobenius_systems = S10
+identity_trials = 5
+"""
+REGULAR_WEB = "x1*x3 + x2*x4 + x5*(x1 + x3) + x2*x5^2"
+EDGE_TREES = ["ln(x1 - 1)", "sqrt(x2 - 1)", "ln(x3 - 0.5)", "1/(x1 - x1)", "1/(x4 - 1)",
+              "(x1 - 1)^(-0.5)", "exp(1000*x5)", "exp(800)*x1", "10^400*x2", "sin(x1^(-2000))",
+              "x1^(-100)*x3"]
+
+
+class TestExpressionFuzz:
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([None] + EDGE_TREES))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_generated_tree_through_run(self, seed, on_regular_web, edge):
+        terms = [REGULAR_WEB] if on_regular_web else []
+        terms.append(f"0.1*{random_tree(np.random.default_rng(seed), 5)}")
+        if edge:
+            terms.append(edge)
+        with TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "tree.cfg"
+            cfg.write_text(TREE_CFG.format(expr=" + ".join(terms)))
+            err = io.StringIO()
+            with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["run", "--config", str(cfg)])
+        assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert "Traceback" not in err.getvalue()

@@ -6,7 +6,7 @@ from goursatkit.classify import (classify, first_kind_residual, sample_regular_p
                                  second_kind_pde_residual, second_kind_residuals)
 from goursatkit.exterior import frobenius_residual, make_system
 from goursatkit.expr import evaluate, parse
-from goursatkit.families import (FamilySpec, FamilySpecError, SingularEnvelope,
+from goursatkit.families import (FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope,
                                  constraint, family_web, parameter_jet,
                                  solve_parameter, solve_parameter_with_info)
 from goursatkit.web import pfaffian_derivs, torsion
@@ -68,6 +68,14 @@ class TestSolve:
     def test_singular_envelope(self):
         with pytest.raises(SingularEnvelope):
             solve_parameter(catalog.degenerate_spec(), ONES4)
+
+    def test_no_finite_step(self):
+        # G = sqrt(a) + (x1 + x2 + x3 + x4) has no root, and from a0 = 1e-12
+        # every halving of the first Newton step leaves the domain of a^1.5
+        spec = FamilySpec("first", parse("2/3*a^1.5 + a*(x1 + x2)", 4, ["a"]),
+                          parse("a*(x3 + x4)", 4, ["a"]), 4, 1e-12)
+        with pytest.raises(NoConvergence, match="after 1 iterations"):
+            solve_parameter(spec, ONES4)
 
     def test_quadratic_convergence_from_nearby_start(self):
         rng = np.random.default_rng(0)
@@ -182,16 +190,16 @@ class TestFamilyWeb:
         spec = catalog.random_second_kind_spec(np.random.default_rng(11), 5)
         web = family_web(spec)
         direct = family_web(spec)
-        for p in np.random.default_rng(12).uniform(0.8, 1.2, (4, 5)):
+        points = np.random.default_rng(12).uniform(0.8, 1.2, (4, 5))
+        j2, failures = direct.evaluator(points, 2)
+        assert j2.order == 2 and failures == [None] * 4
+        for p, column in zip(points, j2.data.T):
             j3 = web.jet(p, 3)
-            j2 = direct.evaluator(p, 2)
-            assert j2.order == 2
-            assert np.array_equal(j3.data[: j2.space.size], j2.data)
+            assert np.array_equal(j3.data[: j2.space.size], column)
 
     def test_roots_independent_of_evaluation_order(self):
-        # each Newton solve warm-starts from the most recent root, and with the
-        # cubic term these constraints have more than one root; the root
-        # found at a point must still not depend on the points before it
+        # with the cubic term these constraints have more than one root; the
+        # root found at a point must not depend on the points before it
         rng = np.random.default_rng(21)
         pts = rng.uniform(0.0, 3.0, (12, 5))
         for _ in range(6):
@@ -201,6 +209,34 @@ class TestFamilyWeb:
             behind = [reverse.jet(p, 3, check_regularity=False) for p in pts[::-1]][::-1]
             for p, j1, j2 in zip(pts, ahead, behind):
                 assert np.allclose(j1.data, j2.data, rtol=1e-10, atol=1e-10), (spec, p)
+
+    def test_batched_newton_roots_equal_one_point_roots(self, monkeypatch):
+        import goursatkit.families as F
+        # the cubic specs above, and G = a/sqrt(1 + a^2) - mean(x), whose full
+        # Newton steps from a0 = 5 overshoot, so the solves halve them
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(0.0, 3.0, (12, 5))
+        cases = [(catalog.random_first_kind_spec(rng, 5, quadratic_tail=True), pts)
+                 for _ in range(6)]
+        cases.append((FamilySpec("first", parse("sqrt(1 + a^2) - a*(x1 + x2)/4", 4, ["a"]),
+                                 parse("-a*(x3 + x4)/4", 4, ["a"]), 4, 5.0),
+                      rng.uniform(0.5, 0.99, (8, 4))))
+        calls = []
+        inner = F._parameter_jets
+        monkeypatch.setattr(F, "_parameter_jets", lambda *args: calls.append(1) or inner(*args))
+        halved = 0
+        for spec, pts in cases:
+            roots, iterations, failures = F._newton(spec, pts, spec.a0)
+            for p, root, its, failure in zip(pts, roots, iterations, failures):
+                calls.clear()
+                if failure is None:
+                    assert solve_parameter_with_info(spec, p) == (root, its)
+                    # one evaluation at a0 and one per step when no step is halved
+                    halved += len(calls) > its + 1
+                else:
+                    with pytest.raises(type(failure)):
+                        solve_parameter(spec, p)
+        assert halved
 
     def test_second_kind_family_not_first_kind(self):
         # the randomized second-kind construction must not collapse into the
@@ -213,12 +249,13 @@ class TestFamilyWeb:
 
 
 def _count_evaluations(web):
+    """Record the bytes of every point the web's evaluator is called on."""
     calls = []
     inner = web.evaluator
 
-    def evaluator(point, order):
-        calls.append(point.tobytes())
-        return inner(point, order)
+    def evaluator(points, order):
+        calls.extend(p.tobytes() for p in points)
+        return inner(points, order)
 
     web.evaluator = evaluator
     return calls

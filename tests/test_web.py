@@ -1,12 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goursatkit import catalog
+from goursatkit.classify import Box
+from goursatkit.cli import build_web, parse_config_text
 from goursatkit.expr import parse
-from goursatkit.web import (Gauge, NonFiniteJet, PfaffianDerivs, RegularityError,
+from goursatkit.jets import JetDomainError
+from goursatkit.web import (JET_ORDER, Gauge, NonFiniteJet, PfaffianDerivs, RegularityError,
                             TorsionTensor, WebFunction, coframe, pfaffian_derivs, torsion)
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 ONES4 = [1.0, 1.0, 1.0, 1.0]
 
@@ -147,16 +154,16 @@ class TestWebFunction:
         web = catalog.control_web(4)
         p = [1.2, 0.8, 1.1, 0.9]
         j3 = web.jet(p, 3)
-        j2 = web.evaluator(np.asarray(p), 2)
-        assert j2.order == 2
-        assert np.array_equal(j3.data[: j2.space.size], j2.data)
-        assert np.array_equal(web.jet(p, 2).data, j2.data)
+        j2, failures = web.evaluator(np.asarray([p]), 2)
+        assert j2.order == 2 and failures == [None]
+        assert np.array_equal(j3.data[: j2.space.size], j2.data[:, 0])
+        assert np.array_equal(web.jet(p, 2).data, j2.data[:, 0])
 
     def test_memo_serves_every_order_from_one_evaluation(self):
         web = catalog.control_web(4)
         orders = []
         inner = web.evaluator
-        web.evaluator = lambda point, order: orders.append(order) or inner(point, order)
+        web.evaluator = lambda points, order: orders.append(order) or inner(points, order)
         p = [1.2, 0.8, 1.1, 0.9]
         for order in (1, 3, 2, 1):
             assert web.jet(p, order).order == order
@@ -192,7 +199,7 @@ class TestWebFunction:
         web = WebFunction.from_expr(parse("ln(x1) + x2*x3 + x4", 4))
         calls = []
         inner = web.evaluator
-        web.evaluator = lambda point, order: calls.append(order) or inner(point, order)
+        web.evaluator = lambda points, order: calls.append(order) or inner(points, order)
         for _ in range(2):
             with pytest.raises(JetDomainError):
                 web.jet([-1.0, 1.0, 1.0, 1.0], 1)
@@ -237,3 +244,43 @@ def test_pfaffian_from_array_symmetrizes_first_slots():
     raw = np.random.default_rng(0).normal(size=(5, 5, 5))
     d = PfaffianDerivs.from_array(raw)
     assert d.entry(1, 3, 2) == d.entry(3, 1, 2)
+
+
+def _closed_n8():
+    cfg = parse_config_text((GOLDEN / "closed-n8.cfg").read_text())
+    return build_web(cfg), Box(cfg.box)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (catalog.control_web(6), catalog.control_box(6)),
+    _closed_n8,
+    lambda: catalog.random_family_web(np.random.default_rng(5), "second", 6)[1:],
+], ids=["control", "closed-n8", "second-kind-family"])
+def test_batch_jets_equal_one_point_jets(make):
+    # one evaluation of a batch gives each point the bits of a one-point call
+    web, box = make()
+    points = box.sample(np.random.default_rng(1), 16)
+    batch, failures = web.evaluator(points, JET_ORDER)
+    assert failures == [None] * len(points)
+    fresh = make()[0]
+    for p, column in zip(points, batch.data.T):
+        assert np.array_equal(fresh.jet(p, JET_ORDER, check_regularity=False).data, column)
+
+
+def test_batch_failures_equal_one_point_failures():
+    # ln(x1 - 1) fails first; ln(x2 - 1) then fails on some of the points left
+    expr = parse("ln(x1 - 1) + ln(x2 - 1) + x2*x3 + x4", 4)
+    points = Box(((0.5, 2.5),) * 2 + ((0.5, 1.5),) * 2).sample(np.random.default_rng(0), 16)
+    batch, failures = WebFunction.from_expr(expr).evaluator(points, JET_ORDER)
+    web = WebFunction.from_expr(expr)
+    failed_at = set()
+    for p, column, failure in zip(points, batch.data.T, failures):
+        try:
+            want = web.jet(p, JET_ORDER, check_regularity=False).data
+        except JetDomainError as err:
+            assert type(failure) is JetDomainError and str(failure) == str(err)
+            assert np.isnan(column).all()
+            failed_at.add("x1" if p[0] < 1.0 else "x2")
+        else:
+            assert failure is None and np.array_equal(column, want)
+    assert failed_at == {"x1", "x2"}
