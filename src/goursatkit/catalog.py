@@ -103,6 +103,13 @@ def _coef(rng: np.random.Generator, lo: float, hi: float) -> str:
     return f"{v:.6f}"
 
 
+def _centered(spec: FamilySpec) -> FamilySpec:
+    """``spec`` with a0 set to its parameter root at the centre of the default
+    family box, solved from a0 = 0."""
+    center = np.full(spec.arity, sum(DEFAULT_FAMILY_BOX) / 2)
+    return dataclasses.replace(spec, a0=float(solve_parameter(spec, center, a0=0.0)))
+
+
 def random_first_kind_spec(rng: np.random.Generator, n: int,
                            quadratic_tail: bool = False) -> FamilySpec:
     """Random polynomial/exponential first-kind family over x in [0.8, 1.2]^n.
@@ -131,16 +138,13 @@ def random_first_kind_spec(rng: np.random.Generator, n: int,
                f" + {_coef(rng, 0.05, 0.25)}*exp({_coef(rng, 0.2, 0.5)}*x4)")
     if quadratic_tail:
         psi_txt += f" + {_coef(rng, 0.005, 0.02)}*a^3/3"
-    spec = FamilySpec(
+    return _centered(FamilySpec(
         kind="first",
         phi=parse(phi_txt, n, ["a"]),
         psi=parse(psi_txt, n, ["a"]),
         arity=n,
         a0=0.0,
-    )
-    center = np.full(n, sum(DEFAULT_FAMILY_BOX) / 2)
-    a_center = solve_parameter(spec, center, a0=0.0)
-    return dataclasses.replace(spec, a0=float(a_center))
+    ))
 
 
 def random_second_kind_spec(rng: np.random.Generator, n: int) -> FamilySpec:
@@ -170,16 +174,13 @@ def random_second_kind_spec(rng: np.random.Generator, n: int) -> FamilySpec:
                f" + {_coef(rng, 0.9, 1.1)}*s^2/2"
                f" + s*({e1:.6f}*x1 + {e2:.6f}*x2)"
                f" + {_coef(rng, 0.02, 0.1)}*x1*x2")
-    spec = FamilySpec(
+    return _centered(FamilySpec(
         kind="second",
         phi=parse(phi_txt, n, ["a", "s"]),
         psi=parse(psi_txt, n, ["a"]),
         arity=n,
         a0=0.0,
-    )
-    center = np.full(n, sum(DEFAULT_FAMILY_BOX) / 2)
-    a_center = solve_parameter(spec, center, a0=0.0)
-    return dataclasses.replace(spec, a0=float(a_center))
+    ))
 
 
 def random_family_web(rng: np.random.Generator, kind: str, n: int) -> tuple[FamilySpec, WebFunction, Box]:

@@ -57,27 +57,33 @@ class Box:
         return rng.uniform(lows, highs, size=(count, self.dim))
 
 
-def sample_regular_points(web: WebFunction, box: Box, count: int, seed: int) -> np.ndarray:
-    """Deterministic regular-point sample; draws up to OVERSAMPLE*count points
-    in batches of ``count``, each evaluated in one call, and keeps the
-    regular draws in draw order."""
+def sample_bundle(web: WebFunction, box: Box, count: int, seed: int) -> DerivativeBundle:
+    """Deterministic regular-point sample with its jets; draws up to
+    OVERSAMPLE*count points in batches of ``count``, each evaluated in one
+    call, and keeps the regular draws and their jet rows in draw order."""
     if box.dim != web.arity:
         raise ValueError("box dimension must match the web arity")
     rng = np.random.default_rng(seed)
-    points = []
+    points, rows = [], []
     attempts = 0
     while len(points) < count and attempts < OVERSAMPLE * count:
         batch = box.sample(rng, count)
-        _, failures = web.jets(batch)
-        for p, failure in zip(batch, failures):
+        data, failures = web.jets(batch)
+        for p, row, failure in zip(batch, data, failures):
             attempts += 1
             if failure is None:
                 points.append(p)
+                rows.append(row)
                 if len(points) == count:
                     break
     if len(points) < count:
         raise TooFewRegularPoints(len(points), count, attempts)
-    return np.array(points)
+    return DerivativeBundle(np.array(points), np.array(rows))
+
+
+def sample_regular_points(web: WebFunction, box: Box, count: int, seed: int) -> np.ndarray:
+    """The points of :func:`sample_bundle`."""
+    return sample_bundle(web, box, count, seed).points
 
 
 def fold_max(items):
@@ -270,8 +276,7 @@ def classify(web: WebFunction, box: Box, count: int = 32,
     Deterministic under a fixed seed; points failing regularity are resampled
     (up to ten times the requested count).
     """
-    points = sample_regular_points(web, box, count, seed)
-    return classify_bundle(derivative_bundle(web, points), tol, seed)
+    return classify_bundle(sample_bundle(web, box, count, seed), tol, seed)
 
 
 def classify_bundle(b: DerivativeBundle, tol: float = DEFAULT_TOL,

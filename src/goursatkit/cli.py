@@ -42,13 +42,13 @@ import numpy as np
 from . import __version__
 from . import identities as ident
 from .classify import Box, TooFewRegularPoints, classify_bundle, first_kind_pde, \
-    first_kind_residual, fold_max, running_max, sample_regular_points, second_kind_residuals
+    first_kind_residual, fold_max, running_max, sample_bundle, second_kind_residuals
 from .exterior import NON_FINITE, SYSTEM_NAMES, frobenius_reports, make_system
 from .expr import Expr, ExprError, parse
 from .families import FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope, \
     family_web
 from .web import JET_ORDER, DerivativeBundle, Gauge, PfaffianDerivs, RegularityError, \
-    TorsionTensor, WebFunction, derivative_bundle
+    TorsionTensor, WebFunction
 
 SCHEMA_VERSION = "goursat-kit/1"
 SUITES = ("classify", "frobenius", "identities")
@@ -155,6 +155,28 @@ def _expand_suites(suites: tuple[str, ...], n: int) -> tuple[str, ...]:
     return SUITES if n >= 5 else ("classify", "frobenius")
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip().upper() for s in text.split(",") if s.strip())
+
+
+# keys read straight into a RunConfig field: (section, key) -> (field,
+# converter of the value text); an absent key leaves the field's default
+_KEYS = {
+    ("web", "expr"): ("expr_text", str),
+    ("family", "phi"): ("phi_text", str),
+    ("family", "psi"): ("psi_text", str),
+    ("family", "slot"): ("slot", str),
+    ("family", "a0"): ("a0", float),
+    ("sampling", "count"): ("count", int),
+    ("sampling", "seed"): ("seed", int),
+    ("tolerances", "classify"): ("classify_tol", float),
+    ("tolerances", "frobenius"): ("frobenius_tol", float),
+    ("suites", "frobenius_systems"): ("frobenius_systems", _names),
+    ("suites", "identity_trials"): ("identity_trials", int),
+}
+_EXPECTED = {int: "an integer", float: "a number"}  # for the converters that can fail
+
+
 def parse_config_text(text: str) -> RunConfig:
     """Parse the line-oriented config format into a validated RunConfig."""
     sections: dict[str, dict[str, str]] = {}
@@ -174,35 +196,23 @@ def parse_config_text(text: str) -> RunConfig:
         key, value = line.split("=", 1)
         current[key.strip().lower()] = value.strip()
 
-    def get(section: str, key: str, default=None):
-        return sections.get(section, {}).get(key, default)
-
-    def as_int(section, key, default):
-        raw = get(section, key)
+    def read(section: str, key: str, convert=str, default=None):
+        raw = sections.get(section, {}).get(key)
         if raw is None:
             return default
         try:
-            return int(raw)
+            return convert(raw)
         except ValueError as err:
-            raise ConfigError(f"[{section}] {key} must be an integer") from err
+            raise ConfigError(f"[{section}] {key} must be {_EXPECTED[convert]}") from err
 
-    def as_float(section, key, default):
-        raw = get(section, key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as err:
-            raise ConfigError(f"[{section}] {key} must be a number") from err
-
-    n = as_int("web", "n", 0)
+    n = read("web", "n", int, 0)
     if n <= 0:
         raise ConfigError("[web] n is required")
     if n > MAX_ARITY:  # before n sizes the box below
         raise ConfigError(f"n must be between 4 and {MAX_ARITY}")
-    source = (get("web", "source") or ("family" if "family" in sections else "expr")).lower()
+    source = (read("web", "source") or ("family" if "family" in sections else "expr")).lower()
 
-    box_raw = get("sampling", "box", "0.8:1.2")
+    box_raw = read("sampling", "box", default="0.8:1.2")
     parts = [p.strip() for p in box_raw.split(",") if p.strip()]
     if len(parts) == 1:
         parts = parts * n
@@ -216,7 +226,7 @@ def parse_config_text(text: str) -> RunConfig:
         except ValueError as err:
             raise ConfigError(f"[sampling] bad box interval {part!r}") from err
 
-    gauge_raw = get("gauge", "w")
+    gauge_raw = read("gauge", "w")
     gauge: tuple[float, ...] = ()
     if gauge_raw:
         try:
@@ -224,34 +234,17 @@ def parse_config_text(text: str) -> RunConfig:
         except ValueError as err:
             raise ConfigError("[gauge] w must be a comma list of numbers") from err
 
-    suites_raw = (get("suites", "run", "all") or "all").lower()
+    suites_raw = (read("suites", "run") or "all").lower()
     suites = _expand_suites(tuple(s.strip() for s in suites_raw.split(",") if s.strip()), n)
 
-    if as_int("tolerances", "order", JET_ORDER) != JET_ORDER:
+    if read("tolerances", "order", int, JET_ORDER) != JET_ORDER:
         raise ConfigError(f"[tolerances] order is fixed at {JET_ORDER}")
 
-    systems_raw = get("suites", "frobenius_systems", "S10,S10_11,THETA_RHO")
-    systems = tuple(s.strip().upper() for s in systems_raw.split(",") if s.strip())
-
-    config = RunConfig(
-        n=n,
-        source=source,
-        expr_text=get("web", "expr"),
-        family_kind=(get("family", "kind") or None),
-        phi_text=get("family", "phi"),
-        psi_text=get("family", "psi"),
-        slot=get("family", "slot", "s"),
-        a0=as_float("family", "a0", 0.0),
-        box=tuple(box),
-        count=as_int("sampling", "count", 32),
-        seed=as_int("sampling", "seed", 0),
-        classify_tol=as_float("tolerances", "classify", 1e-7),
-        frobenius_tol=as_float("tolerances", "frobenius", 1e-7),
-        gauge=gauge,
-        suites=suites,
-        frobenius_systems=systems,
-        identity_trials=as_int("suites", "identity_trials", 200),
-    )
+    fields = {name: read(section, key, convert)
+              for (section, key), (name, convert) in _KEYS.items()}
+    config = RunConfig(n=n, source=source, family_kind=(read("family", "kind") or None),
+                       box=tuple(box), gauge=gauge, suites=suites,
+                       **{name: value for name, value in fields.items() if value is not None})
     config.validate()
     return config
 
@@ -391,9 +384,8 @@ def run(config: RunConfig) -> RunReport:
     box = Box(config.box)
     gauge = Gauge.of(config.gauge) if config.gauge else Gauge.zero(config.n)
 
-    # one sample, one jet read per point: every suite works on this bundle
-    points = sample_regular_points(web, box, config.count, config.seed)
-    derivs = derivative_bundle(web, points)
+    # one sample, one jet evaluation per point: every suite works on this bundle
+    derivs = sample_bundle(web, box, config.count, config.seed)
 
     if "classify" in config.suites:
         report.classification = classify_bundle(

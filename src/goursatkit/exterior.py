@@ -4,7 +4,7 @@ Systems are lists of 1-form fields with jet-evaluable coefficients.  The
 named systems are defined in one place, the ``SYSTEMS`` table below: each
 generator is a list of (slot, coefficient) pairs whose coefficients are
 signed sums of products of partial derivatives of the defining function F,
-read with their Jacobians from a derivative bundle by one product rule.
+built with their Jacobians by jet arithmetic on a point's or a batch's jet.
 :func:`frobenius_reports` works on all points at once (a stacked SVD and
 determinant); :func:`frobenius_residual` is its one-point call.
 
@@ -18,14 +18,16 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import combinations
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .classify import fold_max
-from .web import DerivativeBundle, Point, WebFunction, as_point, derivative_bundle
+from .jets import Jet, constant, space
+from .web import JET_ORDER, DerivativeBundle, Point, WebFunction, as_point
 
 RANK_TOL = 1e-8  # singular values below this fraction of the largest count as zero
 DEFAULT_FROBENIUS_TOL = 1e-7
@@ -39,7 +41,7 @@ class CoFormField:
     """A 1-form field: coefficient values and their Jacobian at a point.
 
     ``evaluate(p)`` returns (c, dc) with c[i] the dx_{i+1} coefficient and
-    dc[i, j] = d c_i / d x_{j+1}; a ``SYSTEMS`` ``row`` is read from a bundle.
+    dc[i, j] = d c_i / d x_{j+1}; a ``SYSTEMS`` ``row`` also runs on a batch jet.
     """
 
     arity: int
@@ -143,35 +145,33 @@ def _row_label(row) -> str:
     return " + ".join(f"{coefficient(terms)} dx{slot}" for slot, terms in row)
 
 
-def _term(b: DerivativeBundle, factors) -> np.ndarray:
-    """Order-1 jets (N, n + 1) of a product of partials of F (1 for none), as
-    the jet product computes them: entry k of a*b is 0.0 + a0*b_k + a_k*b0."""
-    if not factors:
-        return np.eye(1, b.n + 1).repeat(len(b.points), axis=0)
-    prod = b.jet1(factors[0])
-    for idx in factors[1:]:
-        f = b.jet1(idx)
-        out = 0.0 + prod[:, :1] * f
-        out[:, 1:] += prod[:, 1:] * f[:, :1]
-        prod = out
-    return prod
+def _factor(jet: Jet, idx: tuple[int, ...]) -> Jet:
+    """Order-1 jet of the partial F_idx (1-based slots) from a jet of F."""
+    sp = space(jet.slots, len(idx) + 1)
+    out = Jet(sp, jet.data[:sp.size])  # lower orders are a prefix
+    for i in idx:
+        out = out.partial(i)
+    return out
 
 
-def _row_values(row, b: DerivativeBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (N, n) and Jacobians (N, n, n) of a SYSTEMS row; each
-    coefficient sums its terms from 0.0 in table order."""
-    jets = np.zeros((len(b.points), b.n, b.n + 1))
+def _row_values(row, jet: Jet) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (..., n) and Jacobians (..., n, n) of a SYSTEMS row from the
+    order-3 jet of F at a point or a batch: jet products of partials of F (1
+    for none), each coefficient's terms summed from 0.0 in table order."""
+    n, tail = jet.slots, jet.data.shape[1:]
+    out = np.zeros(tail + (n, n + 1))
     for slot, terms in row:
         total = 0.0
         for sign, *factors in terms:
-            total = total + _term(b, factors) * float(sign)
-        jets[:, slot - 1] = total
-    return jets[..., 0], jets[..., 1:]
+            product = reduce(mul, [_factor(jet, idx) for idx in factors]
+                             or [constant(1.0, n, 1, tail)])
+            total = total + product.data * float(sign)
+        out[..., slot - 1, :] = total.T  # the point axis, if any, first
+    return out[..., 0], out[..., 1:]
 
 
 def _row_at(web: WebFunction, row, p: Point) -> tuple[np.ndarray, np.ndarray]:
-    c, dc = _row_values(row, derivative_bundle(web, [p]))
-    return c[0], dc[0]
+    return _row_values(row, web.jet(p, JET_ORDER))
 
 
 def make_system(web: WebFunction, name: str) -> PfaffianSystem:
@@ -193,14 +193,15 @@ def coefficient_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
 
 def _generators(sys: PfaffianSystem, points, b: DerivativeBundle | None = None) -> tuple:
     """Coefficients (N, k, n) of the generators and their exterior derivatives
-    dtheta = J.T - J (N, k, n, n), filled one generator at a time: rows are
-    read from the bundle, other fields stack their ``evaluate`` output."""
+    dtheta = J.T - J (N, k, n, n), filled one generator at a time: rows run
+    on the bundle's batch jet, other fields stack their ``evaluate`` output."""
     gens = sys.generators
+    jet = None if b is None else Jet(space(sys.arity, JET_ORDER), b.data.T)
     coeffs = np.empty((len(points), len(gens), sys.arity))
     dtheta = np.empty((len(points), len(gens), sys.arity, sys.arity))
     for g, gen in enumerate(gens):
-        if b is not None and gen.row is not None:
-            coeffs[:, g], jac = _row_values(gen.row, b)
+        if jet is not None and gen.row is not None:
+            coeffs[:, g], jac = _row_values(gen.row, jet)
         else:
             coeffs[:, g], jac = map(np.array, zip(*(gen.evaluate(as_point(p, sys.arity))
                                                     for p in points)))

@@ -111,17 +111,23 @@ class FamilySpec:
             raise FamilySpecError(f"psi uses unexpected parameters {sorted(extra)}")
 
 
+def _compose(spec: FamilySpec, bindings: dict, m: int, order: int) -> J.Jet:
+    """Phi over m slots from the bindings of x1..xn and ``a``: phi + psi for
+    the first kind, phi with psi's value in its slot for the second."""
+    if spec.kind == "first":
+        return (J.eval_with_bindings(spec.phi, bindings, m, order)
+                + J.eval_with_bindings(spec.psi, bindings, m, order))
+    bindings[spec.slot] = J.eval_with_bindings(spec.psi, bindings, m, order)
+    return J.eval_with_bindings(spec.phi, bindings, m, order)
+
+
 def _parameter_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,
                     order: int) -> J.Jet:
     """Jets of Phi(x, .) in the parameter alone, x frozen at the columns of
     ``coords`` (n, N), the parameter at ``a`` (N,)."""
     bindings: dict[str, J.Binding] = {f"x{i + 1}": coords[i] for i in range(spec.arity)}
     bindings[PARAM] = J.seed(1, a, 1, order)
-    if spec.kind == "first":
-        return (J.eval_with_bindings(spec.phi, bindings, 1, order)
-                + J.eval_with_bindings(spec.psi, bindings, 1, order))
-    bindings[spec.slot] = J.eval_with_bindings(spec.psi, bindings, 1, order)
-    return J.eval_with_bindings(spec.phi, bindings, 1, order)
+    return _compose(spec, bindings, 1, order)
 
 
 def _composed_parameter_jet(spec: FamilySpec, p: Point, a: float, order: int) -> J.Jet:
@@ -223,11 +229,7 @@ def _joint_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray, order: int)
         f"x{i + 1}": J.seed(i + 1, coords[i], m, order) for i in range(n)
     }
     bindings[PARAM] = J.seed(m, a, m, order)
-    if spec.kind == "first":
-        return (J.eval_with_bindings(spec.phi, bindings, m, order)
-                + J.eval_with_bindings(spec.psi, bindings, m, order))
-    bindings[spec.slot] = J.eval_with_bindings(spec.psi, bindings, m, order)
-    return J.eval_with_bindings(spec.phi, bindings, m, order)
+    return _compose(spec, bindings, m, order)
 
 
 def _solve_delta(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,

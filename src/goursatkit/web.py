@@ -21,9 +21,9 @@ default; a_abg is affine in the gauge with slope -a_ab per component.
 
 Jets of F are taken to the fixed order ``JET_ORDER = 3``, the order a_abg
 needs.  A web evaluates a batch of points in one call (sampling passes each
-draw batch); a run reads each sample point's jet once into a
-:class:`DerivativeBundle` of stacked F_i, F_ij, F_ijk, which every suite
-reads; the per-point functions here are one-point bundles.
+draw batch); a run keeps its accepted draws' jets as a :class:`DerivativeBundle`
+of stacked F_i, F_ij, F_ijk, which every suite reads; the per-point
+functions here are one-point bundles, served by the web's jet memo.
 """
 
 from __future__ import annotations
@@ -45,18 +45,14 @@ Point = np.ndarray
 
 
 def as_point(p: Sequence[float], n: int) -> Point:
-    arr = np.asarray(p, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"expected a point with {n} coordinates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("point coordinates must be finite")
-    return arr
+    """One point as an ``(n,)`` array, checked as :func:`as_points`."""
+    return as_points([p], n)[0]
 
 
 def as_points(points, n: int) -> np.ndarray:
-    """Points as an ``(N, n)`` array (each checked as :func:`as_point`)."""
+    """Points as an ``(N, n)`` array of finite coordinates."""
     arr = np.asarray(points, dtype=float)
-    if arr.size == 0:
+    if arr.shape == (0,):
         arr = arr.reshape(0, n)
     if arr.ndim != 2 or arr.shape[1] != n:
         raise ValueError(f"expected points with {n} coordinates, got shape {arr.shape}")
@@ -116,13 +112,14 @@ class WebFunction:
     evaluation from concurrent tasks over distinct points is safe for the
     built-in constructors.
 
-    Each point's jet is evaluated once, at ``JET_ORDER``, and kept in a
-    per-web memo keyed by the point's bytes (at most ``_MEMO_SIZE`` points;
-    the memo is cleared when full).  A lower order is the prefix of that
-    jet, which is exactly the jet a direct evaluation at the lower order
-    gives.  The regularity check runs on every call and also
-    rejects a point whose order-``JET_ORDER`` jet has a non-finite entry; a
-    point the evaluator failed at leaves nothing in the memo.
+    Each point's jet is evaluated at ``JET_ORDER`` and kept in a per-web
+    memo keyed by the point's bytes (at most ``_MEMO_SIZE`` points; the memo
+    is cleared when full) for one-point calls; a run takes its jets from
+    sampling.  A lower order is the prefix of that jet, which is exactly the
+    jet a direct evaluation at the lower order gives.  The regularity check
+    runs on every call and also rejects a point whose order-``JET_ORDER``
+    jet has a non-finite entry; a point the evaluator failed at leaves
+    nothing in the memo.
     """
 
     arity: int
@@ -174,7 +171,7 @@ class WebFunction:
     def jet(self, p: Sequence[float], order: int, check_regularity: bool = True) -> Jet:
         if not (1 <= order <= JET_ORDER):
             raise ValueError(f"order must be in 1..{JET_ORDER}")
-        data, failures = self.jets(as_point(p, self.arity)[None], check_regularity)
+        data, failures = self.jets([p], check_regularity)
         if failures[0] is not None:
             raise failures[0]
         sp = space(self.arity, order)
@@ -320,13 +317,6 @@ class DerivativeBundle:
     hess = property(lambda self: self._order(2))    # (N, n, n)
     third = property(lambda self: self._order(3))   # (N, n, n, n)
 
-    def jet1(self, idx: tuple[int, ...]) -> np.ndarray:
-        """Order-1 jets (value, then gradient) of the partial F_idx (1-based
-        slots, at most two), shape (N, n + 1)."""
-        at = tuple(i - 1 for i in idx)
-        return self.data[:, np.append(derivative_index(self.n, len(idx))[at],
-                                      derivative_index(self.n, len(idx) + 1)[at])]
-
     @np.errstate(all="ignore")
     def torsion_values(self) -> np.ndarray:
         """a_ab = F_ab / (F_a F_b) at every point, (N, n, n), diagonal NaN."""
@@ -359,8 +349,8 @@ class DerivativeBundle:
 
 
 def derivative_bundle(web: WebFunction, points) -> DerivativeBundle:
-    """The memoized jet rows of ``points`` (sampling evaluated them); raises
-    the first point's failure, if any."""
+    """The jet rows of ``points``, from the web's memo or evaluated in one
+    call; raises the first point's failure, if any."""
     pts = as_points(points, web.arity)
     data, failures = web.jets(pts)
     for failure in failures:

@@ -158,36 +158,41 @@ class TestRun:
 
     def test_one_evaluation_per_draw_in_a_run(self, monkeypatch):
         # every suite reads the bundle: each drawn point is evaluated once,
-        # in one evaluator call per draw batch, and nothing after sampling
+        # in one evaluator call per draw batch, and nothing after sampling,
+        # also when the sample outgrows the web's jet memo (closed-n8 case)
         import goursatkit.cli as cli_module
-        cfg = parse_config_text((GOLDEN / "family2-n6.cfg").read_text())
-        drawn, evaluated, batches = [], [], []
+        import goursatkit.web as web_module
         build = cli_module.build_web
         sample = Box.sample
+        for name, count, memo_size in (("family2-n6", 8, 4096), ("closed-n8", 16, 4)):
+            monkeypatch.setattr(web_module, "_MEMO_SIZE", memo_size)
+            cfg = parse_config_text((GOLDEN / f"{name}.cfg").read_text())
+            cfg.count = count
+            drawn, evaluated, batches = [], [], []
 
-        def counted_build(config):
-            web = build(config)
-            inner = web.evaluator
+            def counted_build(config):
+                web = build(config)
+                inner = web.evaluator
 
-            def evaluator(points, order):
-                batches.append(len(points))
-                evaluated.extend(p.tobytes() for p in points)
-                return inner(points, order)
+                def evaluator(points, order):
+                    batches.append(len(points))
+                    evaluated.extend(p.tobytes() for p in points)
+                    return inner(points, order)
 
-            web.evaluator = evaluator
-            return web
+                web.evaluator = evaluator
+                return web
 
-        def counted_sample(box, rng, count):
-            points = sample(box, rng, count)
-            drawn.extend(p.tobytes() for p in points)
-            return points
+            def counted_sample(box, rng, count):
+                points = sample(box, rng, count)
+                drawn.extend(p.tobytes() for p in points)
+                return points
 
-        monkeypatch.setattr(cli_module, "build_web", counted_build)
-        monkeypatch.setattr(Box, "sample", counted_sample)
-        run(cfg)
-        assert len(drawn) >= cfg.count
-        assert evaluated == drawn
-        assert len(batches) == len(drawn) // cfg.count
+            monkeypatch.setattr(cli_module, "build_web", counted_build)
+            monkeypatch.setattr(Box, "sample", counted_sample)
+            run(cfg)
+            assert len(drawn) >= cfg.count
+            assert evaluated == drawn
+            assert len(batches) == len(drawn) // cfg.count
 
     def test_family_run_second_kind(self):
         report = run(parse_config_text(FAMILY_CFG))

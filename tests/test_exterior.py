@@ -1,16 +1,19 @@
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from goursatkit import catalog
-from goursatkit.classify import sample_regular_points
-from goursatkit.exterior import (CoFormField, PfaffianSystem, SYSTEM_NAMES, _wedge_max,
-                                 _wedge_table, d_form, frobenius_residual, kernel_basis,
-                                 make_system, rank_at, subspace_distance)
+from goursatkit.classify import sample_bundle, sample_regular_points
+from goursatkit.cli import build_web, parse_config_text
+from goursatkit.exterior import (SYSTEMS, CoFormField, PfaffianSystem, SYSTEM_NAMES, _row_values,
+                                 _wedge_max, _wedge_table, d_form, frobenius_residual,
+                                 kernel_basis, make_system, rank_at, subspace_distance)
 from goursatkit.expr import parse
 from goursatkit.families import family_web
-from goursatkit.web import WebFunction
+from goursatkit.jets import Jet, derivative_index, space
+from goursatkit.web import JET_ORDER, WebFunction
 
 ONES4 = [1.0] * 4
 
@@ -33,6 +36,63 @@ def reference_wedge_max(dtheta, thetas):
             total += (-1.0) ** (pi + qi - 1) * a * np.linalg.det(theta_mat[:, rest])
         best = max(best, abs(total))
     return best
+
+
+def ref_jet1(b, idx):
+    """Order-1 jets (value, then gradient) of the partial F_idx (1-based
+    slots, at most two) from a derivative bundle, shape (N, n + 1)."""
+    at = tuple(i - 1 for i in idx)
+    return b.data[:, np.append(derivative_index(b.n, len(idx))[at],
+                               derivative_index(b.n, len(idx) + 1)[at])]
+
+
+def ref_term(b, factors):
+    """Order-1 jets (N, n + 1) of a product of partials of F (1 for none) by
+    the product rule: entry k of a*b is 0.0 + a0*b_k + a_k*b0."""
+    if not factors:
+        return np.eye(1, b.n + 1).repeat(len(b.points), axis=0)
+    prod = ref_jet1(b, factors[0])
+    for idx in factors[1:]:
+        f = ref_jet1(b, idx)
+        out = 0.0 + prod[:, :1] * f
+        out[:, 1:] += prod[:, 1:] * f[:, :1]
+        prod = out
+    return prod
+
+
+def ref_row_values(row, b):
+    """Coefficients (N, n) and Jacobians (N, n, n) of a SYSTEMS row by the
+    hand-written product rule, each coefficient summed from 0.0 in table order
+    (reference for the jet-arithmetic rows)."""
+    jets = np.zeros((len(b.points), b.n, b.n + 1))
+    for slot, terms in row:
+        total = 0.0
+        for sign, *factors in terms:
+            total = total + ref_term(b, factors) * float(sign)
+        jets[:, slot - 1] = total
+    return jets[..., 0], jets[..., 1:]
+
+
+def assert_bitwise(got, want):
+    """Equal shapes and bytes: signed zeros must match too."""
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _golden_closed_n8():
+    cfg = parse_config_text((Path(__file__).parent / "data" / "golden" / "closed-n8.cfg")
+                            .read_text())
+    return build_web(cfg), catalog.control_box(8)
+
+
+ROW_WEBS = {
+    "control6": lambda: (catalog.control_web(6), catalog.control_box(6)),
+    # every vanishing partial of -F is -0.0, which the sums from 0.0 clear
+    "control6-negated": lambda: (catalog.control_web(6).scaled(-1.0), catalog.control_box(6)),
+    "closed-n8": _golden_closed_n8,
+    "second-kind-family": lambda: catalog.random_family_web(
+        np.random.default_rng(3), "second", 6)[1:],
+}
 
 
 def contact_form():
@@ -112,6 +172,25 @@ class TestDForm:
                     fd = (f.coefficients(hi) - f.coefficients(lo)) / (2 * h)
                     assert np.allclose(jac[:, j], fd, rtol=1e-5, atol=1e-5), \
                         (name, f.label, j)
+
+
+class TestSystemRows:
+    @pytest.mark.parametrize("case", list(ROW_WEBS))
+    def test_rows_match_product_rule_reference(self, case):
+        # every SYSTEMS row and a coordinate row, batched and at each point
+        web, box = ROW_WEBS[case]()
+        b = sample_bundle(web, box, 6, seed=1)
+        n = b.n
+        batch = Jet(space(n, JET_ORDER), b.data.T)
+        rows = [row for table, _, _ in SYSTEMS.values() for row in table]
+        rows.append(CoFormField.coordinate(n, n).row)
+        for row in rows:
+            got = _row_values(row, batch)
+            for g, w in zip(got, ref_row_values(row, b)):
+                assert_bitwise(g, w)
+            for i, p in enumerate(b.points):
+                for one, g in zip(_row_values(row, web.jet(p, JET_ORDER)), got):
+                    assert_bitwise(one, g[i])
 
 
 class TestFrobenius:

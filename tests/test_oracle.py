@@ -1,8 +1,12 @@
 """The derivative bundle, torsion, Pfaffian derivatives and every SYSTEMS
 coefficient against sympy: symbolic differentiation is an oracle that shares
-no code with the jet arithmetic.  sympy is a test-only dependency."""
+no code with the jet arithmetic.  sympy is a test-only dependency.
 
-from functools import lru_cache
+The webs are catalog webs, the golden ``closed-n8`` expression and generated
+trees (``genexpr.random_tree`` at fixed seeds, added to a regular web), which
+reach ln, sqrt, powers, quotients, exp, sin and cos."""
+
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +14,14 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from genexpr import random_tree  # noqa: E402
 from goursatkit import catalog  # noqa: E402
-from goursatkit.classify import sample_regular_points  # noqa: E402
+from goursatkit.classify import sample_bundle  # noqa: E402
 from goursatkit.cli import build_web, parse_config_text  # noqa: E402
 from goursatkit.exterior import SYSTEMS, _row_values  # noqa: E402
-from goursatkit.web import derivative_bundle  # noqa: E402
+from goursatkit.expr import parse  # noqa: E402
+from goursatkit.jets import Jet, space  # noqa: E402
+from goursatkit.web import JET_ORDER, WebFunction  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 REL = 1e-10
@@ -44,6 +51,14 @@ def _closed_n8():
     return cfg.expr_text, build_web(cfg)
 
 
+REGULAR_WEB = "x1*x3 + x2*x4 + x5*(x1 + x3) + x2*x5^2"
+
+
+def _tree(seed):
+    text = f"{REGULAR_WEB} + 0.1*{random_tree(np.random.default_rng(seed), 5)}"
+    return text, WebFunction.from_expr(parse(text, 5))
+
+
 CASES = {
     "product": lambda: ("(x1+x2)*(x3+x4)" + _pad(5), catalog.product_web(5)),
     "separable": lambda: (" + ".join(f"x{i}^2/2" for i in range(1, 6)),
@@ -51,6 +66,7 @@ CASES = {
     "control": lambda: ("x1*x3 + x2*x4 + x1*x4 + x1^2*x3^2/4" + _pad(6),
                         catalog.control_web(6)),
     "closed-n8": _closed_n8,
+    **{f"tree{seed}": partial(_tree, seed) for seed in range(8)},
 }
 
 
@@ -69,10 +85,9 @@ def test_bundle_torsion_pfaffian_and_systems_match_sympy(case):
     text, web = CASES[case]()
     n = web.arity
     xs = sp.symbols(f"x1:{n + 1}")
-    F = sp.sympify(text.replace("^", "**"), locals={str(x): x for x in xs})
-    box = catalog.control_box(n)
-    points = sample_regular_points(web, box, 4, seed=len(case))
-    b = derivative_bundle(web, points)
+    F = sp.sympify(text.replace("^", "**"), locals={"ln": sp.log, **{str(x): x for x in xs}})
+    b = sample_bundle(web, catalog.control_box(n), 4, seed=len(case))
+    points = b.points
     gauge = np.random.default_rng(n).uniform(-1.0, 1.0, n)
 
     @lru_cache(maxsize=None)
@@ -122,7 +137,8 @@ def test_bundle_torsion_pfaffian_and_systems_match_sympy(case):
     tilted = zero_gauge - np.nan_to_num(torsion)[..., None] * gauge
     tilted[:, diag] = np.nan
     _close(b.pfaffian_values(gauge), tilted)
+    jet = Jet(space(n, JET_ORDER), b.data.T)
     for i, (name, row) in enumerate(system_rows):
-        c, dc = _row_values(row, b)
+        c, dc = _row_values(row, jet)
         _close(c, stack(lambda w: w[3][i][0]))
         _close(dc, stack(lambda w: w[3][i][1]))
