@@ -12,6 +12,12 @@ Config files are flat ``key = value`` lines under bracketed section headers;
     [suites]     run (comma list of classify | frobenius | identities | all),
                  frobenius_systems (comma list), identity_trials
 
+The ``run`` flags override config keys: ``--points`` [sampling] count,
+``--seed`` [sampling] seed, ``--tol`` both [tolerances] keys, ``--suite``
+(repeatable) [suites] run and ``--gauge`` [gauge] w.  A flag's value text
+replaces the file's, and the two are converted and validated together, so a
+bad flag value is a config error that names its key.
+
 Jets of the defining function are taken to the fixed order 3, the order the
 Pfaffian derivatives need; ``order = 3`` is accepted for old configs, and any
 other order is a config error.
@@ -147,14 +153,6 @@ class RunConfig:
         }
 
 
-def _expand_suites(suites: tuple[str, ...], n: int) -> tuple[str, ...]:
-    """Replace a list holding ``all`` with every suite that runs at arity n."""
-    if "all" not in suites:
-        return suites
-    # the identity suite needs the five-column torsion block
-    return SUITES if n >= 5 else ("classify", "frobenius")
-
-
 def _names(text: str) -> tuple[str, ...]:
     return tuple(s.strip().upper() for s in text.split(",") if s.strip())
 
@@ -179,6 +177,11 @@ _EXPECTED = {int: "an integer", float: "a number"}  # for the converters that ca
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse the line-oriented config format into a validated RunConfig."""
+    return _config(_sections(text))
+
+
+def _sections(text: str) -> dict[str, dict[str, str]]:
+    """The config text as section -> key -> value text."""
     sections: dict[str, dict[str, str]] = {}
     current: dict[str, str] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -195,6 +198,11 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, value = line.split("=", 1)
         current[key.strip().lower()] = value.strip()
+    return sections
+
+
+def _config(sections: dict[str, dict[str, str]]) -> RunConfig:
+    """The validated RunConfig of the key texts in ``sections``."""
 
     def read(section: str, key: str, convert=str, default=None):
         raw = sections.get(section, {}).get(key)
@@ -235,7 +243,10 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError("[gauge] w must be a comma list of numbers") from err
 
     suites_raw = (read("suites", "run") or "all").lower()
-    suites = _expand_suites(tuple(s.strip() for s in suites_raw.split(",") if s.strip()), n)
+    suites = tuple(s.strip() for s in suites_raw.split(",") if s.strip())
+    if "all" in suites:
+        # every suite that runs at arity n: identities need the five-column torsion block
+        suites = SUITES if n >= 5 else ("classify", "frobenius")
 
     if read("tolerances", "order", int, JET_ORDER) != JET_ORDER:
         raise ConfigError(f"[tolerances] order is fixed at {JET_ORDER}")
@@ -257,13 +268,13 @@ def build_web(config: RunConfig) -> WebFunction:
             raise ConfigError(f"bad expression: {err}") from err
         web = WebFunction.from_expr(expression)
     else:
+        # a first-kind phi has no psi slot
+        params = ["a"] if config.family_kind == "first" else ["a", config.slot]
         try:
-            phi = parse(config.phi_text, config.n, ["a", config.slot])
+            phi = parse(config.phi_text, config.n, params)
             psi = parse(config.psi_text, config.n, ["a"])
             if config.slot not in phi.parameters_used and config.family_kind == "second":
                 raise ConfigError(f"phi never uses the psi slot '{config.slot}'")
-            if config.family_kind == "first":
-                phi = parse(config.phi_text, config.n, ["a"])
             spec = FamilySpec(kind=config.family_kind, phi=phi, psi=psi,
                               arity=config.n, a0=config.a0, slot=config.slot)
         except (ExprError, FamilySpecError) as err:
@@ -273,6 +284,9 @@ def build_web(config: RunConfig) -> WebFunction:
 
 
 # --- report assembly --------------------------------------------------------
+
+_JSON_OPTIONS = {"indent": 2, "sort_keys": True, "allow_nan": False}
+
 
 def _finite(obj):
     """Map non-finite numbers to explicit failure records, recursively."""
@@ -322,7 +336,7 @@ class RunReport:
         })
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(self.to_dict(), **_JSON_OPTIONS)
 
 
 def _assert_entry(name: str, passed: bool, detail: str) -> dict:
@@ -524,25 +538,6 @@ def selftest(names: list[str] | None = None, list_only: bool = False,
 
 # --- entry point --------------------------------------------------------------
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if args.points is not None:
-        config.count = args.points
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.tol is not None:
-        config.classify_tol = args.tol
-        config.frobenius_tol = args.tol
-    if args.suite:
-        config.suites = _expand_suites(tuple(s.lower() for s in args.suite), config.n)
-    if args.gauge is not None:
-        try:
-            config.gauge = tuple(float(v) for v in args.gauge.split(","))
-        except ValueError as err:
-            raise ConfigError("--gauge must be a comma list of numbers") from err
-    config.validate()
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="goursatkit",
@@ -554,12 +549,13 @@ def main(argv: list[str] | None = None) -> int:
     runp = sub.add_parser("run", help="run suites from a config file")
     runp.add_argument("--config", required=True, help="path to the config file")
     runp.add_argument("--json", dest="json_path", help="write the machine report here")
-    runp.add_argument("--points", type=int, help="override sample count")
-    runp.add_argument("--seed", type=int, help="override RNG seed")
-    runp.add_argument("--tol", type=float, help="override classify and frobenius tolerances")
+    runp.add_argument("--points", help="override [sampling] count")
+    runp.add_argument("--seed", help="override [sampling] seed")
+    runp.add_argument("--tol", help="override both [tolerances] keys")
     runp.add_argument("--suite", action="append",
-                      help="suite to run (repeatable): classify | frobenius | identities | all")
-    runp.add_argument("--gauge", help="connection coefficients, e.g. '0,0,0,0'")
+                      help="suite to run (repeatable), overrides [suites] run: "
+                           "classify | frobenius | identities | all")
+    runp.add_argument("--gauge", help="override [gauge] w, e.g. '0,0,0,0'")
 
     selfp = sub.add_parser("selftest", help="run the bundled example corpus")
     selfp.add_argument("--list", action="store_true", help="print check names and exit")
@@ -576,7 +572,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        config = _apply_overrides(parse_config_text(text), args)
+        # a flag replaces its keys' text, converted and validated with the file
+        sections = _sections(text)
+        for (section, key), value in {
+            ("sampling", "count"): args.points, ("sampling", "seed"): args.seed,
+            ("tolerances", "classify"): args.tol, ("tolerances", "frobenius"): args.tol,
+            ("suites", "run"): args.suite and ",".join(args.suite), ("gauge", "w"): args.gauge,
+        }.items():
+            if value is not None:
+                sections.setdefault(section, {})[key] = value
+        config = _config(sections)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -594,7 +599,10 @@ def main(argv: list[str] | None = None) -> int:
     text = render_human(report)
     if args.json_path:
         try:
-            Path(args.json_path).write_text(report.to_json() + "\n", encoding="utf-8")
+            # streamed: the report text is never held whole in memory
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                json.dump(report.to_dict(), fh, **_JSON_OPTIONS)
+                fh.write("\n")
         except OSError as err:
             print(f"error: cannot write report: {err}", file=sys.stderr)
             code = EXIT_CONFIG

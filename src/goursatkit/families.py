@@ -31,7 +31,7 @@ import numpy as np
 
 from . import jets as J
 from .expr import Expr
-from .web import Point, WebFunction, as_point
+from .web import JET_ORDER, WebFunction, as_point
 
 PARAM = "a"  # the family parameter's symbol in phi and psi
 # damped Newton solve for the parameter root
@@ -130,22 +130,11 @@ def _parameter_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,
     return _compose(spec, bindings, 1, order)
 
 
-def _composed_parameter_jet(spec: FamilySpec, p: Point, a: float, order: int) -> J.Jet:
-    """Jet of Phi(x, .) in the parameter alone (x frozen at p)."""
-    return J.at_one_point(J.space(1, order), lambda rows: _parameter_jets(
-        spec, p[:, None], np.array([float(a)]), order))
-
-
 def constraint(spec: FamilySpec, p: Sequence[float], a: float) -> float:
     """The envelope constraint G(p, a) whose root defines the parameter."""
     point = as_point(p, spec.arity)
-    return _composed_parameter_jet(spec, point, a, 1).deriv((1,))
-
-
-def constraint_with_slope(spec: FamilySpec, p: Sequence[float], a: float) -> tuple[float, float]:
-    point = as_point(p, spec.arity)
-    jet = _composed_parameter_jet(spec, point, a, 2)
-    return jet.deriv((1,)), jet.deriv((1, 1))
+    return J.at_one_point(J.space(1, 1), lambda rows: _parameter_jets(
+        spec, point[:, None], np.array([float(a)]), 1)).deriv((1,))
 
 
 def solve_parameter(spec: FamilySpec, p: Sequence[float],
@@ -286,11 +275,11 @@ def family_web(spec: FamilySpec) -> WebFunction:
     """
     n = spec.arity
 
-    def evaluator(points: np.ndarray, order: int):
+    def evaluator(points: np.ndarray):
         roots, _, failures = _newton(spec, points, spec.a0)
         coords = np.ascontiguousarray(points.T)
-        jet = J.per_point(J.space(n, order), lambda rows: _family_jets(
-            spec, coords[:, rows], roots[rows], order), failures)
+        jet = J.per_point(J.space(n, JET_ORDER), lambda rows: _family_jets(
+            spec, coords[:, rows], roots[rows], JET_ORDER), failures)
         return jet, failures
 
     return WebFunction(arity=n, evaluator=evaluator)

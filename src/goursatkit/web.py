@@ -103,27 +103,27 @@ class Gauge:
 class WebFunction:
     """Defining function with jet evaluation up to order ``JET_ORDER``.
 
-    ``evaluator(points, order)`` takes an ``(N, n)`` array of points and
-    returns the jet of F at all of them over the n coordinate slots (data
-    ``(size, N)``) and one failure per point: None, or the
+    ``evaluator(points)`` takes an ``(N, n)`` array of points and returns
+    the order-``JET_ORDER`` jet of F at all of them over the n coordinate
+    slots (data ``(size, N)``) and one failure per point: None, or the
     ``ArithmeticError`` a one-point evaluation raises there (that point's
     jet column is then ignored).  It must be pure up to transparent caching,
     and a point's jet must not depend on the other points of its batch;
     evaluation from concurrent tasks over distinct points is safe for the
     built-in constructors.
 
-    Each point's jet is evaluated at ``JET_ORDER`` and kept in a per-web
-    memo keyed by the point's bytes (at most ``_MEMO_SIZE`` points; the memo
-    is cleared when full) for one-point calls; a run takes its jets from
-    sampling.  A lower order is the prefix of that jet, which is exactly the
-    jet a direct evaluation at the lower order gives.  The regularity check
+    Each point's jet is kept in a per-web memo keyed by the point's bytes
+    (at most ``_MEMO_SIZE`` points; the memo is cleared when full) for
+    one-point calls; a run takes its jets from sampling.  :meth:`jet` serves
+    a lower order as the prefix of that jet, which is exactly the jet a
+    direct evaluation at the lower order gives.  The regularity check
     runs on every call and also rejects a point whose order-``JET_ORDER``
     jet has a non-finite entry; a point the evaluator failed at leaves
     nothing in the memo.
     """
 
     arity: int
-    evaluator: Callable[[np.ndarray, int], "tuple[Jet, list]"]
+    evaluator: Callable[[np.ndarray], "tuple[Jet, list]"]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _memo_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
                                        repr=False, compare=False)
@@ -144,7 +144,7 @@ class WebFunction:
         failures: list = [None] * len(keys)
         missing = [i for i, row in enumerate(rows) if row is None]
         if missing:
-            jet, missed = self.evaluator(pts[missing], JET_ORDER)
+            jet, missed = self.evaluator(pts[missing])
             fresh = np.ascontiguousarray(jet.data.T)
             with self._memo_lock:
                 for i, row, failure in zip(missing, fresh, missed):
@@ -188,8 +188,8 @@ class WebFunction:
         """The web defined by c*F (same foliations, torsion divided by c)."""
         base = self.evaluator
 
-        def evaluator(points: np.ndarray, order: int):
-            jet, failures = base(points, order)
+        def evaluator(points: np.ndarray):
+            jet, failures = base(points)
             return jet * c, failures
 
         return WebFunction(self.arity, evaluator)
@@ -205,17 +205,17 @@ class WebFunction:
         if missing:
             raise ValueError(f"unbound parameters: {sorted(missing)}")
 
-        def evaluator(points: np.ndarray, order: int):
+        def evaluator(points: np.ndarray):
             coords = np.ascontiguousarray(points.T)
 
             def jet_at(rows: np.ndarray) -> Jet:
-                bindings: dict = {f"x{i + 1}": J.seed(i + 1, coords[i, rows], n, order)
+                bindings: dict = {f"x{i + 1}": J.seed(i + 1, coords[i, rows], n, JET_ORDER)
                                   for i in range(n)}
                 bindings.update(params)
-                return J.eval_with_bindings(expression, bindings, n, order)
+                return J.eval_with_bindings(expression, bindings, n, JET_ORDER)
 
             failures: list = [None] * len(points)
-            return J.per_point(space(n, order), jet_at, failures), failures
+            return J.per_point(space(n, JET_ORDER), jet_at, failures), failures
 
         return cls(arity=n, evaluator=evaluator)
 

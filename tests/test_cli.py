@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goursatkit.classify import Box, sample_regular_points
+from goursatkit.exterior import NON_FINITE
 from goursatkit.web import derivative_bundle
 from goursatkit.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                             ConfigError, _consistency_assertions, build_web,
@@ -174,10 +175,10 @@ class TestRun:
                 web = build(config)
                 inner = web.evaluator
 
-                def evaluator(points, order):
+                def evaluator(points):
                     batches.append(len(points))
                     evaluated.extend(p.tobytes() for p in points)
-                    return inner(points, order)
+                    return inner(points)
 
                 web.evaluator = evaluator
                 return web
@@ -319,6 +320,32 @@ class TestMain:
         assert data["meta"]["config"]["seed"] == 99
         assert data["frobenius"] == []
 
+    def test_flags_override_keys_before_validation(self, tmp_path, capsys):
+        # a flag replaces its key's text before the file is validated: the
+        # file's count = 0 alone is a config error, --points 5 replaces it
+        cfg = tmp_path / "web.cfg"
+        cfg.write_text(PRODUCT_CFG.replace("count = 8", "count = 0"))
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg), "--points", "5", "--tol", "1e-6",
+                     "--suite", "all", "--json", str(out)]) == EXIT_OK
+        config = json.loads(out.read_text())["meta"]["config"]
+        assert config["count"] == 5
+        assert config["classify_tol"] == config["frobenius_tol"] == 1e-6
+        assert config["suites"] == ["classify", "frobenius"]  # "all" at n = 4
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flags, key", [(["--gauge", "0.1,x,0,0,0"], "[gauge] w"),
+                                            (["--points", "five"], "[sampling] count"),
+                                            (["--tol", "small"], "[tolerances] classify")],
+                             ids=["gauge", "points", "tol"])
+    def test_bad_flag_text_names_its_key(self, flags, key, tmp_path, capsys):
+        cfg = tmp_path / "web.cfg"
+        cfg.write_text(FAMILY_CFG)
+        assert main(["run", "--config", str(cfg)] + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[web]\nsource = expr\n")
@@ -345,6 +372,22 @@ class TestMain:
                        "[sampling]\nbox = 0.0005:0.0015\ncount = 4\nseed = 0\n"
                        "[suites]\nrun = all\nfrobenius_systems = S10, DELTA2\n")
         assert main(["run", "--config", str(cfg)]) in (EXIT_OK, EXIT_ASSERTION, EXIT_NUMERICAL)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_finite_generators_are_point_records(self, tmp_path, capsys):
+        # the 1e200 factor overflows the DELTA4 generator coefficients at
+        # every point: each point is a failure record, not a traceback
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[web]\nn = 5\nexpr = 1e200*x1*x3*x4 + x2*x5 + x1*x2\n"
+                       "[sampling]\ncount = 4\n"
+                       "[suites]\nrun = frobenius\nfrobenius_systems = DELTA4\n")
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg), "--json", str(out)]) == EXIT_OK
+        entry, = json.loads(out.read_text())["frobenius"]
+        assert len(entry["points"]) == 4 and entry["verdict_counts"] == {}
+        for record in entry["points"]:
+            assert record.keys() == {"point", "failure"}
+            assert record["failure"] == NON_FINITE
         assert "Traceback" not in capsys.readouterr().err
 
     def test_gauge_flag(self, tmp_path):

@@ -49,6 +49,13 @@ class TestParse:
         e = parse("x1^-2", 1)
         assert isinstance(e.root.right, Const) and e.root.right.value == -2
 
+    @pytest.mark.parametrize("exponent", ["(1/2)", "(2*3)", "(-(1 + 1))", "sqrt(4)"])
+    def test_compound_constant_exponent_folds(self, exponent):
+        folded = parse(f"x1^{exponent}", 1).root.right
+        assert isinstance(folded, Const)
+        assert folded.value == evaluate(parse(exponent, 1), {})
+        assert evaluate(parse(f"x1^{exponent}", 1), {"x1": 1.7}) == 1.7 ** folded.value
+
     def test_precedence(self):
         assert evaluate(parse("2 + 3*4", 1), {"x1": 0}) == 14
         assert evaluate(parse("2*3^2", 1), {"x1": 0}) == 18

@@ -7,9 +7,10 @@ import pytest
 from goursatkit import catalog
 from goursatkit.classify import sample_bundle, sample_regular_points
 from goursatkit.cli import build_web, parse_config_text
-from goursatkit.exterior import (SYSTEMS, CoFormField, PfaffianSystem, SYSTEM_NAMES, _row_values,
-                                 _wedge_max, _wedge_table, d_form, frobenius_residual,
-                                 kernel_basis, make_system, rank_at, subspace_distance)
+from goursatkit.exterior import (NON_FINITE, SYSTEMS, CoFormField, PfaffianSystem, SYSTEM_NAMES,
+                                 _row_values, _wedge_max, _wedge_table, d_form,
+                                 frobenius_residual, kernel_basis, make_system, rank_at,
+                                 subspace_distance)
 from goursatkit.expr import parse
 from goursatkit.families import family_web
 from goursatkit.jets import Jet, derivative_index, space
@@ -265,6 +266,12 @@ class TestFrobenius:
                 minors = np.linalg.det(thetas[:, table[0]].transpose(1, 0, 2))
                 assert _wedge_max(dtheta, minors, table) == reference_wedge_max(
                     dtheta, list(thetas))
+
+    def test_non_finite_coefficient_raises(self):
+        field = CoFormField(4, "inf", lambda p: (np.array([np.inf, 1.0, 0.0, 0.0]),
+                                                 np.zeros((4, 4))))
+        with pytest.raises(ArithmeticError, match=NON_FINITE):
+            frobenius_residual(PfaffianSystem("INF", 4, (field,)), ONES4)
 
     def test_degenerate_on_dependent_generators(self):
         dup = CoFormField.constant([1, 1, 0, 0], "dup")

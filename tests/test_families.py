@@ -6,9 +6,10 @@ from goursatkit.classify import (classify, first_kind_residual, sample_regular_p
                                  second_kind_pde_residual, second_kind_residuals)
 from goursatkit.exterior import frobenius_residual, make_system
 from goursatkit.expr import evaluate, parse
-from goursatkit.families import (FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope,
-                                 constraint, family_web, parameter_jet,
+from goursatkit.families import (NEWTON_MAX_ITER, FamilySpec, FamilySpecError, NoConvergence,
+                                 SingularEnvelope, constraint, family_web, parameter_jet,
                                  solve_parameter, solve_parameter_with_info)
+from goursatkit.jets import JetDomainError
 from goursatkit.web import pfaffian_derivs, torsion
 
 ONES4 = [1.0] * 4
@@ -45,6 +46,12 @@ class TestConstraint:
         assert constraint(spec, ONES4, 4.0) == 0.0
         assert constraint(spec, ONES4, 0.0) == 4.0
 
+    def test_domain_error_raises(self):
+        spec = FamilySpec("first", parse("ln(a) + x1*x2", 4, ["a"]),
+                          parse("a*(x3 + x4)", 4, ["a"]), 4, 1.0)
+        with pytest.raises(JetDomainError):
+            constraint(spec, ONES4, -1.0)
+
     def test_second_kind_form(self):
         # G = (x1 + x2) + psi for the demo family
         spec = catalog.second_kind_demo_spec()
@@ -68,6 +75,18 @@ class TestSolve:
     def test_singular_envelope(self):
         with pytest.raises(SingularEnvelope):
             solve_parameter(catalog.degenerate_spec(), ONES4)
+
+    def test_singular_parameter_jet(self):
+        with pytest.raises(SingularEnvelope):
+            parameter_jet(catalog.degenerate_spec(), ONES4, 2, a=0.0)
+
+    def test_no_root_exhausts_iterations(self):
+        # G = sin(a) + 2 >= 1 has no root: every Newton step lowers |G|, so
+        # the solve runs out of iterations rather than of finite steps
+        spec = FamilySpec("first", parse("-cos(a) + 2*a + x1*x2", 4, ["a"]),
+                          parse("x3*x4", 4, ["a"]), 4, 0.0)
+        with pytest.raises(NoConvergence, match=f"after {NEWTON_MAX_ITER} iterations"):
+            solve_parameter(spec, ONES4)
 
     def test_no_finite_step(self):
         # G = sqrt(a) + (x1 + x2 + x3 + x4) has no root, and from a0 = 1e-12
@@ -187,15 +206,17 @@ class TestFamilyWeb:
     def test_jet_order_consistency(self):
         # a direct order-2 evaluation solves that order alone; it must equal
         # the prefix of the order-3 jet bit for bit
+        import goursatkit.families as F
         spec = catalog.random_second_kind_spec(np.random.default_rng(11), 5)
         web = family_web(spec)
-        direct = family_web(spec)
         points = np.random.default_rng(12).uniform(0.8, 1.2, (4, 5))
-        j2, failures = direct.evaluator(points, 2)
-        assert j2.order == 2 and failures == [None] * 4
+        roots, _, failures = F._newton(spec, points, spec.a0)
+        assert failures == [None] * 4
+        j2 = F._family_jets(spec, np.ascontiguousarray(points.T), roots, 2)
+        assert j2.order == 2
         for p, column in zip(points, j2.data.T):
-            j3 = web.jet(p, 3)
-            assert np.array_equal(j3.data[: j2.space.size], column)
+            assert np.array_equal(web.jet(p, 3).data[: j2.space.size], column)
+            assert np.array_equal(web.jet(p, 2).data, column)
 
     def test_roots_independent_of_evaluation_order(self):
         # with the cubic term these constraints have more than one root; the
@@ -253,9 +274,9 @@ def _count_evaluations(web):
     calls = []
     inner = web.evaluator
 
-    def evaluator(points, order):
+    def evaluator(points):
         calls.extend(p.tobytes() for p in points)
-        return inner(points, order)
+        return inner(points)
 
     web.evaluator = evaluator
     return calls

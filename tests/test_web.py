@@ -9,7 +9,7 @@ from goursatkit import catalog
 from goursatkit.classify import Box
 from goursatkit.cli import build_web, parse_config_text
 from goursatkit.expr import parse
-from goursatkit.jets import JetDomainError
+from goursatkit.jets import JetDomainError, eval_jet
 from goursatkit.web import (JET_ORDER, Gauge, NonFiniteJet, PfaffianDerivs, RegularityError,
                             TorsionTensor, WebFunction, coframe, pfaffian_derivs, torsion)
 
@@ -41,6 +41,12 @@ class TestTorsion:
         for a, b in ((1, 3), (1, 4), (2, 3), (2, 4)):
             assert t.entry(a, b) == 0.25
         assert t.entry(1, 2) == 0.0 and t.entry(3, 4) == 0.0
+
+    def test_irregular_point_raises(self):
+        # F = (x1 + x2)(x3 + x4): F_3 = x1 + x2 vanishes at x1 = x2 = 0
+        with pytest.raises(RegularityError) as exc:
+            torsion(catalog.product_web(4), [0.0, 0.0, 1.0, 1.0])
+        assert exc.value.alpha == 3
 
     def test_cross_values(self):
         t = torsion(catalog.cross_web(4), ONES4)
@@ -149,25 +155,26 @@ class TestPfaffianDerivs:
 
 class TestWebFunction:
     def test_jet_order_consistency(self):
-        # the memoized order-3 jet must truncate to the bits of a direct
-        # order-2 evaluation
-        web = catalog.control_web(4)
+        # the memoized order-3 jet must truncate to the bits of an independent
+        # order-2 evaluation of the same expression (catalog.control_web(4))
+        expression = parse("x1*x3 + x2*x4 + x1*x4 + x1^2*x3^2/4", 4)
+        web = WebFunction.from_expr(expression)
         p = [1.2, 0.8, 1.1, 0.9]
-        j3 = web.jet(p, 3)
-        j2, failures = web.evaluator(np.asarray([p]), 2)
-        assert j2.order == 2 and failures == [None]
-        assert np.array_equal(j3.data[: j2.space.size], j2.data[:, 0])
-        assert np.array_equal(web.jet(p, 2).data, j2.data[:, 0])
+        slots = ["x1", "x2", "x3", "x4"]
+        j2 = eval_jet(expression, dict(zip(slots, p)), slots, 2)
+        assert j2.order == 2
+        assert np.array_equal(web.jet(p, 3).data[: j2.space.size], j2.data)
+        assert np.array_equal(web.jet(p, 2).data, j2.data)
 
     def test_memo_serves_every_order_from_one_evaluation(self):
         web = catalog.control_web(4)
-        orders = []
+        calls = []
         inner = web.evaluator
-        web.evaluator = lambda points, order: orders.append(order) or inner(points, order)
+        web.evaluator = lambda points: calls.append(len(points)) or inner(points)
         p = [1.2, 0.8, 1.1, 0.9]
         for order in (1, 3, 2, 1):
             assert web.jet(p, order).order == order
-        assert orders == [3]
+        assert calls == [1]
 
     def test_memo_is_bounded(self, monkeypatch):
         import goursatkit.web as web_module
@@ -199,11 +206,11 @@ class TestWebFunction:
         web = WebFunction.from_expr(parse("ln(x1) + x2*x3 + x4", 4))
         calls = []
         inner = web.evaluator
-        web.evaluator = lambda points, order: calls.append(order) or inner(points, order)
+        web.evaluator = lambda points: calls.append(len(points)) or inner(points)
         for _ in range(2):
             with pytest.raises(JetDomainError):
                 web.jet([-1.0, 1.0, 1.0, 1.0], 1)
-        assert calls == [3, 3]
+        assert calls == [1, 1]
 
     def test_order_cap(self):
         web = catalog.product_web(4)
@@ -260,7 +267,7 @@ def test_batch_jets_equal_one_point_jets(make):
     # one evaluation of a batch gives each point the bits of a one-point call
     web, box = make()
     points = box.sample(np.random.default_rng(1), 16)
-    batch, failures = web.evaluator(points, JET_ORDER)
+    batch, failures = web.evaluator(points)
     assert failures == [None] * len(points)
     fresh = make()[0]
     for p, column in zip(points, batch.data.T):
@@ -271,7 +278,7 @@ def test_batch_failures_equal_one_point_failures():
     # ln(x1 - 1) fails first; ln(x2 - 1) then fails on some of the points left
     expr = parse("ln(x1 - 1) + ln(x2 - 1) + x2*x3 + x4", 4)
     points = Box(((0.5, 2.5),) * 2 + ((0.5, 1.5),) * 2).sample(np.random.default_rng(0), 16)
-    batch, failures = WebFunction.from_expr(expr).evaluator(points, JET_ORDER)
+    batch, failures = WebFunction.from_expr(expr).evaluator(points)
     web = WebFunction.from_expr(expr)
     failed_at = set()
     for p, column, failure in zip(points, batch.data.T, failures):
