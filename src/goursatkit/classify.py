@@ -206,6 +206,7 @@ def second_kind_residuals(t: TorsionTensor) -> SecondKindResiduals:
     return SecondKindResiduals(det24, sum25, expr26, cross27, scale)
 
 
+@np.errstate(all="ignore")  # non-finite values are recorded, not warned about
 def second_kind_pde(b: DerivativeBundle) -> tuple[np.ndarray, np.ndarray]:
     """det [[F3,F4,F5],[F13,F14,F15],[F23,F24,F25]] at every bundle point, raw
     and relative to the largest expansion monomial."""

@@ -12,7 +12,10 @@ Integrability is tested by the differential-forms criterion: for each
 generator t^i of a system spanned by t^1..t^k, the (k+2)-form
 d t^i ^ t^1 ^ ... ^ t^k must vanish.  This avoids constructing a smooth
 kernel basis and works at a single point from order-1 jets of the
-coefficients.
+coefficients.  Most generators are the constant coordinate forms dx_s,
+s in sigma, and wedging with them kills every dx_sigma component, so the
+wedge is expanded on the free slots outside sigma only, over the minors
+of the field rows there.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .classify import fold_max
-from .jets import Jet, constant, space
+from .jets import Jet, _partial_index, constant, space
 from .web import JET_ORDER, DerivativeBundle, Point, WebFunction, as_point
 
 RANK_TOL = 1e-8  # singular values below this fraction of the largest count as zero
@@ -145,13 +148,20 @@ def _row_label(row) -> str:
     return " + ".join(f"{coefficient(terms)} dx{slot}" for slot, terms in row)
 
 
+@lru_cache(maxsize=None)
+def _factor_index(m: int, idx: tuple[int, ...]) -> np.ndarray:
+    """Positions, in a jet of F over m slots of order above len(idx), of the
+    order-1 jet of F_idx: the ``_partial_index`` tables composed (lower
+    orders are a prefix)."""
+    pos = np.arange(space(m, len(idx) + 1).size)
+    for taken, i in enumerate(idx):
+        pos = pos[_partial_index(m, len(idx) + 1 - taken, i)]
+    return pos
+
+
 def _factor(jet: Jet, idx: tuple[int, ...]) -> Jet:
     """Order-1 jet of the partial F_idx (1-based slots) from a jet of F."""
-    sp = space(jet.slots, len(idx) + 1)
-    out = Jet(sp, jet.data[:sp.size])  # lower orders are a prefix
-    for i in idx:
-        out = out.partial(i)
-    return out
+    return Jet(space(jet.slots, 1), jet.data[_factor_index(jet.slots, idx)])
 
 
 def _row_values(row, jet: Jet) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +271,8 @@ def _wedge_table(n: int, k: int) -> tuple[np.ndarray, ...]:
     p, q = np.array(list(combinations(range(k + 2), 2))).T
     rest = np.array([[row_of[tuple(x for r, x in enumerate(s) if r not in (a, b))]
                       for a, b in zip(p, q)] for s in subsets.tolist()])
-    return np.array(cols), subsets[:, p], subsets[:, q], rest, (-1.0) ** (p + q - 1)
+    return (np.array(cols, dtype=np.intp), subsets[:, p], subsets[:, q], rest,
+            (-1.0) ** (p + q - 1))
 
 
 def _wedge_max(dtheta: np.ndarray, minors: np.ndarray, table: tuple):
@@ -328,8 +339,12 @@ def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIU
     point (the rows of ``b`` when given); None where a generator coefficient
     is not finite.
 
-    Residuals are divided by ||d t^i|| times the product of generator norms
-    (floored at 1e-12); a generator with d t^i = 0 contributes residual 0.
+    The wedge is taken on the free slots F outside sigma:
+    d t^i ^ t^1 ^ ... ^ t^k = +-(d t^i|F ^ fields|F) ^ dx_sigma has the same
+    largest absolute coefficient, from the minors of the field rows on F;
+    ranks and norms use the full generator matrix.  Residuals are divided by
+    ||d t^i|| times the product of generator norms (floored at 1e-12); a
+    generator with d t^i = 0 (every dx_s) contributes residual 0.
     Verdict: 'integrable' below tol, 'non_integrable' above the 1e-3 floor,
     'inconclusive' between, 'degenerate' when the generators are dependent
     at p.  Every point sees the float operations of a one-point evaluation.
@@ -348,12 +363,17 @@ def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIU
     upper = np.take(dtheta.reshape(*dtheta.shape[:2], n * n), iu * n + ju, axis=-1)
     dnorm = np.sqrt(np.square(upper, out=upper).sum(axis=-1))
     raw = np.zeros_like(dnorm)
-    if k + 2 <= n:
-        # the k-column minors of the generator matrix, shared by every generator;
-        # one stacked determinant per column subset keeps the gather small
-        table = _wedge_table(n, k)
-        minors = np.stack([np.linalg.det(coeffs[:, :, cols]) for cols in table[0]], axis=-1)
-        raw = _wedge_max(dtheta, minors[:, None, :], table)
+    # the wedge on the free slots (see above); the dx_s rows have d t = 0
+    free = [s for s in range(n) if s + 1 not in sys.sigma]
+    kf = len(sys.fields)
+    if kf + 2 <= len(free):
+        # the minors of the field rows on the free slots, shared by every
+        # field: the gather is small, so one stacked determinant takes them all
+        table = _wedge_table(len(free), kf)
+        rows = coeffs[:, :kf, free]
+        minors = np.linalg.det(rows[:, :, table[0]].transpose(0, 2, 1, 3))
+        raw[:, :kf] = _wedge_max(dtheta[:, :kf][..., free, :][..., free],
+                                 minors[:, None, :], table)
     residuals = np.where(dnorm == 0.0, 0.0,
                          raw / np.maximum(dnorm * norms.prod(axis=-1)[:, None], NORM_FLOOR))
     worst = fold_max(list(residuals.T))

@@ -390,6 +390,17 @@ class TestMain:
             assert record["failure"] == NON_FINITE
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_overflowing_second_kind_minors_are_records(self, tmp_path, capsys):
+        # with the default suites the same web overflows the 3x3 minors of
+        # the second-kind PDE: each is a non-finite record, not a warning
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[web]\nn = 5\nexpr = 1e200*x1*x3*x4 + x2*x5 + x1*x2\n")
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg), "--json", str(out)]) == EXIT_OK
+        pde = json.loads(out.read_text())["classification"]["second_kind_residuals"]
+        assert {"failure": "non-finite"} in pde["pde_form_rel"]
+        assert "Warning" not in capsys.readouterr().err
+
     def test_gauge_flag(self, tmp_path):
         cfg = tmp_path / "web.cfg"
         cfg.write_text(FAMILY_CFG)

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 from pathlib import Path
 
@@ -7,8 +8,10 @@ import pytest
 from goursatkit import catalog
 from goursatkit.classify import sample_bundle, sample_regular_points
 from goursatkit.cli import build_web, parse_config_text
-from goursatkit.exterior import (NON_FINITE, SYSTEMS, CoFormField, PfaffianSystem, SYSTEM_NAMES,
-                                 _row_values, _wedge_max, _wedge_table, d_form,
+from goursatkit.exterior import (DEFAULT_FROBENIUS_TOL, NON_FINITE, NON_INTEGRABLE_FLOOR,
+                                 NORM_FLOOR, SYSTEMS, CoFormField, PfaffianSystem,
+                                 SYSTEM_NAMES, _row_values, _wedge_max, _wedge_table,
+                                 coefficient_matrix, d_form, frobenius_reports,
                                  frobenius_residual, kernel_basis, make_system, rank_at,
                                  subspace_distance)
 from goursatkit.expr import parse
@@ -37,6 +40,40 @@ def reference_wedge_max(dtheta, thetas):
             total += (-1.0) ** (pi + qi - 1) * a * np.linalg.det(theta_mat[:, rest])
         best = max(best, abs(total))
     return best
+
+
+def reference_report(sys, p):
+    """(rank, residuals, verdict) at p with the wedge taken on the full
+    generator matrix, coordinate forms included (reference for the
+    free-slot wedge)."""
+    thetas = coefficient_matrix(sys, p)
+    rank, _ = rank_at(sys, p)
+    if rank < len(thetas):
+        return rank, (), "degenerate"
+    scale = np.prod(np.maximum(np.linalg.norm(thetas, axis=1), NORM_FLOOR))
+    residuals = []
+    for gen in sys.generators:
+        d = d_form(gen, p)
+        dnorm = np.linalg.norm(d[np.triu_indices(sys.arity, 1)])
+        residuals.append(0.0 if dnorm == 0.0 else reference_wedge_max(d, list(thetas))
+                         / max(dnorm * scale, NORM_FLOOR))
+    top = max(residuals)
+    verdict = ("integrable" if top < DEFAULT_FROBENIUS_TOL else "non_integrable"
+               if top > NON_INTEGRABLE_FLOOR else "inconclusive")
+    return rank, tuple(residuals), verdict
+
+
+def assert_matches_reference(sys, points):
+    for report, p in zip(frobenius_reports(sys, points), points):
+        rank, residuals, verdict = reference_report(sys, p)
+        assert (report.rank, report.verdict) == (rank, verdict), (sys.name, p)
+        np.testing.assert_allclose(report.residuals, residuals, rtol=1e-12, atol=0.0)
+
+
+def linear_field(rng, n: int, label: str) -> CoFormField:
+    """c(p) = c0 + J p with random c0 and J, nonzero in every slot."""
+    c0, jac = rng.uniform(-2, 2, n), rng.uniform(-2, 2, (n, n))
+    return CoFormField(n, label, lambda p: (c0 + jac @ p, jac.copy()))
 
 
 def ref_jet1(b, idx):
@@ -266,6 +303,27 @@ class TestFrobenius:
                 minors = np.linalg.det(thetas[:, table[0]].transpose(1, 0, 2))
                 assert _wedge_max(dtheta, minors, table) == reference_wedge_max(
                     dtheta, list(thetas))
+
+    @pytest.mark.parametrize("n, kf, sigma", [
+        (4, 1, ()), (5, 2, ()), (6, 3, ()),                    # no coordinate forms
+        (6, 1, (5, 6)), (6, 2, (1, 2)), (7, 2, (4, 5, 6)),     # contiguous sigma
+        (5, 1, (2, 4)), (7, 2, (1, 4, 7)), (6, 1, (1, 3, 6)),  # non-contiguous sigma
+        (6, 3, (2, 5)),                                        # kf + 2 > free slots
+        (4, 0, (3, 4)), (5, 0, (1, 4))])                       # no fields
+    def test_free_slot_wedge_matches_full_reference(self, n, kf, sigma):
+        # the fields are nonzero in the sigma slots too, which dx_sigma kills
+        rng = np.random.default_rng(100 * n + 10 * kf + len(sigma))
+        fields = tuple(linear_field(rng, n, f"t{i}") for i in range(kf))
+        system = PfaffianSystem("RANDOM", n, fields, sigma)
+        assert_matches_reference(system, rng.uniform(-1, 1, (4, n)))
+
+    def test_named_systems_match_full_reference_at_golden_points(self):
+        web, _ = _golden_closed_n8()
+        golden = json.loads((Path(__file__).parent / "data" / "golden" / "closed-n8.json")
+                            .read_text())
+        points = np.array([r["point"] for r in golden["frobenius"][0]["points"]])
+        for name in SYSTEM_NAMES:
+            assert_matches_reference(make_system(web, name), points)
 
     def test_non_finite_coefficient_raises(self):
         field = CoFormField(4, "inf", lambda p: (np.array([np.inf, 1.0, 0.0, 0.0]),
