@@ -121,11 +121,13 @@ def _row_det(top: np.ndarray, m: np.ndarray) -> tuple:
     return rows, np.linalg.det(rows)
 
 
+@np.errstate(all="ignore")  # non-finite values are recorded, not warned about
 def first_kind_residual(t: TorsionTensor) -> tuple[float, float]:
     """a13*a24 - a14*a23, raw and relative (arrays for a stack of tensors)."""
     return _first_kind(t.values)
 
 
+@np.errstate(all="ignore")  # non-finite values are recorded, not warned about
 def first_kind_pde(b: DerivativeBundle) -> tuple[np.ndarray, np.ndarray]:
     """Cleared determinant F13*F24 - F14*F23 at every bundle point, raw and
     relative.

@@ -309,18 +309,6 @@ class FrobeniusReport:
     def max_residual(self) -> float:
         return max(self.residuals) if self.residuals else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "point": np.asarray(self.point).tolist(),
-            "rank": self.rank,
-            "kernel_dim": self.kernel_dim,
-            "residuals": list(self.residuals),
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
-
 
 def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
                        tol: float = DEFAULT_FROBENIUS_TOL) -> FrobeniusReport:

@@ -9,6 +9,21 @@ from goursatkit.expr import Expr, evaluate, parse
 
 UNARIES = ("exp", "ln", "sin", "cos", "sqrt")
 
+# terms over x1..x5 that leave their domain, overflow or cancel somewhere on
+# the box 0.5:1.5: added to a web, they push it to its numerical edges
+EDGE_TREES = [
+    # domain edges and poles
+    "ln(x1 - 1)", "sqrt(x2 - 1)", "ln(x3 - 0.5)", "1/(x1 - x1)", "1/(x4 - 1)",
+    "(x1 - 1)^(-0.5)",
+    # overflow in the value or its derivatives
+    "exp(1000*x5)", "exp(800)*x1", "10^400*x2", "sin(x1^(-2000))", "x1^(-100)*x3",
+    # magnitudes whose products and minors overflow while the jets stay finite
+    "(x1+x2+x3+x4+x5)^400", "x1^300*x3^2", "1e200*x1*x3*x4", "1e200*x2*x5^2",
+    # near-cancelling sums: large terms that leave a small difference
+    "1e16*x1*x3 - 1e16*x1*x3 + x2*x4", "(1e200*x3*x4 + x1*x5) - 1e200*x3*x4",
+    "(x1 + 1e15) - 1e15",
+]
+
 
 def _leaf(rng: np.random.Generator, n_vars: int) -> str:
     i = rng.integers(1, n_vars + 1)
