@@ -238,15 +238,17 @@ class ClassificationReport:
     second_pde_rel: np.ndarray | None = field(repr=False, default=None)
     degenerate_rows: tuple[bool, bool] = (False, False)
 
+    # a kind holds when both of its forms are below tol at every point; a
+    # non-finite residual in either form fails it
     @property
     def first_kind(self) -> bool:
-        return bool(max(self.first_rel.max(), self.first_pde_rel.max()) < self.tol)
+        return bool(self.first_rel.max() < self.tol and self.first_pde_rel.max() < self.tol)
 
     @property
     def second_kind(self) -> bool | None:
         if self.second_rel is None:
             return None
-        return bool(max(self.second_rel.max(), self.second_pde_rel.max()) < self.tol)
+        return bool(self.second_rel.max() < self.tol and self.second_pde_rel.max() < self.tol)
 
     def to_dict(self) -> dict:
         out = {

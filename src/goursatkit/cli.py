@@ -6,11 +6,12 @@ Config files are flat ``key = value`` lines under bracketed section headers;
     [web]        n, source (expr | family), expr
     [family]     kind (first | second), phi, psi, slot, a0
     [sampling]   box (lo:hi or comma list of lo:hi per coordinate),
-                 count, seed
+                 count (1..MAX_COUNT), seed
     [tolerances] classify, frobenius (finite, > 0), order (only 3)
     [gauge]      w (comma list, length n)
     [suites]     run (comma list of classify | frobenius | identities | all),
-                 frobenius_systems (comma list), identity_trials
+                 frobenius_systems (comma list),
+                 identity_trials (1..MAX_IDENTITY_TRIALS)
 
 The ``run`` flags override config keys: ``--points`` [sampling] count,
 ``--seed`` [sampling] seed, ``--tol`` both [tolerances] keys, ``--suite``
@@ -62,6 +63,11 @@ SCHEMA_VERSION = "goursat-kit/1"
 SUITES = ("classify", "frobenius", "identities")
 # the README's scope; jet tables and wedge minors grow combinatorially in n
 MAX_ARITY = 8
+# run sizes past these are config errors: a run holds every sample point's
+# jet and report record in memory, and the trial suites run in time linear
+# in identity_trials
+MAX_COUNT = 16384
+MAX_IDENTITY_TRIALS = 10**6
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -103,8 +109,8 @@ class RunConfig:
             raise ConfigError("source 'expr' needs an expression")
         if self.source == "family" and not (self.family_kind and self.phi_text and self.psi_text):
             raise ConfigError("source 'family' needs kind, phi and psi")
-        if self.count < 1:
-            raise ConfigError("count must be >= 1")
+        if not 1 <= self.count <= MAX_COUNT:
+            raise ConfigError(f"count must be between 1 and {MAX_COUNT}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if len(self.box) != self.n:
@@ -117,8 +123,8 @@ class RunConfig:
         for name, tol in (("classify", self.classify_tol), ("frobenius", self.frobenius_tol)):
             if not (math.isfinite(tol) and tol > 0):
                 raise ConfigError(f"{name} tolerance must be finite and > 0, got {tol}")
-        if self.identity_trials <= 0:
-            raise ConfigError("identity_trials must be a positive integer")
+        if not 1 <= self.identity_trials <= MAX_IDENTITY_TRIALS:
+            raise ConfigError(f"identity_trials must be between 1 and {MAX_IDENTITY_TRIALS}")
         if self.gauge and len(self.gauge) != self.n:
             raise ConfigError("gauge must have n components")
         if not all(math.isfinite(w) for w in self.gauge):

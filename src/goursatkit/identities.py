@@ -36,18 +36,20 @@ functions run the same code with no trial axis.  Every trial sees the same
 float operations in the same order as a one-trial formula: sums start from
 0.0 and add left to right, and maxima are left folds that keep the earlier
 value unless a later one is greater, as Python's ``sum`` and ``max`` do.  The
-samplers draw their trials in chunks of at most ``TRIAL_CHUNK``, with the same
-generator calls in the same order as a one-trial-at-a-time loop (per trial:
-the torsion draw with its rejection loop, then the derivative draw), and
-reduce over exactly the trials that loop would use, so their results do not
-depend on the chunk size.
+samplers take their trials in chunks of at most ``TRIAL_CHUNK`` and use the
+same doubles in the same order as a one-trial-at-a-time loop (per trial: the
+torsion draw with its rejection loop, then the derivative draw); they draw
+those doubles in 25-double blocks, a torsion candidate per block and a
+derivative draw per five, and walk the blocks in order.  They reduce over
+exactly the trials that loop would use, so their results do not depend on
+the chunk size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -286,10 +288,6 @@ def _draw_torsion(rng: np.random.Generator) -> np.ndarray:
         return vals
 
 
-def _draw_derivs(rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(-SPAN, SPAN, size=(TRIAL_ARITY,) * 3)
-
-
 def sample_second_kind_torsion(rng: np.random.Generator) -> TorsionTensor:
     """Random 5x5 torsion matrix on the second-kind variety.
 
@@ -302,24 +300,118 @@ def sample_second_kind_torsion(rng: np.random.Generator) -> TorsionTensor:
 
 def sample_derivs(rng: np.random.Generator) -> PfaffianDerivs:
     """Random 5x5x5 Pfaffian derivatives, uniform in [-SPAN, SPAN], zero gauge."""
-    return PfaffianDerivs.from_array(_draw_derivs(rng), Gauge.zero(TRIAL_ARITY))
+    return PfaffianDerivs.from_array(rng.uniform(-SPAN, SPAN, size=(TRIAL_ARITY,) * 3),
+                                     Gauge.zero(TRIAL_ARITY))
 
 
-def _draw_trials(rng: np.random.Generator, size: int,
-                 needs_derivs: Callable[[np.ndarray], bool]) -> tuple:
-    """``size`` trials in draw order: per trial a second-kind torsion matrix,
-    then, where ``needs_derivs(torsion)``, a uniform (5, 5, 5) derivative draw
-    (zeros elsewhere).  Returns (torsion stack, derivative stack, drawn mask).
+# offsets of a derivative draw's blocks from its trial's torsion block
+_DERIV_BLOCKS = np.arange(1, TRIAL_ARITY + 1)
+# a chunk is read, walked and gathered in parts of at most this many trials:
+# the read-ahead stays near 150 KB, and the peak RSS of an identities run
+# where the one-trial loop had it (whole 256-trial reads added about 1 MB)
+_READ_TRIALS = 128
+
+
+class _TrialStream:
+    """The draws of a one-trial-at-a-time loop on ``rng``, read ahead in blocks.
+
+    Per trial that loop draws 5x5 torsion candidates until one is accepted
+    (:func:`_draw_torsion`), then, where the trial needs derivatives, one
+    (5, 5, 5) draw.  Every draw is a whole number of 25-double blocks, so the
+    stream draws its blocks ``(B, 5, 5)`` at a time, computes every block's
+    a25 and acceptance as arrays with the scalar code's float operations, and
+    walks the trial sequence with integer indices: the next accepted block,
+    then the five blocks after it where the trial draws.  ``derivs`` says
+    which trials draw: "always", "never", or "s-pivot" (those whose s-pivot
+    is not small).
+
+    Reading ahead leaves ``rng`` past the doubles the trials used, so the
+    stream must own it.  A read-ahead is sized from the trials still wanted,
+    and blocks are dropped only after the trials walked over them have been
+    gathered, so no index goes stale.
     """
-    t = np.empty((size,) + (TRIAL_ARITY,) * 2)
-    d = np.zeros((size,) + (TRIAL_ARITY,) * 3)
-    drawn = np.zeros(size, dtype=bool)
-    for i in range(size):
-        t[i] = _draw_torsion(rng)
-        if needs_derivs(t[i]):
-            d[i] = _draw_derivs(rng)
-            drawn[i] = True
-    return t, d, drawn
+
+    def __init__(self, rng: np.random.Generator, derivs: str):
+        self._rng = rng
+        self._derivs = derivs
+        self._per_trial = 1 if derivs == "never" else 1 + TRIAL_ARITY
+        self._raw = np.empty((0, TRIAL_ARITY, TRIAL_ARITY))
+        self._a25 = np.empty(0)
+        self._accepted = np.empty(0, dtype=bool)
+        self._draws = np.empty(0, dtype=bool)
+
+    def _need(self, trials: int) -> int:
+        """Blocks read ahead for ``trials`` trials, with slack for the ~2.6%
+        of rejected candidates."""
+        return self._per_trial * trials + trials // 32 + 2
+
+    @np.errstate(all="ignore")
+    def _read(self, blocks: int) -> None:
+        """Append ``blocks`` new blocks."""
+        raw = self._rng.uniform(-SPAN, SPAN, size=(blocks, TRIAL_ARITY, TRIAL_ARITY))
+        # the symmetrized entries, each as (vals + vals.T) / 2.0 computes it
+        a13, a14, a15, a23, a24 = ((_e(raw, p, q) + _e(raw, q, p)) / 2.0
+                                   for p, q in ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4)))
+        a25 = (a14 * a23 - a13 * a24 + a15 * a24 - a15 * a23) / (a14 - a13)
+        accepted = ~(np.abs(a14 - a13) < PIVOT_FLOOR) & ~(np.abs(a25) > 10 * SPAN)
+        if self._derivs == "always":
+            draws = np.ones(blocks, dtype=bool)
+        elif self._derivs == "never":
+            draws = np.zeros(blocks, dtype=bool)
+        else:  # "s-pivot", as _s_pivot on the solved matrix
+            draws = ~(np.abs(a23 - a25) < PIVOT_FLOOR)
+        self._raw = np.concatenate([self._raw, raw])
+        self._a25 = np.concatenate([self._a25, a25])
+        self._accepted = np.concatenate([self._accepted, accepted])
+        self._draws = np.concatenate([self._draws, draws])
+
+    def _walk(self, trials: int) -> tuple[np.ndarray, int]:
+        """The torsion blocks of the next whole trials in the buffer, at most
+        ``trials`` of them, and the block after the last.
+
+        The walk reads two tables: ``first[p]``, the first accepted block at
+        or after block ``p``, and ``jump[p]``, the block where the trial after
+        it starts; past the last accepted block both point past the end."""
+        n = len(self._accepted)
+        at = np.where(self._accepted, np.arange(n), n)
+        first = np.append(np.minimum.accumulate(at[::-1])[::-1], n)
+        jump = (first + np.append(1 + TRIAL_ARITY * self._draws, 1)[first]).tolist()
+        first = first.tolist()
+        start, p = [], 0
+        while len(start) < trials and jump[p] <= n:
+            start.append(first[p])
+            p = jump[p]
+        return np.array(start, dtype=np.intp), p
+
+    def draw(self, size: int) -> tuple:
+        """The next ``size`` trials: (torsion stack, derivative stack with zeros
+        where a trial draws none, or None if the stream draws none; drawn
+        mask)."""
+        t = np.empty((size,) + (TRIAL_ARITY,) * 2)
+        d = None if self._derivs == "never" else np.empty((size,) + (TRIAL_ARITY,) * 3)
+        drawn = np.empty(size, dtype=bool)
+        done = 0
+        while done < size:
+            need = self._need(min(size - done, _READ_TRIALS))
+            if len(self._accepted) < need:
+                self._read(need - len(self._accepted))
+            at, end = self._walk(size - done)
+            if not at.size:  # rejections used up the slack before one whole trial
+                self._read(need)
+                continue
+            part = slice(done, done + at.size)
+            block = self._raw[at]
+            t[part] = (block + block.swapaxes(-1, -2)) / 2.0
+            t[part, 1, 4] = t[part, 4, 1] = self._a25[at]
+            drawn[part] = self._draws[at]
+            if d is not None:
+                # a trial without a draw reads in-range blocks, then zeros
+                d[part] = self._raw[np.minimum(at[:, None] + _DERIV_BLOCKS, end - 1)]
+                d[part][~drawn[part]] = 0.0
+            self._raw, self._a25, self._accepted, self._draws = (
+                a[end:].copy() for a in (self._raw, self._a25, self._accepted, self._draws))
+            done += at.size
+        return t, d, drawn
 
 
 def _symmetrized(d: np.ndarray) -> np.ndarray:
@@ -330,12 +422,12 @@ def _symmetrized(d: np.ndarray) -> np.ndarray:
 def polynomial_sweep(trials: int, seed: int) -> float:
     """Worst relative residual of the polynomial identities over ``trials``
     second-kind torsion draws from ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
+    stream = _TrialStream(np.random.default_rng(seed), "never")
     worst = 0.0
     done = 0
     while done < trials:
         size = min(TRIAL_CHUNK, trials - done)
-        t = np.array([_draw_torsion(rng) for _ in range(size)])
+        t, _, _ = stream.draw(size)
         for _, values, scales in _polynomial_residuals(t):
             # per selection as ResidualSet.max_relative: a NaN propagates
             worst = running_max(worst, (np.abs(values) / scales).max(axis=-1))
@@ -409,14 +501,14 @@ def implication_test(trials: int, seed: int, imposed: tuple[str, str],
     """
     if set(imposed) | {checked} != set(_SYSTEMS) or len(set(imposed)) != 2:
         raise ValueError("imposed/checked must partition {'m', 'n', 'r'}")
-    rng = np.random.default_rng(seed)
+    stream = _TrialStream(np.random.default_rng(seed), "always")
     worst = 0.0
     rejected = 0
     done = 0
     while done < trials:
         # a chunk never holds more than the missing accepted trials, so every
         # trial in it is one the one-at-a-time loop would have drawn
-        t, d, _ = _draw_trials(rng, min(TRIAL_CHUNK, trials - done), lambda _: True)
+        t, d, _ = stream.draw(min(TRIAL_CHUNK, trials - done))
         accepted, trial_worst = _implication_trials(t, d, imposed, checked, levels)
         rejected += int(np.count_nonzero(~accepted))
         done += int(np.count_nonzero(accepted))
@@ -462,12 +554,11 @@ def witness_search(trials: int, seed: int, threshold: float = 1e-2) -> WitnessRe
     is usually among the first trials, so the chunks grow from one trial,
     doubling up to ``TRIAL_CHUNK``.
     """
-    rng = np.random.default_rng(seed)
+    stream = _TrialStream(np.random.default_rng(seed), "s-pivot")
     used = 0
     chunk = 1
     while used < trials:
-        t, d, drawn = _draw_trials(rng, min(chunk, trials - used),
-                                   lambda ti: not abs(_s_pivot(ti)) < PIVOT_FLOOR)
+        t, d, drawn = stream.draw(min(chunk, trials - used))
         s_rel, uv_rel = _witness_trials(t, d)
         hits = np.flatnonzero(drawn & (s_rel <= 1e-10) & (uv_rel > threshold))
         if hits.size:

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goursatkit import catalog
-from goursatkit.classify import (OVERSAMPLE, Box, TooFewRegularPoints, classify,
-                                 first_kind_pde_residual, first_kind_residual,
-                                 sample_regular_points, second_kind_pde_residual,
-                                 second_kind_residuals, torsion_minors)
+from goursatkit.classify import (OVERSAMPLE, Box, ClassificationReport,
+                                 TooFewRegularPoints, classify, first_kind_pde_residual,
+                                 first_kind_residual, sample_regular_points,
+                                 second_kind_pde_residual, second_kind_residuals,
+                                 torsion_minors)
 from goursatkit.expr import parse
 from goursatkit.web import TorsionTensor, WebFunction, torsion
 
@@ -237,3 +238,21 @@ class TestClassify:
         assert set(d) >= {"first_kind", "second_kind", "points",
                           "first_kind_residuals", "second_kind_residuals"}
         assert len(d["first_kind_residuals"]["torsion_form_rel"]) == 6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("form", [0, 1])
+    def test_non_finite_residual_in_either_form_fails_the_kind(self, bad, form):
+        # Python's max(a, nan) keeps a, so a NaN in the second (PDE) form once
+        # left the verdict true while a NaN in the first made it false
+        def report(rel):
+            forms = [np.zeros(3), np.zeros(3)]
+            forms[form] = rel
+            return ClassificationReport(
+                n=5, tol=1e-7, seed=0, points=np.zeros((3, 5)),
+                first_rel=forms[0], first_pde_rel=forms[1],
+                second_rel=forms[0].copy(), second_pde_rel=forms[1].copy())
+
+        clean = report(np.zeros(3))
+        assert clean.first_kind is True and clean.second_kind is True
+        rep = report(np.array([0.0, bad, 0.0]))
+        assert rep.first_kind is False and rep.second_kind is False

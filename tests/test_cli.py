@@ -6,6 +6,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from tempfile import TemporaryDirectory
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from goursatkit.classify import Box, sample_regular_points
 from goursatkit.exterior import NON_FINITE
 from goursatkit.web import derivative_bundle
 from goursatkit.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                            ConfigError, _consistency_assertions, build_web,
+                            MAX_COUNT, MAX_IDENTITY_TRIALS, ConfigError,
+                            _consistency_assertions, build_web,
                             builtin_checks, main, parse_config_text, run, selftest)
 from genexpr import EDGE_TREES, random_tree
 
@@ -413,6 +415,20 @@ class TestMain:
             assert main(["run", "--config", str(cfg)]) == EXIT_OK
         assert "Warning" not in capsys.readouterr().err
 
+    def test_non_finite_pde_form_fails_first_kind(self, tmp_path):
+        # every first-kind PDE residual is non-finite here; Python's
+        # max(0.0, nan) once made the verdict true
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[web]\nn = 5\nexpr = (x1+x2+x3+x4+x5)^400\n"
+                       "[sampling]\nbox = 0.5:1.5\ncount = 8\nseed = 0\n"
+                       "[suites]\nrun = classify\n")
+        out = tmp_path / "huge.json"
+        with redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(cfg), "--json", str(out)]) == EXIT_OK
+        c = json.loads(out.read_text())["classification"]
+        assert c["first_kind_residuals"]["pde_form_rel"] == [{"failure": "non-finite"}] * 8
+        assert c["first_kind"] is False
+
     def test_gauge_flag(self, tmp_path):
         cfg = tmp_path / "web.cfg"
         cfg.write_text(FAMILY_CFG)
@@ -524,6 +540,43 @@ class TestConfigFuzz:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(["run", "--config", str(cfg)])
         assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL)
+
+    # a run size past its cap is a config error; run() is replaced, so an
+    # over-cap value can never start a run, even if the check breaks
+    @given(st.sampled_from([("count", MAX_COUNT), ("identity_trials", MAX_IDENTITY_TRIALS)]),
+           st.integers(1, 10**12))
+    @example(("count", MAX_COUNT), 1)
+    @example(("identity_trials", MAX_IDENTITY_TRIALS), 1)
+    @example(("count", MAX_COUNT), 10**8 - MAX_COUNT)
+    @example(("identity_trials", MAX_IDENTITY_TRIALS), 10**11 - MAX_IDENTITY_TRIALS)
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_over_cap_size_exits_two(self, key_cap, excess):
+        key, cap = key_cap
+        i = next(i for i, line in enumerate(FUZZ_LINES) if line.startswith(key))
+        text = "\n".join(FUZZ_LINES[:i] + [f"{key} = {cap + excess}"] + FUZZ_LINES[i + 1:])
+        err = io.StringIO()
+        with TemporaryDirectory() as tmp, mock.patch(
+                "goursatkit.cli.run", side_effect=AssertionError("an over-cap config ran")):
+            cfg = Path(tmp) / "big.cfg"
+            cfg.write_text(text + "\n")
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["run", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert f"{key} must be between 1 and {cap}" in err.getvalue()
+
+    def test_points_flag_over_cap_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "web.cfg"
+        cfg.write_text(FUZZ_CFG)
+        with mock.patch("goursatkit.cli.run", side_effect=AssertionError("an over-cap config ran")):
+            assert main(["run", "--config", str(cfg), "--points", str(MAX_COUNT + 1)]) == EXIT_CONFIG
+        assert f"count must be between 1 and {MAX_COUNT}" in capsys.readouterr().err
+
+    def test_sizes_at_cap_validate(self):
+        # validated only: a run at the caps would take minutes
+        text = FUZZ_CFG.replace("count = 3", f"count = {MAX_COUNT}").replace(
+            "identity_trials = 5", f"identity_trials = {MAX_IDENTITY_TRIALS}")
+        config = parse_config_text(text)
+        assert (config.count, config.identity_trials) == (MAX_COUNT, MAX_IDENTITY_TRIALS)
 
 
 # a generated tree, alone or added to a regular web, optionally with a tree

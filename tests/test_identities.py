@@ -10,8 +10,9 @@ from goursatkit.classify import SCALE_FLOOR, second_kind_residuals, torsion_mino
 from goursatkit.families import family_web
 from goursatkit.identities import (M_COEFFS, TRIAL_CHUNK, ConditionValues,
                                    ImplicationResult, ResidualSet, WitnessResult,
-                                   condition_values, first_kind_derivative_residuals,
-                                   implication_test, polynomial_sweep, sample_derivs,
+                                   _READ_TRIALS, _TrialStream, condition_values,
+                                   first_kind_derivative_residuals, implication_test,
+                                   polynomial_sweep, sample_derivs,
                                    sample_second_kind_torsion,
                                    second_kind_polynomial_residuals, witness_search)
 from goursatkit.web import Gauge, PfaffianDerivs, TorsionTensor, pfaffian_derivs, torsion
@@ -505,3 +506,171 @@ class TestMatchesScalarReference:
         got, want = second_kind_polynomial_residuals(t), ref_polynomial_residuals(t)
         assert repr({k: v.scales.tolist() for k, v in got.items()}) == repr(
             {k: v.scales.tolist() for k, v in want.items()})
+
+
+# --- the read-ahead draw stream ---------------------------------------------
+
+DEFAULT_RNG = np.random.default_rng
+
+
+class BlockLog:
+    """A generator that records its uniform draws by 25-double block:
+    (first block, blocks, values) per call."""
+
+    def __init__(self, seed):
+        self._rng = DEFAULT_RNG(seed)
+        self.draws = []
+        self.blocks = 0
+
+    def uniform(self, low, high, size):
+        out = self._rng.uniform(low, high, size)
+        self.draws.append((self.blocks, out.size // 25, out))
+        self.blocks += out.size // 25
+        return out
+
+
+def logged(monkeypatch, fn, *args):
+    """``fn(*args)`` and the BlockLog of the one generator it makes."""
+    logs = []
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", lambda seed: logs.append(BlockLog(seed)) or logs[-1])
+        result = fn(*args)
+    (log,) = logs
+    return result, log
+
+
+def read_ends(log):
+    """The last block of each read-ahead in a stream's log."""
+    return {first + blocks - 1 for first, blocks, _ in log.draws}
+
+
+def ref_accepts(block):
+    """Whether ref_sample_torsion keeps the candidate drawn as ``block``."""
+    class OneDraw:
+        calls = 0
+
+        def uniform(self, low, high, size):
+            self.calls += 1
+            if self.calls > 1:
+                raise LookupError("candidate rejected")
+            return block.copy()
+
+    try:
+        ref_sample_torsion(OneDraw())
+    except LookupError:
+        return False
+    return True
+
+
+def candidates_without_derivs(ref_log):
+    """(block, accepted) of each torsion candidate in a scalar reference's log
+    that is not followed by a derivative draw: rejected, or s-pivot skipped."""
+    draws = ref_log.draws + [(None, None, None)]
+    return [(first, ref_accepts(values))
+            for (first, blocks, values), (_, following, _) in zip(draws, draws[1:])
+            if blocks == 1 and following == 1]
+
+
+class Replay:
+    """A generator that serves fixed doubles in order, whatever the draw shapes."""
+
+    def __init__(self, doubles):
+        self._doubles = doubles
+        self._at = 0
+        self.calls = 0
+
+    def uniform(self, low, high, size):
+        self.calls += 1
+        k = int(np.prod(size))
+        out = self._doubles[self._at:self._at + k].reshape(size)
+        self._at += k
+        return out.copy()
+
+
+def hostile_blocks(seed, blocks=12000):
+    """Uniform 25-double blocks with bursts of up to 40 rejected candidates
+    (a14 = a13: zero pivot) and scattered s-pivot skips (a15 = a13 gives
+    a25 = a23 up to rounding)."""
+    rng = DEFAULT_RNG(seed)
+    v = rng.uniform(-2.0, 2.0, size=(blocks, 5, 5))
+    for start in rng.integers(0, blocks - 40, size=blocks // 60):
+        burst = slice(start, start + rng.integers(1, 41))
+        v[burst, 0, 3] = v[burst, 3, 0] = v[burst, 0, 2]
+        v[burst, 2, 0] = v[burst, 0, 2]
+    for b in rng.integers(0, blocks, size=blocks // 40):
+        v[b, 0, 4] = v[b, 4, 0] = v[b, 0, 2]
+        v[b, 2, 0] = v[b, 0, 2]
+    return v.ravel()
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestReadAheadStream:
+    """The block stream against the scalar references where the chunk tests
+    above cannot reach: refills, and the walk at the end of a read-ahead.
+    Each case asserts that its seed still reaches the edge it is named for."""
+
+    def test_refills_inside_chunks(self, monkeypatch):
+        # seed 9: 300 torsion draws, in chunks of 256 and 44, are read in three
+        # parts, and twice the rejections outrun a part's slack: five reads
+        got, log = logged(monkeypatch, polynomial_sweep, 300, 9)
+        assert len(log.draws) == 5
+        assert got == ref_polynomial_sweep(300, 9)
+
+    @pytest.mark.parametrize("imposed,checked", PAIRINGS[1:])
+    def test_rejected_candidate_ends_a_read_ahead(self, monkeypatch, imposed, checked):
+        got, log = logged(monkeypatch, implication_test, 40, 178, imposed, checked)
+        ref, ref_log = logged(monkeypatch, ref_implication_test, 40, 178, imposed, checked)
+        assert got == ref
+        assert any(b in read_ends(log) and not accepted
+                   for b, accepted in candidates_without_derivs(ref_log))
+
+    def test_rejected_candidate_ends_a_witness_read_ahead(self, monkeypatch):
+        got, log = logged(monkeypatch, witness_search, 40, 9, 10.0)
+        ref, ref_log = logged(monkeypatch, ref_witness_search, 40, 9, 10.0)
+        assert same_witness(got, ref)
+        assert (19, False) in candidates_without_derivs(ref_log)
+        assert 19 in read_ends(log)
+
+    @pytest.mark.parametrize("seed,block", [(1042, 43), (68, 91)])
+    def test_s_pivot_skip_ends_a_read_ahead(self, monkeypatch, seed, block):
+        got, log = logged(monkeypatch, witness_search, 30, seed, 10.0)
+        ref, ref_log = logged(monkeypatch, ref_witness_search, 30, seed, 10.0)
+        assert same_witness(got, ref)
+        assert (block, True) in candidates_without_derivs(ref_log)  # accepted, skipped
+        assert block in read_ends(log)
+
+    @pytest.mark.parametrize("derivs", ["always", "never", "s-pivot"])
+    @pytest.mark.parametrize("source", ["uniform", "hostile"])
+    def test_stacks_equal_the_public_samplers(self, derivs, source):
+        # one stream against a one-trial loop of the public samplers on the
+        # same doubles, bit for bit; the hostile doubles overrun the slack of
+        # the read-ahead with long runs of rejected candidates, some longer
+        # than a whole read
+        def generator():
+            return DEFAULT_RNG(4) if source == "uniform" else Replay(hostile_blocks(4))
+
+        source_rng = generator()
+        stream = _TrialStream(source_rng, derivs)
+        rng = generator()
+        sizes = (1, 2, 5, TRIAL_CHUNK, 17, TRIAL_CHUNK, 3, TRIAL_CHUNK - 1)
+        for size in sizes:
+            t, d, drawn = stream.draw(size)
+            for i in range(size):
+                want_t = sample_second_kind_torsion(rng)
+                pivot = want_t.entry(2, 3) - want_t.entry(2, 5)
+                draws = {"always": True, "never": False,
+                         "s-pivot": not abs(pivot) < 1e-3}[derivs]
+                assert drawn[i] == draws
+                assert np.array_equal(bits(TorsionTensor.from_matrix(t[i]).values),
+                                      bits(want_t.values))
+                if draws:
+                    assert np.array_equal(bits(PfaffianDerivs.from_array(d[i]).values),
+                                          bits(sample_derivs(rng).values))
+                elif d is not None:
+                    assert not d[i].any()
+            assert (d is None) == (derivs == "never")
+        if source == "hostile":  # more reads than the parts of the chunks
+            assert source_rng.calls > sum(-(-size // _READ_TRIALS) for size in sizes)
