@@ -15,12 +15,11 @@ import time
 import numpy as np
 
 from goursatkit import catalog
-from goursatkit.classify import (first_kind_pde_residual, first_kind_residual,
-                                 sample_regular_points, second_kind_pde_residual,
-                                 second_kind_residuals)
-from goursatkit.exterior import frobenius_residual, make_system
+from goursatkit.classify import (first_kind_pde, first_kind_residual, running_max,
+                                 sample_bundle, second_kind_pde, second_kind_residuals)
+from goursatkit.exterior import frobenius_reports, make_system
 from goursatkit.families import family_web
-from goursatkit.web import torsion
+from goursatkit.web import TorsionTensor
 
 
 def main() -> int:
@@ -38,14 +37,12 @@ def main() -> int:
         n = 4 if trial % 2 == 0 else 5
         spec = catalog.random_first_kind_spec(rng, n)
         web = family_web(spec)
-        pts = sample_regular_points(web, catalog.family_box(n), args.points, seed=trial)
-        for p in pts:
-            worst14 = max(worst14, first_kind_residual(torsion(web, p))[1])
-            worst_pde = max(worst_pde, first_kind_pde_residual(web, p)[1])
+        b = sample_bundle(web, catalog.family_box(n), args.points, seed=trial)
+        worst14 = running_max(worst14, first_kind_residual(TorsionTensor(n, b.torsion_values()))[1])
+        worst_pde = running_max(worst_pde, first_kind_pde(b)[1])
         if n >= 5:
-            system = make_system(web, "THETA_RHO")
-            worst_frob = max(worst_frob,
-                             frobenius_residual(system, pts[0]).max_residual)
+            report, = frobenius_reports(make_system(web, "THETA_RHO"), b.points[:1], b=b[:1])
+            worst_frob = max(worst_frob, report.max_residual)
     print(f"first kind, {args.specs} specs x {args.points} points "
           f"({time.perf_counter() - t0:.2f}s):")
     print(f"  torsion-form residual  max {worst14:.3e}")
@@ -57,11 +54,10 @@ def main() -> int:
     for trial in range(args.specs):
         n = 5 if trial % 2 == 0 else 6
         spec = catalog.random_second_kind_spec(rng, n)
-        web = family_web(spec)
-        pts = sample_regular_points(web, catalog.family_box(n), args.points, seed=trial)
-        for p in pts:
-            worst24 = max(worst24, second_kind_residuals(torsion(web, p)).det24_rel)
-            worst29 = max(worst29, second_kind_pde_residual(web, p)[1])
+        b = sample_bundle(family_web(spec), catalog.family_box(n), args.points, seed=trial)
+        worst24 = running_max(worst24,
+                              second_kind_residuals(TorsionTensor(n, b.torsion_values())).det24_rel)
+        worst29 = running_max(worst29, second_kind_pde(b)[1])
     print(f"second kind, {args.specs} specs x {args.points} points "
           f"({time.perf_counter() - t0:.2f}s):")
     print(f"  determinant residual   max {worst24:.3e}")

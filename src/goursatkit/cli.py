@@ -180,6 +180,9 @@ _KEYS = {
     ("suites", "frobenius_systems"): ("frobenius_systems", _names),
     ("suites", "identity_trials"): ("identity_trials", int),
 }
+# the keys _config reads itself; with _KEYS, every key a config may set
+_OTHER_KEYS = {("web", "n"), ("web", "source"), ("family", "kind"), ("sampling", "box"),
+               ("gauge", "w"), ("suites", "run"), ("tolerances", "order")}
 _EXPECTED = {int: "an integer", float: "a number"}  # for the converters that can fail
 
 
@@ -211,6 +214,10 @@ def _sections(text: str) -> dict[str, dict[str, str]]:
 
 def _config(sections: dict[str, dict[str, str]]) -> RunConfig:
     """The validated RunConfig of the key texts in ``sections``."""
+    unknown = [f"[{section}] {key}" for section, keys in sections.items() for key in keys
+               if (section, key) not in _KEYS and (section, key) not in _OTHER_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown config key: {', '.join(unknown)}")
 
     def read(section: str, key: str, convert=str, default=None):
         raw = sections.get(section, {}).get(key)
@@ -601,6 +608,11 @@ def run(config: RunConfig) -> RunReport:
     return report
 
 
+def _worst(residuals: dict) -> float:
+    """A kind's largest residual over both forms, NaN if any is (as its verdict)."""
+    return float(np.max(list(residuals.values())))
+
+
 def render_human(report: RunReport) -> str:
     lines = [f"goursatkit {__version__} :: schema {SCHEMA_VERSION}"]
     cfg = report.config
@@ -611,10 +623,10 @@ def render_human(report: RunReport) -> str:
         c = report.classification
         lines.append("classification:")
         lines.append(f"  first_kind:  {c['first_kind']}"
-                     f"  (max rel residual {max(c['first_kind_residuals']['torsion_form_rel']):.3e})")
+                     f"  (max rel residual {_worst(c['first_kind_residuals']):.3e})")
         if c.get("second_kind") is not None:
             lines.append(f"  second_kind: {c['second_kind']}"
-                         f"  (max rel residual {max(c['second_kind_residuals']['det_form_rel']):.3e})")
+                         f"  (max rel residual {_worst(c['second_kind_residuals']):.3e})")
         if any(c["degenerate_rows"]):
             lines.append("  note: torsion row(s) vanish; verdicts are vacuous")
     for entry in report.frobenius:

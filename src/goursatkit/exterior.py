@@ -30,7 +30,7 @@ import numpy as np
 
 from .classify import fold_max
 from .jets import Jet, _partial_index, constant, space
-from .web import JET_ORDER, DerivativeBundle, Point, WebFunction, as_point
+from .web import JET_ORDER, DerivativeBundle, Point, WebFunction, as_point, derivative_bundle
 
 RANK_TOL = 1e-8  # singular values below this fraction of the largest count as zero
 DEFAULT_FROBENIUS_TOL = 1e-7
@@ -79,13 +79,15 @@ class CoFormField:
 
 @dataclass(frozen=True)
 class PfaffianSystem:
-    """Named list of 1-form fields plus constant coordinate forms dx_s."""
+    """Named list of 1-form fields plus constant coordinate forms dx_s; a
+    ``SYSTEMS`` system keeps the web its rows are read from."""
 
     name: str
     arity: int
     fields: tuple[CoFormField, ...]
     sigma: tuple[int, ...] = ()
     expected_kernel_dim: int | None = None
+    web: WebFunction | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.fields) + len(self.sigma) > self.arity:
@@ -194,17 +196,20 @@ def make_system(web: WebFunction, name: str) -> PfaffianSystem:
     rows, first_sigma, kernel_dim = SYSTEMS[name]
     fields = tuple(CoFormField(n, _row_label(row), partial(_row_at, web, row), row)
                    for row in rows)
-    return PfaffianSystem(name, n, fields, tuple(range(first_sigma, n + 1)), kernel_dim)
+    return PfaffianSystem(name, n, fields, tuple(range(first_sigma, n + 1)), kernel_dim, web)
 
 
 def coefficient_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
-    return np.array([g.coefficients(p) for g in sys.generators])
+    return _generators(sys, [p])[0][0]
 
 
 def _generators(sys: PfaffianSystem, points, b: DerivativeBundle | None = None) -> tuple:
     """Coefficients (N, k, n) of the generators and their exterior derivatives
     dtheta = J.T - J (N, k, n, n), filled one generator at a time: rows run
-    on the bundle's batch jet, other fields stack their ``evaluate`` output."""
+    on the batch jet of ``b`` (by default, of the web at ``points``, if any),
+    other fields stack their ``evaluate`` output."""
+    if b is None and sys.web is not None:
+        b = derivative_bundle(sys.web, points)
     gens = sys.generators
     jet = None if b is None else Jet(space(sys.arity, JET_ORDER), b.data.T)
     coeffs = np.empty((len(points), len(gens), sys.arity))

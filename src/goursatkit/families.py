@@ -270,8 +270,8 @@ def family_web(spec: FamilySpec) -> WebFunction:
 
     Every Newton solve starts at the spec's a0, so a(x) depends on x alone;
     the solves of an evaluated batch run together, batched over points, and
-    so do the jets at the roots.  There is no root cache: the web's
-    per-point jet memo already solves each point once.
+    so do the jets at the roots.  There is no root cache: a run evaluates
+    each point once.
     """
     n = spec.arity
 

@@ -20,8 +20,8 @@ from . import web as W
 # the package re-exports the classify() operation under the module's name,
 # so pull the classify-module helpers in directly
 from .classify import (classify as classify_web, first_kind_pde_residual,
-                       first_kind_residual, sample_regular_points,
-                       second_kind_residuals, torsion_minors)
+                       first_kind_residual, sample_bundle, second_kind_residuals,
+                       torsion_minors)
 from .expr import ExprSyntaxError, evaluate, parse
 
 
@@ -253,27 +253,32 @@ def check_frobenius_contact():
 def check_frobenius_family():
     rng = np.random.default_rng(14)
     spec, web, box = catalog.random_family_web(rng, "first", 5)
-    pts = sample_regular_points(web, box, 4, seed=2)
+    b = sample_bundle(web, box, 4, seed=2)
     system = E.make_system(web, "THETA_RHO")
-    worst = max(E.frobenius_residual(system, p).max_residual for p in pts)
+    worst = max(r.max_residual for r in E.frobenius_reports(system, b.points, b=b))
     return worst <= 1e-7, f"max residual {worst:.3e}"
 
 
 def check_rank_claims():
     rng = np.random.default_rng(15)
     _, web1, box1 = catalog.random_family_web(rng, "first", 5)
-    p1 = sample_regular_points(web1, box1, 1, seed=3)[0]
+    b1 = sample_bundle(web1, box1, 1, seed=3)
     _, web2, box2 = catalog.random_family_web(rng, "second", 5)
-    p2 = sample_regular_points(web2, box2, 1, seed=3)[0]
+    b2 = sample_bundle(web2, box2, 1, seed=3)
     ctrl = catalog.control_web(5)
-    pc = sample_regular_points(ctrl, catalog.control_box(5), 1, seed=3)[0]
+    bc = sample_bundle(ctrl, catalog.control_box(5), 1, seed=3)
+
+    def kernel_dim(web, name, b):
+        report, = E.frobenius_reports(E.make_system(web, name), b.points, b=b)
+        return report.kernel_dim
+
     dims = (
-        E.rank_at(E.make_system(web1, "S10_11"), p1)[1],
-        E.rank_at(E.make_system(ctrl, "S10_11"), pc)[1],
-        E.rank_at(E.make_system(web2, "DELTA2"), p2)[1],
-        E.rank_at(E.make_system(ctrl, "DELTA2"), pc)[1],
-        E.rank_at(E.make_system(web2, "DELTA3"), p2)[1],
-        E.rank_at(E.make_system(ctrl, "DELTA3"), pc)[1],
+        kernel_dim(web1, "S10_11", b1),
+        kernel_dim(ctrl, "S10_11", bc),
+        kernel_dim(web2, "DELTA2", b2),
+        kernel_dim(ctrl, "DELTA2", bc),
+        kernel_dim(web2, "DELTA3", b2),
+        kernel_dim(ctrl, "DELTA3", bc),
     )
     return dims == (3, 2, 2, 1, 3, 2), f"kernel dims {dims}"
 
@@ -297,17 +302,15 @@ def check_minors():
 def check_eq15_family():
     web = F.family_web(catalog.first_kind_demo_spec())
     rng = np.random.default_rng(17)
-    worst = 0.0
-    gworst = 0.0
-    for _ in range(3):
-        p = rng.uniform(0.8, 1.2, 4)
-        t = W.torsion(web, p)
-        d = W.pfaffian_derivs(web, p)
-        rs = I.first_kind_derivative_residuals(t, d)
-        worst = max(worst, rs.max_relative)
-        g = W.Gauge.of(rng.uniform(-1, 1, 4))
-        rs_g = I.first_kind_derivative_residuals(t, W.pfaffian_derivs(web, p, g))
-        gworst = max(gworst, float(np.abs(rs_g.values - rs.values).max()))
+    # drawn in turn: a point, then its gauge
+    draws = [(rng.uniform(0.8, 1.2, 4), rng.uniform(-1, 1, 4)) for _ in range(3)]
+    b = W.derivative_bundle(web, [p for p, _ in draws])
+    t = W.TorsionTensor(4, b.torsion_values())
+    rs = I.first_kind_derivative_residuals(t, W.PfaffianDerivs(4, b.pfaffian_values(np.zeros(4))))
+    rs_g = I.first_kind_derivative_residuals(
+        t, W.PfaffianDerivs(4, b.pfaffian_values([g for _, g in draws])))
+    worst = rs.max_relative
+    gworst = float(np.abs(rs_g.values - rs.values).max())
     return worst < 1e-7 and gworst < 1e-9, f"max rel {worst:.2e}, gauge diff {gworst:.2e}"
 
 

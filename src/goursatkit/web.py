@@ -23,12 +23,11 @@ Jets of F are taken to the fixed order ``JET_ORDER = 3``, the order a_abg
 needs.  A web evaluates a batch of points in one call (sampling passes each
 draw batch); a run keeps its accepted draws' jets as a :class:`DerivativeBundle`
 of stacked F_i, F_ij, F_ijk, which every suite reads; the per-point
-functions here are one-point bundles, served by the web's jet memo.
+functions here are one-point bundles, each evaluated in one call.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -39,7 +38,6 @@ from .jets import Jet, derivative_index, space
 JET_ORDER = 3  # every jet is evaluated to this order; lower orders are its prefix
 REGULARITY_THRESHOLD = 1e-9  # |F_a| at or below this fails the co-frame
 DEGENERACY_TOL = 1e-10  # a torsion entry below this counts as vanishing
-_MEMO_SIZE = 4096  # points per web; the memo is cleared when full
 
 Point = np.ndarray
 
@@ -112,48 +110,28 @@ class WebFunction:
     evaluation from concurrent tasks over distinct points is safe for the
     built-in constructors.
 
-    Each point's jet is kept in a per-web memo keyed by the point's bytes
-    (at most ``_MEMO_SIZE`` points; the memo is cleared when full) for
-    one-point calls; a run takes its jets from sampling.  :meth:`jet` serves
-    a lower order as the prefix of that jet, which is exactly the jet a
-    direct evaluation at the lower order gives.  The regularity check
-    runs on every call and also rejects a point whose order-``JET_ORDER``
-    jet has a non-finite entry; a point the evaluator failed at leaves
-    nothing in the memo.
+    Every call evaluates its points; a run takes its jets from sampling.
+    :meth:`jet` serves a lower order as the prefix of the order-``JET_ORDER``
+    jet, which is exactly the jet a direct evaluation at the lower order
+    gives.  The regularity check also rejects a point whose jet has a
+    non-finite entry.
     """
 
     arity: int
     evaluator: Callable[[np.ndarray], "tuple[Jet, list]"]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _memo_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                       repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity < 4:
             raise ValueError("webs of this family need arity n >= 4")
 
     def jets(self, points, check_regularity: bool = True) -> tuple[np.ndarray, list]:
-        """Order-``JET_ORDER`` jet rows ``(N, size)`` at ``points`` and one
-        failure per point (None where the point is usable).  The points not
-        in the memo are evaluated in one evaluator call."""
+        """Order-``JET_ORDER`` jet rows ``(N, size)`` at ``points``, evaluated
+        in one evaluator call, and one failure per point (None where the
+        point is usable)."""
         n = self.arity
         pts = as_points(points, n)
-        keys = [p.tobytes() for p in pts]
-        with self._memo_lock:
-            rows = [self._memo.get(key) for key in keys]
-        failures: list = [None] * len(keys)
-        missing = [i for i, row in enumerate(rows) if row is None]
-        if missing:
-            jet, missed = self.evaluator(pts[missing])
-            fresh = np.ascontiguousarray(jet.data.T)
-            with self._memo_lock:
-                for i, row, failure in zip(missing, fresh, missed):
-                    rows[i], failures[i] = row, failure
-                    if failure is None:
-                        if len(self._memo) >= _MEMO_SIZE:
-                            self._memo.clear()
-                        self._memo[keys[i]] = row
-        data = np.array(rows).reshape(len(keys), space(n, JET_ORDER).size)
+        jet, failures = self.evaluator(pts)
+        data, failures = np.ascontiguousarray(jet.data.T), list(failures)
         if check_regularity:
             small = np.abs(data[:, 1:n + 1]) <= REGULARITY_THRESHOLD
             finite = np.isfinite(data).all(axis=1)
@@ -349,8 +327,8 @@ class DerivativeBundle:
 
 
 def derivative_bundle(web: WebFunction, points) -> DerivativeBundle:
-    """The jet rows of ``points``, from the web's memo or evaluated in one
-    call; raises the first point's failure, if any."""
+    """The jet rows of ``points``, evaluated in one call; raises the first
+    point's failure, if any."""
     pts = as_points(points, web.arity)
     data, failures = web.jets(pts)
     for failure in failures:

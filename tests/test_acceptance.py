@@ -9,8 +9,8 @@ import pytest
 
 from goursatkit import catalog
 from goursatkit import jets as J
-from goursatkit.classify import (first_kind_pde_residual, first_kind_residual,
-                                 sample_regular_points, second_kind_pde_residual,
+from goursatkit.classify import (first_kind_pde, first_kind_residual, running_max,
+                                 sample_bundle, sample_regular_points, second_kind_pde,
                                  second_kind_residuals)
 from goursatkit.exterior import frobenius_residual, make_system, rank_at
 from goursatkit.expr import evaluate, parse
@@ -46,13 +46,9 @@ def test_02_first_kind_family_soundness():
     for trial in range(25):
         n = 4 if trial % 2 == 0 else 5
         spec = catalog.random_first_kind_spec(rng, n, quadratic_tail=(trial % 5 == 0))
-        web = family_web(spec)
-        points = sample_regular_points(web, catalog.family_box(n), 10, seed=trial)
-        for p in points:
-            _, rel14 = first_kind_residual(torsion(web, p))
-            _, rel_pde = first_kind_pde_residual(web, p)
-            worst14 = max(worst14, rel14)
-            worst_pde = max(worst_pde, rel_pde)
+        b = sample_bundle(family_web(spec), catalog.family_box(n), 10, seed=trial)
+        worst14 = running_max(worst14, first_kind_residual(TorsionTensor(n, b.torsion_values()))[1])
+        worst_pde = running_max(worst_pde, first_kind_pde(b)[1])
     _report("2", worst14 <= 1e-8 and worst_pde <= 1e-8,
             f"25 specs x 10 points: max rel residuals torsion {worst14:.3e}, "
             f"pde {worst_pde:.3e} (tol 1e-8)")
@@ -64,13 +60,10 @@ def test_03_second_kind_family_soundness():
     for trial in range(25):
         n = 5 if trial % 2 == 0 else 6
         spec = catalog.random_second_kind_spec(rng, n)
-        web = family_web(spec)
-        points = sample_regular_points(web, catalog.family_box(n), 10, seed=trial)
-        for p in points:
-            res = second_kind_residuals(torsion(web, p))
-            _, rel29 = second_kind_pde_residual(web, p)
-            worst24 = max(worst24, res.det24_rel)
-            worst29 = max(worst29, rel29)
+        b = sample_bundle(family_web(spec), catalog.family_box(n), 10, seed=trial)
+        worst24 = running_max(worst24,
+                              second_kind_residuals(TorsionTensor(n, b.torsion_values())).det24_rel)
+        worst29 = running_max(worst29, second_kind_pde(b)[1])
     _report("3", worst24 <= 1e-8 and worst29 <= 1e-8,
             f"25 specs x 10 points: max rel residuals det {worst24:.3e}, "
             f"pde {worst29:.3e} (tol 1e-8)")

@@ -161,14 +161,11 @@ class TestRun:
 
     def test_one_evaluation_per_draw_in_a_run(self, monkeypatch):
         # every suite reads the bundle: each drawn point is evaluated once,
-        # in one evaluator call per draw batch, and nothing after sampling,
-        # also when the sample outgrows the web's jet memo (closed-n8 case)
+        # in one evaluator call per draw batch, and nothing after sampling
         import goursatkit.cli as cli_module
-        import goursatkit.web as web_module
         build = cli_module.build_web
         sample = Box.sample
-        for name, count, memo_size in (("family2-n6", 8, 4096), ("closed-n8", 16, 4)):
-            monkeypatch.setattr(web_module, "_MEMO_SIZE", memo_size)
+        for name, count in (("family2-n6", 8), ("closed-n8", 16)):
             cfg = parse_config_text((GOLDEN / f"{name}.cfg").read_text())
             cfg.count = count
             drawn, evaluated, batches = [], [], []
@@ -354,6 +351,16 @@ class TestMain:
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_unknown_section_and_key_exit_two(self, tmp_path, capsys):
+        # a [run] section in place of [suites] and a misspelt count once ran
+        # every suite with the defaults
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(PRODUCT_CFG.replace("[suites]", "[run]").replace("count = 8", "cout = 8"))
+        with mock.patch("goursatkit.cli.run", side_effect=AssertionError("a mistyped config ran")):
+            assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "[run]" in err and "[sampling] cout" in err
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["run", "--config", "/no/such/file.cfg"]) == EXIT_CONFIG
         capsys.readouterr()
@@ -417,17 +424,22 @@ class TestMain:
 
     def test_non_finite_pde_form_fails_first_kind(self, tmp_path):
         # every first-kind PDE residual is non-finite here; Python's
-        # max(0.0, nan) once made the verdict true
+        # max(0.0, nan) once made the verdict true, and the human output
+        # once printed the torsion form's 0.000e+00 beside the false verdict
         cfg = tmp_path / "huge.cfg"
         cfg.write_text("[web]\nn = 5\nexpr = (x1+x2+x3+x4+x5)^400\n"
                        "[sampling]\nbox = 0.5:1.5\ncount = 8\nseed = 0\n"
                        "[suites]\nrun = classify\n")
         out = tmp_path / "huge.json"
-        with redirect_stdout(io.StringIO()):
+        human = io.StringIO()
+        with redirect_stdout(human):
             assert main(["run", "--config", str(cfg), "--json", str(out)]) == EXIT_OK
         c = json.loads(out.read_text())["classification"]
         assert c["first_kind_residuals"]["pde_form_rel"] == [{"failure": "non-finite"}] * 8
         assert c["first_kind"] is False
+        line, = [l for l in human.getvalue().splitlines() if "first_kind:" in l]
+        assert "False" in line
+        assert not float(line.split("max rel residual ")[1].rstrip(")")) < c["tol"]
 
     def test_gauge_flag(self, tmp_path):
         cfg = tmp_path / "web.cfg"

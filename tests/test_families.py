@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from goursatkit import catalog
-from goursatkit.classify import (classify, first_kind_residual, sample_regular_points,
+from goursatkit.classify import (first_kind_residual, sample_regular_points,
                                  second_kind_pde_residual, second_kind_residuals)
-from goursatkit.exterior import frobenius_residual, make_system
+from goursatkit.exterior import (coefficient_matrix, frobenius_residual, kernel_basis,
+                                 make_system, rank_at)
 from goursatkit.expr import evaluate, parse
 from goursatkit.families import (NEWTON_MAX_ITER, FamilySpec, FamilySpecError, NoConvergence,
                                  SingularEnvelope, constraint, family_web, parameter_jet,
@@ -269,13 +270,14 @@ class TestFamilyWeb:
         assert rel > 1e-3
 
 
-def _count_evaluations(web):
-    """Record the bytes of every point the web's evaluator is called on."""
+def _record_evaluations(web):
+    """Record the points of every call to the web's evaluator, one list of
+    point bytes per call."""
     calls = []
     inner = web.evaluator
 
     def evaluator(points):
-        calls.extend(p.tobytes() for p in points)
+        calls.append([p.tobytes() for p in points])
         return inner(points)
 
     web.evaluator = evaluator
@@ -287,14 +289,17 @@ def _count_evaluations(web):
     lambda: (family_web(catalog.second_kind_demo_spec()), catalog.family_box(5)),
 ], ids=["closed-form", "family"])
 def test_one_evaluation_per_point(make):
+    # each public one-point call evaluates its point in one evaluator call
     web, box = make()
-    calls = _count_evaluations(web)
-    points = sample_regular_points(web, box, 6, seed=4)
+    points = sample_regular_points(web, box, 3, seed=4)
     system = make_system(web, "THETA_RHO")
+    calls = _record_evaluations(web)
+    one_point_calls = [lambda p: torsion(web, p), lambda p: pfaffian_derivs(web, p),
+                       lambda p: frobenius_residual(system, p),
+                       lambda p: rank_at(system, p), lambda p: kernel_basis(system, p),
+                       lambda p: coefficient_matrix(system, p)]
     for p in points:
-        torsion(web, p)
-        pfaffian_derivs(web, p)
-        frobenius_residual(system, p)
-    classify(web, box, 6, seed=4)
-    # every draw was regular on these boxes, so the draws are the points
-    assert len(calls) == len(points) == len({p.tobytes() for p in points})
+        for call in one_point_calls:
+            calls.clear()
+            call(p)
+            assert calls == [[p.tobytes()]]

@@ -155,7 +155,7 @@ class TestPfaffianDerivs:
 
 class TestWebFunction:
     def test_jet_order_consistency(self):
-        # the memoized order-3 jet must truncate to the bits of an independent
+        # the order-3 jet must truncate to the bits of an independent
         # order-2 evaluation of the same expression (catalog.control_web(4))
         expression = parse("x1*x3 + x2*x4 + x1*x4 + x1^2*x3^2/4", 4)
         web = WebFunction.from_expr(expression)
@@ -165,24 +165,6 @@ class TestWebFunction:
         assert j2.order == 2
         assert np.array_equal(web.jet(p, 3).data[: j2.space.size], j2.data)
         assert np.array_equal(web.jet(p, 2).data, j2.data)
-
-    def test_memo_serves_every_order_from_one_evaluation(self):
-        web = catalog.control_web(4)
-        calls = []
-        inner = web.evaluator
-        web.evaluator = lambda points: calls.append(len(points)) or inner(points)
-        p = [1.2, 0.8, 1.1, 0.9]
-        for order in (1, 3, 2, 1):
-            assert web.jet(p, order).order == order
-        assert calls == [1]
-
-    def test_memo_is_bounded(self, monkeypatch):
-        import goursatkit.web as web_module
-        monkeypatch.setattr(web_module, "_MEMO_SIZE", 3)
-        web = catalog.control_web(4)
-        for i in range(7):
-            web.jet([1.0 + 0.01 * i, 1.0, 1.0, 1.0], 1)
-            assert len(web._memo) <= 3
 
     def test_irregular_point_raises_on_every_call(self):
         web = WebFunction.from_expr(parse("x1*x3", 4))
@@ -201,7 +183,7 @@ class TestWebFunction:
         assert not web.is_regular(p)
         assert web.is_regular([0.002, 1.0, 1.0, 1.0])
 
-    def test_failed_evaluation_is_not_memoized(self):
+    def test_failed_evaluation_is_evaluated_again(self):
         from goursatkit.jets import JetDomainError
         web = WebFunction.from_expr(parse("ln(x1) + x2*x3 + x4", 4))
         calls = []
