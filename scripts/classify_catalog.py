@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 
 from goursatkit import catalog
-from goursatkit.classify import classify, sample_regular_points
-from goursatkit.exterior import frobenius_residual, make_system, rank_at
+from goursatkit.classify import classify, sample_bundle
+from goursatkit.exterior import frobenius_reports, make_system
 
 
 def main() -> int:
@@ -25,18 +25,16 @@ def main() -> int:
     for name, make in catalog.NAMED_WEBS.items():
         web, box = make()
         rep = classify(web, box, count=args.points, seed=args.seed)
+        probe = sample_bundle(web, box, 1, seed=args.seed)  # every system's point
         systems = ["S10", "S10_11", "THETA_RHO"]
         if web.arity >= 5:
             systems += ["DELTA2", "DELTA3", "DELTA4"]
         first = True
         for sysname in systems:
-            system = make_system(web, sysname)
-            p = sample_regular_points(web, box, 1, seed=args.seed)[0]
-            _, kern = rank_at(system, p)
-            fr = frobenius_residual(system, p)
+            fr, = frobenius_reports(make_system(web, sysname), probe.points, b=probe)
             head = (f"{name:<12} {str(rep.first_kind):<7} "
                     f"{str(rep.second_kind):<8}") if first else " " * 29
-            print(f"{head} {sysname:<10} {kern:<7} {fr.verdict} "
+            print(f"{head} {sysname:<10} {fr.kernel_dim:<7} {fr.verdict} "
                   f"(max {fr.max_residual:.1e})")
             first = False
     return 0

@@ -16,8 +16,6 @@ default box, so Newton stays on one branch from the precomputed start.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .classify import Box
@@ -107,7 +105,8 @@ def _centered(spec: FamilySpec) -> FamilySpec:
     """``spec`` with a0 set to its parameter root at the centre of the default
     family box, solved from a0 = 0."""
     center = np.full(spec.arity, sum(DEFAULT_FAMILY_BOX) / 2)
-    return dataclasses.replace(spec, a0=float(solve_parameter(spec, center, a0=0.0)))
+    return FamilySpec(spec.kind, spec.phi, spec.psi, spec.arity,
+                      float(solve_parameter(spec, center, a0=0.0)), spec.slot)
 
 
 def random_first_kind_spec(rng: np.random.Generator, n: int,

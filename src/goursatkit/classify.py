@@ -10,7 +10,6 @@ bundles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Sequence
 
@@ -32,16 +31,16 @@ class TooFewRegularPoints(RuntimeError):
         self.wanted = wanted
 
 
-@dataclass(frozen=True)
 class Box:
     """Axis-aligned sampling box, one (lo, hi) pair per coordinate."""
 
-    bounds: tuple[tuple[float, float], ...]
+    __slots__ = ("bounds",)
 
-    def __post_init__(self):
-        for lo, hi in self.bounds:
+    def __init__(self, bounds: tuple[tuple[float, float], ...]):
+        for lo, hi in bounds:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"invalid box interval ({lo}, {hi})")
+        self.bounds = bounds
 
     @property
     def dim(self) -> int:
@@ -144,7 +143,6 @@ def first_kind_pde_residual(web: WebFunction, p: Sequence[float]) -> tuple[float
     return float(raw[0]), float(rel[0])
 
 
-@dataclass(frozen=True)
 class SecondKindResiduals:
     """The four equivalent second-kind conditions evaluated on one tensor.
 
@@ -155,11 +153,15 @@ class SecondKindResiduals:
     form for the index choice (p,q,a,b,c) = (1,2,3,4,5).
     """
 
-    det24: float
-    sum25: float
-    expr26: float
-    cross27: float
-    scale: float
+    __slots__ = ("det24", "sum25", "expr26", "cross27", "scale")
+
+    def __init__(self, det24: float, sum25: float, expr26: float, cross27: float,
+                 scale: float):
+        self.det24 = det24
+        self.sum25 = sum25
+        self.expr26 = expr26
+        self.cross27 = cross27
+        self.scale = scale
 
     @property
     def det24_rel(self) -> float:
@@ -226,17 +228,23 @@ def second_kind_pde_residual(web: WebFunction, p: Sequence[float]) -> tuple[floa
     return float(det[0]), float(rel[0])
 
 
-@dataclass
 class ClassificationReport:
-    n: int
-    tol: float
-    seed: int
-    points: np.ndarray = field(repr=False)
-    first_rel: np.ndarray = field(repr=False)       # torsion form, per point
-    first_pde_rel: np.ndarray = field(repr=False)
-    second_rel: np.ndarray | None = field(repr=False, default=None)
-    second_pde_rel: np.ndarray | None = field(repr=False, default=None)
-    degenerate_rows: tuple[bool, bool] = (False, False)
+    __slots__ = ("n", "tol", "seed", "points", "first_rel", "first_pde_rel", "second_rel",
+                 "second_pde_rel", "degenerate_rows")
+
+    def __init__(self, n: int, tol: float, seed: int, points: np.ndarray,
+                 first_rel: np.ndarray, first_pde_rel: np.ndarray,
+                 second_rel: np.ndarray | None = None, second_pde_rel: np.ndarray | None = None,
+                 degenerate_rows: tuple[bool, bool] = (False, False)):
+        self.n = n
+        self.tol = tol
+        self.seed = seed
+        self.points = points
+        self.first_rel = first_rel  # torsion form, per point
+        self.first_pde_rel = first_pde_rel
+        self.second_rel = second_rel
+        self.second_pde_rel = second_pde_rel
+        self.degenerate_rows = degenerate_rows
 
     # a kind holds when both of its forms are below tol at every point; a
     # non-finite residual in either form fails it

@@ -42,7 +42,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -79,8 +78,10 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
+    """A run's settings: ``n``, ``source`` and any of the fields below by
+    keyword; a field not given keeps its default."""
+
     n: int
     source: str                      # "expr" | "family"
     expr_text: str | None = None
@@ -99,6 +100,14 @@ class RunConfig:
     frobenius_systems: tuple[str, ...] = ("S10", "S10_11", "THETA_RHO")
     identity_trials: int = 200
     order = JET_ORDER  # not a field: reported, never set
+
+    def __init__(self, n: int, source: str, **fields):
+        self.n = n
+        self.source = source
+        for name, value in fields.items():
+            if name not in RunConfig.__annotations__:
+                raise TypeError(f"RunConfig has no field {name!r}")
+            setattr(self, name, value)
 
     def validate(self):
         if not 4 <= self.n <= MAX_ARITY:
@@ -442,15 +451,20 @@ class _Writer:
         return "[" + i1 + ("," + i1).join(texts) + _indent(level) + "]"
 
 
-@dataclass
 class RunReport:
-    config: RunConfig
-    classification: dict | None = None
-    frobenius: list = field(default_factory=list)
-    identities: dict | None = None
-    assertions: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-    timing_seconds: float = 0.0
+    """A run's results; :func:`run` fills the suites' entries in."""
+
+    __slots__ = ("config", "classification", "frobenius", "identities", "assertions",
+                 "failures", "timing_seconds")
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.classification = None
+        self.frobenius = []
+        self.identities = None
+        self.assertions = []
+        self.failures = []
+        self.timing_seconds = 0.0
 
     def all_assertions_passed(self) -> bool:
         return all(a["passed"] for a in self.assertions)

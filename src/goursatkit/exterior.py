@@ -20,7 +20,6 @@ of the field rows there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce
 from itertools import combinations
 from operator import mul
@@ -39,7 +38,6 @@ NORM_FLOOR = 1e-12
 NON_FINITE = "non-finite generator coefficients"
 
 
-@dataclass(frozen=True)
 class CoFormField:
     """A 1-form field: coefficient values and their Jacobian at a point.
 
@@ -47,10 +45,15 @@ class CoFormField:
     dc[i, j] = d c_i / d x_{j+1}; a ``SYSTEMS`` ``row`` also runs on a batch jet.
     """
 
-    arity: int
-    label: str
-    evaluate: Callable[[Point], tuple[np.ndarray, np.ndarray]]
-    row: list | None = None
+    __slots__ = ("arity", "label", "evaluate", "row")
+
+    def __init__(self, arity: int, label: str,
+                 evaluate: Callable[[Point], tuple[np.ndarray, np.ndarray]],
+                 row: list | None = None):
+        self.arity = arity
+        self.label = label
+        self.evaluate = evaluate
+        self.row = row
 
     def coefficients(self, p: Sequence[float]) -> np.ndarray:
         return self.evaluate(as_point(p, self.arity))[0]
@@ -66,7 +69,8 @@ class CoFormField:
     def coordinate(cls, n: int, index: int) -> "CoFormField":
         c = np.zeros(n)
         c[index - 1] = 1.0
-        return replace(cls.constant(c, f"dx{index}"), row=[(index, [(+1,)])])
+        dx = cls.constant(c, f"dx{index}")
+        return cls(n, dx.label, dx.evaluate, [(index, [(+1,)])])
 
     @classmethod
     def gradient(cls, web: WebFunction) -> "CoFormField":
@@ -77,24 +81,26 @@ class CoFormField:
         return cls(web.arity, "dF", ev)
 
 
-@dataclass(frozen=True)
 class PfaffianSystem:
     """Named list of 1-form fields plus constant coordinate forms dx_s; a
     ``SYSTEMS`` system keeps the web its rows are read from."""
 
-    name: str
-    arity: int
-    fields: tuple[CoFormField, ...]
-    sigma: tuple[int, ...] = ()
-    expected_kernel_dim: int | None = None
-    web: WebFunction | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("name", "arity", "fields", "sigma", "expected_kernel_dim", "web")
 
-    def __post_init__(self):
-        if len(self.fields) + len(self.sigma) > self.arity:
+    def __init__(self, name: str, arity: int, fields: tuple[CoFormField, ...],
+                 sigma: tuple[int, ...] = (), expected_kernel_dim: int | None = None,
+                 web: WebFunction | None = None):
+        if len(fields) + len(sigma) > arity:
             raise ValueError("more generators than the arity allows")
-        for f in self.fields:
-            if f.arity != self.arity:
+        for f in fields:
+            if f.arity != arity:
                 raise ValueError("field arity mismatch")
+        self.name = name
+        self.arity = arity
+        self.fields = fields
+        self.sigma = sigma
+        self.expected_kernel_dim = expected_kernel_dim
+        self.web = web
 
     @property
     def generators(self) -> tuple[CoFormField, ...]:
@@ -300,15 +306,18 @@ def _wedge_max(dtheta: np.ndarray, minors: np.ndarray, table: tuple):
     return np.max(size, axis=-1, where=size > 0.0, initial=0.0)
 
 
-@dataclass(frozen=True)
 class FrobeniusReport:
-    system: str
-    point: np.ndarray = field(repr=False)
-    rank: int
-    kernel_dim: int
-    residuals: tuple[float, ...]
-    tol: float
-    verdict: str  # integrable | non_integrable | inconclusive | degenerate
+    __slots__ = ("system", "point", "rank", "kernel_dim", "residuals", "tol", "verdict")
+
+    def __init__(self, system: str, point: np.ndarray, rank: int, kernel_dim: int,
+                 residuals: tuple[float, ...], tol: float, verdict: str):
+        self.system = system
+        self.point = point
+        self.rank = rank
+        self.kernel_dim = kernel_dim
+        self.residuals = residuals
+        self.tol = tol
+        self.verdict = verdict  # integrable | non_integrable | inconclusive | degenerate
 
     @property
     def max_residual(self) -> float:

@@ -24,7 +24,6 @@ along the solved increment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +64,6 @@ class SingularEnvelope(ArithmeticError):
         self.slope = slope
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """Data (phi, psi, a0) defining a first- or second-kind family.
 
@@ -74,15 +72,17 @@ class FamilySpec:
     families.
     """
 
-    kind: str  # "first" | "second"
-    phi: Expr
-    psi: Expr
-    arity: int
-    a0: float
-    slot: str = "s"
+    __slots__ = ("kind", "phi", "psi", "arity", "a0", "slot")
 
-    def __post_init__(self):
-        n = self.arity
+    def __init__(self, kind: str, phi: Expr, psi: Expr, arity: int, a0: float,
+                 slot: str = "s"):
+        self.kind = kind  # "first" | "second"
+        self.phi = phi
+        self.psi = psi
+        self.arity = arity
+        self.a0 = a0
+        self.slot = slot
+        n = arity
         if self.kind not in ("first", "second"):
             raise FamilySpecError(f"kind must be 'first' or 'second', got {self.kind!r}")
         if self.kind == "first" and n < 4:

@@ -92,12 +92,14 @@ def _scale(monomials: Sequence) -> np.ndarray:
     return fold_max([np.abs(m) for m in monomials] + [SCALE_FLOOR])
 
 
-@dataclass(frozen=True)
 class ResidualSet:
     """Residual values paired with their relative-comparison scales."""
 
-    values: np.ndarray
-    scales: np.ndarray
+    __slots__ = ("values", "scales")
+
+    def __init__(self, values: np.ndarray, scales: np.ndarray):
+        self.values = values
+        self.scales = scales
 
     @property
     def relative(self) -> np.ndarray:
@@ -152,19 +154,24 @@ def second_kind_polynomial_residuals(t: TorsionTensor) -> dict[tuple, ResidualSe
             for key, values, scales in _polynomial_residuals(t.values)}
 
 
-@dataclass(frozen=True)
 class ConditionValues:
     """Residuals of the named condition families at one point and gauge, or
     at a stack of points (leading axes on every field)."""
 
-    m: ResidualSet           # length n
-    n_row1: ResidualSet      # h = 1, 2, 3
-    r_row2: ResidualSet      # h = 1, 2, 3
-    s_cross: ResidualSet     # h = 3, 4, 5
-    u_col: ResidualSet       # k = 4, 5
-    v_col: ResidualSet       # k = 4, 5 (conditions on v_k - u_k)
-    residual40: float
-    residual40_scale: float
+    __slots__ = ("m", "n_row1", "r_row2", "s_cross", "u_col", "v_col", "residual40",
+                 "residual40_scale")
+
+    def __init__(self, m: ResidualSet, n_row1: ResidualSet, r_row2: ResidualSet,
+                 s_cross: ResidualSet, u_col: ResidualSet, v_col: ResidualSet,
+                 residual40: float, residual40_scale: float):
+        self.m = m              # length n
+        self.n_row1 = n_row1    # h = 1, 2, 3
+        self.r_row2 = r_row2    # h = 1, 2, 3
+        self.s_cross = s_cross  # h = 3, 4, 5
+        self.u_col = u_col      # k = 4, 5
+        self.v_col = v_col      # k = 4, 5 (conditions on v_k - u_k)
+        self.residual40 = residual40
+        self.residual40_scale = residual40_scale
 
     def to_dict(self) -> dict:
         return {
@@ -476,9 +483,11 @@ def _implication_trials(t: np.ndarray, d: np.ndarray, imposed: tuple[str, str],
             solves.append((name, _e(t, 1, 5) - _e(t, 1, 4), (1, 2)))  # coefficient of a23h
     accepted = np.ones(len(t), dtype=bool)
     worst = np.zeros(len(t))
-    d = _symmetrized(d)
+    # each pass reads one level, symmetrized as by _symmetrized into one buffer
+    dh = np.empty(d.shape[:-1])
     for h in levels:
-        dh = d[..., h - 1].copy()
+        np.add(d[..., h - 1], d[..., h - 1].swapaxes(-1, -2), out=dh)
+        dh /= 2.0
         for name, pivot, (i, j) in solves:
             accepted &= ~(np.abs(pivot) < PIVOT_FLOOR)
             value, _ = residual[name](dh, h)

@@ -17,11 +17,14 @@ the position-subset Leibniz expansion (summing over all 2^k position masks of
 a result tuple yields exactly the multinomial multiplicities), quotients are
 solved triangularly order by order, and unary functions are composed through
 Faa di Bruno set partitions.  Per-(m, K) index tables are precomputed once
-and shared.  The terms of a product or of a Faa di Bruno sum are grouped by
-their rank within their output entry; the entries that have a rank-r term
-are a trailing range of the space, so each rank is one gather and one
-slice-add, and the terms of an entry are summed in rank order, as
-``np.add.at`` over the ungrouped table would sum them.  ``Jet.partial(i)``
+and shared; they are built by array operations: each slot tuple is encoded
+as a base-(m+1) number, and the sub-tuples a mask or a set partition picks
+out of every entry of one order are encoded at once and found through one
+code-to-position lookup array.  The terms of a product or of a Faa di
+Bruno sum are grouped by their rank within their output entry; the entries
+that have a rank-r term are a trailing range of the space, so each rank is
+one gather and one slice-add, and the terms of an entry are summed in rank
+order, as ``np.add.at`` over the ungrouped table would sum them.  ``Jet.partial(i)``
 is a gather too: it reads the order K-1 jet of dF/dx_i out of the order K
 jet, through an index table cached per (m, K, i); ``restrict_last`` gathers
 through a table cached per (m, K, a_order, target order), and the derivative
@@ -37,7 +40,6 @@ evaluates the rest again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from typing import Callable, Mapping, Sequence, Union
@@ -86,7 +88,6 @@ def _set_partitions(k: int) -> list[list[tuple[int, ...]]]:
     return out
 
 
-@dataclass(frozen=True)
 class JetSpace:
     """Shared index tables for jets over ``m`` slots at order ``K``.
 
@@ -99,32 +100,57 @@ class JetSpace:
     whose quotient factor has lower order.
     """
 
-    m: int
-    order: int
-    tuples: tuple[tuple[int, ...], ...]
-    pos: dict
-    order_start: tuple[int, ...]  # order k entries live in [start[k], start[k+1])
-    mul_i: np.ndarray
-    mul_j: np.ndarray
-    mul_out: np.ndarray
-    faa_out: np.ndarray
-    mul_ranks: tuple  # ((lo, i, j), ...)
-    div_ranks: tuple  # div_ranks[k] = ((i, j), ...)
-    faa_ranks: tuple  # ((lo, outer derivative order, entries of block 1, of block 2, ...), ...)
+    __slots__ = ("m", "order", "tuples", "pos", "order_start", "mul_i", "mul_j", "mul_out",
+                 "faa_out", "mul_ranks", "div_ranks", "faa_ranks")
+
+    def __init__(self, m: int, order: int, tuples: tuple, order_start: tuple,
+                 mul_ranks: tuple, faa_ranks: tuple):
+        self.m = m
+        self.order = order
+        self.tuples = tuples
+        self.pos = {t: i for i, t in enumerate(tuples)}
+        self.order_start = order_start  # order k entries live in [start[k], start[k+1])
+        self.mul_ranks = mul_ranks  # ((lo, i, j), ...)
+        # ((lo, outer derivative order, entries of block 1, of block 2, ...), ...)
+        self.faa_ranks = faa_ranks
+        size = len(tuples)
+        self.mul_i = np.concatenate([i for _, i, _ in mul_ranks])
+        self.mul_j = np.concatenate([j for _, _, j in mul_ranks])
+        self.mul_out = np.concatenate([np.arange(lo, size) for lo, _, _ in mul_ranks])
+        self.faa_out = np.concatenate([np.arange(rank[0], size) for rank in faa_ranks])
+        # a quotient's order-k entries take every rank but the full mask, c[t] * b[()]
+        div_ranks: list[tuple] = [()]
+        for k in range(1, order + 1):
+            lo, hi = order_start[k], order_start[k + 1]
+            div_ranks.append(tuple((i[lo - start:hi - start], j[lo - start:hi - start])
+                                   for start, i, j in mul_ranks[:(1 << k) - 1]))
+        self.div_ranks = tuple(div_ranks)  # div_ranks[k] = ((i, j), ...)
 
     @property
     def size(self) -> int:
         return len(self.tuples)
 
 
-def _rank_table(terms: list[tuple]) -> tuple:
-    """The terms of one rank, each (output, operand index, ...), as (first
-    output, one index array per operand); they must reach every entry from
-    their first output on, in order."""
-    outs = [t[0] for t in terms]
-    if outs != list(range(outs[0], outs[0] + len(outs))):
+def _codes(digits: np.ndarray, blocks: Sequence, base: int) -> np.ndarray:
+    """Codes of the sub-tuples that ``blocks`` (each a list of increasing
+    positions) pick out of every row of ``digits``, one column per block; a
+    code reads a tuple's slots as the digits of a base-``base`` number."""
+    # Horner steps, not a matmul: no run touches numpy's integer matmul
+    # otherwise, and its code pages would add to the peak RSS
+    codes = np.zeros((len(digits), len(blocks)), dtype=np.intp)
+    for col, block in enumerate(blocks):
+        for p in block:
+            codes[:, col] *= base
+            codes[:, col] += digits[:, p]
+    return codes
+
+
+def _rank_table(size: int, lo: int, *columns: np.ndarray) -> tuple:
+    """The terms of one rank as (first output, one index array per operand);
+    they must reach every entry from their first output on, in order."""
+    if any(len(col) != size - lo for col in columns):
         raise AssertionError("a rank must cover a trailing range of entries")
-    return (outs[0],) + tuple(np.asarray(col, dtype=np.intp) for col in list(zip(*terms))[1:])
+    return (lo,) + columns
 
 
 @lru_cache(maxsize=None)
@@ -135,61 +161,59 @@ def space(m: int, order: int) -> JetSpace:
         raise ValueError("slot count must be positive")
     tuples: list[tuple[int, ...]] = [()]
     order_start = [0, 1]
+    digits = [np.zeros((1, 0), dtype=np.intp)]  # digits[k]: the order-k tuples, (count, k)
     for k in range(1, order + 1):
-        tuples.extend(combinations_with_replacement(range(1, m + 1), k))
+        level = list(combinations_with_replacement(range(1, m + 1), k))
+        tuples += level
         order_start.append(len(tuples))
-    pos = {t: i for i, t in enumerate(tuples)}
+        digits.append(np.array(level, dtype=np.intp))
     size = len(tuples)
+    # slots are >= 1, so tuples of different lengths never share a code
+    base = m + 1
+    lookup = np.zeros(base ** order, dtype=np.intp)  # code -> position
+    for k in range(1, order + 1):
+        lookup[_codes(digits[k], [range(k)], base)[:, 0]] = np.arange(order_start[k],
+                                                                      order_start[k + 1])
+
+    def sub_tuples(k: int, blocks: list) -> np.ndarray:
+        return lookup[_codes(digits[k], blocks, base)]
 
     # Leibniz terms a[left] * b[right] -> t; a term's position mask is its
-    # rank within its output entry, and the slots a mask picks out of a
-    # sorted tuple are sorted
-    masks = {k: [([b for b in range(k) if mask >> b & 1],
-                  [b for b in range(k) if not mask >> b & 1]) for mask in range(1 << k)]
-             for k in range(order + 1)}
-    mul: list[list[tuple]] = [[] for _ in range(1 << order)]
-    for p, t in enumerate(tuples):
-        for rank, (left, right) in zip(mul, masks[len(t)]):
-            rank.append((p, pos[tuple(map(t.__getitem__, left))],
-                         pos[tuple(map(t.__getitem__, right))]))
-    mul_ranks = tuple(_rank_table(terms) for terms in mul)
-    # a quotient's order-k entries take every rank but the full mask, c[t] * b[()]
-    div_ranks: list[tuple] = [()]
-    for k in range(1, order + 1):
-        lo, hi = order_start[k], order_start[k + 1]
-        div_ranks.append(tuple((i[lo - start:hi - start], j[lo - start:hi - start])
-                               for start, i, j in mul_ranks[:(1 << k) - 1]))
+    # rank within its output entry, an order-k entry has the ranks below
+    # 2^k, and the slots a mask picks out of a sorted tuple are sorted
+    leibniz = [sub_tuples(k, [[b for b in range(k) if (mask >> b & 1) == side]
+                              for mask in range(1 << k) for side in (1, 0)])
+               for k in range(order + 1)]
+    mul_ranks = []
+    for rank in range(1 << order):
+        ks = range(rank.bit_length(), order + 1)
+        mul_ranks.append(_rank_table(size, order_start[ks[0]], *(
+            np.concatenate([leibniz[k][:, 2 * rank + side] for k in ks]) for side in (0, 1))))
 
     # Faa di Bruno terms f^(blocks) * (product of the block entries) -> t,
     # ranked by set partition; short partitions are padded with ``size``, the
     # index of a 1.0 appended to the data
-    partitions = {k: _set_partitions(k) for k in range(1, order + 1)}
-    faa: list[list[tuple]] = [[] for _ in partitions[order]]
-    for p, t in enumerate(tuples[1:], start=1):
-        for rank, part in zip(faa, partitions[len(t)]):
-            # a block lists increasing positions, so its slots are sorted
-            rank.append((p, len(part), [pos[tuple(map(t.__getitem__, block))]
-                                        for block in part]))
+    partitions = [_set_partitions(k) for k in range(order + 1)]
+    faa = [sub_tuples(k, [block for part in partitions[k] for block in part])
+           for k in range(order + 1)]
     faa_ranks = []
-    for terms in faa:
-        width = max(t[1] for t in terms)
-        blocks = np.asarray([t[2] + [size] * (width - t[1]) for t in terms], dtype=np.intp)
-        faa_ranks.append(_rank_table([t[:2] for t in terms]) + tuple(blocks.T.copy()))
+    for rank in range(len(partitions[order])):
+        ks = [k for k in range(1, order + 1) if rank < len(partitions[k])]
+        width = max(len(partitions[k][rank]) for k in ks)
+        nblocks, blocks = [], []
+        for k in ks:
+            parts = partitions[k]
+            first = sum(map(len, parts[:rank]))  # the rank's first block column
+            count = len(parts[rank])
+            nblocks.append(np.full(len(digits[k]), count, dtype=np.intp))
+            padded = np.full((len(digits[k]), width), size, dtype=np.intp)
+            padded[:, :count] = faa[k][:, first:first + count]
+            blocks.append(padded)
+        faa_ranks.append(_rank_table(size, order_start[ks[0]], np.concatenate(nblocks),
+                                     *np.concatenate(blocks).T.copy()))
 
-    return JetSpace(
-        m=m,
-        order=order,
-        tuples=tuple(tuples),
-        pos=pos,
-        order_start=tuple(order_start),
-        mul_i=np.concatenate([i for _, i, _ in mul_ranks]),
-        mul_j=np.concatenate([j for _, _, j in mul_ranks]),
-        mul_out=np.concatenate([np.arange(lo, size) for lo, _, _ in mul_ranks]),
-        faa_out=np.concatenate([np.arange(rank[0], size) for rank in faa_ranks]),
-        mul_ranks=mul_ranks,
-        div_ranks=tuple(div_ranks),
-        faa_ranks=tuple(faa_ranks),
-    )
+    return JetSpace(m, order, tuple(tuples), tuple(order_start), tuple(mul_ranks),
+                    tuple(faa_ranks))
 
 
 @lru_cache(maxsize=None)
@@ -225,10 +249,12 @@ def _domain(bad, values, message: str, error: type = JetDomainError) -> None:
                              for i in np.flatnonzero(bad)})
 
 
-@dataclass(frozen=True)
 class Jet:
-    space: JetSpace
-    data: np.ndarray  # (size,) or (size, N), aligned with space.tuples; do not mutate
+    __slots__ = ("space", "data")
+
+    def __init__(self, space: JetSpace, data: np.ndarray):
+        self.space = space
+        self.data = data  # (size,) or (size, N), aligned with space.tuples; do not mutate
 
     __array_ufunc__ = None  # numpy operands defer to the reflected jet operators
 

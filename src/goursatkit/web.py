@@ -28,7 +28,6 @@ functions here are one-point bundles, each evaluated in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,15 +74,15 @@ class NonFiniteJet(ArithmeticError):
     """The jet of the defining function has an infinite or NaN entry."""
 
 
-@dataclass(frozen=True)
 class Gauge:
     """Coefficients of the connection form in the co-frame basis."""
 
-    w: tuple[float, ...]
+    __slots__ = ("w",)
 
-    def __post_init__(self):
-        if not all(np.isfinite(self.w)):
+    def __init__(self, w: tuple[float, ...]):
+        if not all(np.isfinite(w)):
             raise ValueError("gauge coefficients must be finite")
+        self.w = w
 
     @classmethod
     def zero(cls, n: int) -> "Gauge":
@@ -97,7 +96,6 @@ class Gauge:
         return len(self.w)
 
 
-@dataclass
 class WebFunction:
     """Defining function with jet evaluation up to order ``JET_ORDER``.
 
@@ -117,12 +115,13 @@ class WebFunction:
     non-finite entry.
     """
 
-    arity: int
-    evaluator: Callable[[np.ndarray], "tuple[Jet, list]"]
+    __slots__ = ("arity", "evaluator")
 
-    def __post_init__(self):
-        if self.arity < 4:
+    def __init__(self, arity: int, evaluator: Callable[[np.ndarray], "tuple[Jet, list]"]):
+        if arity < 4:
             raise ValueError("webs of this family need arity n >= 4")
+        self.arity = arity
+        self.evaluator = evaluator
 
     def jets(self, points, check_regularity: bool = True) -> tuple[np.ndarray, list]:
         """Order-``JET_ORDER`` jet rows ``(N, size)`` at ``points``, evaluated
@@ -198,7 +197,6 @@ class WebFunction:
         return cls(arity=n, evaluator=evaluator)
 
 
-@dataclass(frozen=True)
 class TorsionTensor:
     """Off-diagonal symmetric matrix of torsion components at a point.
 
@@ -207,12 +205,13 @@ class TorsionTensor:
     may carry leading point axes; the entry readers take one point.
     """
 
-    n: int
-    values: np.ndarray = field(repr=False)  # (..., n, n), diagonal NaN
+    __slots__ = ("n", "values")
 
-    def __post_init__(self):
-        if self.values.shape[-2:] != (self.n, self.n):
+    def __init__(self, n: int, values: np.ndarray):
+        if values.shape[-2:] != (n, n):
             raise ValueError("torsion matrix shape mismatch")
+        self.n = n
+        self.values = values  # (..., n, n), diagonal NaN
 
     def entry(self, alpha: int, beta: int) -> float:
         if alpha == beta:
@@ -242,14 +241,16 @@ class TorsionTensor:
         return cls(n, a)
 
 
-@dataclass(frozen=True)
 class PfaffianDerivs:
     """Values a_abg at a point, symmetric in the first two slots; ``values``
     may carry leading point axes."""
 
-    n: int
-    values: np.ndarray = field(repr=False)  # (..., n, n, n); [a-1, b-1, g-1], diag(a,b) NaN
-    gauge: Gauge = None
+    __slots__ = ("n", "values", "gauge")
+
+    def __init__(self, n: int, values: np.ndarray, gauge: Gauge | None = None):
+        self.n = n
+        self.values = values  # (..., n, n, n); [a-1, b-1, g-1], diag(a,b) NaN
+        self.gauge = gauge
 
     def entry(self, alpha: int, beta: int, gamma: int) -> float:
         if alpha == beta:
@@ -272,14 +273,16 @@ class PfaffianDerivs:
         return PfaffianDerivs(self.n, shifted, new_gauge)
 
 
-@dataclass(frozen=True)
 class DerivativeBundle:
     """The order-``JET_ORDER`` jets of F at N points, stacked on a leading
     point axis; ``grad``, ``hess`` and ``third`` gather F_i, F_ij and F_ijl
     (0-based slots) from them."""
 
-    points: np.ndarray  # (N, n)
-    data: np.ndarray    # (N, jet size), each row a point's Jet.data
+    __slots__ = ("points", "data")
+
+    def __init__(self, points: np.ndarray, data: np.ndarray):
+        self.points = points  # (N, n)
+        self.data = data      # (N, jet size), each row a point's Jet.data
 
     @property
     def n(self) -> int:

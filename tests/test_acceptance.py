@@ -10,9 +10,8 @@ import pytest
 from goursatkit import catalog
 from goursatkit import jets as J
 from goursatkit.classify import (first_kind_pde, first_kind_residual, running_max,
-                                 sample_bundle, sample_regular_points, second_kind_pde,
-                                 second_kind_residuals)
-from goursatkit.exterior import frobenius_residual, make_system, rank_at
+                                 sample_bundle, second_kind_pde, second_kind_residuals)
+from goursatkit.exterior import frobenius_reports, make_system
 from goursatkit.expr import evaluate, parse
 from goursatkit.families import (SingularEnvelope, family_web, solve_parameter,
                                  solve_parameter_with_info)
@@ -20,7 +19,7 @@ from goursatkit.identities import (condition_values, first_kind_derivative_resid
                                    implication_test, sample_derivs,
                                    sample_second_kind_torsion,
                                    second_kind_polynomial_residuals, witness_search)
-from goursatkit.web import Gauge, PfaffianDerivs, TorsionTensor, pfaffian_derivs, torsion
+from goursatkit.web import PfaffianDerivs, TorsionTensor
 from genexpr import random_smooth_expression
 
 
@@ -103,17 +102,29 @@ def test_05_theta_rho_integrability_and_control():
         n = 5 if trial % 2 == 0 else 6
         spec = catalog.random_first_kind_spec(rng, n)
         web = family_web(spec)
-        system = make_system(web, "THETA_RHO")
-        for p in sample_regular_points(web, catalog.family_box(n), 5, seed=trial):
-            worst = max(worst, frobenius_residual(system, p).max_residual)
+        b = sample_bundle(web, catalog.family_box(n), 5, seed=trial)
+        for fr in frobenius_reports(make_system(web, "THETA_RHO"), b.points, b=b):
+            worst = max(worst, fr.max_residual)
     ctrl = catalog.control_web(4)
-    system = make_system(ctrl, "S10")
-    pts = sample_regular_points(ctrl, catalog.control_box(4), 40, seed=5)
-    big = sum(frobenius_residual(system, p).max_residual >= 1e-3 for p in pts)
-    ok = worst <= 1e-7 and big >= 0.9 * len(pts)
+    b = sample_bundle(ctrl, catalog.control_box(4), 40, seed=5)
+    big = sum(fr.max_residual >= 1e-3 for fr in frobenius_reports(make_system(ctrl, "S10"),
+                                                                   b.points, b=b))
+    ok = worst <= 1e-7 and big >= 0.9 * len(b.points)
     _report("5", ok,
             f"family residual max {worst:.3e} (tol 1e-7); control >= 1e-3 at "
-            f"{big}/{len(pts)} points (need >= 90%)")
+            f"{big}/{len(b.points)} points (need >= 90%)")
+
+
+def _first_point(web, box, seed):
+    """The first regular point of ``seed`` as a one-point bundle, and its
+    first-kind torsion residual."""
+    b = sample_bundle(web, box, 1, seed=seed)
+    return b, first_kind_residual(TorsionTensor(b.n, b.torsion_values()))[1][0]
+
+
+def _kernel_dim(web, name, b):
+    report, = frobenius_reports(make_system(web, name), b.points, b=b)
+    return report.kernel_dim
 
 
 def test_06_dimension_claims():
@@ -122,23 +133,21 @@ def test_06_dimension_claims():
     for n in (4, 5):
         spec = catalog.random_first_kind_spec(rng, n)
         web = family_web(spec)
-        p = sample_regular_points(web, catalog.family_box(n), 1, seed=n)[0]
-        _, rel = first_kind_residual(torsion(web, p))
-        checks.append(rel < 1e-7 and rank_at(make_system(web, "S10_11"), p)[1] == 3)
+        b, rel = _first_point(web, catalog.family_box(n), n)
+        checks.append(rel < 1e-7 and _kernel_dim(web, "S10_11", b) == 3)
         ctrl = catalog.control_web(n)
-        cp = sample_regular_points(ctrl, catalog.control_box(n), 1, seed=n)[0]
-        _, crel = first_kind_residual(torsion(ctrl, cp))
-        checks.append(crel >= 1e-7 and rank_at(make_system(ctrl, "S10_11"), cp)[1] == 2)
+        cb, crel = _first_point(ctrl, catalog.control_box(n), n)
+        checks.append(crel >= 1e-7 and _kernel_dim(ctrl, "S10_11", cb) == 2)
     for n in (5, 6):
         spec = catalog.random_second_kind_spec(rng, n)
         web = family_web(spec)
-        p = sample_regular_points(web, catalog.family_box(n), 1, seed=n)[0]
-        checks.append(rank_at(make_system(web, "DELTA2"), p)[1] == 2)
-        checks.append(rank_at(make_system(web, "DELTA3"), p)[1] == 3)
+        b = sample_bundle(web, catalog.family_box(n), 1, seed=n)
+        checks.append(_kernel_dim(web, "DELTA2", b) == 2)
+        checks.append(_kernel_dim(web, "DELTA3", b) == 3)
         ctrl = catalog.control_web(n)
-        cp = sample_regular_points(ctrl, catalog.control_box(n), 1, seed=n)[0]
-        checks.append(rank_at(make_system(ctrl, "DELTA2"), cp)[1] == 1)
-        checks.append(rank_at(make_system(ctrl, "DELTA3"), cp)[1] == 2)
+        cb = sample_bundle(ctrl, catalog.control_box(n), 1, seed=n)
+        checks.append(_kernel_dim(ctrl, "DELTA2", cb) == 1)
+        checks.append(_kernel_dim(ctrl, "DELTA3", cb) == 2)
     _report("6", all(checks),
             f"{sum(checks)}/{len(checks)} kernel-dimension branch checks hold")
 
@@ -150,15 +159,15 @@ def test_07_first_kind_derivative_identity():
         n = 4 if trial % 2 == 0 else 5
         spec = catalog.random_first_kind_spec(rng, n)
         web = family_web(spec)
-        for p in sample_regular_points(web, catalog.family_box(n), 4, seed=trial):
-            t = torsion(web, p)
-            base = first_kind_derivative_residuals(t, pfaffian_derivs(web, p))
-            worst = max(worst, base.max_relative)
-            for _ in range(5):
-                g = Gauge.of(rng.uniform(-1, 1, n))
-                alt = first_kind_derivative_residuals(t, pfaffian_derivs(web, p, g))
-                gauge_worst = max(gauge_worst,
-                                  float(np.abs(alt.values - base.values).max()))
+        b = sample_bundle(web, catalog.family_box(n), 4, seed=trial)
+        t = TorsionTensor(n, b.torsion_values())
+        base = first_kind_derivative_residuals(t, PfaffianDerivs(n, b.pfaffian_values(np.zeros(n))))
+        worst = max(worst, base.max_relative)
+        # five gauges per point, drawn point by point; each g holds one gauge per point
+        gauges = np.array([[rng.uniform(-1, 1, n) for _ in range(5)] for _ in b.points])
+        for g in gauges.swapaxes(0, 1):
+            alt = first_kind_derivative_residuals(t, PfaffianDerivs(n, b.pfaffian_values(g)))
+            gauge_worst = max(gauge_worst, float(np.abs(alt.values - base.values).max()))
     _report("7", worst <= 1e-7 and gauge_worst <= 1e-9,
             f"gauge-0 max rel {worst:.3e} (tol 1e-7); gauge spread {gauge_worst:.3e} "
             f"(tol 1e-9)")

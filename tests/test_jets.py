@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -275,3 +276,78 @@ def test_jet_order_consistency():
     j2 = J.eval_jet(e, point, names, 2)
     sp2 = j2.space
     assert np.allclose(j3.data[: sp2.size], j2.data, rtol=1e-15, atol=1e-15)
+
+
+def _reference_space(m, order):
+    """The index tables of space(m, order), built term by term with a
+    dict lookup per sub-tuple: the definition the array build implements."""
+    tuples = [()]
+    order_start = [0, 1]
+    for k in range(1, order + 1):
+        tuples.extend(combinations_with_replacement(range(1, m + 1), k))
+        order_start.append(len(tuples))
+    pos = {t: i for i, t in enumerate(tuples)}
+    size = len(tuples)
+
+    def rank_table(terms):
+        outs = [t[0] for t in terms]
+        assert outs == list(range(outs[0], outs[0] + len(outs)))
+        return (outs[0],) + tuple(np.asarray(col, dtype=np.intp) for col in list(zip(*terms))[1:])
+
+    masks = {k: [([b for b in range(k) if mask >> b & 1],
+                  [b for b in range(k) if not mask >> b & 1]) for mask in range(1 << k)]
+             for k in range(order + 1)}
+    mul = [[] for _ in range(1 << order)]
+    for p, t in enumerate(tuples):
+        for rank, (left, right) in zip(mul, masks[len(t)]):
+            rank.append((p, pos[tuple(map(t.__getitem__, left))],
+                         pos[tuple(map(t.__getitem__, right))]))
+    mul_ranks = tuple(rank_table(terms) for terms in mul)
+    div_ranks = [()]
+    for k in range(1, order + 1):
+        lo, hi = order_start[k], order_start[k + 1]
+        div_ranks.append(tuple((i[lo - start:hi - start], j[lo - start:hi - start])
+                               for start, i, j in mul_ranks[:(1 << k) - 1]))
+
+    partitions = {k: J._set_partitions(k) for k in range(1, order + 1)}
+    faa = [[] for _ in partitions[order]]
+    for p, t in enumerate(tuples[1:], start=1):
+        for rank, part in zip(faa, partitions[len(t)]):
+            rank.append((p, len(part), [pos[tuple(map(t.__getitem__, block))]
+                                        for block in part]))
+    faa_ranks = []
+    for terms in faa:
+        width = max(t[1] for t in terms)
+        blocks = np.asarray([t[2] + [size] * (width - t[1]) for t in terms], dtype=np.intp)
+        faa_ranks.append(rank_table([t[:2] for t in terms]) + tuple(blocks.T.copy()))
+
+    return dict(
+        m=m, order=order, tuples=tuple(tuples), pos=pos, order_start=tuple(order_start),
+        mul_i=np.concatenate([i for _, i, _ in mul_ranks]),
+        mul_j=np.concatenate([j for _, _, j in mul_ranks]),
+        mul_out=np.concatenate([np.arange(lo, size) for lo, _, _ in mul_ranks]),
+        faa_out=np.concatenate([np.arange(rank[0], size) for rank in faa_ranks]),
+        mul_ranks=mul_ranks, div_ranks=tuple(div_ranks), faa_ranks=tuple(faa_ranks),
+    )
+
+
+def _assert_same_table(got, want):
+    """Equal values with the same nesting of tuples, ints and intp arrays."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == np.intp == want.dtype
+        assert got.shape == want.shape and np.array_equal(got, want)
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_table(g, w)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_space_tables_match_reference(m, order):
+    sp = J.space(m, order)
+    for name, want in _reference_space(m, order).items():
+        _assert_same_table(getattr(sp, name), want)
+    assert sp.size == len(sp.tuples)
