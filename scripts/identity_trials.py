@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-from goursatkit.identities import implication_test, polynomial_sweep, witness_search
+from goursatkit.identities import implication_tests, polynomial_sweep, witness_search
 
 
 def main() -> int:
@@ -25,9 +25,9 @@ def main() -> int:
     print(f"polynomial identities on the constraint variety "
           f"({args.trials} samples): max rel {worst:.3e}")
 
-    for imposed, checked in ((("m", "n"), "r"), (("n", "r"), "m"), (("m", "r"), "n")):
-        res = implication_test(args.trials, args.seed, imposed, checked)
-        print(f"impose {'+'.join(imposed):<4} -> check {checked}: "
+    pairs = ((("m", "n"), "r"), (("n", "r"), "m"), (("m", "r"), "n"))
+    for res in implication_tests(args.trials, args.seed, pairs):
+        print(f"impose {'+'.join(res.imposed):<4} -> check {res.checked}: "
               f"max rel {res.max_relative:.3e} "
               f"({res.rejected} ill-conditioned trials redrawn)")
 

@@ -593,9 +593,9 @@ def run(config: RunConfig) -> RunReport:
         algebra = {
             "implications": {}, "witness": None, "polynomial_constrained_max": None,
         }
-        for imposed, checked in ((("m", "n"), "r"), (("n", "r"), "m"), (("m", "r"), "n")):
-            res = ident.implication_test(trials, config.seed, imposed, checked)
-            algebra["implications"]["+".join(imposed) + "->" + checked] = {
+        pairs = ((("m", "n"), "r"), (("n", "r"), "m"), (("m", "r"), "n"))
+        for res in ident.implication_tests(trials, config.seed, pairs):
+            algebra["implications"]["+".join(res.imposed) + "->" + res.checked] = {
                 "max_relative": res.max_relative, "rejected": res.rejected,
                 "trials": res.trials,
             }

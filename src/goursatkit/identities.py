@@ -42,7 +42,8 @@ torsion draw with its rejection loop, then the derivative draw); they draw
 those doubles in 25-double blocks, a torsion candidate per block and a
 derivative draw per five, and walk the blocks in order.  They reduce over
 exactly the trials that loop would use, so their results do not depend on
-the chunk size.
+the chunk size.  The implication tests share one stream: each reads a
+prefix of the same trial sequence, up to its own last accepted trial.
 """
 
 from __future__ import annotations
@@ -125,22 +126,27 @@ def first_kind_derivative_residuals(t: TorsionTensor, d: PfaffianDerivs) -> Resi
                        np.stack([_scale(m) for m in monos], axis=-1))
 
 
+# the index selections (p, q, a, b, c) of the polynomial identities, and the
+# 0-based rows and columns that gather their (p, a), (p, b), (p, c) and
+# (q, a), (q, b), (q, c) entries
+_POLY_KEYS = tuple((p, q) + abc for p, q in ((1, 2), (2, 1)) for abc in permutations((3, 4, 5)))
+_POLY_P = np.array([[key[0] - 1] * 3 for key in _POLY_KEYS])
+_POLY_Q = np.array([[key[1] - 1] * 3 for key in _POLY_KEYS])
+_POLY_COLS = np.array([[i - 1 for i in key[2:]] for key in _POLY_KEYS])
+
+
 @np.errstate(all="ignore")
-def _polynomial_residuals(t: np.ndarray) -> list[tuple[tuple, np.ndarray, np.ndarray]]:
-    """(key, values, scales) per index selection; values and scales have a
-    last axis of length 2, the linear and the quadratic residual."""
-    out = []
-    for p, q in ((1, 2), (2, 1)):
-        for (a, b, c) in permutations((3, 4, 5)):
-            pa, pb, pc = (_e(t, p, i) for i in (a, b, c))
-            qa, qb, qc = (_e(t, q, i) for i in (a, b, c))
-            lin = (pa * (qc - qb), pb * (qa - qc), pc * (qb - qa))
-            quad = (pa * pa * (qb - qc), pb * pb * (qc - qa), pc * pc * (qa - qb),
-                    pa * qa * (pc - pb), pb * qb * (pa - pc), pc * qc * (pb - pa))
-            out.append(((p, q, a, b, c),
-                        np.stack([_sum(lin), _sum(quad)], axis=-1),
-                        np.stack([_scale(lin), _scale(quad)], axis=-1)))
-    return out
+def _polynomial_residuals(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, scales) over the trial axes, then one axis for the selections
+    in ``_POLY_KEYS`` order and one of length 2: the linear and the quadratic
+    residual."""
+    pa, pb, pc = np.moveaxis(t[..., _POLY_P, _POLY_COLS], -1, 0)
+    qa, qb, qc = np.moveaxis(t[..., _POLY_Q, _POLY_COLS], -1, 0)
+    lin = (pa * (qc - qb), pb * (qa - qc), pc * (qb - qa))
+    quad = (pa * pa * (qb - qc), pb * pb * (qc - qa), pc * pc * (qa - qb),
+            pa * qa * (pc - pb), pb * qb * (pa - pc), pc * qc * (pb - pa))
+    return (np.stack([_sum(lin), _sum(quad)], axis=-1),
+            np.stack([_scale(lin), _scale(quad)], axis=-1))
 
 
 def second_kind_polynomial_residuals(t: TorsionTensor) -> dict[tuple, ResidualSet]:
@@ -150,8 +156,9 @@ def second_kind_polynomial_residuals(t: TorsionTensor) -> dict[tuple, ResidualSe
     Keyed by (p, q, a, b, c) with p != q in {1, 2} and (a, b, c) a permutation
     of (3, 4, 5); each value holds the linear and the quadratic residual.
     """
-    return {key: ResidualSet(values, scales)
-            for key, values, scales in _polynomial_residuals(t.values)}
+    values, scales = _polynomial_residuals(t.values)
+    return {key: ResidualSet(values[..., k, :], scales[..., k, :])
+            for k, key in enumerate(_POLY_KEYS)}
 
 
 class ConditionValues:
@@ -435,9 +442,9 @@ def polynomial_sweep(trials: int, seed: int) -> float:
     while done < trials:
         size = min(TRIAL_CHUNK, trials - done)
         t, _, _ = stream.draw(size)
-        for _, values, scales in _polynomial_residuals(t):
-            # per selection as ResidualSet.max_relative: a NaN propagates
-            worst = running_max(worst, (np.abs(values) / scales).max(axis=-1))
+        values, scales = _polynomial_residuals(t)
+        # per selection as ResidualSet.max_relative: a NaN propagates
+        worst = running_max(worst, (np.abs(values) / scales).max(axis=-1))
         done += size
     return worst
 
@@ -501,6 +508,43 @@ def _implication_trials(t: np.ndarray, d: np.ndarray, imposed: tuple[str, str],
     return accepted, worst
 
 
+def implication_tests(trials: int, seed: int, pairs: Sequence[tuple[tuple[str, str], str]],
+                      levels: Sequence[int] = (1, 2, 3)) -> list[ImplicationResult]:
+    """:func:`implication_test` for each ``(imposed, checked)`` pair, all
+    read from one trial stream.
+
+    Every test reads a prefix of the same trial sequence, up to its
+    ``trials``-th accepted trial, so each chunk is evaluated for every test
+    that still needs trials, and a test drops the trials of a chunk after
+    the one that completes it.
+    """
+    pairs = [(tuple(imposed), checked) for imposed, checked in pairs]
+    for imposed, checked in pairs:
+        if set(imposed) | {checked} != set(_SYSTEMS) or len(set(imposed)) != 2:
+            raise ValueError("imposed/checked must partition {'m', 'n', 'r'}")
+    stream = _TrialStream(np.random.default_rng(seed), "always")
+    worst = [0.0] * len(pairs)
+    rejected = [0] * len(pairs)
+    done = [0] * len(pairs)
+    while min(done, default=trials) < trials:
+        # a chunk never holds more than the most missing accepted trials, so
+        # every trial in it is one the one-at-a-time loop of some test draws
+        t, d, _ = stream.draw(min(TRIAL_CHUNK, trials - min(done)))
+        for i, (imposed, checked) in enumerate(pairs):
+            if done[i] == trials:
+                continue
+            accepted, trial_worst = _implication_trials(t, d, imposed, checked, levels)
+            # the test's last trial is its (trials - done)-th accepted one
+            last = np.flatnonzero(accepted)[trials - done[i] - 1:][:1]
+            if last.size:
+                accepted, trial_worst = accepted[:last[0] + 1], trial_worst[:last[0] + 1]
+            rejected[i] += int(np.count_nonzero(~accepted))
+            done[i] += int(np.count_nonzero(accepted))
+            worst[i] = running_max(worst[i], trial_worst[accepted])
+    return [ImplicationResult(imposed, checked, trials, r, w)
+            for (imposed, checked), r, w in zip(pairs, rejected, worst)]
+
+
 def implication_test(trials: int, seed: int, imposed: tuple[str, str],
                      checked: str, levels: Sequence[int] = (1, 2, 3)) -> ImplicationResult:
     """Impose two of the three condition systems on constrained random data
@@ -508,21 +552,7 @@ def implication_test(trials: int, seed: int, imposed: tuple[str, str],
 
     Rejected trials are redrawn until ``trials`` have been accepted.
     """
-    if set(imposed) | {checked} != set(_SYSTEMS) or len(set(imposed)) != 2:
-        raise ValueError("imposed/checked must partition {'m', 'n', 'r'}")
-    stream = _TrialStream(np.random.default_rng(seed), "always")
-    worst = 0.0
-    rejected = 0
-    done = 0
-    while done < trials:
-        # a chunk never holds more than the missing accepted trials, so every
-        # trial in it is one the one-at-a-time loop would have drawn
-        t, d, _ = stream.draw(min(TRIAL_CHUNK, trials - done))
-        accepted, trial_worst = _implication_trials(t, d, imposed, checked, levels)
-        rejected += int(np.count_nonzero(~accepted))
-        done += int(np.count_nonzero(accepted))
-        worst = running_max(worst, trial_worst[accepted])
-    return ImplicationResult(tuple(imposed), checked, trials, rejected, worst)
+    return implication_tests(trials, seed, [(imposed, checked)], levels)[0]
 
 
 @dataclass(frozen=True)

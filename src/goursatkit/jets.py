@@ -191,8 +191,9 @@ def space(m: int, order: int) -> JetSpace:
             np.concatenate([leibniz[k][:, 2 * rank + side] for k in ks]) for side in (0, 1))))
 
     # Faa di Bruno terms f^(blocks) * (product of the block entries) -> t,
-    # ranked by set partition; short partitions are padded with ``size``, the
-    # index of a 1.0 appended to the data
+    # ranked by set partition; a partition shorter than its rank's widest
+    # would be padded with ``size``, but at orders 1..MAX_ORDER the partitions
+    # of one rank all have the same number of blocks, so none is
     partitions = [_set_partitions(k) for k in range(order + 1)]
     faa = [sub_tuples(k, [block for part in partitions[k] for block in part])
            for k in range(order + 1)]
@@ -451,14 +452,15 @@ def apply_unary(fn: str, a: Jet, exponent: float | None = None) -> Jet:
     tail = a.data.shape[1:]
     outer = np.stack([np.broadcast_to(d, tail) for d in
                       _outer_derivatives(fn, a.data[0], a.space.order, exponent)])
-    padded = np.concatenate([a.data, np.ones((1,) + tail)])
     out = np.empty_like(a.data)
     out[0] = outer[0]
-    for rank, (lo, nblocks, first, *blocks) in enumerate(a.space.faa_ranks):
-        terms = padded[first]
+    # every entry of a rank has a partition into the same number of blocks,
+    # so no block column is padding and one outer derivative serves the rank
+    for rank, (lo, _, first, *blocks) in enumerate(a.space.faa_ranks):
+        terms = a.data[first]
         for block in blocks:
-            terms *= padded[block]
-        terms *= outer[nblocks]
+            terms *= a.data[block]
+        terms *= outer[1 + len(blocks)]
         if rank == 0:
             terms += 0.0
             out[lo:] = terms

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from goursatkit.identities import (M_COEFFS, TRIAL_CHUNK, ConditionValues,
                                    ImplicationResult, ResidualSet, WitnessResult,
                                    _READ_TRIALS, _TrialStream, condition_values,
                                    first_kind_derivative_residuals, implication_test,
+                                   implication_tests,
                                    polynomial_sweep, sample_derivs,
                                    sample_second_kind_torsion,
                                    second_kind_polynomial_residuals, witness_search)
@@ -178,12 +179,15 @@ def ref_impose_and_check(t, d_vals, h, imposed, checked, pivot_floor=1e-3):
     return abs(value) / scale
 
 
-def ref_implication_test(trials, seed, imposed, checked, levels=(1, 2, 3)):
+def ref_implication_runs(seed, imposed, checked, levels=(1, 2, 3)):
+    """The scalar loop's result after each accepted trial, for trials = 1, 2,
+    ...; it draws lazily, so stopping after the result for N trials leaves
+    the generator where a loop for N trials ends."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     rejected = 0
     done = 0
-    while done < trials:
+    while True:
         t = ref_sample_torsion(rng)
         d_vals = rng.uniform(-2.0, 2.0, size=(5, 5, 5))
         ok = True
@@ -199,7 +203,21 @@ def ref_implication_test(trials, seed, imposed, checked, levels=(1, 2, 3)):
             continue
         worst = max(worst, trial_worst)
         done += 1
-    return ImplicationResult(tuple(imposed), checked, trials, rejected, worst)
+        yield ImplicationResult(tuple(imposed), checked, done, rejected, worst)
+
+
+def ref_implication_test(trials, seed, imposed, checked, levels=(1, 2, 3)):
+    if not trials:
+        return ImplicationResult(tuple(imposed), checked, 0, 0, 0.0)
+    return next(islice(ref_implication_runs(seed, imposed, checked, levels), trials - 1, None))
+
+
+def ref_implication_counts(seed, most, levels=(1, 2, 3)):
+    """Per pairing, ``ref_implication_test(n, seed, ...)`` for n = 0..most,
+    from one scalar pass."""
+    return [[ref_implication_test(0, seed, imposed, checked, levels)]
+            + list(islice(ref_implication_runs(seed, imposed, checked, levels), most))
+            for imposed, checked in PAIRINGS]
 
 
 def ref_witness_search(trials, seed, threshold=1e-2):
@@ -441,6 +459,64 @@ class TestMatchesScalarReference:
         levels = (5, 2, 4)
         assert (implication_test(TRIAL_CHUNK + 1, 5, ("m", "r"), "n", levels)
                 == ref_implication_test(TRIAL_CHUNK + 1, 5, ("m", "r"), "n", levels))
+
+    # at seeds 0-5 the pairings reject different numbers of trials, so they
+    # end at different trials of the one stream
+    @pytest.mark.parametrize("seed", range(6))
+    def test_implication_tests_read_one_stream(self, seed):
+        counts = (0, 1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1, 2 * TRIAL_CHUNK + 1, 2000)
+        runs = ref_implication_counts(seed, max(counts))
+        for trials in counts:
+            assert implication_tests(trials, seed, PAIRINGS) == [run[trials] for run in runs]
+        assert len({run[-1].rejected for run in runs}) > 1
+
+    # at seed 312 a pairing's next accepted trial after its last one, still
+    # inside the chunk that completes the slowest pairing, has a larger
+    # residual; at seed 366 a rejection comes first
+    @pytest.mark.parametrize("seed", [312, 366])
+    def test_implication_tests_drop_trials_past_their_last(self, seed):
+        trials = 300
+        runs = ref_implication_counts(seed, trials + 1)
+        want = [run[trials] for run in runs]
+        assert implication_tests(trials, seed, PAIRINGS) == want
+        last = max(r.trials + r.rejected for r in want)  # the slowest pairing's last trial
+        assert any((run[-1].rejected, run[-1].max_relative) != (r.rejected, r.max_relative)
+                   and run[-1].trials + run[-1].rejected <= last
+                   for run, r in zip(runs, want))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_implication_tests_with_levels(self, seed):
+        levels = (5, 2, 4)
+        counts = (0, 1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1)
+        runs = ref_implication_counts(seed, max(counts), levels)
+        for trials in counts:
+            assert (implication_tests(trials, seed, PAIRINGS, levels)
+                    == [run[trials] for run in runs])
+
+    def test_invalid_pair_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError):
+            implication_tests(10, 0, [PAIRINGS[0], (("m", "n"), "n")])
+
+    def test_stacked_polynomial_residuals(self):
+        # one stacked evaluation of many tensors, non-finite entries included,
+        # against the reference one tensor and one selection at a time
+        rng = np.random.default_rng(14)
+        stack = np.array([rng.uniform(-2, 2, (5, 5)) for _ in range(20)]
+                         + [sample_second_kind_torsion(rng).values for _ in range(20)])
+        stack[3, 0, 3] = stack[3, 3, 0] = np.inf
+        stack[7, 1, 2] = stack[7, 2, 1] = np.nan
+        t = TorsionTensor.from_matrix(stack)
+        got = second_kind_polynomial_residuals(t)
+        for i, values in enumerate(t.values):
+            ref = ref_polynomial_residuals(TorsionTensor(5, values))
+            assert list(got) == list(ref)
+            for key, rs in ref.items():
+                assert repr(got[key].values[i].tolist()) == repr(rs.values.tolist())
+                assert repr(got[key].scales[i].tolist()) == repr(rs.scales.tolist())
 
     @pytest.mark.parametrize("trials,seed,threshold", [
         (1, 0, 1e-2), (2000, 23, 1e-2),

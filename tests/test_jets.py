@@ -351,3 +351,15 @@ def test_space_tables_match_reference(m, order):
     for name, want in _reference_space(m, order).items():
         _assert_same_table(getattr(sp, name), want)
     assert sp.size == len(sp.tuples)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_faa_ranks_need_no_padding(m, order):
+    # apply_unary reads every block column from the data and takes one outer
+    # derivative per rank: no column holds the padding index, and each rank
+    # has one block count, that of its columns
+    sp = J.space(m, order)
+    for lo, nblocks, first, *blocks in sp.faa_ranks:
+        assert all(not (col == sp.size).any() for col in (first, *blocks))
+        assert set(nblocks.tolist()) == {1 + len(blocks)}
