@@ -120,13 +120,11 @@ def _row_det(top: np.ndarray, m: np.ndarray) -> tuple:
     return rows, np.linalg.det(rows)
 
 
-@np.errstate(all="ignore")  # non-finite values are recorded, not warned about
 def first_kind_residual(t: TorsionTensor) -> tuple[float, float]:
     """a13*a24 - a14*a23, raw and relative (arrays for a stack of tensors)."""
     return _first_kind(t.values)
 
 
-@np.errstate(all="ignore")  # non-finite values are recorded, not warned about
 def first_kind_pde(b: DerivativeBundle) -> tuple[np.ndarray, np.ndarray]:
     """Cleared determinant F13*F24 - F14*F23 at every bundle point, raw and
     relative.
@@ -210,7 +208,6 @@ def second_kind_residuals(t: TorsionTensor) -> SecondKindResiduals:
     return SecondKindResiduals(det24, sum25, expr26, cross27, scale)
 
 
-@np.errstate(all="ignore")  # non-finite values are recorded, not warned about
 def second_kind_pde(b: DerivativeBundle) -> tuple[np.ndarray, np.ndarray]:
     """det [[F3,F4,F5],[F13,F14,F15],[F23,F24,F25]] at every bundle point, raw
     and relative to the largest expansion monomial."""

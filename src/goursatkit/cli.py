@@ -110,8 +110,8 @@ class RunConfig:
             setattr(self, name, value)
 
     def validate(self):
-        if not 4 <= self.n <= MAX_ARITY:
-            raise ConfigError(f"n must be between 4 and {MAX_ARITY}")
+        """The checks :func:`_config` does not make while it reads ``n`` and
+        the box."""
         if self.source not in ("expr", "family"):
             raise ConfigError("web source must be 'expr' or 'family'")
         if self.source == "expr" and not self.expr_text:
@@ -122,8 +122,6 @@ class RunConfig:
             raise ConfigError(f"count must be between 1 and {MAX_COUNT}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if len(self.box) != self.n:
-            raise ConfigError("box must provide one interval per coordinate")
         for lo, hi in self.box:
             # the width is finite only when both ends are and it does not
             # overflow, which would make the uniform draw raise
@@ -240,7 +238,7 @@ def _config(sections: dict[str, dict[str, str]]) -> RunConfig:
     n = read("web", "n", int, 0)
     if n <= 0:
         raise ConfigError("[web] n is required")
-    if n > MAX_ARITY:  # before n sizes the box below
+    if not 4 <= n <= MAX_ARITY:  # before n sizes the box below
         raise ConfigError(f"n must be between 4 and {MAX_ARITY}")
     source = (read("web", "source") or ("family" if "family" in sections else "expr")).lower()
 
@@ -501,7 +499,6 @@ def _assert_entry(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-@np.errstate(all="ignore")  # non-finite values are recorded, not warned about
 def _consistency_assertions(b: DerivativeBundle, config: RunConfig) -> list[dict]:
     """Exact algebraic cross-checks on the first eight bundle points, recorded
     into the report."""
@@ -549,6 +546,7 @@ def _consistency_assertions(b: DerivativeBundle, config: RunConfig) -> list[dict
     return out
 
 
+@np.errstate(all="ignore")  # non-finite values are recorded, not warned about
 def run(config: RunConfig) -> RunReport:
     """Execute the requested suites; numerical failures become report entries."""
     started = time.perf_counter()
@@ -732,7 +730,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .classify import fold_max
-from .jets import Jet, _partial_index, constant, space
+from .jets import Jet, _partial_index, space
 from .web import JET_ORDER, DerivativeBundle, Point, WebFunction, as_point, derivative_bundle
 
 RANK_TOL = 1e-8  # singular values below this fraction of the largest count as zero
@@ -69,8 +69,7 @@ class CoFormField:
     def coordinate(cls, n: int, index: int) -> "CoFormField":
         c = np.zeros(n)
         c[index - 1] = 1.0
-        dx = cls.constant(c, f"dx{index}")
-        return cls(n, dx.label, dx.evaluate, [(index, [(+1,)])])
+        return cls.constant(c, f"dx{index}")
 
     @classmethod
     def gradient(cls, web: WebFunction) -> "CoFormField":
@@ -174,15 +173,14 @@ def _factor(jet: Jet, idx: tuple[int, ...]) -> Jet:
 
 def _row_values(row, jet: Jet) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients (..., n) and Jacobians (..., n, n) of a SYSTEMS row from the
-    order-3 jet of F at a point or a batch: jet products of partials of F (1
-    for none), each coefficient's terms summed from 0.0 in table order."""
+    order-3 jet of F at a point or a batch: jet products of partials of F,
+    each coefficient's terms summed from 0.0 in table order."""
     n, tail = jet.slots, jet.data.shape[1:]
     out = np.zeros(tail + (n, n + 1))
     for slot, terms in row:
         total = 0.0
         for sign, *factors in terms:
-            product = reduce(mul, [_factor(jet, idx) for idx in factors]
-                             or [constant(1.0, n, 1, tail)])
+            product = reduce(mul, [_factor(jet, idx) for idx in factors])
             total = total + product.data * float(sign)
         out[..., slot - 1, :] = total.T  # the point axis, if any, first
     return out[..., 0], out[..., 1:]
@@ -211,22 +209,25 @@ def coefficient_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
 
 def _generators(sys: PfaffianSystem, points, b: DerivativeBundle | None = None) -> tuple:
     """Coefficients (N, k, n) of the generators and their exterior derivatives
-    dtheta = J.T - J (N, k, n, n), filled one generator at a time: rows run
-    on the batch jet of ``b`` (by default, of the web at ``points``, if any),
-    other fields stack their ``evaluate`` output."""
+    dtheta = J.T - J (N, k, n, n), in ``generators`` order: field rows run on
+    the batch jet of ``b`` (by default, of the web at ``points``, if any),
+    other fields stack their ``evaluate`` output, and each dx_s is the
+    constant 1 in slot s, with dtheta 0."""
     if b is None and sys.web is not None:
         b = derivative_bundle(sys.web, points)
-    gens = sys.generators
     jet = None if b is None else Jet(space(sys.arity, JET_ORDER), b.data.T)
-    coeffs = np.empty((len(points), len(gens), sys.arity))
-    dtheta = np.empty((len(points), len(gens), sys.arity, sys.arity))
-    for g, gen in enumerate(gens):
-        if jet is not None and gen.row is not None:
-            coeffs[:, g], jac = _row_values(gen.row, jet)
+    k = len(sys.fields) + len(sys.sigma)
+    coeffs = np.zeros((len(points), k, sys.arity))
+    dtheta = np.zeros((len(points), k, sys.arity, sys.arity))
+    for g, field in enumerate(sys.fields):
+        if jet is not None and field.row is not None:
+            coeffs[:, g], jac = _row_values(field.row, jet)
         else:
-            coeffs[:, g], jac = map(np.array, zip(*(gen.evaluate(as_point(p, sys.arity))
+            coeffs[:, g], jac = map(np.array, zip(*(field.evaluate(as_point(p, sys.arity))
                                                     for p in points)))
         dtheta[:, g] = jac.swapaxes(-1, -2) - jac
+    for g, s in enumerate(sys.sigma, start=len(sys.fields)):
+        coeffs[:, g, s - 1] = 1.0
     return coeffs, dtheta
 
 
@@ -334,7 +335,6 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
     return report
 
 
-@np.errstate(all="ignore")
 def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIUS_TOL,
                       b: DerivativeBundle | None = None) -> list[FrobeniusReport | None]:
     """Normalized residuals of d t^i ^ t^1 ^ ... ^ t^k per generator at every

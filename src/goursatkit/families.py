@@ -91,10 +91,14 @@ class FamilySpec:
             raise FamilySpecError("second-kind families need arity n >= 5")
         if self.phi.arity != n or self.psi.arity != n:
             raise FamilySpecError("phi and psi must be declared over the full arity")
+        if not np.isfinite(self.a0):
+            raise FamilySpecError(f"a0 must be finite, got {self.a0!r}")
         if self.kind == "first":
             banned_phi, banned_psi = {3, 4}, {1, 2}
             allowed_phi_params = {PARAM}
         else:
+            if self.slot == PARAM:  # _compose would bind psi over the parameter's seed
+                raise FamilySpecError(f"the psi slot must not be the parameter '{PARAM}'")
             banned_phi, banned_psi = {3, 4, 5}, {1, 2}
             allowed_phi_params = {PARAM, self.slot}
         bad = self.phi.variables_used & banned_phi

@@ -95,9 +95,12 @@ class JetSpace:
     out and ``faa_out`` the outputs of the Faa di Bruno terms, both ordered
     by rank within their output entry, then by output.  ``mul_ranks`` and
     ``faa_ranks`` hold one rank each: the first output it reaches (every
-    later entry has a term of that rank) and its operand indices;
-    ``div_ranks[k]`` holds, per rank, the terms of the order-k entries
-    whose quotient factor has lower order.
+    later entry has a term of that rank) and its operand indices.  A Faa di
+    Bruno rank has one index array per block of its set partitions, which
+    have the same number of blocks in every entry of the rank, so the rank
+    takes the outer derivative of that order.  ``div_ranks[k]`` holds, per
+    rank, the terms of the order-k entries whose quotient factor has lower
+    order.
     """
 
     __slots__ = ("m", "order", "tuples", "pos", "order_start", "mul_i", "mul_j", "mul_out",
@@ -111,8 +114,7 @@ class JetSpace:
         self.pos = {t: i for i, t in enumerate(tuples)}
         self.order_start = order_start  # order k entries live in [start[k], start[k+1])
         self.mul_ranks = mul_ranks  # ((lo, i, j), ...)
-        # ((lo, outer derivative order, entries of block 1, of block 2, ...), ...)
-        self.faa_ranks = faa_ranks
+        self.faa_ranks = faa_ranks  # ((lo, entries of block 1, of block 2, ...), ...)
         size = len(tuples)
         self.mul_i = np.concatenate([i for _, i, _ in mul_ranks])
         self.mul_j = np.concatenate([j for _, _, j in mul_ranks])
@@ -191,26 +193,19 @@ def space(m: int, order: int) -> JetSpace:
             np.concatenate([leibniz[k][:, 2 * rank + side] for k in ks]) for side in (0, 1))))
 
     # Faa di Bruno terms f^(blocks) * (product of the block entries) -> t,
-    # ranked by set partition; a partition shorter than its rank's widest
-    # would be padded with ``size``, but at orders 1..MAX_ORDER the partitions
-    # of one rank all have the same number of blocks, so none is
+    # ranked by set partition; at orders 1..MAX_ORDER the partitions of one
+    # rank all have the same number of blocks, so their columns stack unpadded
     partitions = [_set_partitions(k) for k in range(order + 1)]
     faa = [sub_tuples(k, [block for part in partitions[k] for block in part])
            for k in range(order + 1)]
     faa_ranks = []
     for rank in range(len(partitions[order])):
         ks = [k for k in range(1, order + 1) if rank < len(partitions[k])]
-        width = max(len(partitions[k][rank]) for k in ks)
-        nblocks, blocks = [], []
+        blocks = []
         for k in ks:
-            parts = partitions[k]
-            first = sum(map(len, parts[:rank]))  # the rank's first block column
-            count = len(parts[rank])
-            nblocks.append(np.full(len(digits[k]), count, dtype=np.intp))
-            padded = np.full((len(digits[k]), width), size, dtype=np.intp)
-            padded[:, :count] = faa[k][:, first:first + count]
-            blocks.append(padded)
-        faa_ranks.append(_rank_table(size, order_start[ks[0]], np.concatenate(nblocks),
+            first = sum(map(len, partitions[k][:rank]))  # the rank's first block column
+            blocks.append(faa[k][:, first:first + len(partitions[k][rank])])
+        faa_ranks.append(_rank_table(size, order_start[ks[0]],
                                      *np.concatenate(blocks).T.copy()))
 
     return JetSpace(m, order, tuple(tuples), tuple(order_start), tuple(mul_ranks),
@@ -455,8 +450,8 @@ def apply_unary(fn: str, a: Jet, exponent: float | None = None) -> Jet:
     out = np.empty_like(a.data)
     out[0] = outer[0]
     # every entry of a rank has a partition into the same number of blocks,
-    # so no block column is padding and one outer derivative serves the rank
-    for rank, (lo, _, first, *blocks) in enumerate(a.space.faa_ranks):
+    # so one outer derivative serves the rank
+    for rank, (lo, first, *blocks) in enumerate(a.space.faa_ranks):
         terms = a.data[first]
         for block in blocks:
             terms *= a.data[block]

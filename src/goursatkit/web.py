@@ -298,14 +298,12 @@ class DerivativeBundle:
     hess = property(lambda self: self._order(2))    # (N, n, n)
     third = property(lambda self: self._order(3))   # (N, n, n, n)
 
-    @np.errstate(all="ignore")
     def torsion_values(self) -> np.ndarray:
         """a_ab = F_ab / (F_a F_b) at every point, (N, n, n), diagonal NaN."""
         values = self.hess / (self.grad[:, :, None] * self.grad[:, None, :])
         values[:, range(self.n), range(self.n)] = np.nan
         return values
 
-    @np.errstate(all="ignore")
     def pfaffian_values(self, w) -> np.ndarray:
         """a_abg at gauge ``w`` (n,) or one gauge per point (N, n), (N, n, n, n):
         (1/F_g) d_g a_ab - a_ab (a_ga + a_bg) - a_ab w_g with zero-diagonal

@@ -84,8 +84,12 @@ class TestConfigParsing:
             parse_config_text("[web]\nsource = expr\nexpr = x1*x3\n")
 
     def test_n_above_scope(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="n must be between 4 and 8"):
             parse_config_text(PRODUCT_CFG.replace("n = 4", "n = 9"))
+
+    def test_n_below_scope(self):
+        with pytest.raises(ConfigError, match="n must be between 4 and 8"):
+            parse_config_text(PRODUCT_CFG.replace("n = 4", "n = 3"))
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_identity_trials_not_positive(self, trials, tmp_path, capsys):
@@ -364,6 +368,28 @@ class TestMain:
     def test_missing_file_exit_two(self, capsys):
         assert main(["run", "--config", "/no/such/file.cfg"]) == EXIT_CONFIG
         capsys.readouterr()
+
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(PRODUCT_CFG.replace("(x1+x2)", "(x1+x2) # \xe9").encode("latin-1"))
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "error: cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edits", [
+        [("slot = s", "slot = a"), ("s^2/2 + s*", "a^2/2 + a*")],
+        [("a0 = -4.0", "a0 = nan")],
+        [("a0 = -4.0", "a0 = -inf")],
+    ])
+    def test_unusable_family_spec_exit_two(self, edits, tmp_path, capsys):
+        # the psi slot bound over the parameter, or a non-finite Newton start,
+        # once sampled no regular point and exited 3
+        text = FAMILY_CFG
+        for edit in edits:
+            text = text.replace(*edit)
+        cfg = tmp_path / "family.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config error: bad family spec" in capsys.readouterr().err
 
     def test_numerical_failure_exit_three(self, tmp_path, capsys):
         cfg = tmp_path / "sing.cfg"

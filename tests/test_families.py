@@ -36,6 +36,17 @@ class TestSpecValidation:
             FamilySpec("second", parse("a*x1 + s", 4, ["a", "s"]),
                        parse("a + x3", 4, ["a"]), 4, 0.0)
 
+    def test_second_kind_rejects_parameter_as_slot(self):
+        # _compose would bind psi's value over the parameter's seed
+        with pytest.raises(FamilySpecError, match="slot"):
+            FamilySpec("second", parse("a*x1 + a^2", 5, ["a"]),
+                       parse("a + x3", 5, ["a"]), 5, 0.0, slot="a")
+
+    @pytest.mark.parametrize("a0", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_start(self, a0):
+        with pytest.raises(FamilySpecError, match="a0"):
+            FamilySpec("first", parse("a*x1", 4, ["a"]), parse("a*x3", 4, ["a"]), 4, a0)
+
     def test_shared_tail_variables_allowed(self):
         FamilySpec("first", parse("a*(x1 + x5)", 5, ["a"]),
                    parse("a*(x3 + x5) + a^2", 5, ["a"]), 5, 0.0)

@@ -292,6 +292,7 @@ def _reference_space(m, order):
     def rank_table(terms):
         outs = [t[0] for t in terms]
         assert outs == list(range(outs[0], outs[0] + len(outs)))
+        assert len(set(map(len, terms))) == 1  # one index per operand in every term
         return (outs[0],) + tuple(np.asarray(col, dtype=np.intp) for col in list(zip(*terms))[1:])
 
     masks = {k: [([b for b in range(k) if mask >> b & 1],
@@ -313,13 +314,8 @@ def _reference_space(m, order):
     faa = [[] for _ in partitions[order]]
     for p, t in enumerate(tuples[1:], start=1):
         for rank, part in zip(faa, partitions[len(t)]):
-            rank.append((p, len(part), [pos[tuple(map(t.__getitem__, block))]
-                                        for block in part]))
-    faa_ranks = []
-    for terms in faa:
-        width = max(t[1] for t in terms)
-        blocks = np.asarray([t[2] + [size] * (width - t[1]) for t in terms], dtype=np.intp)
-        faa_ranks.append(rank_table([t[:2] for t in terms]) + tuple(blocks.T.copy()))
+            rank.append((p, *(pos[tuple(map(t.__getitem__, block))] for block in part)))
+    faa_ranks = tuple(rank_table(terms) for terms in faa)
 
     return dict(
         m=m, order=order, tuples=tuple(tuples), pos=pos, order_start=tuple(order_start),
@@ -327,7 +323,7 @@ def _reference_space(m, order):
         mul_j=np.concatenate([j for _, _, j in mul_ranks]),
         mul_out=np.concatenate([np.arange(lo, size) for lo, _, _ in mul_ranks]),
         faa_out=np.concatenate([np.arange(rank[0], size) for rank in faa_ranks]),
-        mul_ranks=mul_ranks, div_ranks=tuple(div_ranks), faa_ranks=tuple(faa_ranks),
+        mul_ranks=mul_ranks, div_ranks=tuple(div_ranks), faa_ranks=faa_ranks,
     )
 
 
@@ -356,10 +352,9 @@ def test_space_tables_match_reference(m, order):
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", range(1, 10))
 def test_faa_ranks_need_no_padding(m, order):
-    # apply_unary reads every block column from the data and takes one outer
-    # derivative per rank: no column holds the padding index, and each rank
-    # has one block count, that of its columns
-    sp = J.space(m, order)
-    for lo, nblocks, first, *blocks in sp.faa_ranks:
-        assert all(not (col == sp.size).any() for col in (first, *blocks))
-        assert set(nblocks.tolist()) == {1 + len(blocks)}
+    # apply_unary takes one outer derivative per rank, that of the rank's
+    # block count: the set partitions of one rank have one block count at
+    # every order, and the rank has one column per block
+    partitions = [J._set_partitions(k) for k in range(1, order + 1)]
+    for rank, (lo, *blocks) in enumerate(J.space(m, order).faa_ranks):
+        assert {len(parts[rank]) for parts in partitions if rank < len(parts)} == {len(blocks)}
