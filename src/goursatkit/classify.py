@@ -10,6 +10,7 @@ bundles.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 from typing import Sequence
 
@@ -38,7 +39,8 @@ class Box:
 
     def __init__(self, bounds: tuple[tuple[float, float], ...]):
         for lo, hi in bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            # a width that overflows would make the uniform draw raise
+            if not (lo < hi and math.isfinite(float(hi) - float(lo))):
                 raise ValueError(f"invalid box interval ({lo}, {hi})")
         self.bounds = bounds
 
@@ -62,6 +64,8 @@ def sample_bundle(web: WebFunction, box: Box, count: int, seed: int) -> Derivati
     call, and keeps the regular draws and their jet rows in draw order."""
     if box.dim != web.arity:
         raise ValueError("box dimension must match the web arity")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     points, rows = [], []
     attempts = 0
@@ -176,6 +180,8 @@ def torsion_minors(t: TorsionTensor) -> tuple[float, float, float]:
     A + B + C equals the row-of-ones determinant, hence vanishes exactly on
     second-kind webs.
     """
+    if t.n < 5:
+        raise ValueError("torsion minors need arity n >= 5")
     A, B, C = cyclic_minors(t.values)
     return float(A), float(B), float(C)
 

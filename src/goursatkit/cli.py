@@ -591,8 +591,7 @@ def run(config: RunConfig) -> RunReport:
         algebra = {
             "implications": {}, "witness": None, "polynomial_constrained_max": None,
         }
-        pairs = ((("m", "n"), "r"), (("n", "r"), "m"), (("m", "r"), "n"))
-        for res in ident.implication_tests(trials, config.seed, pairs):
+        for res in ident.implication_tests(trials, config.seed):
             algebra["implications"]["+".join(res.imposed) + "->" + res.checked] = {
                 "max_relative": res.max_relative, "rejected": res.rejected,
                 "trials": res.trials,

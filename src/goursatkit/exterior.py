@@ -29,7 +29,8 @@ import numpy as np
 
 from .classify import fold_max
 from .jets import Jet, _partial_index, space
-from .web import JET_ORDER, DerivativeBundle, Point, WebFunction, as_point, derivative_bundle
+from .web import (JET_ORDER, DerivativeBundle, Point, WebFunction, as_point, as_points,
+                  derivative_bundle)
 
 RANK_TOL = 1e-8  # singular values below this fraction of the largest count as zero
 DEFAULT_FROBENIUS_TOL = 1e-7
@@ -223,8 +224,9 @@ def _generators(sys: PfaffianSystem, points, b: DerivativeBundle | None = None) 
         if jet is not None and field.row is not None:
             coeffs[:, g], jac = _row_values(field.row, jet)
         else:
-            coeffs[:, g], jac = map(np.array, zip(*(field.evaluate(as_point(p, sys.arity))
-                                                    for p in points)))
+            jac = np.zeros((len(points), sys.arity, sys.arity))
+            for i, p in enumerate(points):
+                coeffs[i, g], jac[i] = field.evaluate(as_point(p, sys.arity))
         dtheta[:, g] = jac.swapaxes(-1, -2) - jac
     for g, s in enumerate(sys.sigma, start=len(sys.fields)):
         coeffs[:, g, s - 1] = 1.0
@@ -237,15 +239,23 @@ def _rank(sv: np.ndarray):
     return np.where(top[..., 0] > 0.0, (sv > RANK_TOL * top).sum(axis=-1), 0)[()]
 
 
+def _finite_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
+    """:func:`coefficient_matrix`; a non-finite coefficient raises ArithmeticError."""
+    matrix = coefficient_matrix(sys, p)
+    if not np.isfinite(matrix).all():
+        raise ArithmeticError(NON_FINITE)
+    return matrix
+
+
 def rank_at(sys: PfaffianSystem, p: Sequence[float]) -> tuple[int, int]:
     """(rank, kernel dimension) of the span at p, by singular values."""
-    rank = int(_rank(np.linalg.svd(coefficient_matrix(sys, p), compute_uv=False)))
+    rank = int(_rank(np.linalg.svd(_finite_matrix(sys, p), compute_uv=False)))
     return rank, sys.arity - rank
 
 
 def kernel_basis(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
     """Orthonormal basis (columns) of the common kernel at p."""
-    _, sv, vt = np.linalg.svd(coefficient_matrix(sys, p))
+    _, sv, vt = np.linalg.svd(_finite_matrix(sys, p))
     return vt[_rank(sv):].T
 
 
@@ -351,7 +361,7 @@ def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIU
     'inconclusive' between, 'degenerate' when the generators are dependent
     at p.  Every point sees the float operations of a one-point evaluation.
     """
-    points = np.asarray(points, dtype=float)
+    points = as_points(points, sys.arity)
     coeffs, dtheta = _generators(sys, points, b)
     n, k = sys.arity, coeffs.shape[1]
     finite = np.isfinite(coeffs).all(axis=(1, 2))

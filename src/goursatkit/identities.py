@@ -428,11 +428,6 @@ class _TrialStream:
         return t, d, drawn
 
 
-def _symmetrized(d: np.ndarray) -> np.ndarray:
-    """First-slot symmetrization, as :meth:`PfaffianDerivs.from_array`."""
-    return (d + d.swapaxes(-3, -2)) / 2.0
-
-
 def polynomial_sweep(trials: int, seed: int) -> float:
     """Worst relative residual of the polynomial identities over ``trials``
     second-kind torsion draws from ``default_rng(seed)``."""
@@ -458,70 +453,65 @@ class ImplicationResult:
     max_relative: float
 
 
-_SYSTEMS = ("m", "n", "r")
+# the implication tests as (imposed, checked); imposed may come in either order
+PAIRINGS = ((("m", "n"), "r"), (("n", "r"), "m"), (("m", "r"), "n"))
+# per sorted imposed pair, its solves in order: (closure, pivot entries hi and
+# lo, the derivative entry solved for); the mixed closure is solved last, and
+# the n and r solves touch disjoint entries, so their order changes no float
+_SOLVES = {
+    ("m", "n"): (("n", (1, 5), (1, 4), (1, 3)), ("m", (1, 5), (1, 4), (2, 3))),
+    ("n", "r"): (("n", (1, 5), (1, 4), (1, 3)), ("r", (2, 5), (2, 4), (2, 3))),
+    ("m", "r"): (("r", (2, 5), (2, 4), (2, 3)), ("m", (2, 4), (2, 5), (1, 3))),
+}
 
 
 @np.errstate(all="ignore")
-def _implication_trials(t: np.ndarray, d: np.ndarray, imposed: tuple[str, str],
-                      checked: str, levels: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per trial and level h, adjust one designated derivative per imposed
-    condition, then evaluate the third; returns (accepted, worst relative
-    residual of the third over the levels).  A trial is rejected at any
-    level where a pivot is small or a solved condition fails to re-check.
-
-    Designated unknowns: the row-1 closure and the mixed closure solve for
-    a13h (coefficients a15-a14 and a24-a25); the row-2 closure solves for
-    a23h (coefficient a25-a24).  The mixed closure is imposed after the
-    single-row one so the solves stay triangular.
-    """
+def _implication_trials(t: np.ndarray, d: np.ndarray, pairs: Sequence[tuple[tuple[str, str], str]],
+                        levels: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per pair, trial and level h, solve each imposed condition for its
+    ``_SOLVES`` entry, then evaluate the checked one; returns per pair
+    (accepted, worst relative residual of the checked one over the levels).
+    A trial is rejected at any level where a pivot is small or a solved
+    condition fails to re-check.  The minors, the pivots and each level,
+    symmetrized, are computed once for all pairs."""
     A, B, C = cyclic_minors(t)
     residual = {"m": lambda dh, h: _m_residual(t, dh, h, A, B, C),
                 "n": lambda dh, h: _n_residual(t, dh, h, 1),
                 "r": lambda dh, h: _n_residual(t, dh, h, 2)}
-    solves = []
-    for name in sorted(imposed, key=lambda s: 0 if s in ("n", "r") else 1):
-        if name == "n":
-            solves.append((name, _e(t, 1, 5) - _e(t, 1, 4), (0, 2)))  # a13h
-        elif name == "r":
-            solves.append((name, _e(t, 2, 5) - _e(t, 2, 4), (1, 2)))  # a23h
-        elif "n" not in imposed:
-            solves.append((name, _e(t, 2, 4) - _e(t, 2, 5), (0, 2)))  # coefficient of a13h
-        else:
-            solves.append((name, _e(t, 1, 5) - _e(t, 1, 4), (1, 2)))  # coefficient of a23h
-    accepted = np.ones(len(t), dtype=bool)
-    worst = np.zeros(len(t))
-    # each pass reads one level, symmetrized as by _symmetrized into one buffer
-    dh = np.empty(d.shape[:-1])
+    pivot = {(hi, lo): _e(t, *hi) - _e(t, *lo)
+             for solves in _SOLVES.values() for _, hi, lo, _ in solves}
+    out = [(np.ones(len(t), dtype=bool), np.zeros(len(t))) for _ in pairs]
     for h in levels:
-        np.add(d[..., h - 1], d[..., h - 1].swapaxes(-1, -2), out=dh)
-        dh /= 2.0
-        for name, pivot, (i, j) in solves:
-            accepted &= ~(np.abs(pivot) < PIVOT_FLOOR)
-            value, _ = residual[name](dh, h)
-            # value is (closure - rhs) with the current unknown included; zero it
-            dh[:, i, j] -= value / pivot
-            dh[:, j, i] = dh[:, i, j]
-            check, _ = residual[name](dh, h)
-            accepted &= ~(np.abs(check) > 1e-9 * fold_max([1.0, np.abs(value)]))
-        value, scale = residual[checked](dh, h)
-        worst = fold_max([worst, np.abs(value) / scale])
-    return accepted, worst
+        level = (d[..., h - 1] + d[..., h - 1].swapaxes(-1, -2)) / 2.0  # as from_array
+        for (imposed, checked), (accepted, worst) in zip(pairs, out):
+            dh = level.copy()
+            for name, hi, lo, (i, j) in _SOLVES[tuple(sorted(imposed))]:
+                accepted &= ~(np.abs(pivot[hi, lo]) < PIVOT_FLOOR)
+                value, _ = residual[name](dh, h)
+                # value is (closure - rhs) with the current unknown included; zero it
+                dh[:, i - 1, j - 1] -= value / pivot[hi, lo]
+                dh[:, j - 1, i - 1] = dh[:, i - 1, j - 1]
+                check, _ = residual[name](dh, h)
+                accepted &= ~(np.abs(check) > 1e-9 * fold_max([1.0, np.abs(value)]))
+            value, scale = residual[checked](dh, h)
+            worst[...] = fold_max([worst, np.abs(value) / scale])
+    return out
 
 
-def implication_tests(trials: int, seed: int, pairs: Sequence[tuple[tuple[str, str], str]],
+def implication_tests(trials: int, seed: int,
+                      pairs: Sequence[tuple[tuple[str, str], str]] = PAIRINGS,
                       levels: Sequence[int] = (1, 2, 3)) -> list[ImplicationResult]:
     """:func:`implication_test` for each ``(imposed, checked)`` pair, all
     read from one trial stream.
 
     Every test reads a prefix of the same trial sequence, up to its
-    ``trials``-th accepted trial, so each chunk is evaluated for every test
-    that still needs trials, and a test drops the trials of a chunk after
-    the one that completes it.
+    ``trials``-th accepted trial, so each chunk is evaluated in one pass for
+    every test that still needs trials, and a test drops the trials of a
+    chunk after the one that completes it.
     """
     pairs = [(tuple(imposed), checked) for imposed, checked in pairs]
-    for imposed, checked in pairs:
-        if set(imposed) | {checked} != set(_SYSTEMS) or len(set(imposed)) != 2:
-            raise ValueError("imposed/checked must partition {'m', 'n', 'r'}")
+    if any((tuple(sorted(imposed)), checked) not in PAIRINGS for imposed, checked in pairs):
+        raise ValueError("each pair must be one of PAIRINGS, up to the order of imposed")
     stream = _TrialStream(np.random.default_rng(seed), "always")
     worst = [0.0] * len(pairs)
     rejected = [0] * len(pairs)
@@ -530,10 +520,9 @@ def implication_tests(trials: int, seed: int, pairs: Sequence[tuple[tuple[str, s
         # a chunk never holds more than the most missing accepted trials, so
         # every trial in it is one the one-at-a-time loop of some test draws
         t, d, _ = stream.draw(min(TRIAL_CHUNK, trials - min(done)))
-        for i, (imposed, checked) in enumerate(pairs):
-            if done[i] == trials:
-                continue
-            accepted, trial_worst = _implication_trials(t, d, imposed, checked, levels)
+        open_tests = [i for i in range(len(pairs)) if done[i] < trials]
+        rows = _implication_trials(t, d, [pairs[i] for i in open_tests], levels)
+        for i, (accepted, trial_worst) in zip(open_tests, rows):
             # the test's last trial is its (trials - done)-th accepted one
             last = np.flatnonzero(accepted)[trials - done[i] - 1:][:1]
             if last.size:
@@ -573,7 +562,7 @@ def _witness_trials(t: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarra
     residuals (worst s, worst of u and v) of the adjusted data."""
     A, B, C = cyclic_minors(t)
     pivot = _s_pivot(t)
-    d = _symmetrized(d)
+    d = (d + d.swapaxes(-3, -2)) / 2.0  # as PfaffianDerivs.from_array
     for h in (3, 4, 5):
         value, _ = _s_residual(t, d[..., h - 1], h, A, B, C)
         d[:, 0, 3, h - 1] -= value / pivot

@@ -156,6 +156,10 @@ class TestMinors:
         A, _, _ = torsion_minors(torsion(catalog.cross_web(5), ONES5))
         assert A == pytest.approx(0.25)
 
+    def test_arity_four_rejected(self):
+        with pytest.raises(ValueError, match="n >= 5"):
+            torsion_minors(torsion(catalog.product_web(4), ONES4))
+
     @given(st.integers(0, 10**9))
     @settings(max_examples=100, deadline=None)
     def test_sum_equals_det(self, seed):
@@ -202,6 +206,21 @@ class TestClassify:
         tiny = Box.cube(4, -1e-11, 1e-11)
         with pytest.raises(TooFewRegularPoints):
             sample_regular_points(web, tiny, 5, seed=0)
+
+    @pytest.mark.parametrize("bounds", [((-1e308, 1e308),) * 4, ((0.0, np.inf),) * 4,
+                                        ((0.0, np.nan),) * 4, ((1.0, 1.0),) * 4])
+    def test_box_needs_a_finite_width(self, bounds):
+        # a width that overflows once passed and made the uniform draw raise
+        with pytest.raises(ValueError, match="invalid box interval"):
+            Box(bounds)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
+        box = Box.cube(4, 0.5, 1.5)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            sample_regular_points(catalog.product_web(4), box, count, seed=0)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            classify(catalog.product_web(4), box, count=count)
 
     def test_batched_sampling_matches_point_by_point(self):
         # ln(x1 - 1) fails at the draws with x1 < 1, and ln(x2 - 1), evaluated

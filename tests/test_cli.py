@@ -365,6 +365,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err and "[run]" in err and "[sampling] cout" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[web]\nn = 4\nsource = tree\nexpr = x1*x2\n", "web source must be 'expr' or 'family'"),
+        ("[web]\nn = 4\nsource = expr\n", "source 'expr' needs an expression"),
+        (FAMILY_CFG.replace("psi = ", "# psi = "), "source 'family' needs kind, phi and psi"),
+        ("[web]\nn = 4\nexpr x1*x2\n", "line 3: expected 'key = value'"),
+        (FAMILY_CFG.replace("s^2/2 + s*(0.2*x1 - 0.2*x2)", "x1*x2"),
+         "phi never uses the psi slot 's'"),
+    ], ids=["source", "expr", "family", "line", "psi-slot"])
+    def test_config_error_messages(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_missing_file_exit_two(self, capsys):
         assert main(["run", "--config", "/no/such/file.cfg"]) == EXIT_CONFIG
         capsys.readouterr()

@@ -328,6 +328,26 @@ class TestFrobenius:
         with pytest.raises(ArithmeticError, match=NON_FINITE):
             frobenius_residual(PfaffianSystem("INF", 4, (field,)), ONES4)
 
+    def test_user_field_with_no_points(self):
+        # a field without a SYSTEMS row once failed to stack zero points
+        system = PfaffianSystem("X", 4, (CoFormField.constant([1, 0, 0, 0], "dx1"),), (3,))
+        assert frobenius_reports(system, np.zeros((0, 4))) == []
+
+    @pytest.mark.parametrize("points", [np.ones((2, 5)), [[np.nan, 1.0, 1.0, 1.0]],
+                                        [[1.0, np.inf, 1.0, 1.0]]])
+    def test_points_checked_without_a_web(self, points):
+        # a coordinate-only system reads no jets, so only the check rejects these
+        with pytest.raises(ValueError):
+            frobenius_reports(PfaffianSystem("C", 4, (), (3, 4)), points)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("call", [rank_at, kernel_basis])
+    def test_non_finite_coefficient_raises_in_rank_and_kernel(self, bad, call):
+        # inf once gave rank 0 and a full kernel, NaN a LinAlgError
+        field = CoFormField.constant([bad, 1.0, 0.0, 0.0], "bad")
+        with pytest.raises(ArithmeticError, match=NON_FINITE):
+            call(PfaffianSystem("BAD", 4, (field,)), ONES4)
+
     def test_degenerate_on_dependent_generators(self):
         dup = CoFormField.constant([1, 1, 0, 0], "dup")
         system = PfaffianSystem("DUP", 4, (dup, dup), ())
