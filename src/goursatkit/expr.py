@@ -12,8 +12,10 @@ Identifiers of the shape ``x<digits>`` are coordinate variables (1-based
 index, bounded by the declared arity); every other identifier must appear in
 the declared parameter list, except for the reserved function names
 ``exp``, ``ln``, ``sin``, ``cos``, ``sqrt``, which take one parenthesized
-argument.  Exponents of ``^`` must be constant (no variables or parameters);
-they are folded into the node at parse time.
+argument.  Exponents of ``^`` must be finite constants (no variables or
+parameters); they are folded into the node at parse time.  A tree deeper
+than ``MAX_DEPTH`` nodes, or one that nests too deeply for the parser's
+recursion, is an :class:`ExprSyntaxError`.
 
 Trees are immutable and safe to share between threads.
 """
@@ -26,6 +28,11 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
+# deepest tree parse admits, counted in nodes from the root to a leaf (a flat
+# sum of k terms is k deep): the evaluators and printers recurse once per
+# level, and every tree this deep runs through them at Python's default
+# recursion limit
+MAX_DEPTH = 500
 
 
 class ExprError(Exception):
@@ -210,11 +217,16 @@ class _Parser:
             if kind == "op" and val == "^":
                 self.advance()
                 exponent = self.unary()
-                folded = _fold_constant(exponent)
+                try:
+                    folded = _fold_constant(exponent)
+                except OverflowError:
+                    raise ExprSyntaxError("exponent of '^' overflows", off) from None
                 if folded is None:
                     raise ExprSyntaxError(
                         "exponent of '^' must be a constant", off
                     )
+                if not math.isfinite(folded):
+                    raise ExprSyntaxError("exponent of '^' must be finite", off)
                 node = BinOp("^", node, Const(folded, offset=off), offset=off)
             else:
                 return node
@@ -279,11 +291,29 @@ def _fold_constant(node: Node) -> float | None:
     return _apply_call(node.fn, arg, node)
 
 
+def _depth(root: Node) -> int:
+    """Nodes on the longest path from ``root`` to a leaf, without recursion."""
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, BinOp):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, Call):
+            stack.append((node.arg, depth + 1))
+    return deepest
+
+
 def parse(text: str, arity: int, params: tuple[str, ...] | list[str] = ()) -> Expr:
     """Parse ``text`` into an :class:`Expr` over x1..x<arity> and ``params``."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    root = _Parser(text, arity, tuple(params)).parse()
+    try:
+        root = _Parser(text, arity, tuple(params)).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply to parse", 0) from None
+    if _depth(root) > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression tree is deeper than {MAX_DEPTH} nodes", 0)
     return Expr(root, arity, tuple(params))
 
 

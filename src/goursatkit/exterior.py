@@ -348,8 +348,9 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
 def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIUS_TOL,
                       b: DerivativeBundle | None = None) -> list[FrobeniusReport | None]:
     """Normalized residuals of d t^i ^ t^1 ^ ... ^ t^k per generator at every
-    point (the rows of ``b`` when given); None where a generator coefficient
-    is not finite.
+    point (the rows of ``b`` when given; ``b`` must have been evaluated at
+    ``points``, else ValueError); None where a generator coefficient is not
+    finite.
 
     The wedge is taken on the free slots F outside sigma:
     d t^i ^ t^1 ^ ... ^ t^k = +-(d t^i|F ^ fields|F) ^ dx_sigma has the same
@@ -362,6 +363,8 @@ def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIU
     at p.  Every point sees the float operations of a one-point evaluation.
     """
     points = as_points(points, sys.arity)
+    if b is not None and not np.array_equal(b.points, points):
+        raise ValueError("the bundle b was evaluated at other points")
     coeffs, dtheta = _generators(sys, points, b)
     n, k = sys.arity, coeffs.shape[1]
     finite = np.isfinite(coeffs).all(axis=(1, 2))

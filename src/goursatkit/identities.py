@@ -286,20 +286,27 @@ def condition_values(t: TorsionTensor, d: PfaffianDerivs) -> ConditionValues:
 
 # --- constrained random sampling -------------------------------------------
 
+@np.errstate(all="ignore")
+def _candidates(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a23, a25, accepted) of the torsion candidates drawn as ``(..., 5, 5)``
+    blocks: a25 solved with pivot a14 - a13, and a candidate kept unless
+    that pivot is small or a25 is out of range."""
+    # the symmetrized entries, each as (vals + vals.T) / 2.0 computes it
+    a13, a14, a15, a23, a24 = ((_e(raw, p, q) + _e(raw, q, p)) / 2.0
+                               for p, q in ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4)))
+    a25 = (a14 * a23 - a13 * a24 + a15 * a24 - a15 * a23) / (a14 - a13)
+    return a23, a25, ~(np.abs(a14 - a13) < PIVOT_FLOOR) & ~(np.abs(a25) > 10 * SPAN)
+
+
 def _draw_torsion(rng: np.random.Generator) -> np.ndarray:
     """The matrix of :func:`sample_second_kind_torsion` (diagonal not NaN)."""
     while True:
-        vals = rng.uniform(-SPAN, SPAN, size=(TRIAL_ARITY, TRIAL_ARITY))
-        vals = (vals + vals.T) / 2.0
-        a13, a14, a15 = vals[0, 2:5].tolist()
-        a23, a24 = vals[1, 2:4].tolist()
-        if abs(a14 - a13) < PIVOT_FLOOR:
-            continue
-        a25 = (a14 * a23 - a13 * a24 + a15 * a24 - a15 * a23) / (a14 - a13)
-        if abs(a25) > 10 * SPAN:
-            continue
-        vals[1, 4] = vals[4, 1] = a25
-        return vals
+        raw = rng.uniform(-SPAN, SPAN, size=(TRIAL_ARITY, TRIAL_ARITY))
+        _, a25, accepted = _candidates(raw)
+        if accepted:
+            vals = (raw + raw.T) / 2.0
+            vals[1, 4] = vals[4, 1] = a25
+            return vals
 
 
 def sample_second_kind_torsion(rng: np.random.Generator) -> TorsionTensor:
@@ -318,31 +325,22 @@ def sample_derivs(rng: np.random.Generator) -> PfaffianDerivs:
                                      Gauge.zero(TRIAL_ARITY))
 
 
-# offsets of a derivative draw's blocks from its trial's torsion block
-_DERIV_BLOCKS = np.arange(1, TRIAL_ARITY + 1)
-# a chunk is read, walked and gathered in parts of at most this many trials:
-# the read-ahead stays near 150 KB, and the peak RSS of an identities run
-# where the one-trial loop had it (whole 256-trial reads added about 1 MB)
-_READ_TRIALS = 128
-
-
 class _TrialStream:
     """The draws of a one-trial-at-a-time loop on ``rng``, read ahead in blocks.
 
     Per trial that loop draws 5x5 torsion candidates until one is accepted
     (:func:`_draw_torsion`), then, where the trial needs derivatives, one
     (5, 5, 5) draw.  Every draw is a whole number of 25-double blocks, so the
-    stream draws its blocks ``(B, 5, 5)`` at a time, computes every block's
-    a25 and acceptance as arrays with the scalar code's float operations, and
-    walks the trial sequence with integer indices: the next accepted block,
-    then the five blocks after it where the trial draws.  ``derivs`` says
-    which trials draw: "always", "never", or "s-pivot" (those whose s-pivot
-    is not small).
+    stream reads its blocks ``(B, 5, 5)`` at a time, computes every block's
+    a25 and acceptance with :func:`_candidates`, and walks the blocks in
+    order: one block past a rejected candidate, one or six past a trial.
+    ``derivs`` says which trials draw: "always", "never", or "s-pivot" (those
+    whose s-pivot is not small).
 
     Reading ahead leaves ``rng`` past the doubles the trials used, so the
-    stream must own it.  A read-ahead is sized from the trials still wanted,
-    and blocks are dropped only after the trials walked over them have been
-    gathered, so no index goes stale.
+    stream must own it.  Before a trial could run past the buffer, the walk
+    reads the blocks the trials still wanted take without rejections; the
+    walked blocks are dropped once their trials are gathered.
     """
 
     def __init__(self, rng: np.random.Generator, derivs: str):
@@ -351,80 +349,47 @@ class _TrialStream:
         self._per_trial = 1 if derivs == "never" else 1 + TRIAL_ARITY
         self._raw = np.empty((0, TRIAL_ARITY, TRIAL_ARITY))
         self._a25 = np.empty(0)
-        self._accepted = np.empty(0, dtype=bool)
-        self._draws = np.empty(0, dtype=bool)
+        self._accepted: list[bool] = []
+        self._draws: list[bool] = []
 
-    def _need(self, trials: int) -> int:
-        """Blocks read ahead for ``trials`` trials, with slack for the ~2.6%
-        of rejected candidates."""
-        return self._per_trial * trials + trials // 32 + 2
-
-    @np.errstate(all="ignore")
     def _read(self, blocks: int) -> None:
         """Append ``blocks`` new blocks."""
         raw = self._rng.uniform(-SPAN, SPAN, size=(blocks, TRIAL_ARITY, TRIAL_ARITY))
-        # the symmetrized entries, each as (vals + vals.T) / 2.0 computes it
-        a13, a14, a15, a23, a24 = ((_e(raw, p, q) + _e(raw, q, p)) / 2.0
-                                   for p, q in ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4)))
-        a25 = (a14 * a23 - a13 * a24 + a15 * a24 - a15 * a23) / (a14 - a13)
-        accepted = ~(np.abs(a14 - a13) < PIVOT_FLOOR) & ~(np.abs(a25) > 10 * SPAN)
-        if self._derivs == "always":
-            draws = np.ones(blocks, dtype=bool)
-        elif self._derivs == "never":
-            draws = np.zeros(blocks, dtype=bool)
-        else:  # "s-pivot", as _s_pivot on the solved matrix
-            draws = ~(np.abs(a23 - a25) < PIVOT_FLOOR)
+        a23, a25, accepted = _candidates(raw)
+        if self._derivs == "s-pivot":  # as _s_pivot on the solved matrix
+            draws = (~(np.abs(a23 - a25) < PIVOT_FLOOR)).tolist()
+        else:
+            draws = [self._derivs == "always"] * blocks
         self._raw = np.concatenate([self._raw, raw])
         self._a25 = np.concatenate([self._a25, a25])
-        self._accepted = np.concatenate([self._accepted, accepted])
-        self._draws = np.concatenate([self._draws, draws])
-
-    def _walk(self, trials: int) -> tuple[np.ndarray, int]:
-        """The torsion blocks of the next whole trials in the buffer, at most
-        ``trials`` of them, and the block after the last.
-
-        The walk reads two tables: ``first[p]``, the first accepted block at
-        or after block ``p``, and ``jump[p]``, the block where the trial after
-        it starts; past the last accepted block both point past the end."""
-        n = len(self._accepted)
-        at = np.where(self._accepted, np.arange(n), n)
-        first = np.append(np.minimum.accumulate(at[::-1])[::-1], n)
-        jump = (first + np.append(1 + TRIAL_ARITY * self._draws, 1)[first]).tolist()
-        first = first.tolist()
-        start, p = [], 0
-        while len(start) < trials and jump[p] <= n:
-            start.append(first[p])
-            p = jump[p]
-        return np.array(start, dtype=np.intp), p
+        self._accepted += accepted.tolist()
+        self._draws += draws
 
     def draw(self, size: int) -> tuple:
         """The next ``size`` trials: (torsion stack, derivative stack with zeros
         where a trial draws none, or None if the stream draws none; drawn
         mask)."""
-        t = np.empty((size,) + (TRIAL_ARITY,) * 2)
-        d = None if self._derivs == "never" else np.empty((size,) + (TRIAL_ARITY,) * 3)
-        drawn = np.empty(size, dtype=bool)
-        done = 0
-        while done < size:
-            need = self._need(min(size - done, _READ_TRIALS))
-            if len(self._accepted) < need:
-                self._read(need - len(self._accepted))
-            at, end = self._walk(size - done)
-            if not at.size:  # rejections used up the slack before one whole trial
-                self._read(need)
-                continue
-            part = slice(done, done + at.size)
-            block = self._raw[at]
-            t[part] = (block + block.swapaxes(-1, -2)) / 2.0
-            t[part, 1, 4] = t[part, 4, 1] = self._a25[at]
-            drawn[part] = self._draws[at]
-            if d is not None:
-                # a trial without a draw reads in-range blocks, then zeros
-                d[part] = self._raw[np.minimum(at[:, None] + _DERIV_BLOCKS, end - 1)]
-                d[part][~drawn[part]] = 0.0
-            self._raw, self._a25, self._accepted, self._draws = (
-                a[end:].copy() for a in (self._raw, self._a25, self._accepted, self._draws))
-            done += at.size
+        at, p = [], 0
+        while len(at) < size:
+            if p + self._per_trial > len(self._accepted):
+                self._read(self._per_trial * (size - len(at)))
+            if self._accepted[p]:
+                at.append(p)
+                p += 1 + TRIAL_ARITY * self._draws[p]
+            else:
+                p += 1
+        at = np.array(at, dtype=np.intp)
+        drawn = np.array(self._draws, dtype=bool)[at]
+        t = self._raw[at]
+        t = (t + t.swapaxes(-1, -2)) / 2.0
+        t[:, 1, 4] = t[:, 4, 1] = self._a25[at]
+        d = None
+        if self._derivs != "never":
+            # every trial started with per_trial blocks in the buffer
+            d = self._raw[at[:, None] + np.arange(1, TRIAL_ARITY + 1)]
+            d[~drawn] = 0.0
+        self._raw, self._a25 = self._raw[p:].copy(), self._a25[p:].copy()
+        del self._accepted[:p], self._draws[:p]
         return t, d, drawn
 
 

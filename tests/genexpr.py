@@ -3,6 +3,8 @@ singularities, for derivative cross-checks."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from goursatkit.expr import Expr, evaluate, parse
@@ -23,6 +25,10 @@ EDGE_TREES = [
     "1e16*x1*x3 - 1e16*x1*x3 + x2*x4", "(1e200*x3*x4 + x1*x5) - 1e200*x3*x4",
     "(x1 + 1e15) - 1e15",
 ]
+
+# configs whose expression is a config error: an exponent that overflows or
+# folds to inf or NaN, or a tree too deep for the parser or the evaluators
+HOSTILE_CONFIGS = sorted((Path(__file__).parent / "data" / "hostile").glob("*.cfg"))
 
 
 def _leaf(rng: np.random.Generator, n_vars: int) -> str:

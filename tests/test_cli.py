@@ -20,7 +20,8 @@ from goursatkit.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK
                             MAX_COUNT, MAX_IDENTITY_TRIALS, ConfigError,
                             _consistency_assertions, build_web,
                             builtin_checks, main, parse_config_text, run, selftest)
-from genexpr import EDGE_TREES, random_tree
+from goursatkit.expr import MAX_DEPTH, parse, to_text
+from genexpr import EDGE_TREES, HOSTILE_CONFIGS, random_tree
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -291,6 +292,20 @@ identity_trials = 40
 
 
 class TestMain:
+    @pytest.mark.parametrize("cfg", HOSTILE_CONFIGS, ids=lambda cfg: cfg.stem)
+    def test_hostile_config_is_a_config_error(self, cfg, capsys):
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    def test_deepest_admitted_tree_runs(self, tmp_path):
+        # a sum MAX_DEPTH deep evaluates, walks and prints inside a run
+        terms = "x1*x3 + x2*x4" + " + x1" * (MAX_DEPTH - 3)
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(PRODUCT_CFG.replace("(x1+x2)*(x3+x4)", terms))
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert to_text(parse(terms, 4)) == terms
+
     def test_run_exit_zero(self, tmp_path, capsys):
         cfg = tmp_path / "web.cfg"
         cfg.write_text(PRODUCT_CFG)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goursatkit.expr import (BinOp, Const, EvalDomainError, ExprSyntaxError, Param,
-                             UnknownSymbolError, Var, evaluate, parse, to_text)
-from genexpr import random_smooth_expression
+from goursatkit.cli import parse_config_text
+from goursatkit.expr import (MAX_DEPTH, BinOp, Const, EvalDomainError, ExprError,
+                             ExprSyntaxError, Param, UnknownSymbolError, Var, evaluate,
+                             parse, to_text)
+from genexpr import HOSTILE_CONFIGS, random_smooth_expression
 
 
 class TestParse:
@@ -55,6 +57,20 @@ class TestParse:
         assert isinstance(folded, Const)
         assert folded.value == evaluate(parse(exponent, 1), {})
         assert evaluate(parse(f"x1^{exponent}", 1), {"x1": 1.7}) == 1.7 ** folded.value
+
+    @pytest.mark.parametrize("cfg", HOSTILE_CONFIGS, ids=lambda cfg: cfg.stem)
+    def test_hostile_expression_is_an_expr_error(self, cfg):
+        config = parse_config_text(cfg.read_text())
+        with pytest.raises(ExprError):
+            parse(config.expr_text, config.n)
+
+    def test_depth_cap(self):
+        # "x1*x3 + x2*x4" is 3 deep, and each further term adds a level
+        terms = "x1*x3 + x2*x4" + " + x1" * (MAX_DEPTH - 3)
+        assert parse(terms, 4).variables_used == {1, 2, 3, 4}
+        for deeper in (terms + " + x1", "-" * MAX_DEPTH + "x1", "x1" + "^1" * MAX_DEPTH):
+            with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH}"):
+                parse(deeper, 4)
 
     def test_precedence(self):
         assert evaluate(parse("2 + 3*4", 1), {"x1": 0}) == 14

@@ -10,7 +10,7 @@ from goursatkit.classify import SCALE_FLOOR, second_kind_residuals, torsion_mino
 from goursatkit.families import family_web
 from goursatkit.identities import (M_COEFFS, TRIAL_CHUNK, ConditionValues,
                                    ImplicationResult, ResidualSet, WitnessResult,
-                                   _READ_TRIALS, _TrialStream, condition_values,
+                                   _TrialStream, condition_values,
                                    first_kind_derivative_residuals, implication_test,
                                    implication_tests,
                                    polynomial_sweep, sample_derivs,
@@ -689,31 +689,31 @@ class TestReadAheadStream:
     Each case asserts that its seed still reaches the edge it is named for."""
 
     def test_refills_inside_chunks(self, monkeypatch):
-        # seed 9: 300 torsion draws, in chunks of 256 and 44, are read in three
-        # parts, and twice the rejections outrun a part's slack: five reads
+        # seed 9: each of the chunks of 256 and 44 torsion draws is read once
+        # for all its trials, and again for those its rejections left short
         got, log = logged(monkeypatch, polynomial_sweep, 300, 9)
-        assert len(log.draws) == 5
+        assert [blocks for _, blocks, _ in log.draws] == [256, 11, 44, 4]
         assert got == ref_polynomial_sweep(300, 9)
 
     @pytest.mark.parametrize("imposed,checked", PAIRINGS[1:])
     def test_rejected_candidate_ends_a_read_ahead(self, monkeypatch, imposed, checked):
-        got, log = logged(monkeypatch, implication_test, 40, 178, imposed, checked)
-        ref, ref_log = logged(monkeypatch, ref_implication_test, 40, 178, imposed, checked)
+        got, log = logged(monkeypatch, implication_test, 40, 2055, imposed, checked)
+        ref, ref_log = logged(monkeypatch, ref_implication_test, 40, 2055, imposed, checked)
         assert got == ref
         assert any(b in read_ends(log) and not accepted
                    for b, accepted in candidates_without_derivs(ref_log))
 
     def test_rejected_candidate_ends_a_witness_read_ahead(self, monkeypatch):
-        got, log = logged(monkeypatch, witness_search, 40, 9, 10.0)
-        ref, ref_log = logged(monkeypatch, ref_witness_search, 40, 9, 10.0)
+        got, log = logged(monkeypatch, witness_search, 100, 763, 10.0)
+        ref, ref_log = logged(monkeypatch, ref_witness_search, 100, 763, 10.0)
         assert same_witness(got, ref)
-        assert (19, False) in candidates_without_derivs(ref_log)
-        assert 19 in read_ends(log)
+        assert (377, False) in candidates_without_derivs(ref_log)
+        assert 377 in read_ends(log)
 
-    @pytest.mark.parametrize("seed,block", [(1042, 43), (68, 91)])
+    @pytest.mark.parametrize("seed,block", [(8552, 377), (22475, 191)])
     def test_s_pivot_skip_ends_a_read_ahead(self, monkeypatch, seed, block):
-        got, log = logged(monkeypatch, witness_search, 30, seed, 10.0)
-        ref, ref_log = logged(monkeypatch, ref_witness_search, 30, seed, 10.0)
+        got, log = logged(monkeypatch, witness_search, 100, seed, 10.0)
+        ref, ref_log = logged(monkeypatch, ref_witness_search, 100, seed, 10.0)
         assert same_witness(got, ref)
         assert (block, True) in candidates_without_derivs(ref_log)  # accepted, skipped
         assert block in read_ends(log)
@@ -722,9 +722,8 @@ class TestReadAheadStream:
     @pytest.mark.parametrize("source", ["uniform", "hostile"])
     def test_stacks_equal_the_public_samplers(self, derivs, source):
         # one stream against a one-trial loop of the public samplers on the
-        # same doubles, bit for bit; the hostile doubles overrun the slack of
-        # the read-ahead with long runs of rejected candidates, some longer
-        # than a whole read
+        # same doubles, bit for bit; the hostile doubles hold long runs of
+        # rejected candidates, some longer than a whole read
         def generator():
             return DEFAULT_RNG(4) if source == "uniform" else Replay(hostile_blocks(4))
 
@@ -732,8 +731,11 @@ class TestReadAheadStream:
         stream = _TrialStream(source_rng, derivs)
         rng = generator()
         sizes = (1, 2, 5, TRIAL_CHUNK, 17, TRIAL_CHUNK, 3, TRIAL_CHUNK - 1)
+        reads = []
         for size in sizes:
+            before = getattr(source_rng, "calls", 0)
             t, d, drawn = stream.draw(size)
+            reads.append(getattr(source_rng, "calls", 0) - before)
             for i in range(size):
                 want_t = sample_second_kind_torsion(rng)
                 pivot = want_t.entry(2, 3) - want_t.entry(2, 5)
@@ -748,5 +750,5 @@ class TestReadAheadStream:
                 elif d is not None:
                     assert not d[i].any()
             assert (d is None) == (derivs == "never")
-        if source == "hostile":  # more reads than the parts of the chunks
-            assert source_rng.calls > sum(-(-size // _READ_TRIALS) for size in sizes)
+        if source == "hostile":  # a run of rejections outlasted a whole refill
+            assert max(reads) >= 3
