@@ -41,7 +41,6 @@ import math
 import os
 import sys
 import time
-from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -51,7 +50,8 @@ from . import __version__
 from . import identities as ident
 from .classify import Box, TooFewRegularPoints, classify_bundle, first_kind_pde, \
     first_kind_residual, fold_max, running_max, sample_bundle, second_kind_residuals
-from .exterior import NON_FINITE, SYSTEM_NAMES, frobenius_reports, make_system
+from .exterior import DEGENERATE, NON_FINITE, SYSTEM_NAMES, VERDICTS, FrobeniusColumns, \
+    frobenius_columns, make_system
 from .expr import Expr, ExprError, parse
 from .families import FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope, \
     family_web
@@ -312,7 +312,7 @@ def build_web(config: RunConfig) -> WebFunction:
 # record {"failure": "non-finite"}, a numpy bool a bool, any other numpy
 # scalar a float and an array its tolist().  Keys must be str.  It walks the
 # report once, writes each list of finite floats with one join and the
-# Frobenius records straight from their reports.
+# Frobenius records column by column.
 
 
 def _indent(level: int) -> str:
@@ -337,19 +337,6 @@ def _floats_text(values, level: int) -> str | None:
     return None if "n" in body else "[" + sep[1:] + body + _indent(level) + "]"
 
 
-class FrobeniusRecords:
-    """One system's per-point report records, written from the reports of
-    :func:`frobenius_reports` at ``points``: a report's fields with its
-    max_residual, or the point and a failure where the report is None.
-    A plain class, because a dataclass runs generated code at import."""
-
-    __slots__ = ("points", "reports")
-
-    def __init__(self, points: np.ndarray, reports: list):
-        self.points = points
-        self.reports = reports
-
-
 class _Writer:
     """Report text through ``write``, in chunks: the text before a system's
     Frobenius records, the records, and so on, so the whole text is never
@@ -367,8 +354,6 @@ class _Writer:
 
     def text(self, obj, level: int) -> str:
         """The text of ``obj`` (no Frobenius records in it) at ``level``."""
-        if type(obj) is float:
-            return _float_text(obj, level)
         mark = len(self.out)
         self.value(obj, level)
         text = "".join(self.out[mark:])
@@ -417,35 +402,41 @@ class _Writer:
             out.append(_float_text(float(obj), level))
         elif isinstance(obj, np.ndarray):
             self.value(obj.tolist(), level)
-        elif isinstance(obj, FrobeniusRecords):
+        elif isinstance(obj, FrobeniusColumns):
             self.flush()
             self.write(self.records(obj, level))
         else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    def records(self, recs: FrobeniusRecords, level: int) -> str:
-        if not recs.reports:
+    def records(self, cols: FrobeniusColumns, level: int) -> str:
+        """One system's records, read column by column; the keys and the
+        system, tol and verdict texts are formatted once per system."""
+        if not len(cols.points):
             return "[]"
-        key = (id(recs.points), level)
+        key = (id(cols.points), level)
         if key not in self.point_texts:  # the systems of a run share their points
-            self.point_texts[key] = [self.text(p, level + 2) for p in recs.points.tolist()]
+            self.point_texts[key] = [self.text(p, level + 2) for p in cols.points.tolist()]
         i1, i2 = _indent(level + 1), _indent(level + 2)
         failed = "{" + i2 + '"failure": ' + encode_basestring_ascii(NON_FINITE) + "," \
-            + i2 + '"point": '
-        # the keys in sorted order; every %s is a value's text
-        record = "{" + ",".join(i2 + f'"{name}": %s' for name in (
-            "kernel_dim", "max_residual", "point", "rank", "residuals", "system", "tol",
-            "verdict")) + i1 + "}"
-        texts = []
-        for point, fr in zip(self.point_texts[key], recs.reports):
-            if fr is None:
-                texts.append(failed + point + i1 + "}")
-                continue
-            texts.append(record % (
-                int.__repr__(fr.kernel_dim), self.text(fr.max_residual, level + 2), point,
-                int.__repr__(fr.rank), self.text(fr.residuals, level + 2),
-                encode_basestring_ascii(fr.system), self.text(fr.tol, level + 2),
-                encode_basestring_ascii(fr.verdict)))
+            + i2 + '"point": %s' + i1 + "}"
+        # the keys in sorted order; each %d and %s is a point's value text
+        record = "{" + ",".join(i2 + f'"{name}": {text}' for name, text in (
+            ("kernel_dim", "%d"), ("max_residual", "%s"), ("point", "%s"), ("rank", "%d"),
+            ("residuals", "%s"), ("system", encode_basestring_ascii(cols.system)),
+            ("tol", self.text(cols.tol, level + 2)), ("verdict", "%s"))) + i1 + "}"
+        verdicts = [encode_basestring_ascii(v) for v in VERDICTS]
+        n, texts = cols.points.shape[1], []
+        for point, ok, rank, code, top, row in zip(
+                self.point_texts[key], cols.finite.tolist(), cols.ranks.tolist(),
+                cols.codes.tolist(), cols.worst.tolist(), cols.residuals.tolist()):
+            if not ok:
+                texts.append(failed % point)
+            elif code == DEGENERATE:
+                texts.append(record % (n - rank, "0.0", point, rank, "[]", verdicts[code]))
+            else:
+                texts.append(record % (n - rank, _float_text(top, level + 2), point, rank,
+                                       _floats_text(row, level + 2) or self.text(row, level + 2),
+                                       verdicts[code]))
         return "[" + i1 + ("," + i1).join(texts) + _indent(level) + "]"
 
 
@@ -570,13 +561,11 @@ def run(config: RunConfig) -> RunReport:
                 report.failures.append({"suite": "frobenius", "system": name,
                                         "error": str(err)})
                 continue
-            reports = frobenius_reports(system, derivs.points, config.frobenius_tol, derivs)
-            report.frobenius.append({
+            cols = frobenius_columns(system, derivs.points, config.frobenius_tol, derivs)
+            counts = np.bincount(cols.codes[cols.finite], minlength=len(VERDICTS)).tolist()
+            report.frobenius.append({  # VERDICTS is sorted, so the counts are in name order
                 "system": system.name, "expected_kernel_dim": system.expected_kernel_dim,
-                "points": FrobeniusRecords(derivs.points, reports),
-                "verdict_counts": dict(sorted(Counter(
-                    fr.verdict for fr in reports if fr).items())),
-            })
+                "points": cols, "verdict_counts": {v: c for v, c in zip(VERDICTS, counts) if c}})
 
     if "identities" in config.suites:
         head = derivs[:16]
@@ -641,8 +630,7 @@ def render_human(report: RunReport) -> str:
         if any(c["degenerate_rows"]):
             lines.append("  note: torsion row(s) vanish; verdicts are vacuous")
     for entry in report.frobenius:
-        if "verdict_counts" in entry:
-            lines.append(f"frobenius {entry['system']}: {entry['verdict_counts']}")
+        lines.append(f"frobenius {entry['system']}: {entry['verdict_counts']}")
     if report.identities is not None:
         alg = report.identities["algebra"]
         lines.append("identities:")

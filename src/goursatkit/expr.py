@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
-# deepest tree parse admits, counted in nodes from the root to a leaf (a flat
+# deepest tree an Expr admits, counted in nodes from the root to a leaf (a flat
 # sum of k terms is k deep): the evaluators and printers recurse once per
 # level, and every tree this deep runs through them at Python's default
 # recursion limit
@@ -52,7 +52,8 @@ class UnknownSymbolError(ExprError):
 
 
 class EvalDomainError(ExprError):
-    """Raised when evaluation hits ln/sqrt/division outside its domain."""
+    """Raised when evaluation hits ln/sqrt/division outside its domain, or
+    overflows."""
 
     def __init__(self, message: str, node: "Node"):
         super().__init__(f"{message} in '{to_text(node)}'")
@@ -106,6 +107,8 @@ class Expr:
     def __post_init__(self):
         if self.arity < 1:
             raise ValueError("arity must be positive")
+        if _depth(self.root) > MAX_DEPTH:  # before the recursive walk
+            raise ExprSyntaxError(f"expression tree is deeper than {MAX_DEPTH} nodes", 0)
         for node in walk(self.root):
             if isinstance(node, Var) and not (1 <= node.index <= self.arity):
                 raise UnknownSymbolError(
@@ -217,10 +220,7 @@ class _Parser:
             if kind == "op" and val == "^":
                 self.advance()
                 exponent = self.unary()
-                try:
-                    folded = _fold_constant(exponent)
-                except OverflowError:
-                    raise ExprSyntaxError("exponent of '^' overflows", off) from None
+                folded = _fold_constant(exponent)  # an overflow is an EvalDomainError
                 if folded is None:
                     raise ExprSyntaxError(
                         "exponent of '^' must be a constant", off
@@ -312,8 +312,6 @@ def parse(text: str, arity: int, params: tuple[str, ...] | list[str] = ()) -> Ex
         root = _Parser(text, arity, tuple(params)).parse()
     except RecursionError:
         raise ExprSyntaxError("expression nests too deeply to parse", 0) from None
-    if _depth(root) > MAX_DEPTH:
-        raise ExprSyntaxError(f"expression tree is deeper than {MAX_DEPTH} nodes", 0)
     return Expr(root, arity, tuple(params))
 
 
@@ -370,25 +368,23 @@ def _apply_binary(op: str, a: float, b: float, node: Node) -> float:
         raise EvalDomainError("negative base with non-integer exponent", node)
     if a == 0 and b < 0:
         raise EvalDomainError("zero base with negative exponent", node)
-    return float(a) ** float(b)
+    try:
+        return float(a) ** float(b)
+    except OverflowError:
+        raise EvalDomainError("power overflows", node) from None
 
 
 def _apply_call(fn: str, v: float, node: Node) -> float:
-    if fn == "exp":
-        return math.exp(v)
-    if fn == "ln":
-        if v <= 0:
-            raise EvalDomainError(f"ln of non-positive value {v!r}", node)
-        return math.log(v)
-    if fn == "sin":
-        return math.sin(v)
-    if fn == "cos":
-        return math.cos(v)
-    if v <= 0 and fn == "sqrt":
+    if fn == "ln" and v <= 0:
+        raise EvalDomainError(f"ln of non-positive value {v!r}", node)
+    if fn == "sqrt" and v <= 0:
         if v < 0:
             raise EvalDomainError(f"sqrt of negative value {v!r}", node)
         return 0.0
-    return math.sqrt(v)
+    try:
+        return getattr(math, "log" if fn == "ln" else fn)(v)
+    except (OverflowError, ValueError) as err:  # exp overflows; sin, cos of an infinity
+        raise EvalDomainError(f"{fn} of {v!r}: {err}", node) from None
 
 
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:

@@ -5,8 +5,9 @@ named systems are defined in one place, the ``SYSTEMS`` table below: each
 generator is a list of (slot, coefficient) pairs whose coefficients are
 signed sums of products of partial derivatives of the defining function F,
 built with their Jacobians by jet arithmetic on a point's or a batch's jet.
-:func:`frobenius_reports` works on all points at once (a stacked SVD and
-determinant); :func:`frobenius_residual` is its one-point call.
+:func:`frobenius_columns` works on all points at once (a stacked SVD and
+determinant); :func:`frobenius_reports` is its per-point view and
+:func:`frobenius_residual` its one-point call.
 
 Integrability is tested by the differential-forms criterion: for each
 generator t^i of a system spanned by t^1..t^k, the (k+2)-form
@@ -322,17 +323,30 @@ class FrobeniusReport:
 
     def __init__(self, system: str, point: np.ndarray, rank: int, kernel_dim: int,
                  residuals: tuple[float, ...], tol: float, verdict: str):
-        self.system = system
-        self.point = point
-        self.rank = rank
-        self.kernel_dim = kernel_dim
-        self.residuals = residuals
-        self.tol = tol
-        self.verdict = verdict  # integrable | non_integrable | inconclusive | degenerate
+        self.system, self.point, self.rank, self.kernel_dim = system, point, rank, kernel_dim
+        self.residuals, self.tol, self.verdict = residuals, tol, verdict  # one of VERDICTS
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals) if self.residuals else 0.0
+
+
+# sorted, so counts indexed by verdict code come out in name order
+VERDICTS = ("degenerate", "inconclusive", "integrable", "non_integrable")
+DEGENERATE = VERDICTS.index("degenerate")
+
+
+class FrobeniusColumns:
+    """One system's results at N points, by column: ``finite`` (N,) is False
+    where a generator coefficient is not finite (that row holds no result);
+    ``ranks`` (N,); ``residuals`` (N, k), no part of a degenerate result;
+    ``worst`` (N,), each row's ``fold_max``; ``codes`` (N,), indexes into VERDICTS."""
+
+    __slots__ = ("system", "tol", "points", "finite", "ranks", "residuals", "worst", "codes")
+
+    def __init__(self, system: str, tol: float, points, finite, ranks, residuals, worst, codes):
+        self.system, self.tol, self.points, self.finite = system, tol, points, finite
+        self.ranks, self.residuals, self.worst, self.codes = ranks, residuals, worst, codes
 
 
 def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
@@ -347,10 +361,21 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
 
 def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIUS_TOL,
                       b: DerivativeBundle | None = None) -> list[FrobeniusReport | None]:
+    """:func:`frobenius_columns` as one report per point, None where a
+    generator coefficient is not finite."""
+    c = frobenius_columns(sys, points, tol, b)
+    rows = zip(c.points, c.finite.tolist(), c.ranks.tolist(), c.residuals.tolist(),
+               c.codes.tolist())
+    return [FrobeniusReport(sys.name, p, rank, sys.arity - rank,
+                            () if code == DEGENERATE else tuple(res), tol, VERDICTS[code])
+            if ok else None for p, ok, rank, res, code in rows]
+
+
+def frobenius_columns(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIUS_TOL,
+                      b: DerivativeBundle | None = None) -> FrobeniusColumns:
     """Normalized residuals of d t^i ^ t^1 ^ ... ^ t^k per generator at every
     point (the rows of ``b`` when given; ``b`` must have been evaluated at
-    ``points``, else ValueError); None where a generator coefficient is not
-    finite.
+    ``points``, else ValueError), as :class:`FrobeniusColumns`.
 
     The wedge is taken on the free slots F outside sigma:
     d t^i ^ t^1 ^ ... ^ t^k = +-(d t^i|F ^ fields|F) ^ dx_sigma has the same
@@ -392,16 +417,6 @@ def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIU
     residuals = np.where(dnorm == 0.0, 0.0,
                          raw / np.maximum(dnorm * norms.prod(axis=-1)[:, None], NORM_FLOOR))
     worst = fold_max(list(residuals.T))
-    reports = []
-    for point, ok, rank, res, top in zip(points, finite, ranks.tolist(), residuals, worst):
-        if not ok:
-            reports.append(None)
-        elif rank < k:
-            reports.append(FrobeniusReport(sys.name, point, rank, n - rank, (), tol,
-                                           "degenerate"))
-        else:
-            verdict = ("integrable" if top < tol else "non_integrable"
-                       if top > NON_INTEGRABLE_FLOOR else "inconclusive")
-            reports.append(FrobeniusReport(sys.name, point, rank, n - rank,
-                                           tuple(res.tolist()), tol, verdict))
-    return reports
+    # codes into VERDICTS: degenerate, integrable, non_integrable, else inconclusive
+    codes = np.select([ranks < k, worst < tol, worst > NON_INTEGRABLE_FLOOR], [0, 2, 3], 1)
+    return FrobeniusColumns(sys.name, tol, points, finite, ranks, residuals, worst, codes)

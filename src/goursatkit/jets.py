@@ -527,6 +527,7 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding],
         return unary(node.fn, rec(node.arg))
 
     out = rec(expr.root)
+    del rec  # rec refers to itself: a cycle that kept the bindings until a collection
     if isinstance(out, Jet):
         return out
     tail = np.broadcast_shapes(*(v.data.shape[1:] if isinstance(v, Jet) else np.shape(v)

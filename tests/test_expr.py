@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goursatkit.cli import parse_config_text
-from goursatkit.expr import (MAX_DEPTH, BinOp, Const, EvalDomainError, ExprError,
-                             ExprSyntaxError, Param, UnknownSymbolError, Var, evaluate,
-                             parse, to_text)
+from goursatkit.expr import (MAX_DEPTH, BinOp, Call, Const, EvalDomainError, Expr,
+                             ExprError, ExprSyntaxError, Param, UnknownSymbolError, Var,
+                             evaluate, parse, to_text)
 from genexpr import HOSTILE_CONFIGS, random_smooth_expression
 
 
@@ -72,6 +72,28 @@ class TestParse:
             with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH}"):
                 parse(deeper, 4)
 
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
+    def test_depth_cap_holds_without_parse(self, depth):
+        # a sum of `depth` terms, parsed and built in code, is `depth` deep
+        root = Var(1)
+        for _ in range(depth - 1):
+            root = BinOp("+", root, Var(1))
+        text = " + ".join(["x1"] * depth)
+        if depth > MAX_DEPTH:
+            for build in (lambda: Expr(root, 1), lambda: parse(text, 1)):
+                with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH}"):
+                    build()
+        else:
+            assert to_text(Expr(root, 1)) == to_text(parse(text, 1)) == text
+
+    def test_deep_tree_built_in_code_is_a_syntax_error(self):
+        # the depth check runs before the recursive walk, so no RecursionError
+        root = Var(1)
+        for _ in range(1999):
+            root = BinOp("*", root, Var(2))
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH}"):
+            Expr(root, 2)
+
     def test_precedence(self):
         assert evaluate(parse("2 + 3*4", 1), {"x1": 0}) == 14
         assert evaluate(parse("2*3^2", 1), {"x1": 0}) == 18
@@ -96,6 +118,17 @@ class TestEvaluate:
     def test_parameter_arithmetic(self):
         e = parse("a*(x1+x2) + a^2/2", 2, ["a"])
         assert evaluate(e, {"x1": 1, "x2": 2, "a": 4}) == 20
+
+    @pytest.mark.parametrize("text, env, node", [
+        ("x1*10^400 + x2", {"x1": 1.0, "x2": 1.0}, BinOp("^", Const(10.0), Const(400.0))),
+        ("x2 + exp(x1)", {"x1": 1000.0, "x2": 1.0}, Call("exp", Var(1))),
+        ("sin(x1*1e300*1e300)", {"x1": 1.0}, Call("sin", BinOp(
+            "*", BinOp("*", Var(1), Const(1e300)), Const(1e300)))),
+    ])
+    def test_overflow_is_a_domain_error(self, text, env, node):
+        with pytest.raises(EvalDomainError) as exc:
+            evaluate(parse(text, 2), env)
+        assert exc.value.node == node
 
     def test_division_by_zero(self):
         with pytest.raises(EvalDomainError):

@@ -3,7 +3,8 @@
 The reference is the encoder the writer replaced: a recursive copy that maps
 non-finite numbers to failure records and numpy values to Python ones
 (``_finite``), then ``json.dumps(indent=2, sort_keys=True, allow_nan=False)``,
-with each Frobenius point record built as a dict.  The writer must give the
+with each Frobenius point record built as a dict, row by row, from the
+columns (its max_residual by Python's ``max``).  The writer must give the
 same bytes, and ``--json`` must reach the file in chunks.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,21 +23,22 @@ from hypothesis import strategies as st
 
 import goursatkit.cli as cli_module
 from goursatkit import __version__
-from goursatkit.cli import SCHEMA_VERSION, FrobeniusRecords, _Writer, main, \
-    parse_config_text, run
-from goursatkit.exterior import NON_FINITE, FrobeniusReport
+from goursatkit.classify import Box, fold_max, sample_bundle
+from goursatkit.cli import SCHEMA_VERSION, _Writer, build_web, main, parse_config_text, run
+from goursatkit.exterior import NON_FINITE, SYSTEM_NAMES, VERDICTS, CoFormField, \
+    FrobeniusColumns, PfaffianSystem, frobenius_columns, frobenius_reports, make_system
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden"
+REPORT_DATA = ROOT / "tests" / "data" / "report"
 
 _JSON_OPTIONS = {"indent": 2, "sort_keys": True, "allow_nan": False}
 
-# hostile webs: the 1e200 factor makes every DELTA4 point a failure record,
-# the 400th power overflows the first-kind products
+# hostile webs: the 1e200 factor makes every DELTA4 point a failure record
+# (CI also runs that file in a fresh process), the 400th power overflows the
+# first-kind products
 HOSTILE = {
-    "non-finite-generators": "[web]\nn = 5\nexpr = 1e200*x1*x3*x4 + x2*x5 + x1*x2\n"
-                             "[sampling]\ncount = 4\n[suites]\nrun = all\n"
-                             "frobenius_systems = DELTA4, S10, THETA_RHO\n",
+    "non-finite-generators": (REPORT_DATA / "non-finite-generators.cfg").read_text(),
     "power-400": "[web]\nn = 5\nexpr = (x1+x2+x3+x4+x5)^400\n"
                  "[sampling]\nbox = 0.5:1.5\ncount = 8\nseed = 0\n",
 }
@@ -70,18 +73,25 @@ def encode(obj) -> str:
     return "".join(chunks)
 
 
-def _record(point, fr: FrobeniusReport | None) -> dict:
-    if fr is None:
-        return {"point": point.tolist(), "failure": NON_FINITE}
-    return {"system": fr.system, "point": np.asarray(fr.point).tolist(), "rank": fr.rank,
-            "kernel_dim": fr.kernel_dim, "residuals": list(fr.residuals),
-            "max_residual": fr.max_residual, "tol": fr.tol, "verdict": fr.verdict}
+def _record(cols: FrobeniusColumns, i: int) -> dict:
+    """Row ``i`` of ``cols`` as a record dict: a degenerate point has no
+    residuals and max_residual 0.0, and a point without a finite result a
+    failure."""
+    point = cols.points[i].tolist()
+    if not cols.finite[i]:
+        return {"point": point, "failure": NON_FINITE}
+    rank, verdict = int(cols.ranks[i]), VERDICTS[cols.codes[i]]
+    residuals = [] if verdict == "degenerate" else cols.residuals[i].tolist()
+    return {"system": cols.system, "point": point, "rank": rank,
+            "kernel_dim": len(point) - rank, "residuals": residuals,
+            "max_residual": max(residuals) if residuals else 0.0, "tol": cols.tol,
+            "verdict": verdict}
 
 
 def _plain(obj):
-    """``obj`` with every FrobeniusRecords as its list of record dicts."""
-    if isinstance(obj, FrobeniusRecords):
-        return [_record(p, fr) for p, fr in zip(obj.points, obj.reports)]
+    """``obj`` with every FrobeniusColumns as its list of record dicts."""
+    if isinstance(obj, FrobeniusColumns):
+        return [_record(obj, i) for i in range(len(obj.points))]
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -133,30 +143,115 @@ class TestRunReports:
         assert data == json.loads(report.to_json())
         assert data == _finite(reference_tree(report))
 
+    def test_verdict_counts_count_the_records(self, report):
+        for entry in report.frobenius:
+            verdicts = [r["verdict"] for r in _plain(entry["points"]) if "verdict" in r]
+            assert entry["verdict_counts"] == dict(sorted(Counter(verdicts).items()))
+
+
+def _columns(system: str, points, rows) -> FrobeniusColumns:
+    """Columns from per-point rows (rank, residuals, verdict), None for a point
+    without a finite result; ``worst`` is folded as the program folds it."""
+    k = max((len(row[1]) for row in rows if row), default=1)
+    finite = np.array([row is not None for row in rows], dtype=bool)
+    ranks = np.array([row[0] if row else 0 for row in rows], dtype=np.intp)
+    residuals = np.array([row[1] if row else [np.nan] * k for row in rows],
+                         dtype=float).reshape(len(rows), k)
+    codes = np.array([VERDICTS.index(row[2]) if row else 0 for row in rows], dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        worst = fold_max(list(residuals.T))
+    return FrobeniusColumns(system, 1e-7, points, finite, ranks, residuals, worst, codes)
+
 
 class TestRecords:
     def test_failures_and_non_finite_residuals(self):
         points = np.array([[0.5, -0.0, 1e-300], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0],
-                           [7.0, 8.0, 9.0]])
-        reports = [
+                           [7.0, 8.0, 9.0], [1.5, 2.5, 3.5]])
+        nan, inf = float("nan"), float("inf")
+        cols = _columns("S10", points, [
             None,
-            FrobeniusReport("S10", points[1], 2, 1, (float("nan"), 1.5), 1e-7, "inconclusive"),
-            FrobeniusReport("S10", points[2], 1, 2, (), 1e-7, "degenerate"),
-            FrobeniusReport("S10", points[3], 2, 1, (1e-9, float("inf")), 1e-7,
-                            "non_integrable"),
-        ]
-        tree = {"frobenius": [{"system": "S10", "points": FrobeniusRecords(points, reports)}],
-                "other": FrobeniusRecords(points[:0], [])}
-        assert encode(tree) == reference(_plain(tree))
+            (2, (nan, 1.5), "inconclusive"),
+            (1, (7.0, nan), "degenerate"),  # a degenerate point's residuals are not written
+            (2, (1e-9, inf), "non_integrable"),
+            (2, (1.5, nan), "inconclusive"),  # a later NaN is skipped, as by max
+        ])
+        tree = {"frobenius": [{"system": "S10", "points": cols}],
+                "other": _columns("S10", points[:0], [])}
+        text = encode(tree)
+        assert text == reference(_plain(tree))
+        records = json.loads(text)["frobenius"][0]["points"]
+        assert [r.get("max_residual") for r in records] == [
+            None, {"failure": "non-finite"}, 0.0, {"failure": "non-finite"}, 1.5]
+        assert records[2]["residuals"] == [] and json.loads(text)["other"] == []
 
     def test_shared_points_at_two_depths(self):
         # the writer keeps each points array's texts per depth
         points = np.array([[1.0, 2.0], [3.0, float("nan")]])
-        reports = [FrobeniusReport("S11", p, 2, 0, (0.25,), 1e-7, "non_integrable")
-                   for p in points]
-        tree = {"a": FrobeniusRecords(points, reports),
-                "b": [[FrobeniusRecords(points, reports)]]}
+        rows = [(2, (0.25,), "non_integrable")] * 2
+        tree = {"a": _columns("S11", points, rows),
+                "b": [[_columns("S11", points, rows)]]}
         assert encode(tree) == reference(_plain(tree))
+
+    def test_worst_folds_as_max(self):
+        # a NaN Jacobian entry makes its generator's residual NaN: the columns
+        # keep a NaN in first place and skip a later one, as max does
+        def nan_jacobian(p):
+            jac = np.zeros((4, 4))
+            jac[0, 1] = np.nan
+            return np.array([1.0, 0.0, 0.0, 0.0]), jac
+
+        def tilted(p):
+            jac = np.zeros((4, 4))
+            jac[2, 0] = 1.0
+            return np.array([0.0, 1.0, p[0], 0.0]), jac
+
+        fields = (CoFormField(4, "nan", nan_jacobian), CoFormField(4, "tilted", tilted))
+        points = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.5, 2.0]])
+        for order in (fields, fields[::-1]):
+            with np.errstate(invalid="ignore"):
+                cols = frobenius_columns(PfaffianSystem("NAN", 4, order), points)
+            rows = cols.residuals.tolist()
+            assert sum(math.isnan(r) for r in rows[0]) == 1
+            assert repr(cols.worst.tolist()) == repr([max(row) for row in rows])
+            assert encode([cols]) == reference(_plain([cols]))
+
+
+@pytest.mark.parametrize("name", ["closed-n8", *HOSTILE])
+def test_reports_are_the_column_view(name):
+    # frobenius_reports row by row against the columns at the config's sample
+    # points, and each verdict against Python's max of the point's residuals
+    text = (GOLDEN / "closed-n8.cfg").read_text() if name == "closed-n8" else HOSTILE[name]
+    config = parse_config_text(text)
+    web = build_web(config)
+    failures = 0
+    with np.errstate(all="ignore"):
+        b = sample_bundle(web, Box(config.box), config.count, config.seed)
+    if name == "closed-n8":
+        assert config.frobenius_systems == SYSTEM_NAMES
+    for system in [make_system(web, s) for s in config.frobenius_systems]:
+        with np.errstate(all="ignore"):
+            cols = frobenius_columns(system, b.points, config.frobenius_tol, b)
+            reports = frobenius_reports(system, b.points, config.frobenius_tol, b)
+        assert len(reports) == len(b.points)
+        for i, fr in enumerate(reports):
+            if not cols.finite[i]:
+                assert fr is None
+                failures += 1
+                continue
+            record = _record(cols, i)
+            assert (fr.system, np.asarray(fr.point).tolist(), fr.rank, fr.kernel_dim,
+                    list(fr.residuals), fr.tol, fr.verdict) == (
+                record["system"], record["point"], record["rank"], record["kernel_dim"],
+                record["residuals"], record["tol"], record["verdict"])
+            top = fr.max_residual
+            assert repr(top) == repr(record["max_residual"])
+            if fr.rank < len(system.generators):
+                assert fr.verdict == "degenerate"
+            else:
+                assert repr(top) == repr(float(cols.worst[i]))
+                assert fr.verdict == ("integrable" if top < config.frobenius_tol
+                                      else "non_integrable" if top > 1e-3 else "inconclusive")
+    assert (failures > 0) == (name == "non-finite-generators")
 
 
 # --- generated trees ----------------------------------------------------------
