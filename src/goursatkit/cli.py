@@ -48,11 +48,12 @@ import numpy as np
 
 from . import __version__
 from . import identities as ident
-from .classify import Box, TooFewRegularPoints, classify_bundle, first_kind_pde, \
-    first_kind_residual, fold_max, running_max, sample_bundle, second_kind_residuals
-from .exterior import DEGENERATE, NON_FINITE, SYSTEM_NAMES, VERDICTS, FrobeniusColumns, \
-    frobenius_columns, make_system
-from .expr import Expr, ExprError, parse
+from .classify import DEFAULT_TOL, SCALE_FLOOR, Box, TooFewRegularPoints, classify_bundle, \
+    first_kind_pde, first_kind_residual, fold_max, running_max, sample_bundle, \
+    second_kind_residuals
+from .exterior import DEFAULT_FROBENIUS_TOL, DEGENERATE, NON_FINITE, SYSTEM_NAMES, VERDICTS, \
+    FrobeniusColumns, frobenius_columns, make_system
+from .expr import ExprError, parse
 from .families import FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope, \
     family_web
 from .web import JET_ORDER, DerivativeBundle, Gauge, PfaffianDerivs, RegularityError, \
@@ -93,8 +94,8 @@ class RunConfig:
     box: tuple[tuple[float, float], ...] = ()
     count: int = 32
     seed: int = 0
-    classify_tol: float = 1e-7
-    frobenius_tol: float = 1e-7
+    classify_tol: float = DEFAULT_TOL
+    frobenius_tol: float = DEFAULT_FROBENIUS_TOL
     gauge: tuple[float, ...] = ()
     suites: tuple[str, ...] = SUITES
     frobenius_systems: tuple[str, ...] = ("S10", "S10_11", "THETA_RHO")
@@ -110,8 +111,9 @@ class RunConfig:
             setattr(self, name, value)
 
     def validate(self):
-        """The checks :func:`_config` does not make while it reads ``n`` and
-        the box."""
+        """Raise :class:`ConfigError` unless every field holds a value a run
+        accepts; the box is checked by building :class:`Box`.  The range of
+        ``n`` and the number of box intervals are :func:`_config`'s checks."""
         if self.source not in ("expr", "family"):
             raise ConfigError("web source must be 'expr' or 'family'")
         if self.source == "expr" and not self.expr_text:
@@ -122,11 +124,10 @@ class RunConfig:
             raise ConfigError(f"count must be between 1 and {MAX_COUNT}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        for lo, hi in self.box:
-            # the width is finite only when both ends are and it does not
-            # overflow, which would make the uniform draw raise
-            if not (lo < hi and math.isfinite(hi - lo)):
-                raise ConfigError(f"invalid box interval {lo}:{hi}")
+        try:
+            Box(self.box)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
         for name, tol in (("classify", self.classify_tol), ("frobenius", self.frobenius_tol)):
             if not (math.isfinite(tol) and tol > 0):
                 raise ConfigError(f"{name} tolerance must be finite and > 0, got {tol}")
@@ -168,14 +169,39 @@ class RunConfig:
         }
 
 
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(s.strip().upper() for s in text.split(",") if s.strip())
+def _items(text: str) -> tuple[str, ...]:
+    """The non-empty items of a comma list."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-# keys read straight into a RunConfig field: (section, key) -> (field,
-# converter of the value text); an absent key leaves the field's default
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",")) if text else ()
+
+
+def _intervals(text: str) -> tuple[tuple[float, float], ...]:
+    box = []
+    for part in _items(text):
+        try:
+            lo, hi = part.split(":")
+            box.append((float(lo), float(hi)))
+        except ValueError as err:
+            raise ConfigError(f"[sampling] bad box interval {part!r}") from err
+    return tuple(box)
+
+
+# every key a config may set: (section, key) -> (RunConfig field, converter
+# of the value text), in the order _config converts them; an absent key
+# leaves the field's default
 _KEYS = {
+    ("web", "n"): ("n", int),
+    ("web", "source"): ("source", str.lower),
+    ("sampling", "box"): ("box", _intervals),
+    ("gauge", "w"): ("gauge", _numbers),
+    # an empty run value runs every suite, as an absent key does
+    ("suites", "run"): ("suites", lambda text: _items((text or "all").lower())),
+    ("tolerances", "order"): ("order", int),
     ("web", "expr"): ("expr_text", str),
+    ("family", "kind"): ("family_kind", str),
     ("family", "phi"): ("phi_text", str),
     ("family", "psi"): ("psi_text", str),
     ("family", "slot"): ("slot", str),
@@ -184,13 +210,11 @@ _KEYS = {
     ("sampling", "seed"): ("seed", int),
     ("tolerances", "classify"): ("classify_tol", float),
     ("tolerances", "frobenius"): ("frobenius_tol", float),
-    ("suites", "frobenius_systems"): ("frobenius_systems", _names),
+    ("suites", "frobenius_systems"): ("frobenius_systems", lambda text: _items(text.upper())),
     ("suites", "identity_trials"): ("identity_trials", int),
 }
-# the keys _config reads itself; with _KEYS, every key a config may set
-_OTHER_KEYS = {("web", "n"), ("web", "source"), ("family", "kind"), ("sampling", "box"),
-               ("gauge", "w"), ("suites", "run"), ("tolerances", "order")}
-_EXPECTED = {int: "an integer", float: "a number"}  # for the converters that can fail
+# what a converter that fails with a plain ValueError expected
+_EXPECTED = {int: "an integer", float: "a number", _numbers: "a comma list of numbers"}
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -222,62 +246,41 @@ def _sections(text: str) -> dict[str, dict[str, str]]:
 def _config(sections: dict[str, dict[str, str]]) -> RunConfig:
     """The validated RunConfig of the key texts in ``sections``."""
     unknown = [f"[{section}] {key}" for section, keys in sections.items() for key in keys
-               if (section, key) not in _KEYS and (section, key) not in _OTHER_KEYS]
+               if (section, key) not in _KEYS]
     if unknown:
         raise ConfigError(f"unknown config key: {', '.join(unknown)}")
-
-    def read(section: str, key: str, convert=str, default=None):
+    fields = {}
+    for (section, key), (name, convert) in _KEYS.items():
         raw = sections.get(section, {}).get(key)
         if raw is None:
-            return default
+            continue
         try:
-            return convert(raw)
+            fields[name] = convert(raw)
+        except ConfigError:
+            raise
         except ValueError as err:
             raise ConfigError(f"[{section}] {key} must be {_EXPECTED[convert]}") from err
 
-    n = read("web", "n", int, 0)
+    # the steps that depend on n
+    n = fields.pop("n", 0)
     if n <= 0:
         raise ConfigError("[web] n is required")
     if not 4 <= n <= MAX_ARITY:  # before n sizes the box below
         raise ConfigError(f"n must be between 4 and {MAX_ARITY}")
-    source = (read("web", "source") or ("family" if "family" in sections else "expr")).lower()
-
-    box_raw = read("sampling", "box", default="0.8:1.2")
-    parts = [p.strip() for p in box_raw.split(",") if p.strip()]
-    if len(parts) == 1:
-        parts = parts * n
-    if len(parts) != n:
+    box = fields.pop("box", ((0.8, 1.2),))
+    if len(box) == 1:
+        box *= n
+    if len(box) != n:
         raise ConfigError("[sampling] box must give one interval or n intervals")
-    box = []
-    for part in parts:
-        try:
-            lo, hi = part.split(":")
-            box.append((float(lo), float(hi)))
-        except ValueError as err:
-            raise ConfigError(f"[sampling] bad box interval {part!r}") from err
-
-    gauge_raw = read("gauge", "w")
-    gauge: tuple[float, ...] = ()
-    if gauge_raw:
-        try:
-            gauge = tuple(float(v) for v in gauge_raw.split(","))
-        except ValueError as err:
-            raise ConfigError("[gauge] w must be a comma list of numbers") from err
-
-    suites_raw = (read("suites", "run") or "all").lower()
-    suites = tuple(s.strip() for s in suites_raw.split(",") if s.strip())
+    suites = fields.pop("suites", ("all",))
     if "all" in suites:
         # every suite that runs at arity n: identities need the five-column torsion block
         suites = SUITES if n >= 5 else ("classify", "frobenius")
-
-    if read("tolerances", "order", int, JET_ORDER) != JET_ORDER:
+    if fields.pop("order", JET_ORDER) != JET_ORDER:
         raise ConfigError(f"[tolerances] order is fixed at {JET_ORDER}")
 
-    fields = {name: read(section, key, convert)
-              for (section, key), (name, convert) in _KEYS.items()}
-    config = RunConfig(n=n, source=source, family_kind=(read("family", "kind") or None),
-                       box=tuple(box), gauge=gauge, suites=suites,
-                       **{name: value for name, value in fields.items() if value is not None})
+    source = fields.pop("source", "") or ("family" if "family" in sections else "expr")
+    config = RunConfig(n, source, box=box, suites=suites, **fields)
     config.validate()
     return config
 
@@ -505,11 +508,11 @@ def _consistency_assertions(b: DerivativeBundle, config: RunConfig) -> list[dict
     # scales: both residuals can be rounding-sized on first-kind webs
     scale = fold_max([abs(h[:, 0, 2] * h[:, 1, 3]), abs(h[:, 0, 3] * h[:, 1, 2]),
                       abs(v[:, 0, 2] * v[:, 1, 3] * factor),
-                      abs(v[:, 0, 3] * v[:, 1, 2] * factor), 1e-12])
+                      abs(v[:, 0, 3] * v[:, 1, 2] * factor), SCALE_FLOOR])
     worst_eq = running_max(0.0, abs(raw_pde - raw * factor) / scale)
     if n >= 5:
         res = second_kind_residuals(t)
-        scale = np.maximum(res.scale, 1e-12)
+        scale = np.maximum(res.scale, SCALE_FLOOR)
         # sum25 is the cyclic minor sum A + B + C, so this also covers it
         gaps = [abs(res.sum25 - res.det24) / scale, abs(res.expr26 - 2 * res.det24) / scale]
         worst_det = running_max(0.0, np.stack(gaps, axis=-1))
@@ -657,19 +660,18 @@ def builtin_checks() -> list[tuple[str, callable]]:
 
 
 def selftest(names: list[str] | None = None, list_only: bool = False,
-             checks: list | None = None, stream=None) -> int:
-    stream = stream or sys.stdout
+             checks: list | None = None) -> int:
     checks = checks if checks is not None else builtin_checks()
     if names:
         known = {n for n, _ in checks}
         missing = [n for n in names if n not in known]
         if missing:
-            print(f"unknown check name(s): {', '.join(missing)}", file=stream)
+            print(f"unknown check name(s): {', '.join(missing)}")
             return EXIT_CONFIG
         checks = [(n, fn) for n, fn in checks if n in names]
     if list_only:
         for name, _ in checks:
-            print(name, file=stream)
+            print(name)
         return EXIT_OK
     failures = 0
     for name, fn in checks:
@@ -678,10 +680,10 @@ def selftest(names: list[str] | None = None, list_only: bool = False,
         except Exception as err:  # a crash is a failing check, not a crash of the tool
             ok, detail = False, f"raised {type(err).__name__}: {err}"
         status = "pass" if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}", file=stream)
+        print(f"[{status}] {name}: {detail}")
         if not ok:
             failures += 1
-    print(f"{len(checks) - failures}/{len(checks)} checks passed", file=stream)
+    print(f"{len(checks) - failures}/{len(checks)} checks passed")
     return EXIT_OK if failures == 0 else EXIT_ASSERTION
 
 

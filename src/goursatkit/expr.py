@@ -165,9 +165,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, arity: int, params: tuple[str, ...]):
-        self.text = text
-        self.arity = arity
+    def __init__(self, text: str, params: tuple[str, ...]):
         self.params = params
         self.tokens = _tokenize(text)
         self.i = 0
@@ -193,25 +191,19 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected trailing input {val!r}", off)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self, ops: str = "+-") -> Node:
+        """Terms joined by + and -, or, with ``ops`` '*/', a term: powers
+        joined by * and /.  Both chains associate to the left.  The operand
+        is read in this frame, not through a helper, so each level of
+        parentheses costs the parser one frame per grammar rule."""
+        node = None
         while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = BinOp(val, node, self.term(), offset=off)
-            else:
+            operand = self.expr("*/") if ops == "+-" else self.power()
+            node = operand if node is None else BinOp(op, node, operand, offset=off)
+            kind, op, off = self.peek()
+            if kind != "op" or op not in ops:
                 return node
-
-    def term(self) -> Node:
-        node = self.power()
-        while True:
-            kind, val, off = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = BinOp(val, node, self.power(), offset=off)
-            else:
-                return node
+            self.advance()
 
     def power(self) -> Node:
         node = self.unary()
@@ -252,13 +244,8 @@ class _Parser:
                 self.expect_op(")")
                 return Call(val, arg, offset=off)
             m = re.fullmatch(r"x(\d+)", val)
-            if m:
-                index = int(m.group(1))
-                if not (1 <= index <= self.arity):
-                    raise UnknownSymbolError(
-                        f"variable {val} exceeds arity {self.arity}", off
-                    )
-                return Var(index, offset=off)
+            if m:  # Expr checks the index against the arity
+                return Var(int(m.group(1)), offset=off)
             if val in self.params:
                 return Param(val, offset=off)
             raise UnknownSymbolError(f"unknown identifier '{val}'", off)
@@ -275,20 +262,9 @@ class _Parser:
 
 def _fold_constant(node: Node) -> float | None:
     """Value of a variable/parameter-free subtree, or None."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, (Var, Param)):
+    if any(isinstance(n, (Var, Param)) for n in walk(node)):
         return None
-    if isinstance(node, BinOp):
-        left = _fold_constant(node.left)
-        right = _fold_constant(node.right)
-        if left is None or right is None:
-            return None
-        return _apply_binary(node.op, left, right, node)
-    arg = _fold_constant(node.arg)
-    if arg is None:
-        return None
-    return _apply_call(node.fn, arg, node)
+    return _value(node, {})
 
 
 def _depth(root: Node) -> int:
@@ -309,7 +285,7 @@ def parse(text: str, arity: int, params: tuple[str, ...] | list[str] = ()) -> Ex
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     try:
-        root = _Parser(text, arity, tuple(params)).parse()
+        root = _Parser(text, tuple(params)).parse()
     except RecursionError:
         raise ExprSyntaxError("expression nests too deeply to parse", 0) from None
     return Expr(root, arity, tuple(params))
@@ -395,16 +371,17 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
     for name in expr.parameters_used:
         if name not in env:
             raise KeyError(f"assignment is missing parameter '{name}'")
+    return _value(expr.root, env)
 
-    def rec(node: Node) -> float:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            return float(env[f"x{node.index}"])
-        if isinstance(node, Param):
-            return float(env[node.name])
-        if isinstance(node, BinOp):
-            return _apply_binary(node.op, rec(node.left), rec(node.right), node)
-        return _apply_call(node.fn, rec(node.arg), node)
 
-    return rec(expr.root)
+def _value(node: Node, env: Mapping[str, float]) -> float:
+    """Value of ``node`` at ``env``, which maps 'x1'.. and parameter names to reals."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return float(env[f"x{node.index}"])
+    if isinstance(node, Param):
+        return float(env[node.name])
+    if isinstance(node, BinOp):
+        return _apply_binary(node.op, _value(node.left, env), _value(node.right, env), node)
+    return _apply_call(node.fn, _value(node.arg, env), node)

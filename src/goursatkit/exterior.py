@@ -91,6 +91,8 @@ class PfaffianSystem:
     def __init__(self, name: str, arity: int, fields: tuple[CoFormField, ...],
                  sigma: tuple[int, ...] = (), expected_kernel_dim: int | None = None,
                  web: WebFunction | None = None):
+        if not fields and not sigma:
+            raise ValueError("a system needs at least one generator")
         if len(fields) + len(sigma) > arity:
             raise ValueError("more generators than the arity allows")
         for f in fields:

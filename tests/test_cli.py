@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goursatkit.classify import Box, sample_regular_points
-from goursatkit.exterior import NON_FINITE
+import goursatkit.cli
+from goursatkit.classify import DEFAULT_TOL, Box, sample_regular_points
+from goursatkit.exterior import DEFAULT_FROBENIUS_TOL, NON_FINITE
 from goursatkit.web import derivative_bundle
-from goursatkit.cli import (EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
-                            MAX_COUNT, MAX_IDENTITY_TRIALS, ConfigError,
+from goursatkit.cli import (_KEYS, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
+                            MAX_COUNT, MAX_IDENTITY_TRIALS, ConfigError, RunConfig,
                             _consistency_assertions, build_web,
                             builtin_checks, main, parse_config_text, run, selftest)
 from goursatkit.expr import MAX_DEPTH, parse, to_text
@@ -130,6 +132,36 @@ class TestConfigParsing:
         cfg = parse_config_text("# top comment\n[web]\nn = 5\nexpr = x1*x3 + x2*x4 + x5^2  # tail\n")
         assert cfg.count == 32 and cfg.order == 3
         assert cfg.suites == ("classify", "frobenius", "identities")
+        # the tolerances default to their owners' defaults
+        for config in (cfg, RunConfig(5, "expr")):
+            assert config.classify_tol == DEFAULT_TOL
+            assert config.frobenius_tol == DEFAULT_FROBENIUS_TOL
+
+    def test_docstring_names_every_key(self):
+        listed, section = set(), None
+        doc = goursatkit.cli.__doc__
+        block = doc.split("Recognized sections and keys:\n\n")[1].split("\n\n")[0]
+        for line in block.splitlines():
+            head, _, rest = line.strip().partition("]")
+            if head.startswith("["):
+                section, line = head[1:], rest
+            line = re.sub(r"\([^)]*\)", "", line)  # drop the value notes
+            listed |= {(section, key.strip()) for key in line.split(",") if key.strip()}
+        assert listed == set(_KEYS)
+
+    @pytest.mark.parametrize("text, field, value", [
+        (FAMILY_CFG + "[gauge]\nw =\n", "gauge", ()),
+        (FAMILY_CFG.replace("run = classify", "run ="), "suites",
+         ("classify", "frobenius", "identities")),
+        (PRODUCT_CFG.replace("run = classify, frobenius", "run ="), "suites",
+         ("classify", "frobenius")),
+        (FAMILY_CFG.replace("source = family", "source ="), "source", "family"),
+        (PRODUCT_CFG.replace("source = expr", "source ="), "source", "expr"),
+    ], ids=["w", "run-n5", "run-n4", "source-family", "source-expr"])
+    def test_empty_value_keeps_its_meaning(self, text, field, value):
+        # an empty value acts as the absent key: no gauge, every suite for n,
+        # the source inferred from a [family] section
+        assert getattr(parse_config_text(text), field) == value
 
     def test_all_suites_adapt_to_n4(self):
         cfg = parse_config_text("[web]\nn = 4\nexpr = (x1+x2)*(x3+x4)\n")
@@ -387,7 +419,13 @@ class TestMain:
         ("[web]\nn = 4\nexpr x1*x2\n", "line 3: expected 'key = value'"),
         (FAMILY_CFG.replace("s^2/2 + s*(0.2*x1 - 0.2*x2)", "x1*x2"),
          "phi never uses the psi slot 's'"),
-    ], ids=["source", "expr", "family", "line", "psi-slot"])
+        (PRODUCT_CFG.replace("box = 0.5:1.5", "box ="),
+         "[sampling] box must give one interval or n intervals"),
+        (PRODUCT_CFG.replace("box = 0.5:1.5", "box = all, classify"),
+         "[sampling] bad box interval 'all'"),
+        (PRODUCT_CFG.replace("box = 0.5:1.5", "box = 1:0"), "invalid box interval (1.0, 0.0)"),
+    ], ids=["source", "expr", "family", "line", "psi-slot", "box-empty", "box-text",
+            "box-interval"])
     def test_config_error_messages(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

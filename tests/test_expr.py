@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -36,6 +37,14 @@ class TestParse:
     def test_variable_exceeds_arity(self):
         with pytest.raises(UnknownSymbolError):
             parse("x5 + 1", 4)
+        # one check, in Expr: a tree built in code gets the parser's error
+        errors = []
+        for build in (lambda: parse("x1 + x9", 5),
+                      lambda: Expr(BinOp("+", Var(1), Var(9, offset=5)), 5)):
+            with pytest.raises(UnknownSymbolError) as exc:
+                build()
+            errors.append((str(exc.value), exc.value.offset))
+        assert errors[0] == errors[1] == ("variable x9 exceeds arity 5 (offset 5)", 5)
 
     def test_empty(self):
         with pytest.raises(ExprSyntaxError):
@@ -137,6 +146,16 @@ class TestEvaluate:
     def test_missing_symbol(self):
         with pytest.raises(KeyError):
             evaluate(parse("x1 + x2", 2), {"x1": 1})
+
+    def test_evaluation_leaves_no_reference_cycle(self):
+        # a self-referencing recursive closure once left a cycle per call
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate(parse("x1*x2 + exp(x1)", 2), {"x1": 1.0, "x2": 2.0})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @given(st.integers(0, 10**9))

@@ -229,6 +229,14 @@ class TestSystemRows:
 
 
 class TestFrobenius:
+    @pytest.mark.parametrize("sigma, message", [
+        ((), "at least one generator"), ((1, 2, 3, 4, 1), "more generators")],
+        ids=["none", "more-than-arity"])
+    def test_generator_count_checked(self, sigma, message):
+        # a system spanned by nothing once raised IndexError in the rank
+        with pytest.raises(ValueError, match=message):
+            PfaffianSystem("BAD", 4, (), sigma)
+
     def test_coordinate_foliation(self):
         rep = frobenius_residual(PfaffianSystem("COORDS", 4, (), (3, 4)), ONES4)
         assert rep.verdict == "integrable" and rep.max_residual == 0.0
