@@ -295,7 +295,8 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
 def _format_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    # int() raises on inf and nan, which a literal such as 1e999 parses to
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 

@@ -19,7 +19,10 @@ Jets of F of order K are produced without symbolic elimination: the joint
 jet of Phi over (x1..xn, a) is computed to order K+1, the constraint jet
 G = dPhi/da is read off, the jet of a(x) is solved order by order from
 G(x, a(x)) == 0 (each order is a division by dG/da), and Phi is re-expanded
-along the solved increment.
+along the solved increment.  Only G reads the order-(K+1) entries, and only
+those that hold the ``a`` slot, so the joint jet lives in the truncated
+space ``jets.space(n + 1, K + 1, True)``, which builds no other order-(K+1)
+entry.
 """
 
 from __future__ import annotations
@@ -115,14 +118,16 @@ class FamilySpec:
             raise FamilySpecError(f"psi uses unexpected parameters {sorted(extra)}")
 
 
-def _compose(spec: FamilySpec, bindings: dict, m: int, order: int) -> J.Jet:
-    """Phi over m slots from the bindings of x1..xn and ``a``: phi + psi for
-    the first kind, phi with psi's value in its slot for the second."""
+def _compose(spec: FamilySpec, bindings: dict, m: int, order: int,
+             last: bool = False) -> J.Jet:
+    """Phi over ``space(m, order, last)`` from the bindings of x1..xn and
+    ``a``: phi + psi for the first kind, phi with psi's value in its slot
+    for the second."""
     if spec.kind == "first":
-        return (J.eval_with_bindings(spec.phi, bindings, m, order)
-                + J.eval_with_bindings(spec.psi, bindings, m, order))
-    bindings[spec.slot] = J.eval_with_bindings(spec.psi, bindings, m, order)
-    return J.eval_with_bindings(spec.phi, bindings, m, order)
+        return (J.eval_with_bindings(spec.phi, bindings, m, order, last)
+                + J.eval_with_bindings(spec.psi, bindings, m, order, last))
+    bindings[spec.slot] = J.eval_with_bindings(spec.psi, bindings, m, order, last)
+    return J.eval_with_bindings(spec.phi, bindings, m, order, last)
 
 
 def _parameter_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,
@@ -215,14 +220,15 @@ def _newton(spec: FamilySpec, points: np.ndarray, a0: float) -> tuple[np.ndarray
 
 def _joint_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray, order: int) -> J.Jet:
     """Joint jets of Phi over the n+1 slots (x1..xn, a) at the columns of
-    ``coords`` (n, N) and ``a`` (N,)."""
+    ``coords`` (n, N) and ``a`` (N,), in the space truncated to the
+    order-``order`` entries that hold the ``a`` slot."""
     n = spec.arity
     m = n + 1
     bindings: dict[str, J.Binding] = {
-        f"x{i + 1}": J.seed(i + 1, coords[i], m, order) for i in range(n)
+        f"x{i + 1}": J.seed(i + 1, coords[i], m, order, True) for i in range(n)
     }
-    bindings[PARAM] = J.seed(m, a, m, order)
-    return _compose(spec, bindings, m, order)
+    bindings[PARAM] = J.seed(m, a, m, order, True)
+    return _compose(spec, bindings, m, order, True)
 
 
 def _solve_delta(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,
@@ -265,7 +271,7 @@ def parameter_jet(spec: FamilySpec, p: Sequence[float], order: int,
 def _family_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray, order: int) -> J.Jet:
     n = spec.arity
     joint, delta = _solve_delta(spec, coords, a, order)
-    sp_k = J.space(n + 1, order)
+    sp_k = J.space(n + 1, order)  # tuples are ordered by length, so sp_k leads the joint space
     return J.substitute_last(J.Jet(sp_k, joint.data[: sp_k.size]), delta)
 
 

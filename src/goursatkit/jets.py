@@ -30,6 +30,15 @@ jet, through an index table cached per (m, K, i); ``restrict_last`` gathers
 through a table cached per (m, K, a_order, target order), and the derivative
 tensors of one order through ``derivative_index`` tables cached per (m, k).
 
+``space(m, K, True)`` is a truncated space: it holds every slot tuple of
+order below K and only the order-K tuples that end in the last slot m.
+A sub-tuple of a kept tuple is kept, so its Leibniz, quotient and Faa di
+Bruno tables are complete for every kept entry, and every kept entry sums
+the same terms in the same rank order as in the full space: its entries
+are bit for bit the full space's.  It serves a jet that is only read
+through ``partial(m)`` and through its entries of order below K; at
+(7, 4) it keeps 204 of the 330 entries and 2,143 of the 4,159 Leibniz terms.
+
 A domain failure (ln/sqrt/power outside the domain, a near-zero divisor,
 an exp overflow) at some points of a batch raises :class:`PointFailures`,
 which names each failing point with its own one-point error;
@@ -101,15 +110,20 @@ class JetSpace:
     takes the outer derivative of that order.  ``div_ranks[k]`` holds, per
     rank, the terms of the order-k entries whose quotient factor has lower
     order.
+
+    A space with ``last`` set is truncated: its order-K tuples are only those
+    that end in slot m, so a jet over it has ``partial(m)`` and no other
+    partial of its full order.
     """
 
-    __slots__ = ("m", "order", "tuples", "pos", "order_start", "mul_i", "mul_j", "mul_out",
-                 "faa_out", "mul_ranks", "div_ranks", "faa_ranks")
+    __slots__ = ("m", "order", "last", "tuples", "pos", "order_start", "mul_i", "mul_j",
+                 "mul_out", "faa_out", "mul_ranks", "div_ranks", "faa_ranks")
 
-    def __init__(self, m: int, order: int, tuples: tuple, order_start: tuple,
+    def __init__(self, m: int, order: int, last: bool, tuples: tuple, order_start: tuple,
                  mul_ranks: tuple, faa_ranks: tuple):
         self.m = m
         self.order = order
+        self.last = last
         self.tuples = tuples
         self.pos = {t: i for i, t in enumerate(tuples)}
         self.order_start = order_start  # order k entries live in [start[k], start[k+1])
@@ -156,7 +170,16 @@ def _rank_table(size: int, lo: int, *columns: np.ndarray) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def space(m: int, order: int) -> JetSpace:
+def space(m: int, order: int, last: bool | None = None, /) -> JetSpace:
+    """The jet space over ``m`` slots at ``order``; truncated to the order-K
+    tuples that end in slot m when ``last`` is true.
+
+    Jets combine only within one space object, and the cache keys each
+    spelling of the arguments apart, so ``last`` is positional and every
+    value of it resolves to ``space(m, order)`` or ``space(m, order, True)``.
+    """
+    if last is not None and last is not True:
+        return space(m, order, True) if last else space(m, order)
     if not (1 <= order <= MAX_ORDER):
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     if m < 1:
@@ -166,11 +189,14 @@ def space(m: int, order: int) -> JetSpace:
     digits = [np.zeros((1, 0), dtype=np.intp)]  # digits[k]: the order-k tuples, (count, k)
     for k in range(1, order + 1):
         level = list(combinations_with_replacement(range(1, m + 1), k))
+        if last and k == order:
+            level = [t for t in level if t[-1] == m]
         tuples += level
         order_start.append(len(tuples))
         digits.append(np.array(level, dtype=np.intp))
     size = len(tuples)
-    # slots are >= 1, so tuples of different lengths never share a code
+    # slots are >= 1, so tuples of different lengths never share a code; the
+    # sub-tuples of a kept tuple are kept, so every looked-up code is set
     base = m + 1
     lookup = np.zeros(base ** order, dtype=np.intp)  # code -> position
     for k in range(1, order + 1):
@@ -208,16 +234,19 @@ def space(m: int, order: int) -> JetSpace:
         faa_ranks.append(_rank_table(size, order_start[ks[0]],
                                      *np.concatenate(blocks).T.copy()))
 
-    return JetSpace(m, order, tuple(tuples), tuple(order_start), tuple(mul_ranks),
-                    tuple(faa_ranks))
+    return JetSpace(m, order, bool(last), tuple(tuples), tuple(order_start),
+                    tuple(mul_ranks), tuple(faa_ranks))
 
 
 @lru_cache(maxsize=None)
-def _partial_index(m: int, order: int, i: int) -> np.ndarray:
-    """Position in space(m, order) of t + (i,) for each t of space(m, order - 1)."""
+def _partial_index(m: int, order: int, i: int, last: bool = False) -> np.ndarray:
+    """Position in space(m, order, last) of t + (i,) for each t of
+    space(m, order - 1)."""
     if not (1 <= i <= m):
         raise IndexError(f"slot index {i} out of range 1..{m}")
-    src = space(m, order)
+    if last and i != m:
+        raise ValueError(f"a space truncated to slot {m} has no partial along slot {i}")
+    src = space(m, order, last)
     return np.asarray([src.pos[tuple(sorted(t + (i,)))] for t in space(m, order - 1).tuples],
                       dtype=np.intp)
 
@@ -275,17 +304,24 @@ class Jet:
             raise KeyError(f"slot tuple {key} outside space (m={self.space.m})")
         return float(self.data[self.space.pos[key]])
 
+    def _all_of_order(self, k: int) -> None:
+        if self.space.last and k >= self.space.order:
+            raise ValueError(f"a truncated space holds only part of its order-{k} entries")
+
     def gradient(self) -> np.ndarray:
+        self._all_of_order(1)
         s = self.space.order_start
         return self.data[s[1]:s[2]].copy()
 
     def hessian(self) -> np.ndarray:
+        self._all_of_order(2)
         return self.data[derivative_index(self.space.m, 2)]
 
     def partial(self, i: int) -> "Jet":
         """Order K-1 jet of the partial derivative along slot ``i`` (1-based)."""
         sp = self.space
-        return Jet(space(sp.m, sp.order - 1), self.data[_partial_index(sp.m, sp.order, i)])
+        return Jet(space(sp.m, sp.order - 1),
+                   self.data[_partial_index(sp.m, sp.order, i, sp.last)])
 
     # arithmetic -----------------------------------------------------------
     # a non-jet operand is a constant: a scalar, or one value per point
@@ -293,9 +329,9 @@ class Jet:
     def _check(self, other: "Jet") -> None:
         if other.space is not self.space:
             raise ValueError(
-                "jets must share slot count and order "
-                f"(got m={other.space.m},K={other.space.order} vs "
-                f"m={self.space.m},K={self.space.order})"
+                "jets must share one space "
+                f"(got m={other.space.m},K={other.space.order},last={other.space.last} vs "
+                f"m={self.space.m},K={self.space.order},last={self.space.last})"
             )
 
     def _shifted(self, value) -> "Jet":
@@ -349,21 +385,23 @@ class Jet:
         return divide(self, other)
 
     def __rtruediv__(self, other):
-        return divide(constant(other, self.space.m, self.space.order, self.data.shape[1:]), self)
+        sp = self.space
+        return divide(constant(other, sp.m, sp.order, self.data.shape[1:], sp.last), self)
 
 
-def constant(value, m: int, order: int, tail: tuple = ()) -> Jet:
-    """Constant jet; ``value`` a scalar or one value per point (shape ``tail``)."""
-    sp = space(m, order)
+def constant(value, m: int, order: int, tail: tuple = (), last: bool = False) -> Jet:
+    """Constant jet over ``space(m, order, last)``; ``value`` a scalar or one
+    value per point (shape ``tail``)."""
+    sp = space(m, order, last)
     data = np.zeros((sp.size,) + tail)
     data[0] = value
     return Jet(sp, data)
 
 
-def seed(index: int, value, m: int, order: int) -> Jet:
-    """Jet of the coordinate function of slot ``index`` (1-based) at
-    ``value``, a scalar or one value per point."""
-    sp = space(m, order)
+def seed(index: int, value, m: int, order: int, last: bool = False) -> Jet:
+    """Jet over ``space(m, order, last)`` of the coordinate function of slot
+    ``index`` (1-based) at ``value``, a scalar or one value per point."""
+    sp = space(m, order, last)
     if not (1 <= index <= m):
         raise IndexError(f"slot index {index} out of range 1..{m}")
     data = np.zeros((sp.size,) + np.shape(value))
@@ -375,7 +413,7 @@ def seed(index: int, value, m: int, order: int) -> Jet:
 def divide(a: Jet, b: Jet) -> Jet:
     """Quotient a/b via the triangular solve of c*b = a, order by order."""
     if a.space is not b.space:
-        raise ValueError("jets must share slot count and order")
+        raise ValueError("jets must share one space")
     sp = a.space
     b0 = b.data[0]
     _domain(np.abs(b0) <= _DIV_FLOOR, b0, "division by numerically zero jet value {!r}")
@@ -473,16 +511,16 @@ Binding = Union[Jet, float, np.ndarray]
 
 
 def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding],
-                       m: int, order: int) -> Jet:
+                       m: int, order: int, last: bool = False) -> Jet:
     """Evaluate an expression tree where symbols map to jets or constants.
 
-    Symbols ('x3', 'a', ...) bound to jets must all live in the same
-    (m, order) space and carry the same point axis; symbols bound to a
-    scalar or to one value per point are held constant.  Subtrees without
-    a jet stay constants, so the tree is walked once per batch and only the
-    jet nodes pay for jet arithmetic.
+    Symbols ('x3', 'a', ...) bound to jets must all live in
+    ``space(m, order, last)`` and carry the same point axis; symbols bound
+    to a scalar or to one value per point are held constant.  Subtrees
+    without a jet stay constants, so the tree is walked once per batch and
+    only the jet nodes pay for jet arithmetic.
     """
-    sp = space(m, order)
+    sp = space(m, order, last)
 
     def unary(fn: str, arg, exponent=None):
         if isinstance(arg, Jet):
@@ -492,7 +530,7 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding],
     def quotient(left, right):
         if isinstance(right, Jet):
             if not isinstance(left, Jet):
-                left = constant(left, m, order, right.data.shape[1:])
+                left = constant(left, m, order, right.data.shape[1:], last)
             return divide(left, right)
         _domain(np.abs(right) <= _DIV_FLOOR, right, "division by numerically zero jet value {!r}")
         return left / right
@@ -532,7 +570,7 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding],
         return out
     tail = np.broadcast_shapes(*(v.data.shape[1:] if isinstance(v, Jet) else np.shape(v)
                                  for v in bindings.values()))
-    return constant(out, m, order, tail)
+    return constant(out, m, order, tail, last)
 
 
 def eval_jet(expr: ex.Expr, point: Mapping[str, float],

@@ -139,6 +139,20 @@ class TestEvaluate:
             evaluate(parse(text, 2), env)
         assert exc.value.node == node
 
+    @pytest.mark.parametrize("text, shown", [
+        ("1e999*x1", "inf*x1"),
+        ("x1 - 1e999", "x1 - inf"),
+        ("x1*(-1e999)", "x1*(-inf)"),
+    ])
+    def test_non_finite_literal_prints(self, text, shown):
+        assert to_text(parse(text, 1)) == shown
+        assert to_text(Const(math.nan)) == "nan"
+
+    def test_domain_error_on_non_finite_literal_names_node(self):
+        # the message prints the node; int(inf) used to escape as OverflowError
+        with pytest.raises(EvalDomainError, match=r"-inf in 'sqrt\(\(-inf\)\)'"):
+            parse("x1*x3 + x2^sqrt(-1e999)", 4)
+
     def test_division_by_zero(self):
         with pytest.raises(EvalDomainError):
             evaluate(parse("x1/(x2-1)", 2), {"x1": 1, "x2": 1})

@@ -7,11 +7,13 @@ from goursatkit.classify import (first_kind_residual, sample_regular_points,
 from goursatkit.exterior import (coefficient_matrix, frobenius_residual, kernel_basis,
                                  make_system, rank_at)
 from goursatkit.expr import evaluate, parse
-from goursatkit.families import (NEWTON_MAX_ITER, FamilySpec, FamilySpecError, NoConvergence,
-                                 SingularEnvelope, constraint, family_web, parameter_jet,
-                                 solve_parameter, solve_parameter_with_info)
+from goursatkit import jets as J
+from goursatkit.families import (NEWTON_MAX_ITER, PARAM, FamilySpec, FamilySpecError,
+                                 NoConvergence, SingularEnvelope, _compose, _joint_jets,
+                                 constraint, family_web, parameter_jet, solve_parameter,
+                                 solve_parameter_with_info)
 from goursatkit.jets import JetDomainError
-from goursatkit.web import pfaffian_derivs, torsion
+from goursatkit.web import JET_ORDER, pfaffian_derivs, torsion
 
 ONES4 = [1.0] * 4
 ONES5 = [1.0] * 5
@@ -314,3 +316,38 @@ def test_one_evaluation_per_point(make):
             calls.clear()
             call(p)
             assert calls == [[p.tobytes()]]
+
+
+def _every_node_spec() -> FamilySpec:
+    """A second-kind family whose Phi has jet quotients, non-integer and
+    negative powers, and every unary function."""
+    return FamilySpec(
+        "second",
+        parse("a*(x1 + x2) + s^2/2 + s*x1/(2 + a*x2) + sin(a*x1)/10 + cos(s)^-3/7", 5,
+              ["a", "s"]),
+        parse("a*(1 + x3/20) + x3 + x4 + ln(x5 + a^2)/5 + sqrt(1 + a*x4)^1.5/10"
+              " - exp(a*x3)/(3 + a^2)", 5, ["a"]),
+        5, 0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.random_second_kind_spec(np.random.default_rng(0), 5),
+    lambda: catalog.random_second_kind_spec(np.random.default_rng(1), 6),
+    lambda: catalog.random_first_kind_spec(np.random.default_rng(2), 5, quadratic_tail=True),
+    _every_node_spec,
+], ids=["second-n5", "second-n6", "first-n5", "every-node"])
+def test_truncated_joint_jet_is_the_full_joint_jet(make):
+    """The joint jet the family solve reads holds, bit for bit, the entries
+    of the joint jet over the full space."""
+    spec = make()
+    n, order = spec.arity, JET_ORDER + 1
+    rng = np.random.default_rng(n)
+    coords = rng.uniform(0.8, 1.2, (n, 64))
+    a = spec.a0 + rng.uniform(-0.1, 0.1, 64)
+    bindings = {f"x{i + 1}": J.seed(i + 1, coords[i], n + 1, order) for i in range(n)}
+    bindings[PARAM] = J.seed(n + 1, a, n + 1, order)
+    full = _compose(spec, bindings, n + 1, order)
+    got = _joint_jets(spec, coords, a, order)
+    assert got.space is J.space(n + 1, order, True)
+    assert np.isfinite(got.data).all()
+    assert np.array_equal(got.data, full.data[[full.space.pos[t] for t in got.space.tuples]])

@@ -278,13 +278,14 @@ def test_jet_order_consistency():
     assert np.allclose(j3.data[: sp2.size], j2.data, rtol=1e-15, atol=1e-15)
 
 
-def _reference_space(m, order):
-    """The index tables of space(m, order), built term by term with a
+def _reference_space(m, order, last=False):
+    """The index tables of space(m, order, last), built term by term with a
     dict lookup per sub-tuple: the definition the array build implements."""
     tuples = [()]
     order_start = [0, 1]
     for k in range(1, order + 1):
-        tuples.extend(combinations_with_replacement(range(1, m + 1), k))
+        tuples.extend(t for t in combinations_with_replacement(range(1, m + 1), k)
+                      if not (last and k == order and t[-1] != m))
         order_start.append(len(tuples))
     pos = {t: i for i, t in enumerate(tuples)}
     size = len(tuples)
@@ -318,7 +319,8 @@ def _reference_space(m, order):
     faa_ranks = tuple(rank_table(terms) for terms in faa)
 
     return dict(
-        m=m, order=order, tuples=tuple(tuples), pos=pos, order_start=tuple(order_start),
+        m=m, order=order, last=last, tuples=tuple(tuples), pos=pos,
+        order_start=tuple(order_start),
         mul_i=np.concatenate([i for _, i, _ in mul_ranks]),
         mul_j=np.concatenate([j for _, _, j in mul_ranks]),
         mul_out=np.concatenate([np.arange(lo, size) for lo, _, _ in mul_ranks]),
@@ -358,3 +360,101 @@ def test_faa_ranks_need_no_padding(m, order):
     partitions = [J._set_partitions(k) for k in range(1, order + 1)]
     for rank, (lo, *blocks) in enumerate(J.space(m, order).faa_ranks):
         assert {len(parts[rank]) for parts in partitions if rank < len(parts)} == {len(blocks)}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_truncated_space_tables_match_reference(m, order):
+    sp = J.space(m, order, True)
+    for name, want in _reference_space(m, order, last=True).items():
+        _assert_same_table(getattr(sp, name), want)
+    assert sp.size == len(sp.tuples)
+
+
+def _terms(sp, ranks):
+    """Each rank's terms as slot tuples: (output, operand, ...) per entry."""
+    return [[(sp.tuples[out],) + tuple(sp.tuples[col[p]] for col in cols)
+             for p, out in enumerate(range(lo, sp.size))] for lo, *cols in ranks]
+
+
+def _div_terms(sp):
+    return [[[(sp.tuples[lo + p], sp.tuples[i[p]], sp.tuples[j[p]]) for p in range(len(i))]
+             for i, j in sp.div_ranks[k]]
+            for k, lo in enumerate(sp.order_start[:-1])]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_truncated_space_is_the_full_space_restricted(m, order):
+    """The truncated tables are the full space's, restricted to the kept
+    entries: the same tuples in the same order, and per kept entry the same
+    terms in the same ranks."""
+    full, cut = J.space(m, order), J.space(m, order, True)
+    assert (full.last, cut.last) == (False, True)
+    kept = set(cut.tuples)
+    assert cut.tuples == tuple(t for t in full.tuples if len(t) < order or t[-1] == m)
+    assert all(t[:-1] in kept for t in cut.tuples[1:])  # closed under sub-tuples
+    assert cut.order_start[:-1] == full.order_start[:-1]
+    for ranks in ("mul_ranks", "faa_ranks"):
+        want = [[term for term in rank if term[0] in kept]
+                for rank in _terms(full, getattr(full, ranks))]
+        assert _terms(cut, getattr(cut, ranks)) == want
+    assert _div_terms(cut) == [[[term for term in rank if term[0] in kept] for rank in ranks]
+                               for ranks in _div_terms(full)]
+
+
+def _random_truncated_pair(rng, m, order, points=5):
+    """Random jets over space(m, order) and the truncated space, holding the
+    same values at the kept entries."""
+    full, cut = J.space(m, order), J.space(m, order, True)
+    data = rng.uniform(0.5, 1.5, (full.size, points))
+    kept = [full.pos[t] for t in cut.tuples]
+    return J.Jet(full, data), J.Jet(cut, data[kept]), kept
+
+
+class TestTruncatedSpace:
+    def test_space_spellings_resolve_to_two_spaces(self):
+        assert J.space(4, 3, False) is J.space(4, 3)
+        assert J.space(4, 3, 1) is J.space(4, 3, True) is not J.space(4, 3)
+        with pytest.raises(TypeError):
+            J.space(4, 3, last=True)
+
+    @pytest.mark.parametrize("m,order", [(1, 2), (3, 4), (7, 4), (8, 3)])
+    def test_arithmetic_is_the_full_arithmetic_at_kept_entries(self, m, order):
+        rng = np.random.default_rng(m * 10 + order)
+        a, a_cut, kept = _random_truncated_pair(rng, m, order)
+        b, b_cut, _ = _random_truncated_pair(rng, m, order)
+        for op in (lambda x, y: x * y, J.divide, lambda x, y: J.apply_unary("ln", x),
+                   lambda x, y: J.power(x, -1.5), lambda x, y: 2.0 / y):
+            got = op(a_cut, b_cut)
+            assert got.space is a_cut.space
+            assert np.array_equal(got.data, op(a, b).data[kept])
+
+    @pytest.mark.parametrize("m,order", [(1, 2), (3, 4), (7, 4), (8, 3)])
+    def test_partial_along_last_slot_is_the_full_partial(self, m, order):
+        a, a_cut, _ = _random_truncated_pair(np.random.default_rng(m), m, order)
+        got, want = a_cut.partial(m), a.partial(m)
+        assert got.space is want.space is J.space(m, order - 1)
+        assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_partial_along_another_slot_raises(self, i):
+        jet = J.seed(2, 0.5, 4, 3, True)
+        with pytest.raises(ValueError, match=f"no partial along slot {i}"):
+            jet.partial(i)
+
+    def test_mixing_with_a_full_jet_raises(self):
+        cut, full = J.seed(1, 0.5, 3, 2, True), J.seed(1, 0.5, 3, 2)
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, J.divide):
+            with pytest.raises(ValueError, match="share one space"):
+                op(cut, full)
+            with pytest.raises(ValueError, match="share one space"):
+                op(full, cut)
+
+    def test_derivative_tensors_need_the_whole_order(self):
+        jet = J.seed(1, 0.5, 3, 2, True)
+        assert list(jet.gradient()) == [1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="order-2"):
+            jet.hessian()
+        with pytest.raises(ValueError, match="order-1"):
+            J.seed(3, 0.5, 3, 1, True).gradient()
