@@ -31,7 +31,7 @@ def main() -> int:
             systems += ["DELTA2", "DELTA3", "DELTA4"]
         first = True
         for sysname in systems:
-            fr, = frobenius_reports(make_system(web, sysname), probe.points, b=probe)
+            fr, = frobenius_reports(make_system(web, sysname), probe)
             head = (f"{name:<12} {str(rep.first_kind):<7} "
                     f"{str(rep.second_kind):<8}") if first else " " * 29
             print(f"{head} {sysname:<10} {fr.kernel_dim:<7} {fr.verdict} "

@@ -41,7 +41,7 @@ def main() -> int:
         worst14 = running_max(worst14, first_kind_residual(TorsionTensor(n, b.torsion_values()))[1])
         worst_pde = running_max(worst_pde, first_kind_pde(b)[1])
         if n >= 5:
-            report, = frobenius_reports(make_system(web, "THETA_RHO"), b.points[:1], b=b[:1])
+            report, = frobenius_reports(make_system(web, "THETA_RHO"), b[:1])
             worst_frob = max(worst_frob, report.max_residual)
     print(f"first kind, {args.specs} specs x {args.points} points "
           f"({time.perf_counter() - t0:.2f}s):")

@@ -53,7 +53,7 @@ from .classify import DEFAULT_TOL, SCALE_FLOOR, Box, TooFewRegularPoints, classi
     second_kind_residuals
 from .exterior import DEFAULT_FROBENIUS_TOL, DEGENERATE, NON_FINITE, SYSTEM_NAMES, VERDICTS, \
     FrobeniusColumns, frobenius_columns, make_system
-from .expr import ExprError, parse
+from .expr import Const, Expr, ExprError, parse, walk
 from .families import FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope, \
     family_web
 from .web import JET_ORDER, DerivativeBundle, Gauge, PfaffianDerivs, RegularityError, \
@@ -285,19 +285,29 @@ def _config(sections: dict[str, dict[str, str]]) -> RunConfig:
     return config
 
 
+def _finite_literals(key: str, expression: Expr) -> Expr:
+    """``expression``, or a config error naming ``key`` when a literal such
+    as ``1e999`` parsed to a non-finite constant."""
+    bad = [n for n in walk(expression.root) if isinstance(n, Const) and not math.isfinite(n.value)]
+    if bad:
+        raise ConfigError(f"{key}: the literal at offset {bad[0].offset} is not finite "
+                          f"({bad[0].value!r})")
+    return expression
+
+
 def build_web(config: RunConfig) -> WebFunction:
     if config.source == "expr":
         try:
             expression = parse(config.expr_text, config.n)
         except ExprError as err:
             raise ConfigError(f"bad expression: {err}") from err
-        web = WebFunction.from_expr(expression)
+        web = WebFunction.from_expr(_finite_literals("[web] expr", expression))
     else:
         # a first-kind phi has no psi slot
         params = ["a"] if config.family_kind == "first" else ["a", config.slot]
         try:
-            phi = parse(config.phi_text, config.n, params)
-            psi = parse(config.psi_text, config.n, ["a"])
+            phi = _finite_literals("[family] phi", parse(config.phi_text, config.n, params))
+            psi = _finite_literals("[family] psi", parse(config.psi_text, config.n, ["a"]))
             if config.slot not in phi.parameters_used and config.family_kind == "second":
                 raise ConfigError(f"phi never uses the psi slot '{config.slot}'")
             spec = FamilySpec(kind=config.family_kind, phi=phi, psi=psi,
@@ -564,7 +574,7 @@ def run(config: RunConfig) -> RunReport:
                 report.failures.append({"suite": "frobenius", "system": name,
                                         "error": str(err)})
                 continue
-            cols = frobenius_columns(system, derivs.points, config.frobenius_tol, derivs)
+            cols = frobenius_columns(system, derivs, config.frobenius_tol)
             counts = np.bincount(cols.codes[cols.finite], minlength=len(VERDICTS)).tolist()
             report.frobenius.append({  # VERDICTS is sorted, so the counts are in name order
                 "system": system.name, "expected_kernel_dim": system.expected_kernel_dim,

@@ -166,7 +166,7 @@ def _factor_index(m: int, idx: tuple[int, ...]) -> np.ndarray:
     orders are a prefix)."""
     pos = np.arange(space(m, len(idx) + 1).size)
     for taken, i in enumerate(idx):
-        pos = pos[_partial_index(m, len(idx) + 1 - taken, i)]
+        pos = pos[_partial_index(space(m, len(idx) + 1 - taken), i)]
     return pos
 
 
@@ -208,15 +208,19 @@ def make_system(web: WebFunction, name: str) -> PfaffianSystem:
 
 
 def coefficient_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
-    return _generators(sys, [p])[0][0]
+    return _generators(sys, [p])[1][0]
 
 
-def _generators(sys: PfaffianSystem, points, b: DerivativeBundle | None = None) -> tuple:
-    """Coefficients (N, k, n) of the generators and their exterior derivatives
-    dtheta = J.T - J (N, k, n, n), in ``generators`` order: field rows run on
-    the batch jet of ``b`` (by default, of the web at ``points``, if any),
-    other fields stack their ``evaluate`` output, and each dx_s is the
-    constant 1 in slot s, with dtheta 0."""
+def _generators(sys: PfaffianSystem, points) -> tuple:
+    """The points (N, n), the coefficients (N, k, n) of the generators and
+    their exterior derivatives dtheta = J.T - J (N, k, n, n), in
+    ``generators`` order.  ``points`` is an (N, n) array or a
+    :class:`DerivativeBundle`.  Field rows run on the batch jet of the
+    bundle (by default, of the web at the points, if any), other fields
+    stack their ``evaluate`` output, and each dx_s is the constant 1 in
+    slot s, with dtheta 0."""
+    b = points if isinstance(points, DerivativeBundle) else None
+    points = as_points(points if b is None else b.points, sys.arity)
     if b is None and sys.web is not None:
         b = derivative_bundle(sys.web, points)
     jet = None if b is None else Jet(space(sys.arity, JET_ORDER), b.data.T)
@@ -233,7 +237,7 @@ def _generators(sys: PfaffianSystem, points, b: DerivativeBundle | None = None) 
         dtheta[:, g] = jac.swapaxes(-1, -2) - jac
     for g, s in enumerate(sys.sigma, start=len(sys.fields)):
         coeffs[:, g, s - 1] = 1.0
-    return coeffs, dtheta
+    return points, coeffs, dtheta
 
 
 def _rank(sv: np.ndarray):
@@ -361,11 +365,11 @@ def frobenius_residual(sys: PfaffianSystem, p: Sequence[float],
     return report
 
 
-def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIUS_TOL,
-                      b: DerivativeBundle | None = None) -> list[FrobeniusReport | None]:
+def frobenius_reports(sys: PfaffianSystem, points,
+                      tol: float = DEFAULT_FROBENIUS_TOL) -> list[FrobeniusReport | None]:
     """:func:`frobenius_columns` as one report per point, None where a
     generator coefficient is not finite."""
-    c = frobenius_columns(sys, points, tol, b)
+    c = frobenius_columns(sys, points, tol)
     rows = zip(c.points, c.finite.tolist(), c.ranks.tolist(), c.residuals.tolist(),
                c.codes.tolist())
     return [FrobeniusReport(sys.name, p, rank, sys.arity - rank,
@@ -373,11 +377,12 @@ def frobenius_reports(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIU
             if ok else None for p, ok, rank, res, code in rows]
 
 
-def frobenius_columns(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIUS_TOL,
-                      b: DerivativeBundle | None = None) -> FrobeniusColumns:
+def frobenius_columns(sys: PfaffianSystem, points,
+                      tol: float = DEFAULT_FROBENIUS_TOL) -> FrobeniusColumns:
     """Normalized residuals of d t^i ^ t^1 ^ ... ^ t^k per generator at every
-    point (the rows of ``b`` when given; ``b`` must have been evaluated at
-    ``points``, else ValueError), as :class:`FrobeniusColumns`.
+    point, as :class:`FrobeniusColumns`.  ``points`` is an ``(N, n)`` array,
+    or a :class:`~goursatkit.web.DerivativeBundle`, whose points are taken
+    with the jets it holds.
 
     The wedge is taken on the free slots F outside sigma:
     d t^i ^ t^1 ^ ... ^ t^k = +-(d t^i|F ^ fields|F) ^ dx_sigma has the same
@@ -389,10 +394,7 @@ def frobenius_columns(sys: PfaffianSystem, points, tol: float = DEFAULT_FROBENIU
     'inconclusive' between, 'degenerate' when the generators are dependent
     at p.  Every point sees the float operations of a one-point evaluation.
     """
-    points = as_points(points, sys.arity)
-    if b is not None and not np.array_equal(b.points, points):
-        raise ValueError("the bundle b was evaluated at other points")
-    coeffs, dtheta = _generators(sys, points, b)
+    points, coeffs, dtheta = _generators(sys, points)
     n, k = sys.arity, coeffs.shape[1]
     finite = np.isfinite(coeffs).all(axis=(1, 2))
     coeffs = np.where(finite[:, None, None], coeffs, 0.0)

@@ -118,16 +118,14 @@ class FamilySpec:
             raise FamilySpecError(f"psi uses unexpected parameters {sorted(extra)}")
 
 
-def _compose(spec: FamilySpec, bindings: dict, m: int, order: int,
-             last: bool = False) -> J.Jet:
-    """Phi over ``space(m, order, last)`` from the bindings of x1..xn and
+def _compose(spec: FamilySpec, bindings: dict) -> J.Jet:
+    """Phi, in the space of the bound jets, from the bindings of x1..xn and
     ``a``: phi + psi for the first kind, phi with psi's value in its slot
     for the second."""
     if spec.kind == "first":
-        return (J.eval_with_bindings(spec.phi, bindings, m, order, last)
-                + J.eval_with_bindings(spec.psi, bindings, m, order, last))
-    bindings[spec.slot] = J.eval_with_bindings(spec.psi, bindings, m, order, last)
-    return J.eval_with_bindings(spec.phi, bindings, m, order, last)
+        return J.eval_with_bindings(spec.phi, bindings) + J.eval_with_bindings(spec.psi, bindings)
+    bindings[spec.slot] = J.eval_with_bindings(spec.psi, bindings)
+    return J.eval_with_bindings(spec.phi, bindings)
 
 
 def _parameter_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,
@@ -136,7 +134,7 @@ def _parameter_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,
     ``coords`` (n, N), the parameter at ``a`` (N,)."""
     bindings: dict[str, J.Binding] = {f"x{i + 1}": coords[i] for i in range(spec.arity)}
     bindings[PARAM] = J.seed(1, a, 1, order)
-    return _compose(spec, bindings, 1, order)
+    return _compose(spec, bindings)
 
 
 def constraint(spec: FamilySpec, p: Sequence[float], a: float) -> float:
@@ -228,7 +226,7 @@ def _joint_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray, order: int)
         f"x{i + 1}": J.seed(i + 1, coords[i], m, order, True) for i in range(n)
     }
     bindings[PARAM] = J.seed(m, a, m, order, True)
-    return _compose(spec, bindings, m, order, True)
+    return _compose(spec, bindings)
 
 
 def _solve_delta(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,

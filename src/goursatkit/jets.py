@@ -26,7 +26,7 @@ that have a rank-r term are a trailing range of the space, so each rank is
 one gather and one slice-add, and the terms of an entry are summed in rank
 order, as ``np.add.at`` over the ungrouped table would sum them.  ``Jet.partial(i)``
 is a gather too: it reads the order K-1 jet of dF/dx_i out of the order K
-jet, through an index table cached per (m, K, i); ``restrict_last`` gathers
+jet, through an index table cached per space and slot; ``restrict_last`` gathers
 through a table cached per (m, K, a_order, target order), and the derivative
 tensors of one order through ``derivative_index`` tables cached per (m, k).
 
@@ -239,15 +239,14 @@ def space(m: int, order: int, last: bool | None = None, /) -> JetSpace:
 
 
 @lru_cache(maxsize=None)
-def _partial_index(m: int, order: int, i: int, last: bool = False) -> np.ndarray:
-    """Position in space(m, order, last) of t + (i,) for each t of
-    space(m, order - 1)."""
+def _partial_index(sp: JetSpace, i: int) -> np.ndarray:
+    """Position in ``sp`` of t + (i,) for each t of space(sp.m, sp.order - 1)."""
+    m = sp.m
     if not (1 <= i <= m):
         raise IndexError(f"slot index {i} out of range 1..{m}")
-    if last and i != m:
+    if sp.last and i != m:
         raise ValueError(f"a space truncated to slot {m} has no partial along slot {i}")
-    src = space(m, order, last)
-    return np.asarray([src.pos[tuple(sorted(t + (i,)))] for t in space(m, order - 1).tuples],
+    return np.asarray([sp.pos[tuple(sorted(t + (i,)))] for t in space(m, sp.order - 1).tuples],
                       dtype=np.intp)
 
 
@@ -297,12 +296,15 @@ class Jet:
 
     def deriv(self, idx: Sequence[int]) -> float:
         """Raw partial derivative for slot indices ``idx`` (1-based, any order)."""
+        sp = self.space
         key = tuple(sorted(idx))
-        if len(key) > self.space.order:
-            raise KeyError(f"order {len(key)} exceeds jet order {self.space.order}")
-        if key not in self.space.pos:
-            raise KeyError(f"slot tuple {key} outside space (m={self.space.m})")
-        return float(self.data[self.space.pos[key]])
+        if len(key) > sp.order:
+            raise KeyError(f"order {len(key)} exceeds jet order {sp.order}")
+        if key not in sp.pos:
+            cut = f", truncated to the order-{sp.order} tuples that end in slot {sp.m}" \
+                if sp.last else ""
+            raise KeyError(f"slot tuple {key} outside space (m={sp.m}{cut})")
+        return float(self.data[sp.pos[key]])
 
     def _all_of_order(self, k: int) -> None:
         if self.space.last and k >= self.space.order:
@@ -320,8 +322,7 @@ class Jet:
     def partial(self, i: int) -> "Jet":
         """Order K-1 jet of the partial derivative along slot ``i`` (1-based)."""
         sp = self.space
-        return Jet(space(sp.m, sp.order - 1),
-                   self.data[_partial_index(sp.m, sp.order, i, sp.last)])
+        return Jet(space(sp.m, sp.order - 1), self.data[_partial_index(sp, i)])
 
     # arithmetic -----------------------------------------------------------
     # a non-jet operand is a constant: a scalar, or one value per point
@@ -385,14 +386,12 @@ class Jet:
         return divide(self, other)
 
     def __rtruediv__(self, other):
-        sp = self.space
-        return divide(constant(other, sp.m, sp.order, self.data.shape[1:], sp.last), self)
+        return divide(constant(other, self.space, self.data.shape[1:]), self)
 
 
-def constant(value, m: int, order: int, tail: tuple = (), last: bool = False) -> Jet:
-    """Constant jet over ``space(m, order, last)``; ``value`` a scalar or one
-    value per point (shape ``tail``)."""
-    sp = space(m, order, last)
+def constant(value, sp: JetSpace, tail: tuple = ()) -> Jet:
+    """Constant jet over the space ``sp``; ``value`` a scalar or one value
+    per point (shape ``tail``)."""
     data = np.zeros((sp.size,) + tail)
     data[0] = value
     return Jet(sp, data)
@@ -404,6 +403,9 @@ def seed(index: int, value, m: int, order: int, last: bool = False) -> Jet:
     sp = space(m, order, last)
     if not (1 <= index <= m):
         raise IndexError(f"slot index {index} out of range 1..{m}")
+    if (index,) not in sp.pos:  # order 1 of a truncated space keeps slot m alone
+        raise ValueError(f"the truncated space({m}, {order}, True) has no first-order entry "
+                         f"for slot {index}")
     data = np.zeros((sp.size,) + np.shape(value))
     data[0] = value
     data[sp.pos[(index,)]] = 1.0
@@ -510,17 +512,19 @@ def power(a: Jet, exponent: float) -> Jet:
 Binding = Union[Jet, float, np.ndarray]
 
 
-def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding],
-                       m: int, order: int, last: bool = False) -> Jet:
+def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding]) -> Jet:
     """Evaluate an expression tree where symbols map to jets or constants.
 
-    Symbols ('x3', 'a', ...) bound to jets must all live in
-    ``space(m, order, last)`` and carry the same point axis; symbols bound
-    to a scalar or to one value per point are held constant.  Subtrees
-    without a jet stay constants, so the tree is walked once per batch and
-    only the jet nodes pay for jet arithmetic.
+    The result lives in the space of the jets bound to symbols ('x3', 'a',
+    ...), which must share that space and one point axis; a ValueError is
+    raised when no symbol is bound to a jet.  Symbols bound to a scalar or
+    to one value per point are held constant.  Subtrees without a jet stay
+    constants, so the tree is walked once per batch and only the jet nodes
+    pay for jet arithmetic.
     """
-    sp = space(m, order, last)
+    sp = next((v.space for v in bindings.values() if isinstance(v, Jet)), None)
+    if sp is None:
+        raise ValueError("no symbol is bound to a jet, so the result has no jet space")
 
     def unary(fn: str, arg, exponent=None):
         if isinstance(arg, Jet):
@@ -530,7 +534,7 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding],
     def quotient(left, right):
         if isinstance(right, Jet):
             if not isinstance(left, Jet):
-                left = constant(left, m, order, right.data.shape[1:], last)
+                left = constant(left, right.space, right.data.shape[1:])
             return divide(left, right)
         _domain(np.abs(right) <= _DIV_FLOOR, right, "division by numerically zero jet value {!r}")
         return left / right
@@ -545,10 +549,7 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding],
                 name, missing = node.name, f"missing binding for parameter '{node.name}'"
             if name not in bindings:
                 raise KeyError(missing)
-            val = bindings[name]
-            if isinstance(val, Jet) and val.space is not sp:
-                raise ValueError("bound jet lives in a different space")
-            return val
+            return bindings[name]
         if isinstance(node, ex.BinOp):
             if node.op == "^":
                 assert isinstance(node.right, ex.Const)
@@ -570,7 +571,7 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding],
         return out
     tail = np.broadcast_shapes(*(v.data.shape[1:] if isinstance(v, Jet) else np.shape(v)
                                  for v in bindings.values()))
-    return constant(out, m, order, tail, last)
+    return constant(out, sp, tail)
 
 
 def eval_jet(expr: ex.Expr, point: Mapping[str, float],
@@ -589,7 +590,7 @@ def eval_jet(expr: ex.Expr, point: Mapping[str, float],
     for name, val in point.items():
         if name not in bindings:
             bindings[name] = float(val)
-    return eval_with_bindings(expr, bindings, m, order)
+    return eval_with_bindings(expr, bindings)
 
 
 @np.errstate(all="ignore")

@@ -17,8 +17,6 @@ from . import families as F
 from . import identities as I
 from . import jets as J
 from . import web as W
-# the package re-exports the classify() operation under the module's name,
-# so pull the classify-module helpers in directly
 from .classify import (classify as classify_web, first_kind_pde_residual,
                        first_kind_residual, sample_bundle, second_kind_residuals,
                        torsion_minors)
@@ -190,7 +188,7 @@ def check_envelope_property():
         bindings = dict(env)
         bindings[f"x{i}"] = J.seed(1, env[f"x{i}"], 2, 1)
         bindings["s"] = J.seed(2, psi_val, 2, 1)
-        phij = J.eval_with_bindings(spec.phi, bindings, 2, 1)
+        phij = J.eval_with_bindings(spec.phi, bindings)
         frozen.append(phij.deriv((1,)) + phij.deriv((2,)) * pj)
     return _close(jet.gradient(), frozen)
 
@@ -255,7 +253,7 @@ def check_frobenius_family():
     spec, web, box = catalog.random_family_web(rng, "first", 5)
     b = sample_bundle(web, box, 4, seed=2)
     system = E.make_system(web, "THETA_RHO")
-    worst = max(r.max_residual for r in E.frobenius_reports(system, b.points, b=b))
+    worst = max(r.max_residual for r in E.frobenius_reports(system, b))
     return worst <= 1e-7, f"max residual {worst:.3e}"
 
 
@@ -269,7 +267,7 @@ def check_rank_claims():
     bc = sample_bundle(ctrl, catalog.control_box(5), 1, seed=3)
 
     def kernel_dim(web, name, b):
-        report, = E.frobenius_reports(E.make_system(web, name), b.points, b=b)
+        report, = E.frobenius_reports(E.make_system(web, name), b)
         return report.kernel_dim
 
     dims = (

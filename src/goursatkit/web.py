@@ -189,7 +189,7 @@ class WebFunction:
                 bindings: dict = {f"x{i + 1}": J.seed(i + 1, coords[i, rows], n, JET_ORDER)
                                   for i in range(n)}
                 bindings.update(params)
-                return J.eval_with_bindings(expression, bindings, n, JET_ORDER)
+                return J.eval_with_bindings(expression, bindings)
 
             failures: list = [None] * len(points)
             return J.per_point(space(n, JET_ORDER), jet_at, failures), failures

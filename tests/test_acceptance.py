@@ -103,12 +103,11 @@ def test_05_theta_rho_integrability_and_control():
         spec = catalog.random_first_kind_spec(rng, n)
         web = family_web(spec)
         b = sample_bundle(web, catalog.family_box(n), 5, seed=trial)
-        for fr in frobenius_reports(make_system(web, "THETA_RHO"), b.points, b=b):
+        for fr in frobenius_reports(make_system(web, "THETA_RHO"), b):
             worst = max(worst, fr.max_residual)
     ctrl = catalog.control_web(4)
     b = sample_bundle(ctrl, catalog.control_box(4), 40, seed=5)
-    big = sum(fr.max_residual >= 1e-3 for fr in frobenius_reports(make_system(ctrl, "S10"),
-                                                                   b.points, b=b))
+    big = sum(fr.max_residual >= 1e-3 for fr in frobenius_reports(make_system(ctrl, "S10"), b))
     ok = worst <= 1e-7 and big >= 0.9 * len(b.points)
     _report("5", ok,
             f"family residual max {worst:.3e} (tol 1e-7); control >= 1e-3 at "
@@ -123,7 +122,7 @@ def _first_point(web, box, seed):
 
 
 def _kernel_dim(web, name, b):
-    report, = frobenius_reports(make_system(web, name), b.points, b=b)
+    report, = frobenius_reports(make_system(web, name), b)
     return report.kernel_dim
 
 

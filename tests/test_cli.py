@@ -23,7 +23,7 @@ from goursatkit.cli import (_KEYS, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, 
                             _consistency_assertions, build_web,
                             builtin_checks, main, parse_config_text, run, selftest)
 from goursatkit.expr import MAX_DEPTH, parse, to_text
-from genexpr import EDGE_TREES, HOSTILE_CONFIGS, random_tree
+from genexpr import EDGE_TREES, HOSTILE_CONFIGS, NONFINITE_LITERAL_CONFIGS, random_tree
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -324,7 +324,8 @@ identity_trials = 40
 
 
 class TestMain:
-    @pytest.mark.parametrize("cfg", HOSTILE_CONFIGS, ids=lambda cfg: cfg.stem)
+    @pytest.mark.parametrize("cfg", HOSTILE_CONFIGS + NONFINITE_LITERAL_CONFIGS,
+                             ids=lambda cfg: cfg.stem)
     def test_hostile_config_is_a_config_error(self, cfg, capsys):
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -424,8 +425,11 @@ class TestMain:
         (PRODUCT_CFG.replace("box = 0.5:1.5", "box = all, classify"),
          "[sampling] bad box interval 'all'"),
         (PRODUCT_CFG.replace("box = 0.5:1.5", "box = 1:0"), "invalid box interval (1.0, 0.0)"),
+        (FAMILY_CFG.replace("s^2/2", "s^2/2 + 1e999*0"), "[family] phi: the literal at offset"),
+        (FAMILY_CFG.replace("x3 + x4 + x5", "x3 + x4 + x5 - 0*1e999"),
+         "[family] psi: the literal at offset"),
     ], ids=["source", "expr", "family", "line", "psi-slot", "box-empty", "box-text",
-            "box-interval"])
+            "box-interval", "phi-literal", "psi-literal"])
     def test_config_error_messages(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -341,16 +341,6 @@ class TestFrobenius:
         system = PfaffianSystem("X", 4, (CoFormField.constant([1, 0, 0, 0], "dx1"),), (3,))
         assert frobenius_reports(system, np.zeros((0, 4))) == []
 
-    @pytest.mark.parametrize("rows", [slice(None), slice(2)], ids=["same-count", "fewer"])
-    def test_bundle_at_other_points_raises(self, rows):
-        # the rows of b were once labelled with the points given: residuals of
-        # seed 0's points under seed 1's, or a broadcast error for fewer points
-        web, box = catalog.control_web(6), catalog.control_box(6)
-        b = sample_bundle(web, box, 3, seed=0)
-        points = sample_bundle(web, box, 3, seed=1).points[rows]
-        with pytest.raises(ValueError, match="other points"):
-            frobenius_reports(make_system(web, "S10"), points, b=b)
-
     @pytest.mark.parametrize("points", [np.ones((2, 5)), [[np.nan, 1.0, 1.0, 1.0]],
                                         [[1.0, np.inf, 1.0, 1.0]]])
     def test_points_checked_without_a_web(self, points):

@@ -346,7 +346,7 @@ def test_truncated_joint_jet_is_the_full_joint_jet(make):
     a = spec.a0 + rng.uniform(-0.1, 0.1, 64)
     bindings = {f"x{i + 1}": J.seed(i + 1, coords[i], n + 1, order) for i in range(n)}
     bindings[PARAM] = J.seed(n + 1, a, n + 1, order)
-    full = _compose(spec, bindings, n + 1, order)
+    full = _compose(spec, bindings)
     got = _joint_jets(spec, coords, a, order)
     assert got.space is J.space(n + 1, order, True)
     assert np.isfinite(got.data).all()

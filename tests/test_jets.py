@@ -37,7 +37,7 @@ class TestCombine:
         assert (sq.value, sq.deriv((1,)), sq.deriv((1, 1))) == (9, 6, 2)
 
     def test_reciprocal_derivatives(self):
-        r = J.constant(1.0, 1, 3) / J.seed(1, 2.0, 1, 3)
+        r = J.constant(1.0, J.space(1, 3)) / J.seed(1, 2.0, 1, 3)
         assert (r.value, r.deriv((1,)), r.deriv((1, 1)), r.deriv((1, 1, 1))) == \
             (0.5, -0.25, 0.25, -0.375)
 
@@ -47,7 +47,7 @@ class TestCombine:
 
     def test_division_by_zero_value(self):
         with pytest.raises(J.JetDomainError):
-            J.constant(1.0, 1, 2) / J.constant(0.0, 1, 2)
+            J.constant(1.0, J.space(1, 2)) / J.constant(0.0, J.space(1, 2))
 
     def test_div_mul_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -135,6 +135,15 @@ class TestEvalJet:
     def test_parameter_slot(self):
         jet = J.eval_jet(parse("a*x1^2", 1, ["a"]), {"x1": 3, "a": 2}, ["x1", "a"], 2)
         assert jet.deriv((1, 2)) == 6  # d2/dx1 da = 2*x1
+
+    def test_bound_jets_give_the_space(self):
+        # a promoted constant and a constant result live in the bound jet's space
+        cut = J.seed(3, np.array([0.5, 0.7]), 3, 2, True)
+        for text in ("x2/x3 + x1", "x2 - x1"):
+            jet = J.eval_with_bindings(parse(text, 3), {"x1": 2.0, "x2": 1.5, "x3": cut})
+            assert jet.space is cut.space and jet.data.shape == (cut.space.size, 2)
+        with pytest.raises(ValueError, match="no symbol is bound to a jet"):
+            J.eval_with_bindings(parse("x1 + 2", 1), {"x1": 1.0})
 
 
 def _poly_value_and_derivs(coeffs, x, y):
@@ -458,3 +467,9 @@ class TestTruncatedSpace:
             jet.hessian()
         with pytest.raises(ValueError, match="order-1"):
             J.seed(3, 0.5, 3, 1, True).gradient()
+
+    def test_dropped_entries_name_the_truncation(self):
+        with pytest.raises(ValueError, match="no first-order entry for slot 1"):
+            J.seed(1, 0.5, 3, 1, True)
+        with pytest.raises(KeyError, match="truncated to the order-2 tuples that end in slot 3"):
+            J.seed(3, 0.5, 3, 2, True).deriv((1, 1))

@@ -230,8 +230,8 @@ def test_reports_are_the_column_view(name):
         assert config.frobenius_systems == SYSTEM_NAMES
     for system in [make_system(web, s) for s in config.frobenius_systems]:
         with np.errstate(all="ignore"):
-            cols = frobenius_columns(system, b.points, config.frobenius_tol, b)
-            reports = frobenius_reports(system, b.points, config.frobenius_tol, b)
+            cols = frobenius_columns(system, b, config.frobenius_tol)
+            reports = frobenius_reports(system, b, config.frobenius_tol)
         assert len(reports) == len(b.points)
         for i, fr in enumerate(reports):
             if not cols.finite[i]:
