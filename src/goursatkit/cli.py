@@ -53,7 +53,8 @@ from .classify import DEFAULT_TOL, SCALE_FLOOR, Box, TooFewRegularPoints, classi
     second_kind_residuals
 from .exterior import DEFAULT_FROBENIUS_TOL, DEGENERATE, NON_FINITE, SYSTEM_NAMES, VERDICTS, \
     FrobeniusColumns, frobenius_columns, make_system
-from .expr import Const, Expr, ExprError, parse, walk
+from .expr import BinOp, Call, Const, EvalDomainError, Expr, ExprError, Node, Param, Var, \
+    _fold_constant, parse, to_text, walk
 from .families import FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope, \
     family_web
 from .web import JET_ORDER, DerivativeBundle, Gauge, PfaffianDerivs, RegularityError, \
@@ -285,13 +286,39 @@ def _config(sections: dict[str, dict[str, str]]) -> RunConfig:
     return config
 
 
-def _finite_literals(key: str, expression: Expr) -> Expr:
+def _constant_subtrees(node: Node, found: list) -> bool:
+    """Whether ``node`` holds a variable or parameter; appends to ``found``
+    each maximal subtree below it that holds none."""
+    kids = (node.left, node.right) if isinstance(node, BinOp) else \
+        (node.arg,) if isinstance(node, Call) else ()
+    flags = []
+    for kid in kids:  # a loop, not a comprehension: one frame per tree level
+        flags.append(_constant_subtrees(kid, found))
+    if any(flags):
+        found += [kid for kid, flag in zip(kids, flags) if not flag]
+    return isinstance(node, (Var, Param)) or any(flags)
+
+
+def _finite_constants(key: str, expression: Expr) -> Expr:
     """``expression``, or a config error naming ``key`` when a literal such
-    as ``1e999`` parsed to a non-finite constant."""
+    as ``1e999`` parsed to a non-finite constant, or a variable-free subtree
+    such as ``1e308*10`` overflows or leaves its domain: a jet evaluation
+    would carry it to every point."""
     bad = [n for n in walk(expression.root) if isinstance(n, Const) and not math.isfinite(n.value)]
     if bad:
         raise ConfigError(f"{key}: the literal at offset {bad[0].offset} is not finite "
                           f"({bad[0].value!r})")
+    found: list = []
+    if not _constant_subtrees(expression.root, found):
+        found = [expression.root]
+    for node in found:
+        try:
+            value = _fold_constant(node)
+        except EvalDomainError as err:
+            raise ConfigError(f"{key}: a constant part does not evaluate: {err}") from err
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: the constant part '{to_text(node)}' is not finite "
+                              f"({value!r})")
     return expression
 
 
@@ -301,13 +328,13 @@ def build_web(config: RunConfig) -> WebFunction:
             expression = parse(config.expr_text, config.n)
         except ExprError as err:
             raise ConfigError(f"bad expression: {err}") from err
-        web = WebFunction.from_expr(_finite_literals("[web] expr", expression))
+        web = WebFunction.from_expr(_finite_constants("[web] expr", expression))
     else:
         # a first-kind phi has no psi slot
         params = ["a"] if config.family_kind == "first" else ["a", config.slot]
         try:
-            phi = _finite_literals("[family] phi", parse(config.phi_text, config.n, params))
-            psi = _finite_literals("[family] psi", parse(config.psi_text, config.n, ["a"]))
+            phi = _finite_constants("[family] phi", parse(config.phi_text, config.n, params))
+            psi = _finite_constants("[family] psi", parse(config.psi_text, config.n, ["a"]))
             if config.slot not in phi.parameters_used and config.family_kind == "second":
                 raise ConfigError(f"phi never uses the psi slot '{config.slot}'")
             spec = FamilySpec(kind=config.family_kind, phi=phi, psi=psi,

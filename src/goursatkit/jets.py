@@ -39,6 +39,25 @@ are bit for bit the full space's.  It serves a jet that is only read
 through ``partial(m)`` and through its entries of order below K; at
 (7, 4) it keeps 204 of the 330 entries and 2,143 of the 4,159 Leibniz terms.
 
+Every jet carries an order band ``(lo, hi)``: each entry whose order lies
+outside ``lo..hi`` is exactly zero.  A seed has ``(0, 1)`` and a constant
+``(0, 0)``; a sum joins its operands' bands, a product has ``(lo_a + lo_b,
+min(K, hi_a + hi_b))``, a unary function the full band, and
+``substitute_last`` gives its increment jet ``(1, K)``.  A product skips
+the Leibniz ranks whose left factor's order (the popcount of the rank's
+mask) lies outside the left band and cuts each rank to the orders whose
+right factor lies in the right band; ``apply_unary`` cuts each Faa di
+Bruno rank to the orders whose block sizes all lie in the inner band.  The
+plans are cached per space and bands; on full bands nothing is skipped, and
+the product of two seeds at (7, 4, True) reads 71 of the 2,143 Leibniz terms.
+A skipped term is +-0.0, and an entry's sum starts at +0.0 and so is never
+-0.0, so every entry comes out bit for bit as on full bands.  That needs
+finite operands, as ``0 * inf`` is NaN: a kernel whose operand or outer
+derivative holds a non-finite entry runs on full bands, and so does a jet
+scaled by a non-finite constant or divided by zero.  The config reader
+refuses a variable-free overflow (``1e308*10*x1``), but ``x1*1e308*10``
+overflows only inside a jet product.
+
 A domain failure (ln/sqrt/power outside the domain, a near-zero divisor,
 an exp overflow) at some points of a batch raises :class:`PointFailures`,
 which names each failing point with its own one-point error;
@@ -260,6 +279,40 @@ def derivative_index(m: int, k: int) -> np.ndarray:
                       dtype=np.intp).reshape((m,) * k)
 
 
+@lru_cache(maxsize=None)
+def _mul_plan(sp: JetSpace, band_a: tuple, band_b: tuple) -> tuple:
+    """The Leibniz ranks that can be nonzero in a product of jets with these
+    bands, as (first, stop output, i, j): a rank's left factor has the order
+    of its mask's popcount, and the rank is cut to the output orders whose
+    right factor lies in ``band_b``."""
+    plan = []
+    for rank, (lo, i, j) in enumerate(sp.mul_ranks):
+        left = rank.bit_count()
+        first = max(rank.bit_length(), left + band_b[0])
+        last = min(sp.order, left + band_b[1])
+        if band_a[0] <= left <= band_a[1] and first <= last:
+            start, stop = sp.order_start[first], sp.order_start[last + 1]
+            plan.append((start, stop, i[start - lo:stop - lo], j[start - lo:stop - lo]))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def _faa_plan(sp: JetSpace, band: tuple) -> tuple:
+    """The Faa di Bruno ranks that can be nonzero on an inner jet with this
+    band, as (first, stop output, block index arrays): each rank is cut to
+    the orders whose set partition has every block size in ``band`` (up to
+    MAX_ORDER those orders are contiguous; an order inside the cut that
+    failed the test would only add zeros)."""
+    plan = []
+    for rank, (lo, *blocks) in enumerate(sp.faa_ranks):
+        kept = [k for k in range(1, sp.order + 1) if rank < len(_set_partitions(k))
+                and all(band[0] <= len(b) <= band[1] for b in _set_partitions(k)[rank])]
+        if kept:
+            start, stop = sp.order_start[kept[0]], sp.order_start[kept[-1] + 1]
+            plan.append((start, stop, tuple(b[start - lo:stop - lo] for b in blocks)))
+    return tuple(plan)
+
+
 def _domain(bad, values, message: str, error: type = JetDomainError) -> None:
     """Raise where ``bad`` holds: ``error`` for a scalar check,
     :class:`PointFailures` naming each bad point of a batch with its own
@@ -273,12 +326,20 @@ def _domain(bad, values, message: str, error: type = JetDomainError) -> None:
                              for i in np.flatnonzero(bad)})
 
 
-class Jet:
-    __slots__ = ("space", "data")
+def _finite(jet: "Jet") -> bool:
+    """Whether every entry of ``jet`` is finite; those outside its band are 0."""
+    s = jet.space.order_start
+    return bool(np.isfinite(jet.data[s[jet.band[0]]:s[jet.band[1] + 1]]).all())
 
-    def __init__(self, space: JetSpace, data: np.ndarray):
+
+class Jet:
+    __slots__ = ("space", "data", "band")
+
+    def __init__(self, space: JetSpace, data: np.ndarray, band: tuple | None = None):
         self.space = space
         self.data = data  # (size,) or (size, N), aligned with space.tuples; do not mutate
+        # (lo, hi): every entry of an order outside lo..hi is exactly zero
+        self.band = (0, space.order) if band is None else band
 
     __array_ufunc__ = None  # numpy operands defer to the reflected jet operators
 
@@ -338,13 +399,17 @@ class Jet:
     def _shifted(self, value) -> "Jet":
         data = self.data.copy()
         data[0] = value
-        return Jet(self.space, data)
+        return Jet(self.space, data, (0, self.band[1]))
+
+    def _joined(self, other: "Jet", data: np.ndarray) -> "Jet":
+        return Jet(self.space, data, (min(self.band[0], other.band[0]),
+                                      max(self.band[1], other.band[1])))
 
     def __add__(self, other):
         if not isinstance(other, Jet):
             return self._shifted(self.data[0] + other)
         self._check(other)
-        return Jet(self.space, self.data + other.data)
+        return self._joined(other, self.data + other.data)
 
     __radd__ = __add__
 
@@ -352,37 +417,41 @@ class Jet:
         if not isinstance(other, Jet):
             return self._shifted(self.data[0] - other)
         self._check(other)
-        return Jet(self.space, self.data - other.data)
+        return self._joined(other, self.data - other.data)
 
     def __rsub__(self, other):
         data = -self.data
         data[0] = other - self.data[0]
-        return Jet(self.space, data)
+        return Jet(self.space, data, (0, self.band[1]))
 
     def __neg__(self):
-        return Jet(self.space, -self.data)
+        return Jet(self.space, -self.data, self.band)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.data * other)
+            return Jet(self.space, self.data * other,
+                       self.band if np.isfinite(other).all() else None)  # 0 * inf is NaN
         self._check(other)
+        sp = self.space
         a, b = self.data, other.data
+        full = (0, sp.order)
+        band_a, band_b = self.band, other.band
+        if (band_a != full or band_b != full) and not (_finite(self) and _finite(other)):
+            band_a = band_b = full  # 0 * inf is NaN, so no term is skipped
+        out = np.zeros(a.shape)
         # gathers are fresh arrays, so the products are taken in place
-        (_, i, j), *ranks = self.space.mul_ranks
-        out = a[i]
-        out *= b[j]
-        out += 0.0
-        for lo, i, j in ranks:
+        for lo, hi, i, j in _mul_plan(sp, band_a, band_b):
             term = a[i]
             term *= b[j]
-            out[lo:] += term
-        return Jet(self.space, out)
+            out[lo:hi] += term
+        return Jet(sp, out, (band_a[0] + band_b[0], min(sp.order, band_a[1] + band_b[1])))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.data / other)
+            keep = np.isfinite(other).all() and np.all(other != 0)  # 0 / 0 is NaN
+            return Jet(self.space, self.data / other, self.band if keep else None)
         return divide(self, other)
 
     def __rtruediv__(self, other):
@@ -394,7 +463,7 @@ def constant(value, sp: JetSpace, tail: tuple = ()) -> Jet:
     per point (shape ``tail``)."""
     data = np.zeros((sp.size,) + tail)
     data[0] = value
-    return Jet(sp, data)
+    return Jet(sp, data, (0, 0))
 
 
 def seed(index: int, value, m: int, order: int, last: bool = False) -> Jet:
@@ -409,7 +478,7 @@ def seed(index: int, value, m: int, order: int, last: bool = False) -> Jet:
     data = np.zeros((sp.size,) + np.shape(value))
     data[0] = value
     data[sp.pos[(index,)]] = 1.0
-    return Jet(sp, data)
+    return Jet(sp, data, (0, 1))
 
 
 def divide(a: Jet, b: Jet) -> Jet:
@@ -487,20 +556,19 @@ def apply_unary(fn: str, a: Jet, exponent: float | None = None) -> Jet:
     tail = a.data.shape[1:]
     outer = np.stack([np.broadcast_to(d, tail) for d in
                       _outer_derivatives(fn, a.data[0], a.space.order, exponent)])
-    out = np.empty_like(a.data)
+    band = a.band
+    if band != (0, a.space.order) and not (_finite(a) and np.isfinite(outer).all()):
+        band = (0, a.space.order)  # 0 * inf is NaN, so no term is skipped
+    out = np.zeros_like(a.data)
     out[0] = outer[0]
     # every entry of a rank has a partition into the same number of blocks,
     # so one outer derivative serves the rank
-    for rank, (lo, first, *blocks) in enumerate(a.space.faa_ranks):
+    for lo, hi, (first, *blocks) in _faa_plan(a.space, band):
         terms = a.data[first]
         for block in blocks:
             terms *= a.data[block]
         terms *= outer[1 + len(blocks)]
-        if rank == 0:
-            terms += 0.0
-            out[lo:] = terms
-        else:
-            out[lo:] += terms
+        out[lo:hi] += terms
     return Jet(a.space, out)
 
 
@@ -671,6 +739,7 @@ def substitute_last(joint: Jet, delta: Jet) -> Jet:
     if np.any(delta.data[0] != 0.0):
         raise ValueError("delta jet must have zero value")
     target = delta.space
+    delta = Jet(target, delta.data, (1, target.order))
     out = restrict_last(joint, 0, target).data
     dpow = None
     for j in range(1, target.order + 1):

@@ -24,12 +24,17 @@ EDGE_TREES = [
     # near-cancelling sums: large terms that leave a small difference
     "1e16*x1*x3 - 1e16*x1*x3 + x2*x4", "(1e200*x3*x4 + x1*x5) - 1e200*x3*x4",
     "(x1 + 1e15) - 1e15",
+    # non-finite and zero operands inside the jet kernels: x1*1e308 overflows
+    # only once it multiplies a jet, and 1e-999 parses to 0
+    "x1*1e308*10", "1e-999*x1",
 ]
 
 _HOSTILE = Path(__file__).parent / "data" / "hostile"
-# configs whose expression parses with a literal that overflows to inf, which
-# the run refuses as a config error before it samples
-NONFINITE_LITERAL_CONFIGS = sorted(_HOSTILE.glob("nonfinite-literal-*.cfg"))
+# configs whose expression parses with a literal, or a variable-free part such
+# as 1e308*10, that overflows to inf, which the run refuses as a config error
+# before it samples
+NONFINITE_LITERAL_CONFIGS = sorted([*_HOSTILE.glob("nonfinite-literal-*.cfg"),
+                                    _HOSTILE / "overflowing-literal-product.cfg"])
 # configs whose expression is a config error: an exponent that overflows or
 # folds to inf or NaN, or a tree too deep for the parser or the evaluators
 HOSTILE_CONFIGS = sorted(set(_HOSTILE.glob("*.cfg")) - set(NONFINITE_LITERAL_CONFIGS))

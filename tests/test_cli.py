@@ -428,8 +428,12 @@ class TestMain:
         (FAMILY_CFG.replace("s^2/2", "s^2/2 + 1e999*0"), "[family] phi: the literal at offset"),
         (FAMILY_CFG.replace("x3 + x4 + x5", "x3 + x4 + x5 - 0*1e999"),
          "[family] psi: the literal at offset"),
+        (FAMILY_CFG.replace("s^2/2", "s^2/2 + 1e308*10*x1"),
+         "[family] phi: the constant part '1e+308*10' is not finite (inf)"),
+        (FAMILY_CFG.replace("x3 + x4 + x5", "x3 + x4 + ln(2 - 3)*x5"),
+         "[family] psi: a constant part does not evaluate: ln of non-positive value -1.0"),
     ], ids=["source", "expr", "family", "line", "psi-slot", "box-empty", "box-text",
-            "box-interval", "phi-literal", "psi-literal"])
+            "box-interval", "phi-literal", "psi-literal", "phi-constant", "psi-constant"])
     def test_config_error_messages(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -466,6 +470,15 @@ class TestMain:
         cfg = tmp_path / "sing.cfg"
         cfg.write_text("[web]\nn = 4\nexpr = x1^2/2 + x2^2/2 + x3^2/2 + x4^2/2\n"
                        "[sampling]\nbox = -0.000000001:0.000000001\ncount = 4\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflow_inside_a_jet_product_exit_three(self, tmp_path, capsys):
+        # x1*1e308*10 has no variable-free part for the config reader to fold:
+        # it overflows only once 1e308 multiplies the jet of x1
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text("[web]\nn = 4\nexpr = x1*x3 + x2*x4 + x1*1e308*10\n"
+                       "[sampling]\nbox = 0.5:1.5\ncount = 4\n")
         assert main(["run", "--config", str(cfg)]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goursatkit import jets as J
-from goursatkit.expr import evaluate, parse
-from genexpr import random_smooth_expression
+from goursatkit.expr import Expr, evaluate, parse, to_text, walk
+from genexpr import random_smooth_expression, random_tree
 
 
 class TestSeed:
@@ -473,3 +473,125 @@ class TestTruncatedSpace:
             J.seed(1, 0.5, 3, 1, True)
         with pytest.raises(KeyError, match="truncated to the order-2 tuples that end in slot 3"):
             J.seed(3, 0.5, 3, 2, True).deriv((1, 1))
+
+
+BAND_SPACES = [(6, 3, False), (8, 3, False), (7, 4, True)]
+
+
+def _outside_band(jet):
+    """The entries of ``jet`` whose order lies outside its band."""
+    start = jet.space.order_start
+    lo, hi = jet.band
+    return np.r_[jet.data[:start[lo]], jet.data[start[hi + 1]:]]
+
+
+def _full(jet):
+    """``jet`` with its band forced full, as a jet of unknown structure."""
+    return J.Jet(jet.space, jet.data)
+
+
+def _banded(rng, sp, band, points=4, outside=0.0):
+    """A random jet over ``sp`` whose entries outside ``band`` are ``outside``."""
+    data = np.full((sp.size, points), outside)
+    start = sp.order_start
+    data[start[band[0]]:start[band[1] + 1]] = rng.normal(size=(start[band[1] + 1]
+                                                               - start[band[0]], points))
+    return J.Jet(sp, data, band)
+
+
+class TestOrderBands:
+    @pytest.mark.parametrize("m,order,last", BAND_SPACES)
+    def test_entries_outside_the_band_are_zero(self, m, order, last):
+        rng = np.random.default_rng(m * 10 + order)
+        x = rng.uniform(0.5, 1.5, (m, 4))
+        bindings = {f"x{i + 1}": J.seed(i + 1, x[i], m, order, last) for i in range(m)}
+        narrow = 0
+        for _ in range(12):
+            e = parse(random_tree(rng, m, depth=3), m)
+            for node in walk(e.root):
+                try:
+                    jet = J.eval_with_bindings(Expr(node, m), bindings)
+                except ArithmeticError:
+                    continue  # a subtree that leaves its domain at some point
+                assert (_outside_band(jet) == 0.0).all(), (to_text(node), jet.band)
+                narrow += jet.band != (0, order)
+        assert narrow  # the trees' leaves and their products have narrow bands
+
+    def test_bands_of_seeds_constants_and_operations(self):
+        assert J.seed(2, 0.5, 4, 3).band == (0, 1)
+        assert J.constant(2.0, J.space(4, 3)).band == (0, 0)
+        assert (J.seed(1, 0.5, 4, 3) * J.seed(2, 0.5, 4, 3)).band == (0, 2)
+        with np.errstate(all="ignore"):
+            assert (J.seed(1, 0.5, 4, 3) * np.inf).band == (0, 3)  # 0 * inf is NaN
+            assert (J.seed(1, 0.5, 4, 3) / 0.0).band == (0, 3)  # 0 / 0 is NaN
+        assert (J.seed(1, 0.5, 4, 3) + 1.0).band == (0, 1)
+        assert J.apply_unary("exp", J.seed(1, 0.5, 4, 3)).band == (0, 3)
+
+
+class TestBandedKernels:
+    """Each banded kernel gives the bytes of the same call on full bands."""
+
+    @staticmethod
+    def bands(order):
+        return sorted({(min(lo, order), min(hi, order)) for lo, hi in
+                       [(0, 0), (0, 1), (0, 2), (1, 1), (1, 4), (2, 4), (2, 3), (0, 4)]})
+
+    @pytest.mark.parametrize("m,order,last", BAND_SPACES)
+    @pytest.mark.parametrize("outside", [0.0, -0.0])
+    def test_mul(self, m, order, last, outside):
+        rng = np.random.default_rng(m)
+        sp = J.space(m, order, last)
+        for band_a in self.bands(order):
+            a = _banded(rng, sp, band_a, outside=outside)
+            for band_b in self.bands(order):
+                b = _banded(rng, sp, band_b)
+                got = a * b
+                assert got.data.tobytes() == (_full(a) * _full(b)).data.tobytes()
+                assert (_outside_band(got) == 0.0).all()
+
+    @pytest.mark.parametrize("m,order,last", BAND_SPACES)
+    @pytest.mark.parametrize("fn,exponent", [("exp", None), ("sin", None), ("pow", 3.0),
+                                             ("pow", -1.0)])
+    def test_apply_unary(self, m, order, last, fn, exponent):
+        rng = np.random.default_rng(m)
+        sp = J.space(m, order, last)
+        for band in self.bands(order):
+            a = _banded(rng, sp, band)
+            if fn == "pow" and exponent < 0:
+                a = a + 2.0  # a value away from zero
+            got = J.apply_unary(fn, a, exponent)
+            assert got.data.tobytes() == J.apply_unary(fn, _full(a), exponent).data.tobytes()
+
+    @pytest.mark.parametrize("m,order", [(6, 3), (3, 4)])
+    def test_substitute_last(self, m, order):
+        rng = np.random.default_rng(m)
+        joint = J.Jet(J.space(m + 1, order), rng.normal(size=(J.space(m + 1, order).size, 4)))
+        target = J.space(m, order)
+        delta = _banded(rng, target, (1, order))
+        # the composition on full bands, as substitute_last computes it
+        want, dpow = J.restrict_last(joint, 0, target).data, None
+        for j in range(1, order + 1):
+            dpow = _full(delta) if dpow is None else _full(dpow * _full(delta))
+            want += (J.restrict_last(joint, j, target) * dpow).data
+        assert J.substitute_last(joint, delta).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m,order,last", BAND_SPACES)
+    @np.errstate(all="ignore")
+    def test_non_finite_entries_give_the_full_kernels_nans(self, m, order, last):
+        sp = J.space(m, order, last)
+        x = J.seed(1, np.array([0.5, np.inf, np.nan, 1.0]), m, order, last)
+        y = J.seed(2, np.full(4, 0.5), m, order, last) * np.array([1.0, 1.0, 1.0, 1e308]) * 10.0
+        w = J.seed(3, np.ones(4), m, order, last)
+        z = J.Jet(sp, np.where(np.arange(sp.size)[:, None] == 1, np.inf, w.data), (0, 1))
+        for a, b in ((x, y), (y, x), (x, x), (y, y), (y, z), (z, y), (w, z), (z, w)):
+            got = (a * b).data
+            assert got.tobytes() == (_full(a) * _full(b)).data.tobytes()
+            assert np.isnan(got).any()
+        # ln's second derivative at 1e-160 overflows to -inf
+        for a in (x, y, z, J.seed(1, np.full(4, 1e-160), m, order, last)):
+            for fn in ("sin", "ln"):
+                try:
+                    got = J.apply_unary(fn, a)
+                except ArithmeticError:
+                    continue  # ln of a non-positive value
+                assert got.data.tobytes() == J.apply_unary(fn, _full(a)).data.tobytes()
