@@ -29,7 +29,11 @@ arrays are ordered by sample index and the schema is versioned as
 "goursat-kit/1".  Identical config and seed give
 byte-identical JSON up to meta.timing_seconds.  Exit codes: 0 all recorded
 assertions passed, 1 some assertion failed, 2 config/input error,
-3 numerical failure.  A reader that closes stdout early (``run ... | head``)
+3 numerical failure.  The variable-free parts of ``expr``, ``phi`` and
+``psi`` are judged before sampling by one dry run of the jets' evaluator,
+under the rules the run applies: ``sqrt(0)*x1``, ``x1*(2-2)^0.5``,
+``x1/1e-301`` and ``1/1e-301*x1`` exit 2, where they once spent the draw
+budget and exited 3.  A reader that closes stdout early (``run ... | head``)
 does not change the exit code, and the ``--json`` report is still written.
 """
 
@@ -46,15 +50,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jets
 from . import identities as ident
 from .classify import DEFAULT_TOL, SCALE_FLOOR, Box, TooFewRegularPoints, classify_bundle, \
     first_kind_pde, first_kind_residual, fold_max, running_max, sample_bundle, \
     second_kind_residuals
 from .exterior import DEFAULT_FROBENIUS_TOL, DEGENERATE, NON_FINITE, SYSTEM_NAMES, VERDICTS, \
     FrobeniusColumns, frobenius_columns, make_system
-from .expr import BinOp, Call, Const, EvalDomainError, Expr, ExprError, Node, Param, Var, \
-    _fold_constant, parse, to_text, walk
+from .expr import Const, Expr, ExprError, parse, walk
 from .families import FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope, \
     family_web
 from .web import JET_ORDER, DerivativeBundle, Gauge, PfaffianDerivs, RegularityError, \
@@ -286,39 +289,23 @@ def _config(sections: dict[str, dict[str, str]]) -> RunConfig:
     return config
 
 
-def _constant_subtrees(node: Node, found: list) -> bool:
-    """Whether ``node`` holds a variable or parameter; appends to ``found``
-    each maximal subtree below it that holds none."""
-    kids = (node.left, node.right) if isinstance(node, BinOp) else \
-        (node.arg,) if isinstance(node, Call) else ()
-    flags = []
-    for kid in kids:  # a loop, not a comprehension: one frame per tree level
-        flags.append(_constant_subtrees(kid, found))
-    if any(flags):
-        found += [kid for kid, flag in zip(kids, flags) if not flag]
-    return isinstance(node, (Var, Param)) or any(flags)
-
-
 def _finite_constants(key: str, expression: Expr) -> Expr:
     """``expression``, or a config error naming ``key`` when a literal such
-    as ``1e999`` parsed to a non-finite constant, or a variable-free subtree
-    such as ``1e308*10`` overflows or leaves its domain: a jet evaluation
-    would carry it to every point."""
+    as ``1e999`` parsed to a non-finite constant, or a variable-free part
+    such as ``1e308*10`` or ``sqrt(0)`` fails under the jets' rules, as it
+    would at every point.  One dry run of the jets finds such a part: a
+    NaN-valued seed bound to every symbol passes every domain check."""
     bad = [n for n in walk(expression.root) if isinstance(n, Const) and not math.isfinite(n.value)]
     if bad:
         raise ConfigError(f"{key}: the literal at offset {bad[0].offset} is not finite "
                           f"({bad[0].value!r})")
-    found: list = []
-    if not _constant_subtrees(expression.root, found):
-        found = [expression.root]
-    for node in found:
-        try:
-            value = _fold_constant(node)
-        except EvalDomainError as err:
-            raise ConfigError(f"{key}: a constant part does not evaluate: {err}") from err
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: the constant part '{to_text(node)}' is not finite "
-                              f"({value!r})")
+    nan = jets.seed(1, math.nan, 1, 1)
+    names = [f"x{i}" for i in range(1, expression.arity + 1)] + list(expression.params)
+    try:
+        with np.errstate(all="ignore"):
+            jets.eval_with_bindings(expression, dict.fromkeys(names, nan))
+    except ArithmeticError as err:
+        raise ConfigError(f"{key}: {err}") from err
     return expression
 
 

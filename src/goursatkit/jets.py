@@ -54,15 +54,15 @@ A skipped term is +-0.0, and an entry's sum starts at +0.0 and so is never
 -0.0, so every entry comes out bit for bit as on full bands.  That needs
 finite operands, as ``0 * inf`` is NaN: a kernel whose operand or outer
 derivative holds a non-finite entry runs on full bands, and so does a jet
-scaled by a non-finite constant or divided by zero.  The config reader
-refuses a variable-free overflow (``1e308*10*x1``), but ``x1*1e308*10``
-overflows only inside a jet product.
+scaled by a non-finite constant or divided by zero.
+:func:`eval_with_bindings` refuses a non-finite constant operand
+(``1e308*10*x1``), but ``x1*1e308*10`` overflows only inside a jet product.
 
 A domain failure (ln/sqrt/power outside the domain, a near-zero divisor,
-an exp overflow) at some points of a batch raises :class:`PointFailures`,
-which names each failing point with its own one-point error;
-:func:`per_point` evaluates a batch, drops the points that failed and
-evaluates the rest again.
+an exp overflow, a non-finite constant operand) at some points of a batch
+raises :class:`PointFailures`, which names each failing point with its own
+one-point error; :func:`per_point` evaluates a batch, drops the points that
+failed and evaluates the rest again.
 """
 
 from __future__ import annotations
@@ -316,14 +316,18 @@ def _faa_plan(sp: JetSpace, band: tuple) -> tuple:
 def _domain(bad, values, message: str, error: type = JetDomainError) -> None:
     """Raise where ``bad`` holds: ``error`` for a scalar check,
     :class:`PointFailures` naming each bad point of a batch with its own
-    ``error``.  ``message`` is formatted with the offending value."""
+    ``error``.  ``message`` is formatted with the offending value as a float."""
     if np.ndim(bad) == 0:
         if bad:
-            raise error(message.format(values))
+            raise error(message.format(float(values)))
         return
     if bad.any():
-        raise PointFailures({int(i): error(message.format(values[i]))
+        raise PointFailures({int(i): error(message.format(float(values[i])))
                              for i in np.flatnonzero(bad)})
+
+
+def _nonzero_divisor(b) -> None:
+    _domain(np.abs(b) <= _DIV_FLOOR, b, "division by numerically zero jet value {!r}")
 
 
 def _finite(jet: "Jet") -> bool:
@@ -487,7 +491,7 @@ def divide(a: Jet, b: Jet) -> Jet:
         raise ValueError("jets must share one space")
     sp = a.space
     b0 = b.data[0]
-    _domain(np.abs(b0) <= _DIV_FLOOR, b0, "division by numerically zero jet value {!r}")
+    _nonzero_divisor(b0)
     c = np.zeros(a.data.shape)
     c[0] = a.data[0] / b0
     for k in range(1, sp.order + 1):
@@ -511,7 +515,7 @@ def _outer_derivatives(fn: str, v, order: int, exponent: float | None) -> list:
     ``v`` is a scalar or one value per point."""
     if fn == "exp":
         e = np.exp(v)
-        _domain(np.isinf(e) & np.isfinite(v), v, "math range error", OverflowError)
+        _domain(np.isinf(e) & np.isfinite(v), v, "exp of jet value {!r} overflows", OverflowError)
         return [e] * (order + 1)
     if fn == "ln":
         _domain(v <= 0, v, "ln of non-positive jet value {!r}")
@@ -588,7 +592,9 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding]) -> Jet:
     raised when no symbol is bound to a jet.  Symbols bound to a scalar or
     to one value per point are held constant.  Subtrees without a jet stay
     constants, so the tree is walked once per batch and only the jet nodes
-    pay for jet arithmetic.
+    pay for jet arithmetic.  A constant that meets a jet, or is the result,
+    must be finite, as a domain failure.  Every domain check is false on
+    NaN, so with NaN-valued jets only the variable-free parts can raise.
     """
     sp = next((v.space for v in bindings.values() if isinstance(v, Jet)), None)
     if sp is None:
@@ -599,13 +605,12 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding]) -> Jet:
             return apply_unary(fn, arg, exponent)
         return _outer_derivatives(fn, arg, 0, exponent)[0]
 
-    def quotient(left, right):
-        if isinstance(right, Jet):
-            if not isinstance(left, Jet):
-                left = constant(left, right.space, right.data.shape[1:])
-            return divide(left, right)
-        _domain(np.abs(right) <= _DIV_FLOOR, right, "division by numerically zero jet value {!r}")
-        return left / right
+    def finite(value, node: ex.Node) -> None:
+        # math.isfinite tests a scalar about 40 times faster than np.isfinite
+        if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                else math.isfinite(value)):
+            _domain(~np.isfinite(value), value,
+                    f"the constant part '{ex.to_text(node)}' is not finite ({{!r}})")
 
     def rec(node: ex.Node):
         if isinstance(node, ex.Const):
@@ -622,21 +627,28 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding]) -> Jet:
             if node.op == "^":
                 assert isinstance(node.right, ex.Const)
                 return unary("pow", rec(node.left), node.right.value)
-            left = rec(node.left)
-            right = rec(node.right)
+            left, right = rec(node.left), rec(node.right)
+            if not isinstance(left, Jet):
+                if isinstance(right, Jet):
+                    finite(left, node.left)
+            elif not isinstance(right, Jet):
+                finite(right, node.right)
             if node.op == "+":
                 return left + right
             if node.op == "-":
                 return left - right
             if node.op == "*":
                 return left * right
-            return quotient(left, right)
+            if not isinstance(right, Jet):
+                _nonzero_divisor(right)
+            return left / right
         return unary(node.fn, rec(node.arg))
 
     out = rec(expr.root)
     del rec  # rec refers to itself: a cycle that kept the bindings until a collection
     if isinstance(out, Jet):
         return out
+    finite(out, expr.root)
     tail = np.broadcast_shapes(*(v.data.shape[1:] if isinstance(v, Jet) else np.shape(v)
                                  for v in bindings.values()))
     return constant(out, sp, tail)

@@ -29,15 +29,20 @@ EDGE_TREES = [
     "x1*1e308*10", "1e-999*x1",
 ]
 
-_HOSTILE = Path(__file__).parent / "data" / "hostile"
-# configs whose expression parses with a literal, or a variable-free part such
-# as 1e308*10, that overflows to inf, which the run refuses as a config error
-# before it samples
-NONFINITE_LITERAL_CONFIGS = sorted([*_HOSTILE.glob("nonfinite-literal-*.cfg"),
-                                    _HOSTILE / "overflowing-literal-product.cfg"])
+_DATA = Path(__file__).parent / "data"
+_HOSTILE = _DATA / "hostile"
+# configs whose expression parses, but holds a literal that overflows to inf
+# or a variable-free part (1e308*10, sqrt(0), 1/1e-301) that fails under the
+# jets' rules, which the run refuses as a config error before it samples
+CONSTANT_PART_CONFIGS = sorted([*_HOSTILE.glob("nonfinite-literal-*.cfg"),
+                                *_HOSTILE.glob("constant-*.cfg"),
+                                _HOSTILE / "overflowing-literal-product.cfg"])
 # configs whose expression is a config error: an exponent that overflows or
 # folds to inf or NaN, or a tree too deep for the parser or the evaluators
-HOSTILE_CONFIGS = sorted(set(_HOSTILE.glob("*.cfg")) - set(NONFINITE_LITERAL_CONFIGS))
+HOSTILE_CONFIGS = sorted(set(_HOSTILE.glob("*.cfg")) - set(CONSTANT_PART_CONFIGS))
+# configs with no failing variable-free part, whose jets fail at every point:
+# each run spends its draw budget and exits 3, a numerical failure
+NUMERICAL_FAILURE_CONFIGS = sorted((_DATA / "numerical").glob("*.cfg"))
 
 
 def _leaf(rng: np.random.Generator, n_vars: int) -> str:

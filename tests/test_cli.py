@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 import goursatkit.cli
 from goursatkit.classify import DEFAULT_TOL, Box, sample_regular_points
 from goursatkit.exterior import DEFAULT_FROBENIUS_TOL, NON_FINITE
-from goursatkit.web import derivative_bundle
+from goursatkit.web import WebFunction, derivative_bundle
 from goursatkit.cli import (_KEYS, EXIT_ASSERTION, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK,
                             MAX_COUNT, MAX_IDENTITY_TRIALS, ConfigError, RunConfig,
                             _consistency_assertions, build_web,
                             builtin_checks, main, parse_config_text, run, selftest)
 from goursatkit.expr import MAX_DEPTH, parse, to_text
-from genexpr import EDGE_TREES, HOSTILE_CONFIGS, NONFINITE_LITERAL_CONFIGS, random_tree
+from genexpr import CONSTANT_PART_CONFIGS, EDGE_TREES, HOSTILE_CONFIGS, \
+    NUMERICAL_FAILURE_CONFIGS, random_tree
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -324,7 +325,7 @@ identity_trials = 40
 
 
 class TestMain:
-    @pytest.mark.parametrize("cfg", HOSTILE_CONFIGS + NONFINITE_LITERAL_CONFIGS,
+    @pytest.mark.parametrize("cfg", HOSTILE_CONFIGS + CONSTANT_PART_CONFIGS,
                              ids=lambda cfg: cfg.stem)
     def test_hostile_config_is_a_config_error(self, cfg, capsys):
         assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
@@ -431,7 +432,7 @@ class TestMain:
         (FAMILY_CFG.replace("s^2/2", "s^2/2 + 1e308*10*x1"),
          "[family] phi: the constant part '1e+308*10' is not finite (inf)"),
         (FAMILY_CFG.replace("x3 + x4 + x5", "x3 + x4 + ln(2 - 3)*x5"),
-         "[family] psi: a constant part does not evaluate: ln of non-positive value -1.0"),
+         "[family] psi: ln of non-positive jet value -1.0"),
     ], ids=["source", "expr", "family", "line", "psi-slot", "box-empty", "box-text",
             "box-interval", "phi-literal", "psi-literal", "phi-constant", "psi-constant"])
     def test_config_error_messages(self, text, message, tmp_path, capsys):
@@ -474,7 +475,7 @@ class TestMain:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_overflow_inside_a_jet_product_exit_three(self, tmp_path, capsys):
-        # x1*1e308*10 has no variable-free part for the config reader to fold:
+        # x1*1e308*10 has no variable-free part for the config check to refuse:
         # it overflows only once 1e308 multiplies the jet of x1
         cfg = tmp_path / "overflow.cfg"
         cfg.write_text("[web]\nn = 4\nexpr = x1*x3 + x2*x4 + x1*1e308*10\n"
@@ -580,6 +581,45 @@ class TestMain:
         cfg.write_text(FAMILY_CFG)
         assert main(["run", "--config", str(cfg)] + flags) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+
+# variable-free fragments, and the places they take beside a variable
+CONSTANT_FRAGMENTS = ["0", "2-2", "-1", "1e-301", "1e-320", "800", "1e308*10"]
+CONSTANT_PLACES = ["({c})*x1", "x1/({c})", "sqrt({c})*x1", "ln({c})*x1", "exp({c})*x1",
+                   "({c})^0.5*x1"]
+
+
+class TestConstantParts:
+    """The config check and the run judge a variable-free part alike: a
+    config exits 2 exactly when the run's jets fail on its constant part, and
+    a config the check accepts never spends the draw budget and exits 3."""
+
+    @pytest.mark.parametrize("term", [place.format(c=c) for place in CONSTANT_PLACES
+                                      for c in CONSTANT_FRAGMENTS])
+    def test_check_and_run_agree(self, term, tmp_path, capsys):
+        text = f"x1*x3 + x2*x4 + {term}"
+        web = WebFunction.from_expr(parse(text, 4))
+        try:
+            with np.errstate(all="ignore"):
+                web.jet([1.0, 1.0, 1.0, 1.0], 3, check_regularity=False)
+            fails = False
+        except ArithmeticError:
+            fails = True
+        cfg = tmp_path / "constant.cfg"
+        cfg.write_text(PRODUCT_CFG.replace("(x1+x2)*(x3+x4)", text))
+        code = main(["run", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (code == EXIT_CONFIG) == fails, err
+        assert code in (EXIT_OK, EXIT_ASSERTION, EXIT_CONFIG), err
+
+    @pytest.mark.parametrize("cfg", NUMERICAL_FAILURE_CONFIGS, ids=lambda cfg: cfg.stem)
+    def test_failure_inside_the_jets_exits_three(self, cfg, capsys):
+        # no variable-free part fails, so the check passes and every point fails
+        build_web(parse_config_text(cfg.read_text()))
+        assert main(["run", "--config", str(cfg)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
 
 
 class TestSelftest:

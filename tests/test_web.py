@@ -273,3 +273,15 @@ def test_batch_failures_equal_one_point_failures():
         else:
             assert failure is None and np.array_equal(column, want)
     assert failed_at == {"x1", "x2"}
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("ln(x1 - 1) + x2*x3 + x4", JetDomainError, "ln of non-positive jet value -0.5"),
+    ("exp(2000*x1) + x2*x3 + x4", OverflowError, "exp of jet value 1000.0 overflows"),
+], ids=["ln", "exp"])
+def test_one_point_error_prints_a_plain_float(text, error, message):
+    # the value is a float, not np.float64(-0.5), and exp names its argument
+    web = WebFunction.from_expr(parse(text, 4))
+    with pytest.raises(error) as exc, np.errstate(all="ignore"):
+        web.jet([0.5, 1, 1, 1], 3)
+    assert str(exc.value) == message
