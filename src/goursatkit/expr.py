@@ -13,7 +13,9 @@ index, bounded by the declared arity); every other identifier must appear in
 the declared parameter list, except for the reserved function names
 ``exp``, ``ln``, ``sin``, ``cos``, ``sqrt``, which take one parenthesized
 argument.  Exponents of ``^`` must be finite constants (no variables or
-parameters); they are folded into the node at parse time.  A tree deeper
+parameters); they are folded into the node at parse time, by the rules the
+jets apply to a constant, so an exponent such as ``sqrt(0)`` or
+``1/1e-301`` that fails in a run fails to parse.  A tree deeper
 than ``MAX_DEPTH`` nodes, or one that nests too deeply for the parser's
 recursion, is an :class:`ExprSyntaxError`.
 
@@ -212,7 +214,7 @@ class _Parser:
             if kind == "op" and val == "^":
                 self.advance()
                 exponent = self.unary()
-                folded = _fold_constant(exponent)  # an overflow is an EvalDomainError
+                folded = _fold_constant(exponent)  # a domain failure is an EvalDomainError
                 if folded is None:
                     raise ExprSyntaxError(
                         "exponent of '^' must be a constant", off
@@ -261,10 +263,15 @@ class _Parser:
 
 
 def _fold_constant(node: Node) -> float | None:
-    """Value of a variable/parameter-free subtree, or None."""
+    """Value of a variable/parameter-free subtree, or None, by the jets'
+    rules, which a run applies to every constant."""
     if any(isinstance(n, (Var, Param)) for n in walk(node)):
         return None
-    return _value(node, {})
+    from .jets import fold_constant  # jets imports this module
+    try:
+        return fold_constant(node)
+    except ArithmeticError as err:  # the jets' domain failures and overflows
+        raise EvalDomainError(str(err), node) from None
 
 
 def _depth(root: Node) -> int:

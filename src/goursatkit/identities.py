@@ -48,8 +48,9 @@ prefix of the same trial sequence, up to its own last accepted trial.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Sequence
 
 import numpy as np
@@ -192,94 +193,71 @@ class ConditionValues:
         }
 
 
-# The residual evaluators take the torsion stack t and the derivative slice
-# dh = d[..., h - 1] at slot h, and return (value, scale) arrays.
-
-def _m_residual(t: np.ndarray, dh: np.ndarray, h: int, A, B, C) -> tuple:
-    monos = [(_e(t, *hi) - _e(t, *lo)) * _e(dh, *tgt) for hi, lo, tgt in M_COEFFS]
-    rhs = 0.0
-    if h == 3:
-        rhs = C * _e(t, 3, 4) + A * _e(t, 3, 5)
-    elif h == 4:
-        rhs = B * _e(t, 3, 4) + A * _e(t, 4, 5)
-    elif h == 5:
-        rhs = B * _e(t, 3, 5) + C * _e(t, 4, 5)
-    return _sum(monos) - rhs, _scale(monos + [rhs])
-
-
-def _n_residual(t: np.ndarray, dh: np.ndarray, h: int, row: int) -> tuple:
-    a3, a4, a5 = (_e(t, row, q) for q in (3, 4, 5))
-    monos = [(a5 - a4) * _e(dh, row, 3),
-             (a3 - a5) * _e(dh, row, 4),
-             (a4 - a3) * _e(dh, row, 5)]
-    rhs = 0.0
-    if h == 3:
-        rhs = a3 * ((a5 - a3) * _e(t, 3, 4) + (a3 - a4) * _e(t, 3, 5))
-    return _sum(monos) - rhs, _scale(monos + [rhs])
-
-
-def _s_residual(t: np.ndarray, dh: np.ndarray, h: int, A, B, C) -> tuple:
-    monos = [(_e(t, 2, 3) - _e(t, 2, 5)) * (_e(dh, 1, 4) - _e(dh, 1, 3)),
-             (_e(t, 1, 5) - _e(t, 1, 3)) * (_e(dh, 2, 4) - _e(dh, 2, 3))]
-    if h == 3:
-        rhs = -C * _e(t, 3, 4)
-    elif h == 4:
-        rhs = B * _e(t, 3, 4)
-    else:
-        rhs = C * (_e(t, 3, 5) - _e(t, 4, 5))
-    return _sum(monos) - rhs, _scale(monos + [rhs])
+def _closures(t: np.ndarray, levels: Sequence[int]) -> dict:
+    """What the residuals need of the torsion alone, once per torsion stack:
+    per closure, its coefficients (m, n, r: keyed by the derivative entry
+    each multiplies), then its right-hand sides at the slots in ``levels``,
+    stacked first, +0.0 where there is none, which changes no float.  The
+    evaluators take slices stacked alike and return (values, scale terms)."""
+    A, B, C = cyclic_minors(t)
+    a34, a35, a45 = _e(t, 3, 4), _e(t, 3, 5), _e(t, 4, 5)
+    table = {"m": ({tgt: _e(t, *hi) - _e(t, *lo) for hi, lo, tgt in M_COEFFS},
+                   {3: C * a34 + A * a35, 4: B * a34 + A * a45, 5: B * a35 + C * a45}),
+             # s: the coefficients of a14h - a13h and a24h - a23h
+             "s": ((_e(t, 2, 3) - _e(t, 2, 5), _e(t, 1, 5) - _e(t, 1, 3)),
+                   {3: -C * a34, 4: B * a34, 5: C * (a35 - a45)}),
+             # u, v: the coefficients of a13k, a14k and of a23k, a24k
+             "uv": ((_e(t, 2, 3) - _e(t, 2, 4), _e(t, 1, 4) - _e(t, 1, 3)),
+                    {4: 2 * A * a34, 5: 2 * A * a35}, {4: -A * a34, 5: A * (a34 - a35)})}
+    for name, row in (("n", 1), ("r", 2)):
+        a3, a4, a5 = (_e(t, row, q) for q in (3, 4, 5))
+        table[name] = ({(row, 3): a5 - a4, (row, 4): a3 - a5, (row, 5): a4 - a3},
+                       {3: a3 * ((a5 - a3) * a34 + (a3 - a4) * a35)})
+    shape, zero = (len(levels),) + np.shape(A), np.zeros_like(A)  # levels may be empty
+    return {name: (coeffs, *(np.reshape([rhs.get(h, zero) for h in levels], shape)
+                             for rhs in sides)) for name, (coeffs, *sides) in table.items()}
 
 
-def _uv(t: np.ndarray, dh: np.ndarray, k: int, A) -> tuple:
-    """(u_k, v_k - u_k) residuals, each as (value, scale)."""
-    cu = _e(t, 2, 3) - _e(t, 2, 4)
-    cv = _e(t, 1, 4) - _e(t, 1, 3)
-    monos = [cu * _e(dh, 1, 3), cv * _e(dh, 2, 3), cu * _e(dh, 1, 4), cv * _e(dh, 2, 4)]
-    u = monos[0] - monos[1]
-    v = monos[2] - monos[3]
-    scale = _scale(monos)
-    a34, a35 = _e(t, 3, 4), _e(t, 3, 5)
-    u_rhs = 2 * A * (a34 if k == 4 else a35)
-    v_rhs = -A * a34 if k == 4 else A * (a34 - a35)
-    return (u - u_rhs, _scale([scale, u_rhs])), ((v - u) - v_rhs, _scale([scale, v_rhs]))
+def _residual(closure: tuple, slots: np.ndarray, at=slice(None)) -> tuple:
+    """An m, n or r closure at the slots ``at``."""
+    (coeffs, rhs), dh = closure, slots[at]
+    monos = [c * _e(dh, *tgt) for tgt, c in coeffs.items()]
+    return _sum(monos) - rhs[at], monos + [rhs[at]]
 
 
-def _stacked(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """(values, scales) pairs to two arrays with the pairs on the last axis."""
-    return (np.stack([v for v, _ in pairs], axis=-1),
-            np.stack([s for _, s in pairs], axis=-1))
+def _s_residual(closure: tuple, slots: np.ndarray) -> tuple:
+    """s_h at h = 3, 4, 5."""
+    (cs1, cs2), rhs = closure
+    dh, rhs = slots[2:5], rhs[2:5]
+    monos = [cs1 * (_e(dh, 1, 4) - _e(dh, 1, 3)), cs2 * (_e(dh, 2, 4) - _e(dh, 2, 3))]
+    return _sum(monos) - rhs, monos + [rhs]
+
+
+def _conditions(table: dict, d: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """The ConditionValues fields over the trial axes, from the closure
+    table at every slot: six (values, scales) pairs in field order, then
+    residual40 and its scale."""
+    slots = np.moveaxis(d, -1, 0)
+    (cu, cv), u_rhs, v_rhs = table["uv"]
+    dh, u_rhs, v_rhs = slots[3:5], u_rhs[3:5], v_rhs[3:5]  # k = 4, 5
+    uv = [cu * _e(dh, 1, 3), cv * _e(dh, 2, 3), cu * _e(dh, 1, 4), cv * _e(dh, 2, 4)]
+    u, v, scale = uv[0] - uv[1], uv[2] - uv[3], _scale(uv)
+    families = [_residual(table["m"], slots), _residual(table["n"], slots, slice(3)),
+                _residual(table["r"], slots, slice(3)), _s_residual(table["s"], slots),
+                (u - u_rhs, [scale, u_rhs]), ((v - u) - v_rhs, [scale, v_rhs])]
+    # the one-product closure: n_1 - n_2 written with grouped differences
+    terms40 = [c * (_e(slots[0], *tgt) - _e(slots[1], *tgt)) for tgt, c in table["n"][0].items()]
+    return ([(np.moveaxis(x, 0, -1), np.moveaxis(_scale(terms), 0, -1)) for x, terms in families],
+            _sum(terms40), _scale(terms40))
 
 
 @np.errstate(all="ignore")
-def _conditions(t: np.ndarray, d: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-    """The ConditionValues fields over the trial axes: six (values, scales)
-    pairs in field order, then residual40 and its scale."""
-    n = t.shape[-1]
-    A, B, C = cyclic_minors(t)
-    slot = [d[..., h - 1] for h in range(1, n + 1)]
-    uv = [_uv(t, slot[k - 1], k, A) for k in (4, 5)]
-    families = [
-        _stacked([_m_residual(t, slot[h - 1], h, A, B, C) for h in range(1, n + 1)]),
-        _stacked([_n_residual(t, slot[h - 1], h, 1) for h in (1, 2, 3)]),
-        _stacked([_n_residual(t, slot[h - 1], h, 2) for h in (1, 2, 3)]),
-        _stacked([_s_residual(t, slot[h - 1], h, A, B, C) for h in (3, 4, 5)]),
-        _stacked([u for u, _ in uv]),
-        _stacked([v for _, v in uv]),
-    ]
-    # the one-product closure: n_1 - n_2 written with grouped differences
-    a13, a14, a15 = (_e(t, 1, q) for q in (3, 4, 5))
-    terms40 = [(a15 - a14) * (_e(slot[0], 1, 3) - _e(slot[1], 1, 3)),
-               (a13 - a15) * (_e(slot[0], 1, 4) - _e(slot[1], 1, 4)),
-               (a14 - a13) * (_e(slot[0], 1, 5) - _e(slot[1], 1, 5))]
-    return families, _sum(terms40), _scale(terms40)
-
-
 def condition_values(t: TorsionTensor, d: PfaffianDerivs) -> ConditionValues:
     """The condition families at one point, or at every point of stacked
     ``t`` and ``d`` (one pass of the batched algebra)."""
     if t.n < 5:
         raise ValueError("condition families need arity n >= 5")
-    families, r40, r40_scale = _conditions(t.values, d.values)
+    families, r40, r40_scale = _conditions(_closures(t.values, range(1, t.n + 1)), d.values)
     return ConditionValues(*(ResidualSet(v, s) for v, s in families),
                            residual40=r40[()], residual40_scale=r40_scale[()])
 
@@ -331,65 +309,87 @@ class _TrialStream:
     Per trial that loop draws 5x5 torsion candidates until one is accepted
     (:func:`_draw_torsion`), then, where the trial needs derivatives, one
     (5, 5, 5) draw.  Every draw is a whole number of 25-double blocks, so the
-    stream reads its blocks ``(B, 5, 5)`` at a time, computes every block's
-    a25 and acceptance with :func:`_candidates`, and walks the blocks in
-    order: one block past a rejected candidate, one or six past a trial.
-    ``derivs`` says which trials draw: "always", "never", or "s-pivot" (those
-    whose s-pivot is not small).
+    stream reads its blocks ``(B, 5, 5)`` at a time and computes every
+    block's a25 and acceptance with :func:`_candidates`.  ``derivs`` says
+    which trials draw: "always", "never", or "s-pivot" (those whose s-pivot
+    is not small).
+
+    The walk over the blocks is that loop's, one block past a rejected
+    candidate and one or six past a trial, taken in leaps: a bisection in the
+    sorted numbers of the accepted blocks finds the next trial, and the
+    trials from there a stride apart (six blocks, one if none draws) are
+    taken at once, up to the first block on that stride that is rejected or
+    a trial that draws nothing.
 
     Reading ahead leaves ``rng`` past the doubles the trials used, so the
-    stream must own it.  Before a trial could run past the buffer, the walk
-    reads the blocks the trials still wanted take without rejections; the
-    walked blocks are dropped once their trials are gathered.
+    stream must own it.  Where a walk one block at a time would first find a
+    trial that could run past the buffer, the stream reads the blocks the
+    trials still wanted take without rejections.  A read computes only its
+    new blocks; the reads are joined once per draw, and the walked blocks are
+    dropped once their trials are gathered.
     """
 
     def __init__(self, rng: np.random.Generator, derivs: str):
         self._rng = rng
         self._derivs = derivs
-        self._per_trial = 1 if derivs == "never" else 1 + TRIAL_ARITY
-        self._raw = np.empty((0, TRIAL_ARITY, TRIAL_ARITY))
-        self._a25 = np.empty(0)
-        self._accepted: list[bool] = []
-        self._draws: list[bool] = []
+        self._stride = 1 if derivs == "never" else 1 + TRIAL_ARITY
+        # (blocks, a25) per read not yet walked past
+        self._reads = [(np.empty((0, TRIAL_ARITY, TRIAL_ARITY)), np.empty(0))]
+        # stream numbers of the first buffered block and of the next to read
+        self._start = self._end = 0
+        # sorted stream numbers of the accepted blocks, and of the blocks whose
+        # step is not the stride (rejected, or a trial that draws nothing)
+        self._accepted: list[int] = []
+        self._irregular: list[int] = []
 
     def _read(self, blocks: int) -> None:
         """Append ``blocks`` new blocks."""
         raw = self._rng.uniform(-SPAN, SPAN, size=(blocks, TRIAL_ARITY, TRIAL_ARITY))
         a23, a25, accepted = _candidates(raw)
-        if self._derivs == "s-pivot":  # as _s_pivot on the solved matrix
-            draws = (~(np.abs(a23 - a25) < PIVOT_FLOOR)).tolist()
-        else:
-            draws = [self._derivs == "always"] * blocks
-        self._raw = np.concatenate([self._raw, raw])
-        self._a25 = np.concatenate([self._a25, a25])
-        self._accepted += accepted.tolist()
-        self._draws += draws
+        irregular = ~accepted
+        if self._derivs == "s-pivot":  # as the s-pivot of the solved matrix
+            irregular |= np.abs(a23 - a25) < PIVOT_FLOOR
+        self._reads.append((raw, a25))
+        self._accepted += (np.flatnonzero(accepted) + self._end).tolist()
+        self._irregular += (np.flatnonzero(irregular) + self._end).tolist()
+        self._end += blocks
 
     def draw(self, size: int) -> tuple:
         """The next ``size`` trials: (torsion stack, derivative stack with zeros
         where a trial draws none, or None if the stream draws none; drawn
         mask)."""
-        at, p = [], 0
+        at, drawn, p, stride, start = [], [], self._start, self._stride, self._start
         while len(at) < size:
-            if p + self._per_trial > len(self._accepted):
-                self._read(self._per_trial * (size - len(at)))
-            if self._accepted[p]:
-                at.append(p)
-                p += 1 + TRIAL_ARITY * self._draws[p]
-            else:
+            k = bisect_left(self._accepted, p)
+            q = self._accepted[k] if k < len(self._accepted) else self._end
+            if q + stride > self._end:
+                self._read(stride * (size - len(at)))
+                continue
+            # the trials from q a stride apart, up to the last one wanted, the
+            # end of the buffer or the first irregular block on the stride
+            end = q + stride * min(size - len(at), (self._end - q) // stride)
+            irregular = islice(self._irregular, bisect_left(self._irregular, q), None)
+            p = min(end, next((x for x in irregular if x >= end or (x - q) % stride == 0), end))
+            at += range(q - start, p - start, stride)
+            drawn += [stride > 1] * ((p - q) // stride)
+            if p == q:  # an accepted irregular block: a trial that draws nothing
+                at.append(q - start)
+                drawn.append(False)
                 p += 1
-        at = np.array(at, dtype=np.intp)
-        drawn = np.array(self._draws, dtype=bool)[at]
-        t = self._raw[at]
+        raw, a25 = (np.concatenate(x) for x in zip(*self._reads))
+        at, drawn = np.array(at, dtype=np.intp), np.array(drawn, dtype=bool)
+        t = raw[at]
         t = (t + t.swapaxes(-1, -2)) / 2.0
-        t[:, 1, 4] = t[:, 4, 1] = self._a25[at]
+        t[:, 1, 4] = t[:, 4, 1] = a25[at]
         d = None
         if self._derivs != "never":
-            # every trial started with per_trial blocks in the buffer
-            d = self._raw[at[:, None] + np.arange(1, TRIAL_ARITY + 1)]
+            # every trial started with a stride of blocks in the buffer
+            d = raw[at[:, None] + np.arange(1, TRIAL_ARITY + 1)]
             d[~drawn] = 0.0
-        self._raw, self._a25 = self._raw[p:].copy(), self._a25[p:].copy()
-        del self._accepted[:p], self._draws[:p]
+        self._reads = [(raw[p - start:].copy(), a25[p - start:].copy())]  # frees the rest
+        del self._accepted[:bisect_left(self._accepted, p)]
+        del self._irregular[:bisect_left(self._irregular, p)]
+        self._start = p
         return t, d, drawn
 
 
@@ -420,46 +420,50 @@ class ImplicationResult:
 
 # the implication tests as (imposed, checked); imposed may come in either order
 PAIRINGS = ((("m", "n"), "r"), (("n", "r"), "m"), (("m", "r"), "n"))
-# per sorted imposed pair, its solves in order: (closure, pivot entries hi and
-# lo, the derivative entry solved for); the mixed closure is solved last, and
-# the n and r solves touch disjoint entries, so their order changes no float
+# per sorted imposed pair, its solves in order: (closure, the derivative entry
+# solved for, whose coefficient is the pivot); the mixed closure is solved last,
+# and the n and r solves touch disjoint entries, so their order changes no float
 _SOLVES = {
-    ("m", "n"): (("n", (1, 5), (1, 4), (1, 3)), ("m", (1, 5), (1, 4), (2, 3))),
-    ("n", "r"): (("n", (1, 5), (1, 4), (1, 3)), ("r", (2, 5), (2, 4), (2, 3))),
-    ("m", "r"): (("r", (2, 5), (2, 4), (2, 3)), ("m", (2, 4), (2, 5), (1, 3))),
+    ("m", "n"): (("n", (1, 3)), ("m", (2, 3))),
+    ("n", "r"): (("n", (1, 3)), ("r", (2, 3))),
+    ("m", "r"): (("r", (2, 3)), ("m", (1, 3))),
 }
 
 
 @np.errstate(all="ignore")
 def _implication_trials(t: np.ndarray, d: np.ndarray, pairs: Sequence[tuple[tuple[str, str], str]],
                         levels: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per pair, trial and level h, solve each imposed condition for its
+    """Per pair, trial and level h, solve each imposed closure for its
     ``_SOLVES`` entry, then evaluate the checked one; returns per pair
-    (accepted, worst relative residual of the checked one over the levels).
-    A trial is rejected at any level where a pivot is small or a solved
-    condition fails to re-check.  The minors, the pivots and each level,
-    symmetrized, are computed once for all pairs."""
-    A, B, C = cyclic_minors(t)
-    residual = {"m": lambda dh, h: _m_residual(t, dh, h, A, B, C),
-                "n": lambda dh, h: _n_residual(t, dh, h, 1),
-                "r": lambda dh, h: _n_residual(t, dh, h, 2)}
-    pivot = {(hi, lo): _e(t, *hi) - _e(t, *lo)
-             for solves in _SOLVES.values() for _, hi, lo, _ in solves}
-    out = [(np.ones(len(t), dtype=bool), np.zeros(len(t))) for _ in pairs]
-    for h in levels:
-        level = (d[..., h - 1] + d[..., h - 1].swapaxes(-1, -2)) / 2.0  # as from_array
-        for (imposed, checked), (accepted, worst) in zip(pairs, out):
-            dh = level.copy()
-            for name, hi, lo, (i, j) in _SOLVES[tuple(sorted(imposed))]:
-                accepted &= ~(np.abs(pivot[hi, lo]) < PIVOT_FLOOR)
-                value, _ = residual[name](dh, h)
+    (accepted, worst relative residual of the checked one, folded over the
+    levels in order).  A trial is rejected at any level where a pivot is
+    small or a solved closure fails to re-check.  With the closure table
+    built once per chunk and the levels stacked as ``(L, N, 2, 5)`` (the
+    rows the closures read), each solve and check is one array pass."""
+    table = _closures(t, levels)
+    idx = np.asarray(levels, dtype=np.intp) - 1
+    # as PfaffianDerivs.from_array symmetrizes them
+    level = np.moveaxis((d[:, :2, :, idx] + d[:, :, :2, idx].swapaxes(1, 2)) / 2.0, -1, 0)
+    out, solved = [], {}
+    for imposed, checked in pairs:
+        accepted, dh = np.ones(len(t), dtype=bool), level.copy()
+        for name, (i, j) in _SOLVES[tuple(sorted(imposed))]:
+            # a solve depends only on the solves before it: none for the n and
+            # r solves, which read only the row they write, and the same one
+            # for an m solve in every pair that has it; so each is done once
+            if (name, i, j) not in solved:
+                pivot = table[name][0][i, j]
+                value, _ = _residual(table[name], dh)
                 # value is (closure - rhs) with the current unknown included; zero it
-                dh[:, i - 1, j - 1] -= value / pivot[hi, lo]
-                dh[:, j - 1, i - 1] = dh[:, i - 1, j - 1]
-                check, _ = residual[name](dh, h)
-                accepted &= ~(np.abs(check) > 1e-9 * fold_max([1.0, np.abs(value)]))
-            value, scale = residual[checked](dh, h)
-            worst[...] = fold_max([worst, np.abs(value) / scale])
+                dh[..., i - 1, j - 1] -= value / pivot
+                check, _ = _residual(table[name], dh)
+                solved[name, i, j] = dh[..., i - 1, j - 1].copy(), ~(
+                    (np.abs(pivot) < PIVOT_FLOOR)
+                    | (np.abs(check) > 1e-9 * fold_max([1.0, np.abs(value)]))).any(axis=0)
+            dh[..., i - 1, j - 1], ok = solved[name, i, j]
+            accepted &= ok
+        value, terms = _residual(table[checked], dh)
+        out.append((accepted, fold_max([np.zeros(len(t)), *(np.abs(value) / _scale(terms))])))
     return out
 
 
@@ -517,22 +521,18 @@ class WitnessResult:
     uv_max_relative: float      # size of the checked residual at the witness
 
 
-def _s_pivot(t: np.ndarray) -> np.ndarray:
-    return _e(t, 2, 3) - _e(t, 2, 5)  # coefficient of a14h in s_h
-
-
 @np.errstate(all="ignore")
 def _witness_trials(t: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve s_3 = s_4 = s_5 = 0 for a14h per trial; returns the relative
-    residuals (worst s, worst of u and v) of the adjusted data."""
-    A, B, C = cyclic_minors(t)
-    pivot = _s_pivot(t)
+    residuals (worst s, worst of u and v) of the adjusted data.  Each s_h
+    reads and solves its own slot only, so all three are solved at once."""
+    table = _closures(t, range(1, TRIAL_ARITY + 1))
+    pivot = table["s"][0][0]  # coefficient of a14h in s_h
     d = (d + d.swapaxes(-3, -2)) / 2.0  # as PfaffianDerivs.from_array
-    for h in (3, 4, 5):
-        value, _ = _s_residual(t, d[..., h - 1], h, A, B, C)
-        d[:, 0, 3, h - 1] -= value / pivot
-        d[:, 3, 0, h - 1] = d[:, 0, 3, h - 1]
-    families, _, _ = _conditions(t, d)
+    value, _ = _s_residual(table["s"], np.moveaxis(d, -1, 0))
+    d[:, 0, 3, 2:5] -= (value / pivot).T
+    d[:, 3, 0, 2:5] = d[:, 0, 3, 2:5]
+    families, _, _ = _conditions(table, d)
     # per family as ResidualSet.max_relative
     s_rel, u_rel, v_rel = ((np.abs(v) / s).max(axis=-1) for v, s in families[3:])
     return s_rel, fold_max([u_rel, v_rel])

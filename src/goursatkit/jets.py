@@ -434,7 +434,7 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.space, self.data * other,
-                       self.band if np.isfinite(other).all() else None)  # 0 * inf is NaN
+                       self.band if _finite_value(other) else None)  # 0 * inf is NaN
         self._check(other)
         sp = self.space
         a, b = self.data, other.data
@@ -454,7 +454,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            keep = np.isfinite(other).all() and np.all(other != 0)  # 0 / 0 is NaN
+            keep = _finite_value(other) and np.all(other != 0)  # 0 / 0 is NaN
             return Jet(self.space, self.data / other, self.band if keep else None)
         return divide(self, other)
 
@@ -584,6 +584,60 @@ def power(a: Jet, exponent: float) -> Jet:
 Binding = Union[Jet, float, np.ndarray]
 
 
+def _finite_value(value) -> bool:
+    """Whether a scalar, or every entry of an array, is finite: math.isfinite
+    tests a scalar about 40 times faster than np.isfinite."""
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    return math.isfinite(value)
+
+
+def _finite_constant(value, node: ex.Node) -> None:
+    if not _finite_value(value):
+        _domain(~np.isfinite(value), value,
+                f"the constant part '{ex.to_text(node)}' is not finite ({{!r}})")
+
+
+def _unary(fn: str, arg, exponent=None):
+    if isinstance(arg, Jet):
+        return apply_unary(fn, arg, exponent)
+    return _outer_derivatives(fn, arg, 0, exponent)[0]
+
+
+def _walk(node: ex.Node, bindings: Mapping[str, Binding]):
+    """The value of ``node``: a jet, or a constant where no symbol below it
+    is bound to a jet.  A constant that meets a jet must be finite."""
+    if isinstance(node, ex.Const):
+        return np.float64(node.value)  # numpy scalars overflow to inf, as jets do
+    if isinstance(node, (ex.Var, ex.Param)):
+        if isinstance(node, ex.Var):
+            name, missing = f"x{node.index}", f"missing binding for x{node.index}"
+        else:
+            name, missing = node.name, f"missing binding for parameter '{node.name}'"
+        if name not in bindings:
+            raise KeyError(missing)
+        return bindings[name]
+    if isinstance(node, ex.Call):
+        return _unary(node.fn, _walk(node.arg, bindings))
+    if node.op == "^":  # the parser folds every exponent to a constant
+        return _unary("pow", _walk(node.left, bindings), node.right.value)
+    left, right = _walk(node.left, bindings), _walk(node.right, bindings)
+    if not isinstance(left, Jet):
+        if isinstance(right, Jet):
+            _finite_constant(left, node.left)
+    elif not isinstance(right, Jet):
+        _finite_constant(right, node.right)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if not isinstance(right, Jet):
+        _nonzero_divisor(right)
+    return left / right
+
+
 def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding]) -> Jet:
     """Evaluate an expression tree where symbols map to jets or constants.
 
@@ -599,59 +653,20 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding]) -> Jet:
     sp = next((v.space for v in bindings.values() if isinstance(v, Jet)), None)
     if sp is None:
         raise ValueError("no symbol is bound to a jet, so the result has no jet space")
-
-    def unary(fn: str, arg, exponent=None):
-        if isinstance(arg, Jet):
-            return apply_unary(fn, arg, exponent)
-        return _outer_derivatives(fn, arg, 0, exponent)[0]
-
-    def finite(value, node: ex.Node) -> None:
-        # math.isfinite tests a scalar about 40 times faster than np.isfinite
-        if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
-                else math.isfinite(value)):
-            _domain(~np.isfinite(value), value,
-                    f"the constant part '{ex.to_text(node)}' is not finite ({{!r}})")
-
-    def rec(node: ex.Node):
-        if isinstance(node, ex.Const):
-            return np.float64(node.value)  # numpy scalars overflow to inf, as jets do
-        if isinstance(node, (ex.Var, ex.Param)):
-            if isinstance(node, ex.Var):
-                name, missing = f"x{node.index}", f"missing binding for x{node.index}"
-            else:
-                name, missing = node.name, f"missing binding for parameter '{node.name}'"
-            if name not in bindings:
-                raise KeyError(missing)
-            return bindings[name]
-        if isinstance(node, ex.BinOp):
-            if node.op == "^":
-                assert isinstance(node.right, ex.Const)
-                return unary("pow", rec(node.left), node.right.value)
-            left, right = rec(node.left), rec(node.right)
-            if not isinstance(left, Jet):
-                if isinstance(right, Jet):
-                    finite(left, node.left)
-            elif not isinstance(right, Jet):
-                finite(right, node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if not isinstance(right, Jet):
-                _nonzero_divisor(right)
-            return left / right
-        return unary(node.fn, rec(node.arg))
-
-    out = rec(expr.root)
-    del rec  # rec refers to itself: a cycle that kept the bindings until a collection
+    out = _walk(expr.root, bindings)
     if isinstance(out, Jet):
         return out
-    finite(out, expr.root)
+    _finite_constant(out, expr.root)
     tail = np.broadcast_shapes(*(v.data.shape[1:] if isinstance(v, Jet) else np.shape(v)
                                  for v in bindings.values()))
     return constant(out, sp, tail)
+
+
+@np.errstate(all="ignore")
+def fold_constant(node: ex.Node) -> float:
+    """The value of a variable-free subtree by the rules a run applies to it:
+    a domain failure or an exp overflow raises, a power may overflow to inf."""
+    return float(_walk(node, {}))
 
 
 def eval_jet(expr: ex.Expr, point: Mapping[str, float],

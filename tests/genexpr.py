@@ -37,8 +37,9 @@ _HOSTILE = _DATA / "hostile"
 CONSTANT_PART_CONFIGS = sorted([*_HOSTILE.glob("nonfinite-literal-*.cfg"),
                                 *_HOSTILE.glob("constant-*.cfg"),
                                 _HOSTILE / "overflowing-literal-product.cfg"])
-# configs whose expression is a config error: an exponent that overflows or
-# folds to inf or NaN, or a tree too deep for the parser or the evaluators
+# configs whose expression is a config error: an exponent that fails under the
+# jets' rules (sqrt(0), 1/1e-301, an overflow) or folds to inf or NaN, or a
+# tree too deep for the parser or the evaluators
 HOSTILE_CONFIGS = sorted(set(_HOSTILE.glob("*.cfg")) - set(CONSTANT_PART_CONFIGS))
 # configs with no failing variable-free part, whose jets fail at every point:
 # each run spends its draw budget and exits 3, a numerical failure

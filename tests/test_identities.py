@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goursatkit import catalog
+from goursatkit import catalog, identities
 from goursatkit.classify import SCALE_FLOOR, second_kind_residuals, torsion_minors
 from goursatkit.families import family_web
 from goursatkit.identities import (M_COEFFS, TRIAL_CHUNK, ConditionValues,
@@ -752,3 +752,55 @@ class TestReadAheadStream:
             assert (d is None) == (derivs == "never")
         if source == "hostile":  # a run of rejections outlasted a whole refill
             assert max(reads) >= 3
+
+
+# --- zero pivots inside the trial kernel -------------------------------------
+
+def zero_pivot_blocks(seed, blocks=4000):
+    """Uniform 25-double blocks, a tenth of them with a15 = a14 exactly: as
+    a torsion candidate such a block is accepted, and the pivot of its n
+    solve, and of the m solve after it, is exactly 0."""
+    rng = DEFAULT_RNG(seed)
+    v = rng.uniform(-2.0, 2.0, size=(blocks, 5, 5))
+    b = rng.integers(0, blocks, size=blocks // 10)
+    v[b, 0, 4], v[b, 4, 0] = v[b, 0, 3], v[b, 3, 0]
+    return v.ravel()
+
+
+class TestZeroPivots:
+    """A trial whose pivot is exactly 0 divides by it before the acceptance
+    mask drops it, so inf and NaN run through every stacked level of its
+    chunk; the results must still equal the scalar references, which never
+    divide by a small pivot."""
+
+    @pytest.mark.parametrize("levels", [(1, 2, 3), (5, 2, 4)])
+    def test_implication_tests(self, monkeypatch, levels):
+        doubles = zero_pivot_blocks(6)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Replay(doubles))
+        kernel, pivots = identities._implication_trials, []
+
+        def spy(t, d, pairs, levels):
+            pivots.append(t[:, 0, 4] - t[:, 0, 3])  # the n pivot
+            return kernel(t, d, pairs, levels)
+
+        monkeypatch.setattr(identities, "_implication_trials", spy)
+        trials = TRIAL_CHUNK + 1
+        got = implication_tests(trials, 0, PAIRINGS, levels)
+        assert (np.concatenate(pivots) == 0.0).any()
+        assert got == [ref_implication_test(trials, 0, imposed, checked, levels)
+                       for imposed, checked in PAIRINGS]
+
+    def test_witness(self, monkeypatch):
+        doubles = zero_pivot_blocks(6)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Replay(doubles))
+        for trials, threshold in ((300, 10.0), (300, 1e-2)):
+            assert same_witness(witness_search(trials, 0, threshold),
+                                ref_witness_search(trials, 0, threshold))
+
+
+def test_no_levels():
+    # the levels are stacked along one axis, which may be empty: every trial
+    # is then accepted with a zero residual, as in the one-trial loop
+    trials = TRIAL_CHUNK + 1
+    assert implication_tests(trials, 0, PAIRINGS, ()) == [
+        ref_implication_test(trials, 0, imposed, checked, ()) for imposed, checked in PAIRINGS]
