@@ -14,9 +14,9 @@ generator t^i of a system spanned by t^1..t^k, the (k+2)-form
 d t^i ^ t^1 ^ ... ^ t^k must vanish.  This avoids constructing a smooth
 kernel basis and works at a single point from order-1 jets of the
 coefficients.  Most generators are the constant coordinate forms dx_s,
-s in sigma, and wedging with them kills every dx_sigma component, so the
-wedge is expanded on the free slots outside sigma only, over the minors
-of the field rows there.
+s in sigma, and wedging with them kills every dx_sigma component, so a
+batch builds no dx_s row: the wedge is expanded on the free slots, over
+the minors of the field rows there, which also give the ranks.
 """
 
 from __future__ import annotations
@@ -68,12 +68,6 @@ class CoFormField:
         return cls(n, label, lambda p: (c.copy(), zero.copy()))
 
     @classmethod
-    def coordinate(cls, n: int, index: int) -> "CoFormField":
-        c = np.zeros(n)
-        c[index - 1] = 1.0
-        return cls.constant(c, f"dx{index}")
-
-    @classmethod
     def gradient(cls, web: WebFunction) -> "CoFormField":
         """dF: coefficients F_i, Jacobian the (symmetric) Hessian."""
         def ev(p: Point):
@@ -107,8 +101,8 @@ class PfaffianSystem:
 
     @property
     def generators(self) -> tuple[CoFormField, ...]:
-        return self.fields + tuple(
-            CoFormField.coordinate(self.arity, s) for s in self.sigma)
+        return self.fields + tuple(CoFormField.constant(np.eye(self.arity)[s - 1], f"dx{s}")
+                                   for s in self.sigma)
 
 
 # A coefficient is a signed sum of products of partial derivatives of F: a
@@ -208,25 +202,29 @@ def make_system(web: WebFunction, name: str) -> PfaffianSystem:
 
 
 def coefficient_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
-    return _generators(sys, [p])[1][0]
+    return _stacked(sys, _generators(sys, [p])[1])[0]
+
+
+def _stacked(sys: PfaffianSystem, coeffs: np.ndarray) -> np.ndarray:
+    """Field rows (N, kf, n) with one dx_s row appended per sigma slot."""
+    units = np.eye(sys.arity)[[s - 1 for s in sys.sigma]]
+    return np.concatenate([coeffs, np.broadcast_to(units, (len(coeffs),) + units.shape)], 1)
 
 
 def _generators(sys: PfaffianSystem, points) -> tuple:
-    """The points (N, n), the coefficients (N, k, n) of the generators and
-    their exterior derivatives dtheta = J.T - J (N, k, n, n), in
-    ``generators`` order.  ``points`` is an (N, n) array or a
+    """The points (N, n), the coefficients (N, kf, n) of the field rows and
+    their exterior derivatives dtheta = J.T - J (N, kf, n, n), in ``fields``
+    order; the dx_s rows are left out.  ``points`` is an (N, n) array or a
     :class:`DerivativeBundle`.  Field rows run on the batch jet of the
     bundle (by default, of the web at the points, if any), other fields
-    stack their ``evaluate`` output, and each dx_s is the constant 1 in
-    slot s, with dtheta 0."""
+    stack their ``evaluate`` output."""
     b = points if isinstance(points, DerivativeBundle) else None
     points = as_points(points if b is None else b.points, sys.arity)
     if b is None and sys.web is not None:
         b = derivative_bundle(sys.web, points)
     jet = None if b is None else Jet(space(sys.arity, JET_ORDER), b.data.T)
-    k = len(sys.fields) + len(sys.sigma)
-    coeffs = np.zeros((len(points), k, sys.arity))
-    dtheta = np.zeros((len(points), k, sys.arity, sys.arity))
+    coeffs = np.zeros((len(points), len(sys.fields), sys.arity))
+    dtheta = np.zeros(coeffs.shape + (sys.arity,))
     for g, field in enumerate(sys.fields):
         if jet is not None and field.row is not None:
             coeffs[:, g], jac = _row_values(field.row, jet)
@@ -235,15 +233,14 @@ def _generators(sys: PfaffianSystem, points) -> tuple:
             for i, p in enumerate(points):
                 coeffs[i, g], jac[i] = field.evaluate(as_point(p, sys.arity))
         dtheta[:, g] = jac.swapaxes(-1, -2) - jac
-    for g, s in enumerate(sys.sigma, start=len(sys.fields)):
-        coeffs[:, g, s - 1] = 1.0
     return points, coeffs, dtheta
 
 
-def _rank(sv: np.ndarray):
-    """Numerical ranks from singular values in descending order (last axis)."""
-    top = sv[..., :1]
-    return np.where(top[..., 0] > 0.0, (sv > RANK_TOL * top).sum(axis=-1), 0)[()]
+def _rank(sv: np.ndarray, units: int = 0):
+    """Numerical ranks from descending singular values (last axis) and ``units`` more 1.0s."""
+    top = sv.max(axis=-1, initial=1.0 if units else 0.0, keepdims=True)
+    count = (sv > RANK_TOL * top).sum(axis=-1) + units * (1.0 > RANK_TOL * top[..., 0])
+    return np.where(top[..., 0] > 0.0, count, 0)[()]
 
 
 def _finite_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
@@ -386,19 +383,26 @@ def frobenius_columns(sys: PfaffianSystem, points,
 
     The wedge is taken on the free slots F outside sigma:
     d t^i ^ t^1 ^ ... ^ t^k = +-(d t^i|F ^ fields|F) ^ dx_sigma has the same
-    largest absolute coefficient, from the minors of the field rows on F;
-    ranks and norms use the full generator matrix.  Residuals are divided by
-    ||d t^i|| times the product of generator norms (floored at 1e-12); a
-    generator with d t^i = 0 (every dx_s) contributes residual 0.
+    largest absolute coefficient, from the minors of the field rows on F.
+    Residuals are divided by ||d t^i|| times the product of generator norms
+    (floored at 1e-12); a generator with d t^i = 0 (every dx_s, a row never
+    built: its norm is 1.0) contributes residual 0.  Ranks count singular
+    values of the field rows on F beside |sigma| values 1.0, or of the full
+    matrix at a point where a field is nonzero in a sigma slot.
     Verdict: 'integrable' below tol, 'non_integrable' above the 1e-3 floor,
     'inconclusive' between, 'degenerate' when the generators are dependent
     at p.  Every point sees the float operations of a one-point evaluation.
     """
     points, coeffs, dtheta = _generators(sys, points)
-    n, k = sys.arity, coeffs.shape[1]
+    n, kf, sigma = sys.arity, len(sys.fields), [s - 1 for s in sys.sigma]
     finite = np.isfinite(coeffs).all(axis=(1, 2))
     coeffs = np.where(finite[:, None, None], coeffs, 0.0)
-    ranks = _rank(np.linalg.svd(coeffs, compute_uv=False))
+    free = [s for s in range(n) if s not in sigma]
+    rows = coeffs[:, :, free]
+    ranks = _rank(np.linalg.svd(rows, compute_uv=False), len(sigma))
+    touch = coeffs[..., sigma].any(axis=(1, 2))
+    if touch.any():
+        ranks[touch] = _rank(np.linalg.svd(_stacked(sys, coeffs[touch]), compute_uv=False))
     # a row times a column sums as np.linalg.norm does for one row
     norms = np.maximum(np.sqrt((coeffs[..., None, :] @ coeffs[..., None])[..., 0, 0]),
                        NORM_FLOOR)
@@ -407,20 +411,16 @@ def frobenius_columns(sys: PfaffianSystem, points,
     upper = np.take(dtheta.reshape(*dtheta.shape[:2], n * n), iu * n + ju, axis=-1)
     dnorm = np.sqrt(np.square(upper, out=upper).sum(axis=-1))
     raw = np.zeros_like(dnorm)
-    # the wedge on the free slots (see above); the dx_s rows have d t = 0
-    free = [s for s in range(n) if s + 1 not in sys.sigma]
-    kf = len(sys.fields)
     if kf + 2 <= len(free):
-        # the minors of the field rows on the free slots, shared by every
-        # field: the gather is small, so one stacked determinant takes them all
+        # the wedge on the free slots (see above): one stacked determinant takes every minor
         table = _wedge_table(len(free), kf)
-        rows = coeffs[:, :kf, free]
         minors = np.linalg.det(rows[:, :, table[0]].transpose(0, 2, 1, 3))
-        raw[:, :kf] = _wedge_max(dtheta[:, :kf][..., free, :][..., free],
-                                 minors[:, None, :], table)
-    residuals = np.where(dnorm == 0.0, 0.0,
-                         raw / np.maximum(dnorm * norms.prod(axis=-1)[:, None], NORM_FLOOR))
+        raw = _wedge_max(dtheta[..., free, :][..., free], minors[:, None, :], table)
+    scale = np.maximum(dnorm * norms.prod(axis=-1)[:, None], NORM_FLOOR)
+    residuals = np.zeros((len(points), kf + len(sigma)))  # the dx_s columns stay 0.0
+    residuals[:, :kf] = np.where(dnorm == 0.0, 0.0, raw / scale)
     worst = fold_max(list(residuals.T))
     # codes into VERDICTS: degenerate, integrable, non_integrable, else inconclusive
-    codes = np.select([ranks < k, worst < tol, worst > NON_INTEGRABLE_FLOOR], [0, 2, 3], 1)
+    codes = np.select([ranks < residuals.shape[1], worst < tol, worst > NON_INTEGRABLE_FLOOR],
+                      [0, 2, 3], 1)
     return FrobeniusColumns(sys.name, tol, points, finite, ranks, residuals, worst, codes)

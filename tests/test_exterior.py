@@ -8,16 +8,18 @@ import pytest
 from goursatkit import catalog
 from goursatkit.classify import sample_bundle, sample_regular_points
 from goursatkit.cli import build_web, parse_config_text
-from goursatkit.exterior import (DEFAULT_FROBENIUS_TOL, NON_FINITE, NON_INTEGRABLE_FLOOR,
-                                 NORM_FLOOR, SYSTEMS, CoFormField, PfaffianSystem,
-                                 SYSTEM_NAMES, _row_values, _wedge_max, _wedge_table,
-                                 coefficient_matrix, d_form, frobenius_reports,
-                                 frobenius_residual, kernel_basis, make_system, rank_at,
-                                 subspace_distance)
+from goursatkit.exterior import (DEFAULT_FROBENIUS_TOL, DEGENERATE, NON_FINITE,
+                                 NON_INTEGRABLE_FLOOR, NORM_FLOOR, RANK_TOL, SYSTEMS,
+                                 CoFormField, PfaffianSystem, SYSTEM_NAMES, _row_values,
+                                 _wedge_max, _wedge_table, coefficient_matrix, d_form,
+                                 frobenius_columns, frobenius_reports, frobenius_residual,
+                                 kernel_basis, make_system, rank_at, subspace_distance)
 from goursatkit.expr import parse
 from goursatkit.families import family_web
 from goursatkit.jets import Jet, derivative_index, space
-from goursatkit.web import JET_ORDER, WebFunction
+from goursatkit.web import JET_ORDER, WebFunction, derivative_bundle
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 ONES4 = [1.0] * 4
 
@@ -444,3 +446,126 @@ class TestRanks:
         for name in SYSTEM_NAMES:
             rank, kern = rank_at(make_system(web, name), p)
             assert rank + kern == 6
+
+
+def table_system(mats: np.ndarray, sigma: tuple) -> tuple:
+    """A user system whose field g has the coefficients ``mats[i, g]`` (and
+    Jacobian 0) at the point i * e_1, with those points: one system per
+    stack of (kf, n) field blocks."""
+    n = mats.shape[2]
+    fields = tuple(CoFormField(n, f"t{g}", lambda p, g=g: (mats[int(p[0]), g].copy(),
+                                                             np.zeros((n, n))))
+                   for g in range(mats.shape[1]))
+    return PfaffianSystem("TABLE", n, fields, sigma), np.eye(n)[0] * np.arange(len(mats))[:, None]
+
+
+def with_singular_values(rng, sv, cols: int) -> np.ndarray:
+    """A random (len(sv), cols) matrix with the singular values ``sv``."""
+    u = np.linalg.qr(rng.normal(size=(len(sv), len(sv))))[0]
+    v = np.linalg.qr(rng.normal(size=(cols, len(sv))))[0]
+    return (u * np.asarray(sv, dtype=float)) @ v.T
+
+
+# leading singular values of the field block, each chosen to sit on one side
+# of a threshold, 1e-5 relative away from it: the ranks they must give are
+# known without an SVD
+SV_CASES = [
+    [3.0, 3e-8 * (1 + 1e-5)], [3.0, 3e-8 * (1 - 1e-5)],  # top from the field block
+    # the unit rows set top = 1: the second value counts only against 1e-8
+    [0.5, 1e-8 * (1 + 1e-5)], [0.5, 0.8e-8],
+    [1e9, 1.0], [2e8, 3.0],  # top above 1e8: the unit rows count as zero
+    [1e8 * (1 + 1e-5), 1.0], [1e8 * (1 - 1e-5), 1.0],  # top across 1e8
+    [0.0, 0.0], [2.0, 0.0],  # a zero block, a rank-one block
+]
+
+
+class TestBlockRanks:
+    """The ranks of ``frobenius_columns`` against :func:`rank_at`, which
+    takes the SVD of the full generator matrix, dx_s rows included.
+
+    Where every field is zero in the sigma slots, the full matrix is block
+    diagonal, [A 0; 0 I], and ``frobenius_columns`` counts the singular
+    values of A on the free slots beside |sigma| values 1.0, with the
+    largest taken as at least 1.0.  These are the same singular values as
+    the full matrix's, from a different LAPACK call, so the two ranks can
+    differ only where a singular value lies within rounding of
+    RANK_TOL times the largest; no case here sits that close.  Where a field
+    is nonzero in a sigma slot, ``frobenius_columns`` takes the full matrix
+    at that point too."""
+
+    @staticmethod
+    def corpus(rng, n: int, sigma: tuple, kf: int) -> tuple:
+        """Field blocks (N, kf, n), zero in the sigma slots, and the rank each
+        must give where it is known without an SVD (else -1)."""
+        free = [s for s in range(n) if s + 1 not in sigma]
+        blocks, want = [], []
+        for sv in SV_CASES:
+            sv = (sv + sv[-1:] * kf)[:kf]  # descending
+            top = max(sv[0], 1.0 if sigma else 0.0)
+            want.append(sum(v > RANK_TOL * top for v in sv)
+                        + len(sigma) * (1.0 > RANK_TOL * top) if top > 0 else 0)
+            blocks.append(with_singular_values(rng, sv, len(free)))
+        dup = np.repeat(rng.uniform(-2, 2, (1, len(free))), kf, axis=0)
+        zero_row = rng.uniform(-2, 2, (kf, len(free)))
+        zero_row[-1] = 0.0
+        for block in (rng.uniform(-2, 2, (kf, len(free))), dup, zero_row):
+            blocks.append(block)
+            want.append(-1)
+        mats = np.zeros((len(blocks), kf, n))
+        mats[:, :, free] = blocks
+        return mats, want
+
+    @pytest.mark.parametrize("n, sigma", [(6, (5, 6)), (6, (2, 5)), (7, (1, 4, 7)), (4, ())],
+                             ids=["contiguous", "non-contiguous", "three", "no-sigma"])
+    @pytest.mark.parametrize("kf", [1, 2, 3])
+    def test_block_ranks_match_full_svd(self, n, sigma, kf):
+        mats, want = self.corpus(np.random.default_rng(10 * n + kf), n, sigma, kf)
+        system, points = table_system(mats, sigma)
+        got = frobenius_columns(system, points).ranks.tolist()
+        assert got == [rank_at(system, p)[0] for p in points]
+        assert [g for g, w in zip(got, want) if w >= 0] == [w for w in want if w >= 0]
+
+    @pytest.mark.parametrize("n, sigma", [(4, (3, 4)), (5, (1, 4)), (6, (1, 2, 3, 4, 5, 6))])
+    def test_no_fields(self, n, sigma):
+        system = PfaffianSystem("COORDS", n, (), sigma)
+        points = np.random.default_rng(n).uniform(-1, 1, (3, n))
+        assert frobenius_columns(system, points).ranks.tolist() == [len(sigma)] * 3
+        assert [rank_at(system, p)[0] for p in points] == [len(sigma)] * 3
+
+    @pytest.mark.parametrize("kf", [1, 2])
+    def test_fields_in_sigma_slots_take_the_full_matrix(self, kf):
+        # every other point has a field nonzero in a sigma slot; each point
+        # gets the rank of the full matrix there, and the rank it gets alone
+        n, sigma = 6, (2, 5)
+        mats, _ = self.corpus(np.random.default_rng(kf), n, sigma, kf)
+        mats[::2, :, 4] = 1e-3
+        # a field equal to a dx_s row is dependent only through the sigma slots
+        mats[2, 0] = np.eye(n)[1]
+        # a field 1e9 in a sigma slot lifts the largest singular value, and the
+        # threshold with it, which the field block alone would not see
+        mats[1, 0, 1] = 1e9
+        system, points = table_system(mats, sigma)
+        got = frobenius_columns(system, points).ranks
+        assert got.tolist() == [rank_at(system, p)[0] for p in points]
+        assert got[1] < kf + len(sigma) and got[2] < kf + len(sigma)
+        for p, rank in zip(points, got):
+            assert frobenius_columns(system, p[None]).ranks[0] == rank
+
+    @pytest.mark.parametrize("case", ["closed-n8", "family1-n5", "family2-n6",
+                                      "first-kind-closed-n5", "family2-n6-64"])
+    def test_named_ranks_match_rank_at(self, case):
+        # the goldens' points, and a family2-n6 run's family at 64 points,
+        # where DELTA2 and DELTA3 are degenerate by construction
+        if case == "family2-n6-64":
+            _, web, box = catalog.random_family_web(np.random.default_rng(0), "second", 6)
+            b = sample_bundle(web, box, 64, seed=0)
+        else:
+            web = build_web(parse_config_text((GOLDEN / f"{case}.cfg").read_text()))
+            golden = json.loads((GOLDEN / f"{case}.json").read_text())
+            b = derivative_bundle(web, [r["point"] for r in golden["frobenius"][0]["points"]])
+        for name in SYSTEM_NAMES:
+            system = make_system(web, name)
+            columns = frobenius_columns(system, b)
+            assert columns.ranks.tolist() == [rank_at(system, p)[0] for p in b.points], name
+            if case == "family2-n6-64" and name in ("DELTA2", "DELTA3"):
+                assert (columns.codes == DEGENERATE).all(), name

@@ -527,6 +527,18 @@ class TestOrderBands:
         assert (J.seed(1, 0.5, 4, 3) + 1.0).band == (0, 1)
         assert J.apply_unary("exp", J.seed(1, 0.5, 4, 3)).band == (0, 3)
 
+    @pytest.mark.parametrize("divisor", [0, 0.0, -0.0, np.float64(0.0), np.array(0.0),
+                                         np.array([1.0, 0.0, 2.0])])
+    def test_a_zero_divisor_drops_the_band(self, divisor):
+        # a scalar divisor is tested without np.all, an array with it
+        x = J.seed(1, np.array([0.5, 0.0, 1.5]), 4, 3)
+        with np.errstate(all="ignore"):
+            assert (x / divisor).band == (0, 3)  # 0 / 0 is NaN
+
+    @pytest.mark.parametrize("divisor", [2, 0.5, np.float64(-3.0), np.array([1.0, -2.0, 4.0])])
+    def test_a_nonzero_divisor_keeps_the_band(self, divisor):
+        assert (J.seed(1, np.array([0.5, 0.0, 1.5]), 4, 3) / divisor).band == (0, 1)
+
 
 class TestBandedKernels:
     """Each banded kernel gives the bytes of the same call on full bands."""
