@@ -37,13 +37,10 @@ float operations in the same order as a one-trial formula: sums start from
 0.0 and add left to right, and maxima are left folds that keep the earlier
 value unless a later one is greater, as Python's ``sum`` and ``max`` do.  The
 samplers take their trials in chunks of at most ``TRIAL_CHUNK`` and use the
-same doubles in the same order as a one-trial-at-a-time loop (per trial: the
-torsion draw with its rejection loop, then the derivative draw); they draw
-those doubles in 25-double blocks, a torsion candidate per block and a
-derivative draw per five, and walk the blocks in order.  They reduce over
-exactly the trials that loop would use, so their results do not depend on
-the chunk size.  The implication tests share one stream: each reads a
-prefix of the same trial sequence, up to its own last accepted trial.
+same doubles in the same order as a one-trial-at-a-time loop (``_TrialStream``)
+and reduce over exactly the trials that loop would use, so their results do
+not depend on the chunk size.  The implication tests share one stream: each
+reads a prefix of the same trial sequence, up to its own last accepted trial.
 """
 
 from __future__ import annotations
@@ -193,22 +190,22 @@ class ConditionValues:
         }
 
 
-def _closures(t: np.ndarray, levels: Sequence[int]) -> dict:
+def _closures(t: np.ndarray, levels: Sequence[int], cross: bool = True) -> dict:
     """What the residuals need of the torsion alone, once per torsion stack:
     per closure, its coefficients (m, n, r: keyed by the derivative entry
     each multiplies), then its right-hand sides at the slots in ``levels``,
-    stacked first, +0.0 where there is none, which changes no float.  The
-    evaluators take slices stacked alike and return (values, scale terms)."""
+    stacked first, +0.0 where there is none, which changes no float; the s
+    and u/v closures only with ``cross``.  The evaluators take slices stacked
+    alike and return (values, scale terms)."""
     A, B, C = cyclic_minors(t)
     a34, a35, a45 = _e(t, 3, 4), _e(t, 3, 5), _e(t, 4, 5)
     table = {"m": ({tgt: _e(t, *hi) - _e(t, *lo) for hi, lo, tgt in M_COEFFS},
-                   {3: C * a34 + A * a35, 4: B * a34 + A * a45, 5: B * a35 + C * a45}),
-             # s: the coefficients of a14h - a13h and a24h - a23h
-             "s": ((_e(t, 2, 3) - _e(t, 2, 5), _e(t, 1, 5) - _e(t, 1, 3)),
-                   {3: -C * a34, 4: B * a34, 5: C * (a35 - a45)}),
-             # u, v: the coefficients of a13k, a14k and of a23k, a24k
-             "uv": ((_e(t, 2, 3) - _e(t, 2, 4), _e(t, 1, 4) - _e(t, 1, 3)),
-                    {4: 2 * A * a34, 5: 2 * A * a35}, {4: -A * a34, 5: A * (a34 - a35)})}
+                   {3: C * a34 + A * a35, 4: B * a34 + A * a45, 5: B * a35 + C * a45})}
+    if cross:  # s: the coefficients of a14h - a13h, a24h - a23h; u, v: of a13k, a14k, a23k, a24k
+        table.update(s=((_e(t, 2, 3) - _e(t, 2, 5), _e(t, 1, 5) - _e(t, 1, 3)),
+                        {3: -C * a34, 4: B * a34, 5: C * (a35 - a45)}),
+                     uv=((_e(t, 2, 3) - _e(t, 2, 4), _e(t, 1, 4) - _e(t, 1, 3)),
+                         {4: 2 * A * a34, 5: 2 * A * a35}, {4: -A * a34, 5: A * (a34 - a35)}))
     for name, row in (("n", 1), ("r", 2)):
         a3, a4, a5 = (_e(t, row, q) for q in (3, 4, 5))
         table[name] = ({(row, 3): a5 - a4, (row, 4): a3 - a5, (row, 5): a4 - a3},
@@ -276,17 +273,6 @@ def _candidates(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a23, a25, ~(np.abs(a14 - a13) < PIVOT_FLOOR) & ~(np.abs(a25) > 10 * SPAN)
 
 
-def _draw_torsion(rng: np.random.Generator) -> np.ndarray:
-    """The matrix of :func:`sample_second_kind_torsion` (diagonal not NaN)."""
-    while True:
-        raw = rng.uniform(-SPAN, SPAN, size=(TRIAL_ARITY, TRIAL_ARITY))
-        _, a25, accepted = _candidates(raw)
-        if accepted:
-            vals = (raw + raw.T) / 2.0
-            vals[1, 4] = vals[4, 1] = a25
-            return vals
-
-
 def sample_second_kind_torsion(rng: np.random.Generator) -> TorsionTensor:
     """Random 5x5 torsion matrix on the second-kind variety.
 
@@ -294,7 +280,13 @@ def sample_second_kind_torsion(rng: np.random.Generator) -> TorsionTensor:
     from the vanishing of the row-of-ones determinant (linear with pivot
     a14 - a13, redrawn while the pivot is small).
     """
-    return TorsionTensor.from_matrix(_draw_torsion(rng))
+    while True:
+        raw = rng.uniform(-SPAN, SPAN, size=(TRIAL_ARITY, TRIAL_ARITY))
+        _, a25, accepted = _candidates(raw)
+        if accepted:
+            vals = (raw + raw.T) / 2.0
+            vals[1, 4] = vals[4, 1] = a25
+            return TorsionTensor.from_matrix(vals)
 
 
 def sample_derivs(rng: np.random.Generator) -> PfaffianDerivs:
@@ -307,12 +299,12 @@ class _TrialStream:
     """The draws of a one-trial-at-a-time loop on ``rng``, read ahead in blocks.
 
     Per trial that loop draws 5x5 torsion candidates until one is accepted
-    (:func:`_draw_torsion`), then, where the trial needs derivatives, one
+    (:func:`sample_second_kind_torsion`), then, where the trial needs derivatives, one
     (5, 5, 5) draw.  Every draw is a whole number of 25-double blocks, so the
     stream reads its blocks ``(B, 5, 5)`` at a time and computes every
     block's a25 and acceptance with :func:`_candidates`.  ``derivs`` says
     which trials draw: "always", "never", or "s-pivot" (those whose s-pivot
-    is not small).
+    is not small); ``slots``, if given, the derivative slots to gather.
 
     The walk over the blocks is that loop's, one block past a rejected
     candidate and one or six past a trial, taken in leaps: a bisection in the
@@ -324,41 +316,49 @@ class _TrialStream:
     Reading ahead leaves ``rng`` past the doubles the trials used, so the
     stream must own it.  Where a walk one block at a time would first find a
     trial that could run past the buffer, the stream reads the blocks the
-    trials still wanted take without rejections.  A read computes only its
-    new blocks; the reads are joined once per draw, and the walked blocks are
-    dropped once their trials are gathered.
+    trials still wanted take without rejections.  A read computes and copies
+    to the buffer only its new blocks, and each draw gathers from the buffer.
     """
 
-    def __init__(self, rng: np.random.Generator, derivs: str):
-        self._rng = rng
-        self._derivs = derivs
+    def __init__(self, rng: np.random.Generator, derivs: str, slots: Sequence[int] | None = None):
+        self._rng, self._derivs = rng, derivs
         self._stride = 1 if derivs == "never" else 1 + TRIAL_ARITY
-        # (blocks, a25) per read not yet walked past
-        self._reads = [(np.empty((0, TRIAL_ARITY, TRIAL_ARITY)), np.empty(0))]
-        # stream numbers of the first buffered block and of the next to read
-        self._start = self._end = 0
+        self._slots = None if slots is None else np.asarray(slots, dtype=np.intp) - 1
+        # the blocks read and their a25 from stream number ``_base`` on, and the
+        # stream numbers of the first block not walked past and of the next to read
+        self._raw, self._a25 = np.empty((0, TRIAL_ARITY, TRIAL_ARITY)), np.empty(0)
+        self._base = self._start = self._end = 0
         # sorted stream numbers of the accepted blocks, and of the blocks whose
         # step is not the stride (rejected, or a trial that draws nothing)
         self._accepted: list[int] = []
         self._irregular: list[int] = []
 
     def _read(self, blocks: int) -> None:
-        """Append ``blocks`` new blocks."""
+        """Append ``blocks`` new blocks; with no room, move the kept ones to the front."""
         raw = self._rng.uniform(-SPAN, SPAN, size=(blocks, TRIAL_ARITY, TRIAL_ARITY))
         a23, a25, accepted = _candidates(raw)
         irregular = ~accepted
         if self._derivs == "s-pivot":  # as the s-pivot of the solved matrix
             irregular |= np.abs(a23 - a25) < PIVOT_FLOOR
-        self._reads.append((raw, a25))
         self._accepted += (np.flatnonzero(accepted) + self._end).tolist()
         self._irregular += (np.flatnonzero(irregular) + self._end).tolist()
+        kept, lo = self._end - self._start, self._end - self._base
+        if lo + blocks > len(self._a25):
+            bufs = (self._raw, self._a25)
+            if kept + blocks > len(self._a25):  # with room for a few top-ups
+                size = kept + blocks + 8 * self._stride
+                bufs = tuple(np.empty((size,) + x.shape[1:]) for x in bufs)
+            for buf, x in zip(bufs, (self._raw, self._a25)):
+                buf[:kept] = x[lo - kept:lo]
+            (self._raw, self._a25), self._base, lo = bufs, self._start, kept
+        self._raw[lo:lo + blocks], self._a25[lo:lo + blocks] = raw, a25
         self._end += blocks
 
     def draw(self, size: int) -> tuple:
-        """The next ``size`` trials: (torsion stack, derivative stack with zeros
-        where a trial draws none, or None if the stream draws none; drawn
-        mask)."""
-        at, drawn, p, stride, start = [], [], self._start, self._stride, self._start
+        """The next ``size`` trials: (torsion stack; derivative stack ``d``, 0 where
+        a trial draws none, with ``slots`` the pair ``d[:, :2, :, s]``, ``d[:, :, :2, s]``
+        at their 0-based ``s``, or None if the stream draws none; drawn mask)."""
+        at, drawn, p, stride = [], [], self._start, self._stride
         while len(at) < size:
             k = bisect_left(self._accepted, p)
             q = self._accepted[k] if k < len(self._accepted) else self._end
@@ -370,23 +370,25 @@ class _TrialStream:
             end = q + stride * min(size - len(at), (self._end - q) // stride)
             irregular = islice(self._irregular, bisect_left(self._irregular, q), None)
             p = min(end, next((x for x in irregular if x >= end or (x - q) % stride == 0), end))
-            at += range(q - start, p - start, stride)
+            at += range(q, p, stride)
             drawn += [stride > 1] * ((p - q) // stride)
             if p == q:  # an accepted irregular block: a trial that draws nothing
-                at.append(q - start)
+                at.append(q)
                 drawn.append(False)
                 p += 1
-        raw, a25 = (np.concatenate(x) for x in zip(*self._reads))
-        at, drawn = np.array(at, dtype=np.intp), np.array(drawn, dtype=bool)
-        t = raw[at]
+        at, drawn = np.array(at, dtype=np.intp) - self._base, np.array(drawn, dtype=bool)
+        t = self._raw[at]
         t = (t + t.swapaxes(-1, -2)) / 2.0
-        t[:, 1, 4] = t[:, 4, 1] = a25[at]
+        t[:, 1, 4] = t[:, 4, 1] = self._a25[at]
         d = None
         if self._derivs != "never":
             # every trial started with a stride of blocks in the buffer
-            d = raw[at[:, None] + np.arange(1, TRIAL_ARITY + 1)]
-            d[~drawn] = 0.0
-        self._reads = [(raw[p - start:].copy(), a25[p - start:].copy())]  # frees the rest
+            blocks = at[:, None] + np.arange(1, TRIAL_ARITY + 1)
+            d = (self._raw[blocks],) if self._slots is None else tuple(
+                x[..., self._slots] for x in (self._raw[blocks[:, :2]], self._raw[:, :2][blocks]))
+            for x in d:
+                x[~drawn] = 0.0
+            d = d[0] if self._slots is None else d
         del self._accepted[:bisect_left(self._accepted, p)]
         del self._irregular[:bisect_left(self._irregular, p)]
         self._start = p
@@ -397,8 +399,7 @@ def polynomial_sweep(trials: int, seed: int) -> float:
     """Worst relative residual of the polynomial identities over ``trials``
     second-kind torsion draws from ``default_rng(seed)``."""
     stream = _TrialStream(np.random.default_rng(seed), "never")
-    worst = 0.0
-    done = 0
+    worst, done = 0.0, 0
     while done < trials:
         size = min(TRIAL_CHUNK, trials - done)
         t, _, _ = stream.draw(size)
@@ -430,20 +431,22 @@ _SOLVES = {
 }
 
 
+def _level_stack(d: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``(L, N, 2, 5)``: the stream's pair, symmetrized as PfaffianDerivs.from_array does."""
+    return np.moveaxis((d[0] + d[1].swapaxes(1, 2)) / 2.0, -1, 0)
+
+
 @np.errstate(all="ignore")
-def _implication_trials(t: np.ndarray, d: np.ndarray, pairs: Sequence[tuple[tuple[str, str], str]],
+def _implication_trials(t: np.ndarray, d: tuple, pairs: Sequence[tuple[tuple[str, str], str]],
                         levels: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per pair, trial and level h, solve each imposed closure for its
     ``_SOLVES`` entry, then evaluate the checked one; returns per pair
     (accepted, worst relative residual of the checked one, folded over the
-    levels in order).  A trial is rejected at any level where a pivot is
-    small or a solved closure fails to re-check.  With the closure table
-    built once per chunk and the levels stacked as ``(L, N, 2, 5)`` (the
-    rows the closures read), each solve and check is one array pass."""
-    table = _closures(t, levels)
-    idx = np.asarray(levels, dtype=np.intp) - 1
-    # as PfaffianDerivs.from_array symmetrizes them
-    level = np.moveaxis((d[:, :2, :, idx] + d[:, :, :2, idx].swapaxes(1, 2)) / 2.0, -1, 0)
+    levels in order), from the stream's pair ``d`` at the slots ``levels``.
+    A trial is rejected at any level where a pivot is small or a solved
+    closure fails to re-check.  With the m, n and r closures built once per
+    chunk and the levels stacked, each solve and check is one array pass."""
+    table, level = _closures(t, levels, cross=False), _level_stack(d)
     out, solved = [], {}
     for imposed, checked in pairs:
         accepted, dh = np.ones(len(t), dtype=bool), level.copy()
@@ -481,10 +484,8 @@ def implication_tests(trials: int, seed: int,
     pairs = [(tuple(imposed), checked) for imposed, checked in pairs]
     if any((tuple(sorted(imposed)), checked) not in PAIRINGS for imposed, checked in pairs):
         raise ValueError("each pair must be one of PAIRINGS, up to the order of imposed")
-    stream = _TrialStream(np.random.default_rng(seed), "always")
-    worst = [0.0] * len(pairs)
-    rejected = [0] * len(pairs)
-    done = [0] * len(pairs)
+    stream = _TrialStream(np.random.default_rng(seed), "always", levels)
+    worst, rejected, done = [0.0] * len(pairs), [0] * len(pairs), [0] * len(pairs)
     while min(done, default=trials) < trials:
         # a chunk never holds more than the most missing accepted trials, so
         # every trial in it is one the one-at-a-time loop of some test draws
@@ -548,8 +549,7 @@ def witness_search(trials: int, seed: int, threshold: float = 1e-2) -> WitnessRe
     doubling up to ``TRIAL_CHUNK``.
     """
     stream = _TrialStream(np.random.default_rng(seed), "s-pivot")
-    used = 0
-    chunk = 1
+    used, chunk = 0, 1
     while used < trials:
         t, d, drawn = stream.draw(min(chunk, trials - used))
         s_rel, uv_rel = _witness_trials(t, d)

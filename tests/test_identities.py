@@ -753,6 +753,75 @@ class TestReadAheadStream:
         if source == "hostile":  # a run of rejections outlasted a whole refill
             assert max(reads) >= 3
 
+    @pytest.mark.parametrize("levels", [(1, 2, 3), (2,), (), (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("source", ["uniform", "hostile"])
+    def test_level_gather_equals_the_full_gather(self, levels, source):
+        # a stream gathering only the level slots against one gathering the
+        # whole (5, 5, 5) draws, on the same doubles, bit for bit: the pair
+        # the implications read, and the level stack built from it
+        def generator():
+            return BlockLog(4) if source == "uniform" else Replay(hostile_blocks(4))
+
+        full_rng, lean_rng = generator(), generator()
+        full = _TrialStream(full_rng, "always")
+        lean = _TrialStream(lean_rng, "always", levels)
+        idx = np.asarray(levels, dtype=np.intp) - 1
+        for size in (1, 2, 5, TRIAL_CHUNK, 17, TRIAL_CHUNK, 3, TRIAL_CHUNK - 1):
+            t, d, drawn = full.draw(size)
+            lean_t, pair, lean_drawn = lean.draw(size)
+            assert np.array_equal(bits(lean_t), bits(t))
+            assert lean_drawn.all() and drawn.all()
+            want = (d[:, :2, :, idx], d[:, :, :2, idx])
+            assert [x.shape for x in pair] == [x.shape for x in want]
+            assert all(np.array_equal(bits(x), bits(y)) for x, y in zip(pair, want))
+            # the level stack as it was built from the whole draws
+            stack = np.moveaxis((want[0] + want[1].swapaxes(1, 2)) / 2.0, -1, 0)
+            assert np.array_equal(bits(identities._level_stack(pair)), bits(stack))
+        # the reads do not depend on what is gathered
+        if source == "uniform":
+            assert [(a, b) for a, b, _ in lean_rng.draws] == [(a, b) for a, b, _ in full_rng.draws]
+        else:
+            assert lean_rng.calls == full_rng.calls and lean_rng._at == full_rng._at
+
+
+class TestClosureTables:
+    """The implications build only the m, n and r closures; every other
+    caller still builds all five."""
+
+    @pytest.mark.parametrize("levels", [(1, 2, 3), (5, 2, 4), (), (1, 2, 3, 4, 5)])
+    def test_implication_table_equals_the_full_table(self, levels):
+        t, _, _ = _TrialStream(DEFAULT_RNG(12), "never").draw(TRIAL_CHUNK + 3)
+        full = identities._closures(t, levels)
+        lean = identities._closures(t, levels, cross=False)
+        assert set(full) == {"m", "n", "r", "s", "uv"}
+        assert set(lean) == {"m", "n", "r"}
+        for name in lean:
+            (coeffs, rhs), (want_coeffs, want_rhs) = lean[name], full[name]
+            assert list(coeffs) == list(want_coeffs)
+            assert all(np.array_equal(bits(coeffs[k]), bits(want_coeffs[k])) for k in coeffs)
+            assert rhs.shape == want_rhs.shape == (len(levels), len(t))
+            assert np.array_equal(bits(rhs), bits(want_rhs))
+
+    def test_other_callers_get_all_closures(self, monkeypatch):
+        tables, closures = [], identities._closures
+
+        def spy(*args, **kwargs):
+            table = closures(*args, **kwargs)
+            tables.append(set(table))
+            return table
+
+        monkeypatch.setattr(identities, "_closures", spy)
+        everything, mnr = {"m", "n", "r", "s", "uv"}, {"m", "n", "r"}
+        rng = DEFAULT_RNG(5)
+        condition_values(sample_second_kind_torsion(rng), sample_derivs(rng))
+        assert tables == [everything]
+        tables.clear()
+        witness_search(100, 9, 10.0)  # no witness: chunks of 1, 2, 4, ... trials
+        assert len(tables) > 1 and all(kinds == everything for kinds in tables)
+        tables.clear()
+        implication_tests(TRIAL_CHUNK + 1, 3)
+        assert len(tables) > 1 and all(kinds == mnr for kinds in tables)
+
 
 # --- zero pivots inside the trial kernel -------------------------------------
 
