@@ -4,8 +4,8 @@ Every condition is reported both raw and relative; the relative form divides
 by the largest monomial entering the condition, floored at 1e-12, so verdicts
 are invariant under rescaling the defining function.  The torsion forms take
 a tensor or a stack of them and the PDE forms a derivative bundle, so a run
-evaluates every point at once; the per-point PDE functions are one-point
-bundles.
+evaluates every point at once; :func:`first_kind_pde_residual` is a one-point
+bundle.
 """
 
 from __future__ import annotations
@@ -169,10 +169,6 @@ class SecondKindResiduals:
     def det24_rel(self) -> float:
         return abs(self.det24) / self.scale
 
-    @property
-    def cross27_rel(self) -> float:
-        return abs(self.cross27) / self.scale
-
 
 def torsion_minors(t: TorsionTensor) -> tuple[float, float, float]:
     """The cyclic 2x2 minors (A, B, C) of the (1,2)x(3,4,5) torsion block.
@@ -223,12 +219,6 @@ def second_kind_pde(b: DerivativeBundle) -> tuple[np.ndarray, np.ndarray]:
     monos = [rows[..., 0, c0] * rows[..., 1, c1] * rows[..., 2, c2]
              for c0, c1, c2 in permutations(range(3))]
     return det, _rel(det, monos)
-
-
-def second_kind_pde_residual(web: WebFunction, p: Sequence[float]) -> tuple[float, float]:
-    """:func:`second_kind_pde` at one point."""
-    det, rel = second_kind_pde(derivative_bundle(web, [p]))
-    return float(det[0]), float(rel[0])
 
 
 class ClassificationReport:

@@ -1,4 +1,4 @@
-"""Pfaffian systems in coordinates: ranks, kernels, Frobenius integrability.
+"""Pfaffian systems in coordinates: ranks and Frobenius integrability.
 
 Systems are lists of 1-form fields with jet-evaluable coefficients.  The
 named systems are defined in one place, the ``SYSTEMS`` table below: each
@@ -67,18 +67,11 @@ class CoFormField:
         zero = np.zeros((n, n))
         return cls(n, label, lambda p: (c.copy(), zero.copy()))
 
-    @classmethod
-    def gradient(cls, web: WebFunction) -> "CoFormField":
-        """dF: coefficients F_i, Jacobian the (symmetric) Hessian."""
-        def ev(p: Point):
-            jet = web.jet(p, 2, check_regularity=False)
-            return jet.gradient(), jet.hessian()
-        return cls(web.arity, "dF", ev)
-
 
 class PfaffianSystem:
-    """Named list of 1-form fields plus constant coordinate forms dx_s; a
-    ``SYSTEMS`` system keeps the web its rows are read from."""
+    """Named list of 1-form fields plus constant coordinate forms dx_s, one
+    per sigma slot (distinct ints in 1..arity); a ``SYSTEMS`` system keeps the
+    web its rows are read from."""
 
     __slots__ = ("name", "arity", "fields", "sigma", "expected_kernel_dim", "web")
 
@@ -89,6 +82,9 @@ class PfaffianSystem:
             raise ValueError("a system needs at least one generator")
         if len(fields) + len(sigma) > arity:
             raise ValueError("more generators than the arity allows")
+        if len(set(sigma)) < len(sigma) or not all(
+                isinstance(s, (int, np.integer)) and 1 <= s <= arity for s in sigma):
+            raise ValueError(f"sigma slots must be distinct ints in 1..{arity}, got {sigma}")
         for f in fields:
             if f.arity != arity:
                 raise ValueError("field arity mismatch")
@@ -98,11 +94,6 @@ class PfaffianSystem:
         self.sigma = sigma
         self.expected_kernel_dim = expected_kernel_dim
         self.web = web
-
-    @property
-    def generators(self) -> tuple[CoFormField, ...]:
-        return self.fields + tuple(CoFormField.constant(np.eye(self.arity)[s - 1], f"dx{s}")
-                                   for s in self.sigma)
 
 
 # A coefficient is a signed sum of products of partial derivatives of F: a
@@ -243,37 +234,14 @@ def _rank(sv: np.ndarray, units: int = 0):
     return np.where(top[..., 0] > 0.0, count, 0)[()]
 
 
-def _finite_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
-    """:func:`coefficient_matrix`; a non-finite coefficient raises ArithmeticError."""
+def rank_at(sys: PfaffianSystem, p: Sequence[float]) -> tuple[int, int]:
+    """(rank, kernel dimension) of the span at p, by the singular values of
+    :func:`coefficient_matrix`; a non-finite coefficient raises ArithmeticError."""
     matrix = coefficient_matrix(sys, p)
     if not np.isfinite(matrix).all():
         raise ArithmeticError(NON_FINITE)
-    return matrix
-
-
-def rank_at(sys: PfaffianSystem, p: Sequence[float]) -> tuple[int, int]:
-    """(rank, kernel dimension) of the span at p, by singular values."""
-    rank = int(_rank(np.linalg.svd(_finite_matrix(sys, p), compute_uv=False)))
+    rank = int(_rank(np.linalg.svd(matrix, compute_uv=False)))
     return rank, sys.arity - rank
-
-
-def kernel_basis(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
-    """Orthonormal basis (columns) of the common kernel at p."""
-    _, sv, vt = np.linalg.svd(_finite_matrix(sys, p))
-    return vt[_rank(sv):].T
-
-
-def subspace_distance(b1: np.ndarray, b2: np.ndarray) -> float:
-    """Operator-norm distance between orthogonal projectors onto the spans."""
-    p1 = b1 @ b1.T
-    p2 = b2 @ b2.T
-    return float(np.linalg.norm(p1 - p2, 2))
-
-
-def d_form(f: CoFormField, p: Sequence[float]) -> np.ndarray:
-    """Exterior derivative coefficients (dt)_ij = d_i c_j - d_j c_i."""
-    _, jac = f.evaluate(as_point(p, f.arity))
-    return jac.T - jac
 
 
 @lru_cache(maxsize=None)

@@ -210,9 +210,9 @@ def _closures(t: np.ndarray, levels: Sequence[int], cross: bool = True) -> dict:
         a3, a4, a5 = (_e(t, row, q) for q in (3, 4, 5))
         table[name] = ({(row, 3): a5 - a4, (row, 4): a3 - a5, (row, 5): a4 - a3},
                        {3: a3 * ((a5 - a3) * a34 + (a3 - a4) * a35)})
-    shape, zero = (len(levels),) + np.shape(A), np.zeros_like(A)  # levels may be empty
-    return {name: (coeffs, *(np.reshape([rhs.get(h, zero) for h in levels], shape)
-                             for rhs in sides)) for name, (coeffs, *sides) in table.items()}
+    zero = np.zeros_like(A)
+    return {name: (coeffs, *(np.stack([rhs.get(h, zero) for h in levels]) for rhs in sides))
+            for name, (coeffs, *sides) in table.items()}
 
 
 def _residual(closure: tuple, slots: np.ndarray, at=slice(None)) -> tuple:
@@ -230,11 +230,11 @@ def _s_residual(closure: tuple, slots: np.ndarray) -> tuple:
     return _sum(monos) - rhs, monos + [rhs]
 
 
-def _conditions(table: dict, d: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+def _conditions(table: dict, slots: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
     """The ConditionValues fields over the trial axes, from the closure
-    table at every slot: six (values, scales) pairs in field order, then
-    residual40 and its scale."""
-    slots = np.moveaxis(d, -1, 0)
+    table and the derivatives at every slot h, stacked first as
+    ``slots[h - 1]`` (..., rows, n), of which only rows 1 and 2 are read:
+    six (values, scales) pairs in field order, then residual40 and its scale."""
     (cu, cv), u_rhs, v_rhs = table["uv"]
     dh, u_rhs, v_rhs = slots[3:5], u_rhs[3:5], v_rhs[3:5]  # k = 4, 5
     uv = [cu * _e(dh, 1, 3), cv * _e(dh, 2, 3), cu * _e(dh, 1, 4), cv * _e(dh, 2, 4)]
@@ -254,7 +254,8 @@ def condition_values(t: TorsionTensor, d: PfaffianDerivs) -> ConditionValues:
     ``t`` and ``d`` (one pass of the batched algebra)."""
     if t.n < 5:
         raise ValueError("condition families need arity n >= 5")
-    families, r40, r40_scale = _conditions(_closures(t.values, range(1, t.n + 1)), d.values)
+    families, r40, r40_scale = _conditions(_closures(t.values, range(1, t.n + 1)),
+                                           np.moveaxis(d.values, -1, 0))
     return ConditionValues(*(ResidualSet(v, s) for v, s in families),
                            residual40=r40[()], residual40_scale=r40_scale[()])
 
@@ -304,7 +305,8 @@ class _TrialStream:
     stream reads its blocks ``(B, 5, 5)`` at a time and computes every
     block's a25 and acceptance with :func:`_candidates`.  ``derivs`` says
     which trials draw: "always", "never", or "s-pivot" (those whose s-pivot
-    is not small); ``slots``, if given, the derivative slots to gather.
+    is not small); ``slots``, the derivative slots at which a draw gathers
+    rows 1 and 2, the only rows the closures read.
 
     The walk over the blocks is that loop's, one block past a rejected
     candidate and one or six past a trial, taken in leaps: a bisection in the
@@ -320,10 +322,10 @@ class _TrialStream:
     to the buffer only its new blocks, and each draw gathers from the buffer.
     """
 
-    def __init__(self, rng: np.random.Generator, derivs: str, slots: Sequence[int] | None = None):
+    def __init__(self, rng: np.random.Generator, derivs: str, slots: Sequence[int] = ()):
         self._rng, self._derivs = rng, derivs
         self._stride = 1 if derivs == "never" else 1 + TRIAL_ARITY
-        self._slots = None if slots is None else np.asarray(slots, dtype=np.intp) - 1
+        self._slots = np.asarray(slots, dtype=np.intp) - 1
         # the blocks read and their a25 from stream number ``_base`` on, and the
         # stream numbers of the first block not walked past and of the next to read
         self._raw, self._a25 = np.empty((0, TRIAL_ARITY, TRIAL_ARITY)), np.empty(0)
@@ -355,9 +357,10 @@ class _TrialStream:
         self._end += blocks
 
     def draw(self, size: int) -> tuple:
-        """The next ``size`` trials: (torsion stack; derivative stack ``d``, 0 where
-        a trial draws none, with ``slots`` the pair ``d[:, :2, :, s]``, ``d[:, :, :2, s]``
-        at their 0-based ``s``, or None if the stream draws none; drawn mask)."""
+        """The next ``size`` trials: (torsion stack; of the raw (5, 5, 5) draws
+        ``d``, the pair ``d[:, :2, :, s]``, ``d[:, :, :2, s]`` at the 0-based
+        ``slots`` s, 0 where a trial draws none, or None if the stream draws
+        none; drawn mask)."""
         at, drawn, p, stride = [], [], self._start, self._stride
         while len(at) < size:
             k = bisect_left(self._accepted, p)
@@ -384,11 +387,10 @@ class _TrialStream:
         if self._derivs != "never":
             # every trial started with a stride of blocks in the buffer
             blocks = at[:, None] + np.arange(1, TRIAL_ARITY + 1)
-            d = (self._raw[blocks],) if self._slots is None else tuple(
-                x[..., self._slots] for x in (self._raw[blocks[:, :2]], self._raw[:, :2][blocks]))
+            d = tuple(x[..., self._slots]
+                      for x in (self._raw[blocks[:, :2]], self._raw[:, :2][blocks]))
             for x in d:
                 x[~drawn] = 0.0
-            d = d[0] if self._slots is None else d
         del self._accepted[:bisect_left(self._accepted, p)]
         del self._irregular[:bisect_left(self._irregular, p)]
         self._start = p
@@ -429,24 +431,27 @@ _SOLVES = {
     ("n", "r"): (("n", (1, 3)), ("r", (2, 3))),
     ("m", "r"): (("r", (2, 3)), ("m", (1, 3))),
 }
+LEVELS = (1, 2, 3)  # the derivative slots h at which every implication is solved and checked
 
 
 def _level_stack(d: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``(L, N, 2, 5)``: the stream's pair, symmetrized as PfaffianDerivs.from_array does."""
+    """``(L, N, 2, 5)``: the stream's pair at L slots, rows 1 and 2 of the
+    draws symmetrized as PfaffianDerivs.from_array does (its NaN diagonal,
+    which no closure reads, is left out)."""
     return np.moveaxis((d[0] + d[1].swapaxes(1, 2)) / 2.0, -1, 0)
 
 
 @np.errstate(all="ignore")
-def _implication_trials(t: np.ndarray, d: tuple, pairs: Sequence[tuple[tuple[str, str], str]],
-                        levels: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per pair, trial and level h, solve each imposed closure for its
-    ``_SOLVES`` entry, then evaluate the checked one; returns per pair
+def _implication_trials(t: np.ndarray, d: tuple, pairs: Sequence[tuple[tuple[str, str], str]]
+                        ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per pair, trial and level h in ``LEVELS``, solve each imposed closure
+    for its ``_SOLVES`` entry, then evaluate the checked one; returns per pair
     (accepted, worst relative residual of the checked one, folded over the
-    levels in order), from the stream's pair ``d`` at the slots ``levels``.
+    levels in order), from the stream's pair ``d`` at the slots ``LEVELS``.
     A trial is rejected at any level where a pivot is small or a solved
     closure fails to re-check.  With the m, n and r closures built once per
     chunk and the levels stacked, each solve and check is one array pass."""
-    table, level = _closures(t, levels, cross=False), _level_stack(d)
+    table, level = _closures(t, LEVELS, cross=False), _level_stack(d)
     out, solved = [], {}
     for imposed, checked in pairs:
         accepted, dh = np.ones(len(t), dtype=bool), level.copy()
@@ -471,8 +476,8 @@ def _implication_trials(t: np.ndarray, d: tuple, pairs: Sequence[tuple[tuple[str
 
 
 def implication_tests(trials: int, seed: int,
-                      pairs: Sequence[tuple[tuple[str, str], str]] = PAIRINGS,
-                      levels: Sequence[int] = (1, 2, 3)) -> list[ImplicationResult]:
+                      pairs: Sequence[tuple[tuple[str, str], str]] = PAIRINGS
+                      ) -> list[ImplicationResult]:
     """:func:`implication_test` for each ``(imposed, checked)`` pair, all
     read from one trial stream.
 
@@ -484,14 +489,14 @@ def implication_tests(trials: int, seed: int,
     pairs = [(tuple(imposed), checked) for imposed, checked in pairs]
     if any((tuple(sorted(imposed)), checked) not in PAIRINGS for imposed, checked in pairs):
         raise ValueError("each pair must be one of PAIRINGS, up to the order of imposed")
-    stream = _TrialStream(np.random.default_rng(seed), "always", levels)
+    stream = _TrialStream(np.random.default_rng(seed), "always", LEVELS)
     worst, rejected, done = [0.0] * len(pairs), [0] * len(pairs), [0] * len(pairs)
     while min(done, default=trials) < trials:
         # a chunk never holds more than the most missing accepted trials, so
         # every trial in it is one the one-at-a-time loop of some test draws
         t, d, _ = stream.draw(min(TRIAL_CHUNK, trials - min(done)))
         open_tests = [i for i in range(len(pairs)) if done[i] < trials]
-        rows = _implication_trials(t, d, [pairs[i] for i in open_tests], levels)
+        rows = _implication_trials(t, d, [pairs[i] for i in open_tests])
         for i, (accepted, trial_worst) in zip(open_tests, rows):
             # the test's last trial is its (trials - done)-th accepted one
             last = np.flatnonzero(accepted)[trials - done[i] - 1:][:1]
@@ -505,13 +510,13 @@ def implication_tests(trials: int, seed: int,
 
 
 def implication_test(trials: int, seed: int, imposed: tuple[str, str],
-                     checked: str, levels: Sequence[int] = (1, 2, 3)) -> ImplicationResult:
+                     checked: str) -> ImplicationResult:
     """Impose two of the three condition systems on constrained random data
     and report the worst relative residual of the third.
 
     Rejected trials are redrawn until ``trials`` have been accepted.
     """
-    return implication_tests(trials, seed, [(imposed, checked)], levels)[0]
+    return implication_tests(trials, seed, [(imposed, checked)])[0]
 
 
 @dataclass(frozen=True)
@@ -523,17 +528,16 @@ class WitnessResult:
 
 
 @np.errstate(all="ignore")
-def _witness_trials(t: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve s_3 = s_4 = s_5 = 0 for a14h per trial; returns the relative
-    residuals (worst s, worst of u and v) of the adjusted data.  Each s_h
-    reads and solves its own slot only, so all three are solved at once."""
-    table = _closures(t, range(1, TRIAL_ARITY + 1))
+def _witness_trials(t: np.ndarray, d: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Solve s_3 = s_4 = s_5 = 0 for a14h per trial, from the stream's pair
+    ``d`` at every slot; returns the relative residuals (worst s, worst of u
+    and v) of the adjusted data.  Each s_h reads and solves its own slot
+    only, so all three are solved at once."""
+    table, level = _closures(t, range(1, TRIAL_ARITY + 1)), _level_stack(d)
     pivot = table["s"][0][0]  # coefficient of a14h in s_h
-    d = (d + d.swapaxes(-3, -2)) / 2.0  # as PfaffianDerivs.from_array
-    value, _ = _s_residual(table["s"], np.moveaxis(d, -1, 0))
-    d[:, 0, 3, 2:5] -= (value / pivot).T
-    d[:, 3, 0, 2:5] = d[:, 0, 3, 2:5]
-    families, _, _ = _conditions(table, d)
+    value, _ = _s_residual(table["s"], level)
+    level[2:5, :, 0, 3] -= value / pivot
+    families, _, _ = _conditions(table, level)
     # per family as ResidualSet.max_relative
     s_rel, u_rel, v_rel = ((np.abs(v) / s).max(axis=-1) for v, s in families[3:])
     return s_rel, fold_max([u_rel, v_rel])
@@ -548,7 +552,7 @@ def witness_search(trials: int, seed: int, threshold: float = 1e-2) -> WitnessRe
     is usually among the first trials, so the chunks grow from one trial,
     doubling up to ``TRIAL_CHUNK``.
     """
-    stream = _TrialStream(np.random.default_rng(seed), "s-pivot")
+    stream = _TrialStream(np.random.default_rng(seed), "s-pivot", range(1, TRIAL_ARITY + 1))
     used, chunk = 0, 1
     while used < trials:
         t, d, drawn = stream.draw(min(chunk, trials - used))

@@ -123,7 +123,7 @@ class WebFunction:
         self.arity = arity
         self.evaluator = evaluator
 
-    def jets(self, points, check_regularity: bool = True) -> tuple[np.ndarray, list]:
+    def jets(self, points) -> tuple[np.ndarray, list]:
         """Order-``JET_ORDER`` jet rows ``(N, size)`` at ``points``, evaluated
         in one evaluator call, and one failure per point (None where the
         point is usable)."""
@@ -131,45 +131,27 @@ class WebFunction:
         pts = as_points(points, n)
         jet, failures = self.evaluator(pts)
         data, failures = np.ascontiguousarray(jet.data.T), list(failures)
-        if check_regularity:
-            small = np.abs(data[:, 1:n + 1]) <= REGULARITY_THRESHOLD
-            finite = np.isfinite(data).all(axis=1)
-            for i in np.flatnonzero(small.any(axis=1) | ~finite):
-                if failures[i] is not None:
-                    continue
-                if small[i].any():
-                    alpha = int(np.argmax(small[i])) + 1
-                    failures[i] = RegularityError(alpha, float(data[i, alpha]),
-                                                  REGULARITY_THRESHOLD)
-                else:
-                    failures[i] = NonFiniteJet(f"non-finite jet entry at {pts[i].tolist()}")
+        small = np.abs(data[:, 1:n + 1]) <= REGULARITY_THRESHOLD
+        finite = np.isfinite(data).all(axis=1)
+        for i in np.flatnonzero(small.any(axis=1) | ~finite):
+            if failures[i] is not None:
+                continue
+            if small[i].any():
+                alpha = int(np.argmax(small[i])) + 1
+                failures[i] = RegularityError(alpha, float(data[i, alpha]),
+                                              REGULARITY_THRESHOLD)
+            else:
+                failures[i] = NonFiniteJet(f"non-finite jet entry at {pts[i].tolist()}")
         return data, failures
 
-    def jet(self, p: Sequence[float], order: int, check_regularity: bool = True) -> Jet:
+    def jet(self, p: Sequence[float], order: int) -> Jet:
         if not (1 <= order <= JET_ORDER):
             raise ValueError(f"order must be in 1..{JET_ORDER}")
-        data, failures = self.jets([p], check_regularity)
+        data, failures = self.jets([p])
         if failures[0] is not None:
             raise failures[0]
         sp = space(self.arity, order)
         return Jet(sp, data[0, :sp.size])
-
-    def is_regular(self, p: Sequence[float]) -> bool:
-        try:
-            self.jet(p, 1)
-            return True
-        except ArithmeticError:
-            return False
-
-    def scaled(self, c: float) -> "WebFunction":
-        """The web defined by c*F (same foliations, torsion divided by c)."""
-        base = self.evaluator
-
-        def evaluator(points: np.ndarray):
-            jet, failures = base(points)
-            return jet * c, failures
-
-        return WebFunction(self.arity, evaluator)
 
     @classmethod
     def from_expr(cls, expression, params: dict | None = None) -> "WebFunction":
@@ -200,9 +182,9 @@ class WebFunction:
 class TorsionTensor:
     """Off-diagonal symmetric matrix of torsion components at a point.
 
-    The diagonal is not part of the tensor and reads back as NaN; use
-    :meth:`entry_or_zero` where a formula sums over all indices.  ``values``
-    may carry leading point axes; the entry readers take one point.
+    The diagonal is not part of the tensor and reads back as NaN.  ``values``
+    may carry leading point axes; the entry readers take one point and
+    1-based indices in 1..n.
     """
 
     __slots__ = ("n", "values")
@@ -216,11 +198,8 @@ class TorsionTensor:
     def entry(self, alpha: int, beta: int) -> float:
         if alpha == beta:
             raise IndexError("diagonal torsion components are not defined")
-        return float(self.values[alpha - 1, beta - 1])
-
-    def entry_or_zero(self, alpha: int, beta: int) -> float:
-        if alpha == beta:
-            return 0.0
+        if not 0 < min(alpha, beta) <= max(alpha, beta) <= self.n:  # numpy reads 0 as n
+            raise IndexError(f"indices ({alpha}, {beta}) outside 1..{self.n}")
         return float(self.values[alpha - 1, beta - 1])
 
     def row_vanishes(self, p: int, cols: Sequence[int] = (3, 4, 5)) -> bool:
@@ -255,6 +234,8 @@ class PfaffianDerivs:
     def entry(self, alpha: int, beta: int, gamma: int) -> float:
         if alpha == beta:
             raise IndexError("first two indices must differ")
+        if not 0 < min(alpha, beta, gamma) <= max(alpha, beta, gamma) <= self.n:
+            raise IndexError(f"indices ({alpha}, {beta}, {gamma}) outside 1..{self.n}")
         return float(self.values[alpha - 1, beta - 1, gamma - 1])
 
     @classmethod

@@ -10,10 +10,10 @@ from goursatkit.classify import sample_bundle, sample_regular_points
 from goursatkit.cli import build_web, parse_config_text
 from goursatkit.exterior import (DEFAULT_FROBENIUS_TOL, DEGENERATE, NON_FINITE,
                                  NON_INTEGRABLE_FLOOR, NORM_FLOOR, RANK_TOL, SYSTEMS,
-                                 CoFormField, PfaffianSystem, SYSTEM_NAMES, _row_values,
-                                 _wedge_max, _wedge_table, coefficient_matrix, d_form,
+                                 CoFormField, PfaffianSystem, SYSTEM_NAMES, _generators,
+                                 _row_values, _wedge_max, _wedge_table, coefficient_matrix,
                                  frobenius_columns, frobenius_reports, frobenius_residual,
-                                 kernel_basis, make_system, rank_at, subspace_distance)
+                                 make_system, rank_at)
 from goursatkit.expr import parse
 from goursatkit.families import family_web
 from goursatkit.jets import Jet, derivative_index, space
@@ -54,11 +54,13 @@ def reference_report(sys, p):
         return rank, (), "degenerate"
     scale = np.prod(np.maximum(np.linalg.norm(thetas, axis=1), NORM_FLOOR))
     residuals = []
-    for gen in sys.generators:
-        d = d_form(gen, p)
+    for field in sys.fields:
+        _, jac = field.evaluate(np.asarray(p, dtype=float))
+        d = jac.T - jac
         dnorm = np.linalg.norm(d[np.triu_indices(sys.arity, 1)])
         residuals.append(0.0 if dnorm == 0.0 else reference_wedge_max(d, list(thetas))
                          / max(dnorm * scale, NORM_FLOOR))
+    residuals += [0.0] * len(sys.sigma)  # d(dx_s) = 0
     top = max(residuals)
     verdict = ("integrable" if top < DEFAULT_FROBENIUS_TOL else "non_integrable"
                if top > NON_INTEGRABLE_FLOOR else "inconclusive")
@@ -117,6 +119,23 @@ def assert_bitwise(got, want):
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def field_dtheta(field: CoFormField, p) -> np.ndarray:
+    """d theta of one field at p, as the Frobenius core takes it."""
+    return _generators(PfaffianSystem(field.label, field.arity, (field,)), [p])[2][0, 0]
+
+
+def joint_rank(web, names, p) -> int:
+    """rank_at of one system holding the fields of the named systems, which
+    share their sigma: each system's rank exactly where their spans agree."""
+    systems = [make_system(web, name) for name in names]
+    fields = tuple(f for system in systems for f in system.fields)
+    return rank_at(PfaffianSystem("+".join(names), web.arity, fields, systems[0].sigma,
+                                  web=web), p)[0]
+
+
+CONTROL6 = "x1*x3 + x2*x4 + x1*x4 + x1^2*x3^2/4 + x5^2/2 + x6^2/2"  # catalog.control_web(6)
+
+
 def _golden_closed_n8():
     cfg = parse_config_text((Path(__file__).parent / "data" / "golden" / "closed-n8.cfg")
                             .read_text())
@@ -126,7 +145,8 @@ def _golden_closed_n8():
 ROW_WEBS = {
     "control6": lambda: (catalog.control_web(6), catalog.control_box(6)),
     # every vanishing partial of -F is -0.0, which the sums from 0.0 clear
-    "control6-negated": lambda: (catalog.control_web(6).scaled(-1.0), catalog.control_box(6)),
+    "control6-negated": lambda: (WebFunction.from_expr(parse(f"-({CONTROL6})", 6)),
+                                 catalog.control_box(6)),
     "closed-n8": _golden_closed_n8,
     "second-kind-family": lambda: catalog.random_family_web(
         np.random.default_rng(3), "second", 6)[1:],
@@ -150,7 +170,7 @@ class TestMakeSystem:
     def test_s10_generator_count_n6(self):
         system = make_system(catalog.product_web(6), "S10")
         assert len(system.fields) == 1 and system.sigma == (5, 6)
-        assert len(system.generators) == 3
+        assert coefficient_matrix(system, [1.0] * 6).shape == (3, 6)
 
     def test_delta4_degenerate_when_row_constant(self):
         # equal a13 = a14 = a15 makes the cleared difference form vanish
@@ -178,20 +198,24 @@ class TestDForm:
         f = CoFormField(3, "x2 dx1",
                         lambda p: (np.array([p[1], 0, 0]),
                                    np.array([[0, 1.0, 0], [0, 0, 0], [0, 0, 0]])))
-        d = d_form(f, [1.0, 2.0, 3.0])
+        d = field_dtheta(f, [1.0, 2.0, 3.0])
         assert d[1, 0] == 1.0 and d[0, 1] == -1.0
         assert np.allclose(d + d.T, 0.0)
 
     def test_gradient_field_is_closed(self):
-        f = CoFormField.gradient(catalog.control_web(4))
-        d = d_form(f, [1.1, 0.9, 1.2, 0.8])
-        assert np.abs(d).max() == 0.0
+        # dF = F_i dx_i as a SYSTEMS row, read from the web's batch jet
+        web = catalog.control_web(4)
+        row = [(i, [(+1, (i,))]) for i in range(1, 5)]
+        field = CoFormField(4, "dF", lambda p: _row_values(row, web.jet(p, JET_ORDER)), row)
+        _, coeffs, dtheta = _generators(PfaffianSystem("DF", 4, (field,), web=web),
+                                        [[1.1, 0.9, 1.2, 0.8]])
+        assert np.abs(coeffs).min() > 0.0 and np.abs(dtheta).max() == 0.0
 
     def test_two_entries(self):
         f = CoFormField(3, "dx1 + x2 dx3",
                         lambda p: (np.array([1.0, 0, p[1]]),
                                    np.array([[0, 0, 0], [0, 0, 0], [0, 1.0, 0]])))
-        d = d_form(f, [0.0, 0.0, 0.0])
+        d = field_dtheta(f, [0.0, 0.0, 0.0])
         nonzero = {(i, j) for i in range(3) for j in range(3) if d[i, j] != 0}
         assert nonzero == {(1, 2), (2, 1)}
 
@@ -238,6 +262,17 @@ class TestFrobenius:
         # a system spanned by nothing once raised IndexError in the rank
         with pytest.raises(ValueError, match=message):
             PfaffianSystem("BAD", 4, (), sigma)
+
+    @pytest.mark.parametrize("sigma", [(3, 3), (0,), (5,), (2.0,)],
+                             ids=["repeated", "zero", "past-arity", "float"])
+    def test_sigma_slots_checked(self, sigma):
+        # at arity 4, (3, 3) once gave rank 3 and 'integrable' in the Frobenius
+        # core but rank 2 from rank_at, (0,) silently meant dx4, and (5,) raised
+        # a bare IndexError inside frobenius_columns
+        field = CoFormField.constant([1.0, 0.0, 0.0, 0.0], "dx1")
+        with pytest.raises(ValueError, match="sigma slots must be distinct ints in 1..4"):
+            PfaffianSystem("BAD", 4, (field,), sigma)
+        assert PfaffianSystem("OK", 4, (field,), (np.int64(3), 4)).sigma == (3, 4)
 
     def test_coordinate_foliation(self):
         rep = frobenius_residual(PfaffianSystem("COORDS", 4, (), (3, 4)), ONES4)
@@ -351,7 +386,7 @@ class TestFrobenius:
             frobenius_reports(PfaffianSystem("C", 4, (), (3, 4)), points)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    @pytest.mark.parametrize("call", [rank_at, kernel_basis])
+    @pytest.mark.parametrize("call", [rank_at, frobenius_residual])
     def test_non_finite_coefficient_raises_in_rank_and_kernel(self, bad, call):
         # inf once gave rank 0 and a full kernel, NaN a LinAlgError
         field = CoFormField.constant([bad, 1.0, 0.0, 0.0], "bad")
@@ -401,14 +436,12 @@ class TestRanks:
         rng = np.random.default_rng(8)
         _, web, box = catalog.random_family_web(rng, "first", 5)
         p = sample_regular_points(web, box, 1, seed=8)[0]
-        b10 = kernel_basis(make_system(web, "S10"), p)
-        b11 = kernel_basis(make_system(web, "S11"), p)
-        assert subspace_distance(b10, b11) < 1e-8
+        ranks = [rank_at(make_system(web, name), p)[0] for name in ("S10", "S11")]
+        assert ranks == [2, 2] and joint_rank(web, ("S10", "S11"), p) == 2
         ctrl = catalog.control_web(5)
         cp = sample_regular_points(ctrl, catalog.control_box(5), 1, seed=8)[0]
-        c10 = kernel_basis(make_system(ctrl, "S10"), cp)
-        c11 = kernel_basis(make_system(ctrl, "S11"), cp)
-        assert subspace_distance(c10, c11) > 1e-3
+        ranks = [rank_at(make_system(ctrl, name), cp)[0] for name in ("S10", "S11")]
+        assert ranks == [2, 2] and joint_rank(ctrl, ("S10", "S11"), cp) == 3
 
     def test_delta_dimensions_both_branches(self):
         rng = np.random.default_rng(9)
@@ -427,18 +460,15 @@ class TestRanks:
         rng = np.random.default_rng(10)
         _, web, box = catalog.random_family_web(rng, "second", 6)
         p = sample_regular_points(web, box, 1, seed=10)[0]
-        b1 = kernel_basis(make_system(web, "DELTA4"), p)
-        b2 = kernel_basis(make_system(web, "DELTA4B"), p)
-        assert subspace_distance(b1, b2) < 1e-8
+        ranks = [rank_at(make_system(web, name), p)[0] for name in ("DELTA4", "DELTA4B")]
+        assert ranks == [2, 2] and joint_rank(web, ("DELTA4", "DELTA4B"), p) == 2
 
     def test_delta2_kernel_inside_delta4(self):
         rng = np.random.default_rng(11)
         _, web, box = catalog.random_family_web(rng, "second", 5)
         p = sample_regular_points(web, box, 1, seed=11)[0]
-        basis2 = kernel_basis(make_system(web, "DELTA2"), p)
-        from goursatkit.exterior import coefficient_matrix
-        mat4 = coefficient_matrix(make_system(web, "DELTA4"), p)
-        assert np.abs(mat4 @ basis2).max() < 1e-10
+        rank2 = rank_at(make_system(web, "DELTA2"), p)[0]
+        assert rank2 == 3 and joint_rank(web, ("DELTA2", "DELTA4"), p) == rank2
 
     def test_rank_kernel_sum(self):
         web = catalog.control_web(6)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from goursatkit import catalog
-from goursatkit.classify import (first_kind_residual, sample_regular_points,
-                                 second_kind_pde_residual, second_kind_residuals)
-from goursatkit.exterior import (coefficient_matrix, frobenius_residual, kernel_basis,
-                                 make_system, rank_at)
+from goursatkit.classify import (first_kind_residual, sample_regular_points, second_kind_pde,
+                                 second_kind_residuals)
+from goursatkit.exterior import coefficient_matrix, frobenius_residual, make_system, rank_at
 from goursatkit.expr import evaluate, parse
 from goursatkit import jets as J
 from goursatkit.families import (NEWTON_MAX_ITER, PARAM, FamilySpec, FamilySpecError,
@@ -13,7 +12,7 @@ from goursatkit.families import (NEWTON_MAX_ITER, PARAM, FamilySpec, FamilySpecE
                                  constraint, family_web, parameter_jet, solve_parameter,
                                  solve_parameter_with_info)
 from goursatkit.jets import JetDomainError
-from goursatkit.web import JET_ORDER, pfaffian_derivs, torsion
+from goursatkit.web import JET_ORDER, derivative_bundle, pfaffian_derivs, torsion
 
 ONES4 = [1.0] * 4
 ONES5 = [1.0] * 5
@@ -204,8 +203,8 @@ class TestFamilyWeb:
             for p in sample_regular_points(web, box, 5, seed=1):
                 res = second_kind_residuals(torsion(web, p))
                 assert res.det24_rel <= 1e-8
-                _, rel29 = second_kind_pde_residual(web, p)
-                assert rel29 <= 1e-8
+                _, rel29 = second_kind_pde(derivative_bundle(web, [p]))
+                assert rel29[0] <= 1e-8
 
     def test_concurrent_evaluation_over_distinct_points(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -240,9 +239,10 @@ class TestFamilyWeb:
         for _ in range(6):
             spec = catalog.random_first_kind_spec(rng, 5, quadratic_tail=True)
             forward, reverse = family_web(spec), family_web(spec)
-            ahead = [forward.jet(p, 3, check_regularity=False) for p in pts]
-            behind = [reverse.jet(p, 3, check_regularity=False) for p in pts[::-1]][::-1]
-            for p, j1, j2 in zip(pts, ahead, behind):
+            ahead = [forward.evaluator(p[None]) for p in pts]
+            behind = [reverse.evaluator(p[None]) for p in pts[::-1]][::-1]
+            for p, (j1, f1), (j2, f2) in zip(pts, ahead, behind):
+                assert f1 == f2 == [None], (spec, p)
                 assert np.allclose(j1.data, j2.data, rtol=1e-10, atol=1e-10), (spec, p)
 
     def test_batched_newton_roots_equal_one_point_roots(self, monkeypatch):
@@ -309,8 +309,7 @@ def test_one_evaluation_per_point(make):
     calls = _record_evaluations(web)
     one_point_calls = [lambda p: torsion(web, p), lambda p: pfaffian_derivs(web, p),
                        lambda p: frobenius_residual(system, p),
-                       lambda p: rank_at(system, p), lambda p: kernel_basis(system, p),
-                       lambda p: coefficient_matrix(system, p)]
+                       lambda p: rank_at(system, p), lambda p: coefficient_matrix(system, p)]
     for p in points:
         for call in one_point_calls:
             calls.clear()

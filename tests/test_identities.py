@@ -179,7 +179,7 @@ def ref_impose_and_check(t, d_vals, h, imposed, checked, pivot_floor=1e-3):
     return abs(value) / scale
 
 
-def ref_implication_runs(seed, imposed, checked, levels=(1, 2, 3)):
+def ref_implication_runs(seed, imposed, checked):
     """The scalar loop's result after each accepted trial, for trials = 1, 2,
     ...; it draws lazily, so stopping after the result for N trials leaves
     the generator where a loop for N trials ends."""
@@ -192,7 +192,7 @@ def ref_implication_runs(seed, imposed, checked, levels=(1, 2, 3)):
         d_vals = rng.uniform(-2.0, 2.0, size=(5, 5, 5))
         ok = True
         trial_worst = 0.0
-        for h in levels:
+        for h in (1, 2, 3):
             rel = ref_impose_and_check(t, d_vals, h, imposed, checked)
             if rel is None:
                 ok = False
@@ -206,17 +206,17 @@ def ref_implication_runs(seed, imposed, checked, levels=(1, 2, 3)):
         yield ImplicationResult(tuple(imposed), checked, done, rejected, worst)
 
 
-def ref_implication_test(trials, seed, imposed, checked, levels=(1, 2, 3)):
+def ref_implication_test(trials, seed, imposed, checked):
     if not trials:
         return ImplicationResult(tuple(imposed), checked, 0, 0, 0.0)
-    return next(islice(ref_implication_runs(seed, imposed, checked, levels), trials - 1, None))
+    return next(islice(ref_implication_runs(seed, imposed, checked), trials - 1, None))
 
 
-def ref_implication_counts(seed, most, levels=(1, 2, 3)):
+def ref_implication_counts(seed, most):
     """Per pairing, ``ref_implication_test(n, seed, ...)`` for n = 0..most,
     from one scalar pass."""
-    return [[ref_implication_test(0, seed, imposed, checked, levels)]
-            + list(islice(ref_implication_runs(seed, imposed, checked, levels), most))
+    return [[ref_implication_test(0, seed, imposed, checked)]
+            + list(islice(ref_implication_runs(seed, imposed, checked), most))
             for imposed, checked in PAIRINGS]
 
 
@@ -362,6 +362,22 @@ class TestConditionValues:
             assert np.all(rs.values == 0.0)
         assert cv.residual40 == 0.0
 
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_reads_only_derivative_rows_one_and_two(self, n):
+        # the trial streams gather rows 1 and 2 of the derivatives alone, on
+        # this fact: NaN in rows 3..n leaves every field bit-identical
+        rng = np.random.default_rng(n)
+        t = TorsionTensor.from_matrix(rng.uniform(-2, 2, (3, n, n)))
+        d = PfaffianDerivs.from_array(rng.uniform(-2, 2, (3, n, n, n)))
+        holed = d.values.copy()
+        holed[:, 2:] = np.nan
+        got, want = condition_values(t, PfaffianDerivs(n, holed)), condition_values(t, d)
+        for name in ConditionValues.__slots__:
+            x, y = getattr(got, name), getattr(want, name)
+            for a, b in ([(x.values, y.values), (x.scales, y.scales)]
+                         if isinstance(x, ResidualSet) else [(x, y)]):
+                assert np.array_equal(bits(a), bits(b)), name
+
     @given(st.integers(0, 10**9))
     @settings(max_examples=80, deadline=None)
     def test_one_product_closure_identity(self, seed):
@@ -452,13 +468,10 @@ class TestMatchesScalarReference:
         assert (implication_test(2000, 17, imposed, checked)
                 == ref_implication_test(2000, 17, imposed, checked))
 
-    def test_implication_with_rejections_and_levels(self):
+    def test_implication_with_rejections(self):
         ref = ref_implication_test(TRIAL_CHUNK + 1, 3, ("n", "r"), "m")
         assert ref.rejected > 0
         assert implication_test(TRIAL_CHUNK + 1, 3, ("n", "r"), "m") == ref
-        levels = (5, 2, 4)
-        assert (implication_test(TRIAL_CHUNK + 1, 5, ("m", "r"), "n", levels)
-                == ref_implication_test(TRIAL_CHUNK + 1, 5, ("m", "r"), "n", levels))
 
     # at seeds 0-5 the pairings reject different numbers of trials, so they
     # end at different trials of the one stream
@@ -483,15 +496,6 @@ class TestMatchesScalarReference:
         assert any((run[-1].rejected, run[-1].max_relative) != (r.rejected, r.max_relative)
                    and run[-1].trials + run[-1].rejected <= last
                    for run, r in zip(runs, want))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_implication_tests_with_levels(self, seed):
-        levels = (5, 2, 4)
-        counts = (0, 1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1)
-        runs = ref_implication_counts(seed, max(counts), levels)
-        for trials in counts:
-            assert (implication_tests(trials, seed, PAIRINGS, levels)
-                    == [run[trials] for run in runs])
 
     def test_invalid_pair_rejected_before_any_draw(self, monkeypatch):
         def no_draws(seed):
@@ -683,6 +687,17 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def rows_off_diagonal(level):
+    """Of a level stack (L, 2, 5), the entries off the (1, 1) and (2, 2)
+    diagonal, which PfaffianDerivs.from_array sets to NaN and no closure reads."""
+    return level[:, ~np.eye(2, 5, dtype=bool)]
+
+
+def want_rows(d, slots):
+    """:func:`rows_off_diagonal` of rows 1 and 2 of ``d`` at ``slots``."""
+    return rows_off_diagonal(np.moveaxis(d.values[:2][..., np.asarray(slots) - 1], -1, 0))
+
+
 class TestReadAheadStream:
     """The block stream against the scalar references where the chunk tests
     above cannot reach: refills, and the walk at the end of a read-ahead.
@@ -722,13 +737,14 @@ class TestReadAheadStream:
     @pytest.mark.parametrize("source", ["uniform", "hostile"])
     def test_stacks_equal_the_public_samplers(self, derivs, source):
         # one stream against a one-trial loop of the public samplers on the
-        # same doubles, bit for bit; the hostile doubles hold long runs of
-        # rejected candidates, some longer than a whole read
+        # same doubles, bit for bit: the torsion, the drawn mask and the pair
+        # at every slot, symmetrized by the level stack; the hostile doubles
+        # hold long runs of rejected candidates, some longer than a whole read
         def generator():
             return DEFAULT_RNG(4) if source == "uniform" else Replay(hostile_blocks(4))
 
         source_rng = generator()
-        stream = _TrialStream(source_rng, derivs)
+        stream = _TrialStream(source_rng, derivs, range(1, 6))
         rng = generator()
         sizes = (1, 2, 5, TRIAL_CHUNK, 17, TRIAL_CHUNK, 3, TRIAL_CHUNK - 1)
         reads = []
@@ -736,6 +752,7 @@ class TestReadAheadStream:
             before = getattr(source_rng, "calls", 0)
             t, d, drawn = stream.draw(size)
             reads.append(getattr(source_rng, "calls", 0) - before)
+            level = None if d is None else identities._level_stack(d)
             for i in range(size):
                 want_t = sample_second_kind_torsion(rng)
                 pivot = want_t.entry(2, 3) - want_t.entry(2, 5)
@@ -745,50 +762,50 @@ class TestReadAheadStream:
                 assert np.array_equal(bits(TorsionTensor.from_matrix(t[i]).values),
                                       bits(want_t.values))
                 if draws:
-                    assert np.array_equal(bits(PfaffianDerivs.from_array(d[i]).values),
-                                          bits(sample_derivs(rng).values))
+                    assert np.array_equal(bits(rows_off_diagonal(level[:, i])),
+                                          bits(want_rows(sample_derivs(rng), range(1, 6))))
                 elif d is not None:
-                    assert not d[i].any()
+                    assert not (d[0][i].any() or d[1][i].any())
             assert (d is None) == (derivs == "never")
         if source == "hostile":  # a run of rejections outlasted a whole refill
             assert max(reads) >= 3
 
-    @pytest.mark.parametrize("levels", [(1, 2, 3), (2,), (), (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("levels", [(1, 2, 3), (2,), (5, 2, 4), (1, 2, 3, 4, 5)])
     @pytest.mark.parametrize("source", ["uniform", "hostile"])
     def test_level_gather_equals_the_full_gather(self, levels, source):
-        # a stream gathering only the level slots against one gathering the
-        # whole (5, 5, 5) draws, on the same doubles, bit for bit: the pair
-        # the implications read, and the level stack built from it
+        # a stream gathering rows 1 and 2 at the level slots against the whole
+        # (5, 5, 5) draws of sample_derivs on the same doubles, bit for bit,
+        # through the level stack built from the pair
         def generator():
             return BlockLog(4) if source == "uniform" else Replay(hostile_blocks(4))
 
-        full_rng, lean_rng = generator(), generator()
-        full = _TrialStream(full_rng, "always")
+        lean_rng, every_rng, rng = generator(), generator(), generator()
         lean = _TrialStream(lean_rng, "always", levels)
-        idx = np.asarray(levels, dtype=np.intp) - 1
+        every = _TrialStream(every_rng, "always", range(1, 6))
         for size in (1, 2, 5, TRIAL_CHUNK, 17, TRIAL_CHUNK, 3, TRIAL_CHUNK - 1):
-            t, d, drawn = full.draw(size)
-            lean_t, pair, lean_drawn = lean.draw(size)
-            assert np.array_equal(bits(lean_t), bits(t))
-            assert lean_drawn.all() and drawn.all()
-            want = (d[:, :2, :, idx], d[:, :, :2, idx])
-            assert [x.shape for x in pair] == [x.shape for x in want]
-            assert all(np.array_equal(bits(x), bits(y)) for x, y in zip(pair, want))
-            # the level stack as it was built from the whole draws
-            stack = np.moveaxis((want[0] + want[1].swapaxes(1, 2)) / 2.0, -1, 0)
-            assert np.array_equal(bits(identities._level_stack(pair)), bits(stack))
+            t, pair, drawn = lean.draw(size)
+            every.draw(size)
+            assert drawn.all()
+            assert [x.shape for x in pair] == [(size, 2, 5, len(levels)),
+                                               (size, 5, 2, len(levels))]
+            level = identities._level_stack(pair)
+            for i in range(size):
+                assert np.array_equal(bits(TorsionTensor.from_matrix(t[i]).values),
+                                      bits(sample_second_kind_torsion(rng).values))
+                assert np.array_equal(bits(rows_off_diagonal(level[:, i])),
+                                      bits(want_rows(sample_derivs(rng), levels)))
         # the reads do not depend on what is gathered
         if source == "uniform":
-            assert [(a, b) for a, b, _ in lean_rng.draws] == [(a, b) for a, b, _ in full_rng.draws]
+            assert [(a, b) for a, b, _ in lean_rng.draws] == [(a, b) for a, b, _ in every_rng.draws]
         else:
-            assert lean_rng.calls == full_rng.calls and lean_rng._at == full_rng._at
+            assert lean_rng.calls == every_rng.calls and lean_rng._at == every_rng._at
 
 
 class TestClosureTables:
     """The implications build only the m, n and r closures; every other
     caller still builds all five."""
 
-    @pytest.mark.parametrize("levels", [(1, 2, 3), (5, 2, 4), (), (1, 2, 3, 4, 5)])
+    @pytest.mark.parametrize("levels", [(1, 2, 3), (5, 2, 4), (2,), (1, 2, 3, 4, 5)])
     def test_implication_table_equals_the_full_table(self, levels):
         t, _, _ = _TrialStream(DEFAULT_RNG(12), "never").draw(TRIAL_CHUNK + 3)
         full = identities._closures(t, levels)
@@ -842,21 +859,20 @@ class TestZeroPivots:
     chunk; the results must still equal the scalar references, which never
     divide by a small pivot."""
 
-    @pytest.mark.parametrize("levels", [(1, 2, 3), (5, 2, 4)])
-    def test_implication_tests(self, monkeypatch, levels):
+    def test_implication_tests(self, monkeypatch):
         doubles = zero_pivot_blocks(6)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Replay(doubles))
         kernel, pivots = identities._implication_trials, []
 
-        def spy(t, d, pairs, levels):
+        def spy(t, d, pairs):
             pivots.append(t[:, 0, 4] - t[:, 0, 3])  # the n pivot
-            return kernel(t, d, pairs, levels)
+            return kernel(t, d, pairs)
 
         monkeypatch.setattr(identities, "_implication_trials", spy)
         trials = TRIAL_CHUNK + 1
-        got = implication_tests(trials, 0, PAIRINGS, levels)
+        got = implication_tests(trials, 0, PAIRINGS)
         assert (np.concatenate(pivots) == 0.0).any()
-        assert got == [ref_implication_test(trials, 0, imposed, checked, levels)
+        assert got == [ref_implication_test(trials, 0, imposed, checked)
                        for imposed, checked in PAIRINGS]
 
     def test_witness(self, monkeypatch):
@@ -866,10 +882,3 @@ class TestZeroPivots:
             assert same_witness(witness_search(trials, 0, threshold),
                                 ref_witness_search(trials, 0, threshold))
 
-
-def test_no_levels():
-    # the levels are stacked along one axis, which may be empty: every trial
-    # is then accepted with a zero residual, as in the one-trial loop
-    trials = TRIAL_CHUNK + 1
-    assert implication_tests(trials, 0, PAIRINGS, ()) == [
-        ref_implication_test(trials, 0, imposed, checked, ()) for imposed, checked in PAIRINGS]

@@ -245,7 +245,7 @@ def test_reports_are_the_column_view(name):
                 record["residuals"], record["tol"], record["verdict"])
             top = fr.max_residual
             assert repr(top) == repr(record["max_residual"])
-            if fr.rank < len(system.generators):
+            if fr.rank < len(system.fields) + len(system.sigma):
                 assert fr.verdict == "degenerate"
             else:
                 assert repr(top) == repr(float(cols.worst[i]))

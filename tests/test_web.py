@@ -9,13 +9,19 @@ from goursatkit import catalog
 from goursatkit.classify import Box
 from goursatkit.cli import build_web, parse_config_text
 from goursatkit.expr import parse
-from goursatkit.jets import JetDomainError, eval_jet
-from goursatkit.web import (JET_ORDER, Gauge, NonFiniteJet, PfaffianDerivs, RegularityError,
+from goursatkit.jets import JetDomainError, eval_jet, space
+from goursatkit.web import (Gauge, NonFiniteJet, PfaffianDerivs, RegularityError,
                             TorsionTensor, WebFunction, coframe, pfaffian_derivs, torsion)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 ONES4 = [1.0, 1.0, 1.0, 1.0]
+CONTROL4 = "x1*x3 + x2*x4 + x1*x4 + x1^2*x3^2/4"  # catalog.control_web(4)
+
+
+def scaled_control(c: float) -> WebFunction:
+    """The web of c*F for F = catalog.control_web(4), as a config writes it."""
+    return WebFunction.from_expr(parse(f"{c!r}*({CONTROL4})", 4))
 
 
 class TestCoframe:
@@ -70,7 +76,14 @@ class TestTorsion:
         t = torsion(catalog.product_web(4), ONES4)
         with pytest.raises(IndexError):
             t.entry(2, 2)
-        assert t.entry_or_zero(2, 2) == 0.0
+        assert np.isnan(t.values[1, 1])
+
+    @pytest.mark.parametrize("alpha, beta", [(0, 2), (2, 0), (5, 2), (-1, 2)])
+    def test_indices_outside_one_to_n_raise(self, alpha, beta):
+        # index 0 once wrapped to the last row: t.entry(0, 2) read a42
+        t = torsion(catalog.control_web(4), [1.1, 0.9, 1.2, 0.8])
+        with pytest.raises(IndexError, match="outside 1..4"):
+            t.entry(alpha, beta)
 
     @given(st.sampled_from([2.0, -3.0]), st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
@@ -79,7 +92,7 @@ class TestTorsion:
         p = rng.uniform(0.6, 1.4, 4)
         web = catalog.control_web(4)
         t1 = torsion(web, p).values
-        t2 = torsion(web.scaled(c), p).values
+        t2 = torsion(scaled_control(c), p).values
         off = ~np.isnan(t1)
         assert np.allclose(t2[off], t1[off] / c, rtol=1e-13)
 
@@ -92,6 +105,13 @@ class TestPfaffianDerivs:
     def test_product_gauge_shift(self):
         d = pfaffian_derivs(catalog.product_web(4), ONES4, Gauge.of([1, 0, 0, 0]))
         assert d.entry(1, 3, 1) == pytest.approx(-0.375, abs=1e-15)
+
+    @pytest.mark.parametrize("index", [(1, 2, 0), (0, 2, 1), (1, 5, 2), (1, 2, -1)])
+    def test_indices_outside_one_to_n_raise(self, index):
+        # index 0 once wrapped to the last slot: d.entry(1, 2, 0) read a124
+        d = pfaffian_derivs(catalog.control_web(4), [1.1, 0.9, 1.2, 0.8])
+        with pytest.raises(IndexError, match="outside 1..4"):
+            d.entry(*index)
 
     def test_affine_in_gauge(self):
         rng = np.random.default_rng(4)
@@ -137,6 +157,7 @@ class TestPfaffianDerivs:
             "exp(0.3*x1*x3) + x2*x4*(1 + 0.2*x1) + sin(x2*x3)/2 + x1*x5^2", 5))
         p = np.array([1.1, 0.8, 1.2, 0.9, 1.3])
         t = torsion(web, p)
+        zero_diagonal = np.nan_to_num(t.values, nan=0.0)
         d = pfaffian_derivs(web, p)
         grad = web.jet(p, 1).gradient()
         h = 1e-6
@@ -146,7 +167,7 @@ class TestPfaffianDerivs:
                 lo = p.copy(); lo[g - 1] -= h
                 fd = (torsion(web, hi).entry(al, be)
                       - torsion(web, lo).entry(al, be)) / (2 * h)
-                bracket = t.entry_or_zero(g, al) + t.entry_or_zero(be, g)
+                bracket = zero_diagonal[g - 1, al - 1] + zero_diagonal[be - 1, g - 1]
                 want = fd / grad[g - 1] - t.entry(al, be) * bracket
                 got = d.entry(al, be, g)
                 assert abs(got - want) <= 1e-6 * max(1.0, abs(want)), \
@@ -171,17 +192,19 @@ class TestWebFunction:
         for _ in range(2):
             with pytest.raises(RegularityError):
                 web.jet([0.0, 1.0, 1.0, 1.0], 2)
-        assert web.jet([0.0, 1.0, 1.0, 1.0], 2, check_regularity=False).value == 0.0
+        jet, failures = web.evaluator(np.array([[0.0, 1.0, 1.0, 1.0]]))
+        assert failures == [None] and jet.data[0, 0] == 0.0
 
     def test_non_finite_jet_is_not_regular(self):
         # F_111 = -100*101*102 x1^(-103) overflows at x1 = 0.001
         web = WebFunction.from_expr(parse("x1^(-100)*x3 + x2*x4", 4))
         p = [0.001, 1.0, 1.0, 1.0]
-        assert np.isfinite(web.jet(p, 1, check_regularity=False).data).all()
+        jet, failures = web.evaluator(np.array([p]))
+        assert failures == [None] and np.isfinite(jet.data[:space(4, 1).size]).all()
         with pytest.raises(NonFiniteJet):
             web.jet(p, 1)
-        assert not web.is_regular(p)
-        assert web.is_regular([0.002, 1.0, 1.0, 1.0])
+        assert isinstance(web.jets([p])[1][0], NonFiniteJet)
+        assert web.jets([[0.002, 1.0, 1.0, 1.0]])[1][0] is None
 
     def test_failed_evaluation_is_evaluated_again(self):
         from goursatkit.jets import JetDomainError
@@ -218,7 +241,7 @@ class TestWebFunction:
         web = catalog.control_web(4)
         box = catalog.control_box(4)
         base = classify(web, box, count=8, seed=5)
-        scaled = classify(web.scaled(-3.0), box, count=8, seed=5)
+        scaled = classify(scaled_control(-3.0), box, count=8, seed=5)
         assert base.first_kind == scaled.first_kind
 
 
@@ -253,7 +276,8 @@ def test_batch_jets_equal_one_point_jets(make):
     assert failures == [None] * len(points)
     fresh = make()[0]
     for p, column in zip(points, batch.data.T):
-        assert np.array_equal(fresh.jet(p, JET_ORDER, check_regularity=False).data, column)
+        jet, one_failure = fresh.evaluator(np.array([p]))
+        assert one_failure == [None] and np.array_equal(jet.data[:, 0], column)
 
 
 def test_batch_failures_equal_one_point_failures():
@@ -264,14 +288,13 @@ def test_batch_failures_equal_one_point_failures():
     web = WebFunction.from_expr(expr)
     failed_at = set()
     for p, column, failure in zip(points, batch.data.T, failures):
-        try:
-            want = web.jet(p, JET_ORDER, check_regularity=False).data
-        except JetDomainError as err:
-            assert type(failure) is JetDomainError and str(failure) == str(err)
+        jet, (err,) = web.evaluator(np.array([p]))
+        if err is not None:
+            assert type(failure) is type(err) is JetDomainError and str(failure) == str(err)
             assert np.isnan(column).all()
             failed_at.add("x1" if p[0] < 1.0 else "x2")
         else:
-            assert failure is None and np.array_equal(column, want)
+            assert failure is None and np.array_equal(column, jet.data[:, 0])
     assert failed_at == {"x1", "x2"}
 
 
