@@ -179,7 +179,7 @@ def ref_impose_and_check(t, d_vals, h, imposed, checked, pivot_floor=1e-3):
     return abs(value) / scale
 
 
-def ref_implication_runs(seed, imposed, checked):
+def ref_implication_runs(seed, imposed, checked, levels=(1, 2, 3)):
     """The scalar loop's result after each accepted trial, for trials = 1, 2,
     ...; it draws lazily, so stopping after the result for N trials leaves
     the generator where a loop for N trials ends."""
@@ -192,7 +192,7 @@ def ref_implication_runs(seed, imposed, checked):
         d_vals = rng.uniform(-2.0, 2.0, size=(5, 5, 5))
         ok = True
         trial_worst = 0.0
-        for h in (1, 2, 3):
+        for h in levels:
             rel = ref_impose_and_check(t, d_vals, h, imposed, checked)
             if rel is None:
                 ok = False
@@ -206,10 +206,10 @@ def ref_implication_runs(seed, imposed, checked):
         yield ImplicationResult(tuple(imposed), checked, done, rejected, worst)
 
 
-def ref_implication_test(trials, seed, imposed, checked):
+def ref_implication_test(trials, seed, imposed, checked, levels=(1, 2, 3)):
     if not trials:
         return ImplicationResult(tuple(imposed), checked, 0, 0, 0.0)
-    return next(islice(ref_implication_runs(seed, imposed, checked), trials - 1, None))
+    return next(islice(ref_implication_runs(seed, imposed, checked, levels), trials - 1, None))
 
 
 def ref_implication_counts(seed, most):
@@ -859,9 +859,13 @@ class TestZeroPivots:
     chunk; the results must still equal the scalar references, which never
     divide by a small pivot."""
 
-    def test_implication_tests(self, monkeypatch):
+    # LEVELS is a constant of the program; patching it checks that the
+    # stacked solve holds at other slots and in another order as well
+    @pytest.mark.parametrize("levels", [(1, 2, 3), (5, 2, 4)])
+    def test_implication_tests(self, monkeypatch, levels):
         doubles = zero_pivot_blocks(6)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Replay(doubles))
+        monkeypatch.setattr(identities, "LEVELS", levels)
         kernel, pivots = identities._implication_trials, []
 
         def spy(t, d, pairs):
@@ -872,7 +876,7 @@ class TestZeroPivots:
         trials = TRIAL_CHUNK + 1
         got = implication_tests(trials, 0, PAIRINGS)
         assert (np.concatenate(pivots) == 0.0).any()
-        assert got == [ref_implication_test(trials, 0, imposed, checked)
+        assert got == [ref_implication_test(trials, 0, imposed, checked, levels)
                        for imposed, checked in PAIRINGS]
 
     def test_witness(self, monkeypatch):
