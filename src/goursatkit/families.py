@@ -243,14 +243,17 @@ def _solve_delta(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,
         raise J.PointFailures({int(i): SingularEnvelope(coords[:, i], float(a[i]), float(slope[i]))
                                for i in singular})
     xspace = J.space(n, order)
-    delta = J.Jet(xspace, np.zeros((xspace.size,) + slope.shape))
+    delta = np.zeros((xspace.size,) + slope.shape)
+    # step k reads the order-k entries of the residual, and delta holds only
+    # lower orders, so it composes the order-k prefixes of G and delta: an
+    # order-k space leads the order-K one and is closed under sub-tuples, so
+    # with a finite G each order-k entry sums the same terms in the same order
     for k in range(1, order + 1):
-        residual = J.substitute_last(G, delta)
-        data = delta.data.copy()
-        lo, hi = xspace.order_start[k], xspace.order_start[k + 1]
-        data[lo:hi] = -residual.data[lo:hi] / slope
-        delta = J.Jet(xspace, data)
-    return joint, delta
+        g_k, x_k = J.space(n + 1, k), J.space(n, k)
+        residual = J.substitute_last(J.Jet(g_k, G.data[:g_k.size]), J.Jet(x_k, delta[:x_k.size]))
+        lo = x_k.order_start[k]
+        delta[lo:x_k.size] = -residual.data[lo:] / slope
+    return joint, J.Jet(xspace, delta)
 
 
 def parameter_jet(spec: FamilySpec, p: Sequence[float], order: int,

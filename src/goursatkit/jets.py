@@ -47,16 +47,37 @@ min(K, hi_a + hi_b))``, a unary function the full band, and
 the Leibniz ranks whose left factor's order (the popcount of the rank's
 mask) lies outside the left band and cuts each rank to the orders whose
 right factor lies in the right band; ``apply_unary`` cuts each Faa di
-Bruno rank to the orders whose block sizes all lie in the inner band.  The
-plans are cached per space and bands; on full bands nothing is skipped, and
-the product of two seeds at (7, 4, True) reads 71 of the 2,143 Leibniz terms.
+Bruno rank to the orders whose block sizes all lie in the inner band.
+
+Every jet also carries a slot support, a bitmask with bit i - 1 for slot
+i: each entry whose slot tuple holds a slot outside it is exactly zero.  A
+seed of slot i has ``{i}`` and a constant ``{}``; a sum, a difference and a
+product take the union of their operands' supports, a finite scalar
+factor or nonzero divisor and a unary function keep it, and every other
+jet (a quotient of jets, a partial, ``restrict_last``, ``substitute_last``,
+a ``Jet(...)`` built elsewhere) has all slots.  A product keeps only the
+Leibniz terms whose left sub-tuple lies in the left support and whose right
+sub-tuple lies in the right one; ``apply_unary`` keeps only the outputs
+whose tuple lies in the support, as each of their terms reads a block of
+that tuple.  The outputs of one rank are distinct, so a rank that loses
+some outputs adds its terms through an index array, in the same rank
+order.  The plans are cached per space, bands and supports; on full bands
+and supports nothing is skipped.  The product of two seeds at (7, 4, True)
+reads 71 of the 2,143 Leibniz terms by bands alone, and at (8, 3) the
+product of a jet over 2 slots and one over 3, on full bands, reads 56 of
+the 1,121 by supports.
+
 A skipped term is +-0.0, and an entry's sum starts at +0.0 and so is never
--0.0, so every entry comes out bit for bit as on full bands.  That needs
-finite operands, as ``0 * inf`` is NaN: a kernel whose operand or outer
-derivative holds a non-finite entry runs on full bands, and so does a jet
-scaled by a non-finite constant or divided by zero.
-:func:`eval_with_bindings` refuses a non-finite constant operand
-(``1e308*10*x1``), but ``x1*1e308*10`` overflows only inside a jet product.
+-0.0, so every entry comes out bit for bit as on full bands and supports.
+That needs finite operands, as ``0 * inf`` is NaN: a product whose operand
+holds a non-finite entry runs on full bands and supports, and so does a jet
+scaled by a non-finite constant or divided by zero.  A Faa di Bruno term
+multiplies up to MAX_ORDER + 1 factors, and a zero factor after an
+overflowing partial product gives NaN too, so ``apply_unary`` skips terms
+only when every inner entry and outer derivative is at most 2^200 in
+magnitude.  :func:`eval_with_bindings` refuses a non-finite constant
+operand (``1e308*10*x1``), but ``x1*1e308*10`` overflows only inside a jet
+product.
 
 A domain failure (ln/sqrt/power outside the domain, a near-zero divisor,
 an exp overflow, a non-finite constant operand) at some points of a batch
@@ -77,6 +98,7 @@ import numpy as np
 from . import expr as ex
 
 MAX_ORDER = 4
+MAX_SLOTS = 63  # a slot support is a bitmask, held in an int64 per entry
 
 _DIV_FLOOR = 1e-300
 
@@ -135,17 +157,18 @@ class JetSpace:
     partial of its full order.
     """
 
-    __slots__ = ("m", "order", "last", "tuples", "pos", "order_start", "mul_i", "mul_j",
-                 "mul_out", "faa_out", "mul_ranks", "div_ranks", "faa_ranks")
+    __slots__ = ("m", "order", "last", "tuples", "pos", "order_start", "slot_masks", "mul_i",
+                 "mul_j", "mul_out", "faa_out", "mul_ranks", "div_ranks", "faa_ranks")
 
     def __init__(self, m: int, order: int, last: bool, tuples: tuple, order_start: tuple,
-                 mul_ranks: tuple, faa_ranks: tuple):
+                 slot_masks: np.ndarray, mul_ranks: tuple, faa_ranks: tuple):
         self.m = m
         self.order = order
         self.last = last
         self.tuples = tuples
         self.pos = {t: i for i, t in enumerate(tuples)}
         self.order_start = order_start  # order k entries live in [start[k], start[k+1])
+        self.slot_masks = slot_masks  # per entry, bit i - 1 set for each slot i of its tuple
         self.mul_ranks = mul_ranks  # ((lo, i, j), ...)
         self.faa_ranks = faa_ranks  # ((lo, entries of block 1, of block 2, ...), ...)
         size = len(tuples)
@@ -201,8 +224,8 @@ def space(m: int, order: int, last: bool | None = None, /) -> JetSpace:
         return space(m, order, True) if last else space(m, order)
     if not (1 <= order <= MAX_ORDER):
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
-    if m < 1:
-        raise ValueError("slot count must be positive")
+    if not 1 <= m <= MAX_SLOTS:
+        raise ValueError(f"slot count must be in 1..{MAX_SLOTS}, got {m}")
     tuples: list[tuple[int, ...]] = [()]
     order_start = [0, 1]
     digits = [np.zeros((1, 0), dtype=np.intp)]  # digits[k]: the order-k tuples, (count, k)
@@ -214,6 +237,7 @@ def space(m: int, order: int, last: bool | None = None, /) -> JetSpace:
         order_start.append(len(tuples))
         digits.append(np.array(level, dtype=np.intp))
     size = len(tuples)
+    slot_masks = np.concatenate([np.bitwise_or.reduce(1 << (d - 1), axis=1) for d in digits])
     # slots are >= 1, so tuples of different lengths never share a code; the
     # sub-tuples of a kept tuple are kept, so every looked-up code is set
     base = m + 1
@@ -253,7 +277,7 @@ def space(m: int, order: int, last: bool | None = None, /) -> JetSpace:
         faa_ranks.append(_rank_table(size, order_start[ks[0]],
                                      *np.concatenate(blocks).T.copy()))
 
-    return JetSpace(m, order, bool(last), tuple(tuples), tuple(order_start),
+    return JetSpace(m, order, bool(last), tuple(tuples), tuple(order_start), slot_masks,
                     tuple(mul_ranks), tuple(faa_ranks))
 
 
@@ -280,36 +304,69 @@ def derivative_index(m: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(sp: JetSpace, band_a: tuple, band_b: tuple) -> tuple:
-    """The Leibniz ranks that can be nonzero in a product of jets with these
-    bands, as (first, stop output, i, j): a rank's left factor has the order
-    of its mask's popcount, and the rank is cut to the output orders whose
-    right factor lies in ``band_b``."""
+def _inside(sp: JetSpace, support: int) -> np.ndarray:
+    """Per entry of ``sp``, whether every slot of its tuple is in ``support``."""
+    return (sp.slot_masks & ~support) == 0
+
+
+def _cut(start: int, columns: tuple, keep: np.ndarray) -> tuple | None:
+    """(outputs, columns): the outputs from ``start`` on that ``keep``
+    selects, a slice when it selects them all, and the operand ``columns``
+    cut to them; None when it selects none."""
+    if keep.all():
+        return slice(start, start + len(columns[0])), columns
+    if not keep.any():
+        return None
+    at = np.flatnonzero(keep)
+    return at + start, tuple(col[at] for col in columns)
+
+
+@lru_cache(maxsize=None)
+def _mul_plan(sp: JetSpace, band_a: tuple, band_b: tuple, support_a: int,
+              support_b: int) -> tuple:
+    """The Leibniz terms that can be nonzero in a product of jets with these
+    bands and slot supports, per rank as (outputs, (i, j)), the outputs a
+    slice or an index array: a rank's left factor has the order of its
+    mask's popcount, the rank is cut to the output orders whose right factor
+    lies in ``band_b``, and then to the terms whose left and right sub-tuples
+    lie in ``support_a`` and ``support_b``."""
+    inside_a, inside_b = _inside(sp, support_a), _inside(sp, support_b)
     plan = []
     for rank, (lo, i, j) in enumerate(sp.mul_ranks):
         left = rank.bit_count()
         first = max(rank.bit_length(), left + band_b[0])
         last = min(sp.order, left + band_b[1])
-        if band_a[0] <= left <= band_a[1] and first <= last:
-            start, stop = sp.order_start[first], sp.order_start[last + 1]
-            plan.append((start, stop, i[start - lo:stop - lo], j[start - lo:stop - lo]))
+        if not (band_a[0] <= left <= band_a[1] and first <= last):
+            continue
+        start, stop = sp.order_start[first], sp.order_start[last + 1]
+        i, j = i[start - lo:stop - lo], j[start - lo:stop - lo]
+        term = _cut(start, (i, j), inside_a[i] & inside_b[j])
+        if term is not None:
+            plan.append(term)
     return tuple(plan)
 
 
 @lru_cache(maxsize=None)
-def _faa_plan(sp: JetSpace, band: tuple) -> tuple:
-    """The Faa di Bruno ranks that can be nonzero on an inner jet with this
-    band, as (first, stop output, block index arrays): each rank is cut to
-    the orders whose set partition has every block size in ``band`` (up to
-    MAX_ORDER those orders are contiguous; an order inside the cut that
-    failed the test would only add zeros)."""
+def _faa_plan(sp: JetSpace, band: tuple, support: int) -> tuple:
+    """The Faa di Bruno terms that can be nonzero on an inner jet with this
+    band and slot support, per rank as (outputs, block index arrays), the
+    outputs a slice or an index array: each rank is cut to the orders whose
+    set partition has every block size in ``band`` (up to MAX_ORDER those
+    orders are contiguous; an order inside the cut that failed the test
+    would only add zeros), and then to the outputs whose tuple lies in
+    ``support``."""
+    inside = _inside(sp, support)
+    partitions = [_set_partitions(k) for k in range(sp.order + 1)]
     plan = []
     for rank, (lo, *blocks) in enumerate(sp.faa_ranks):
-        kept = [k for k in range(1, sp.order + 1) if rank < len(_set_partitions(k))
-                and all(band[0] <= len(b) <= band[1] for b in _set_partitions(k)[rank])]
-        if kept:
-            start, stop = sp.order_start[kept[0]], sp.order_start[kept[-1] + 1]
-            plan.append((start, stop, tuple(b[start - lo:stop - lo] for b in blocks)))
+        kept = [k for k in range(1, sp.order + 1) if rank < len(partitions[k])
+                and all(band[0] <= len(b) <= band[1] for b in partitions[k][rank])]
+        if not kept:
+            continue
+        start, stop = sp.order_start[kept[0]], sp.order_start[kept[-1] + 1]
+        term = _cut(start, tuple(b[start - lo:stop - lo] for b in blocks), inside[start:stop])
+        if term is not None:
+            plan.append(term)
     return tuple(plan)
 
 
@@ -336,14 +393,25 @@ def _finite(jet: "Jet") -> bool:
     return bool(np.isfinite(jet.data[s[jet.band[0]]:s[jet.band[1] + 1]]).all())
 
 
-class Jet:
-    __slots__ = ("space", "data", "band")
+def _bounded(values) -> bool:
+    """Whether every entry of ``values`` is at most 2^200 in magnitude (false
+    on NaN): a Faa di Bruno term multiplies at most MAX_ORDER + 1 such
+    factors, so none of its partial products overflows."""
+    return bool(np.abs(values).max(initial=0.0) <= 2.0 ** 200)
 
-    def __init__(self, space: JetSpace, data: np.ndarray, band: tuple | None = None):
+
+class Jet:
+    __slots__ = ("space", "data", "band", "support")
+
+    def __init__(self, space: JetSpace, data: np.ndarray, band: tuple | None = None,
+                 support: int | None = None):
         self.space = space
         self.data = data  # (size,) or (size, N), aligned with space.tuples; do not mutate
         # (lo, hi): every entry of an order outside lo..hi is exactly zero
         self.band = (0, space.order) if band is None else band
+        # bit i - 1 for slot i: every entry whose tuple holds a slot outside
+        # the support is exactly zero
+        self.support = (1 << space.m) - 1 if support is None else support
 
     __array_ufunc__ = None  # numpy operands defer to the reflected jet operators
 
@@ -403,11 +471,12 @@ class Jet:
     def _shifted(self, value) -> "Jet":
         data = self.data.copy()
         data[0] = value
-        return Jet(self.space, data, (0, self.band[1]))
+        return Jet(self.space, data, (0, self.band[1]), self.support)
 
     def _joined(self, other: "Jet", data: np.ndarray) -> "Jet":
         return Jet(self.space, data, (min(self.band[0], other.band[0]),
-                                      max(self.band[1], other.band[1])))
+                                      max(self.band[1], other.band[1])),
+                   self.support | other.support)
 
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -426,29 +495,36 @@ class Jet:
     def __rsub__(self, other):
         data = -self.data
         data[0] = other - self.data[0]
-        return Jet(self.space, data, (0, self.band[1]))
+        return Jet(self.space, data, (0, self.band[1]), self.support)
 
     def __neg__(self):
-        return Jet(self.space, -self.data, self.band)
+        return Jet(self.space, -self.data, self.band, self.support)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.space, self.data * other,
-                       self.band if _finite_value(other) else None)  # 0 * inf is NaN
+            if _finite_value(other):
+                return Jet(self.space, self.data * other, self.band, self.support)
+            return Jet(self.space, self.data * other)  # 0 * inf is NaN
         self._check(other)
         sp = self.space
         a, b = self.data, other.data
-        full = (0, sp.order)
         band_a, band_b = self.band, other.band
-        if (band_a != full or band_b != full) and not (_finite(self) and _finite(other)):
-            band_a = band_b = full  # 0 * inf is NaN, so no term is skipped
+        support_a, support_b = self.support, other.support
+        full, every = (0, sp.order), (1 << sp.m) - 1
+        if (band_a, band_b, support_a, support_b) != (full, full, every, every) \
+                and not (_finite(self) and _finite(other)):
+            # 0 * inf is NaN, so no term is skipped
+            band_a = band_b = full
+            support_a = support_b = every
         out = np.zeros(a.shape)
-        # gathers are fresh arrays, so the products are taken in place
-        for lo, hi, i, j in _mul_plan(sp, band_a, band_b):
+        # gathers are fresh arrays, so the products are taken in place; the
+        # outputs of one rank are distinct, so += adds each term once
+        for at, (i, j) in _mul_plan(sp, band_a, band_b, support_a, support_b):
             term = a[i]
             term *= b[j]
-            out[lo:hi] += term
-        return Jet(sp, out, (band_a[0] + band_b[0], min(sp.order, band_a[1] + band_b[1])))
+            out[at] += term
+        return Jet(sp, out, (band_a[0] + band_b[0], min(sp.order, band_a[1] + band_b[1])),
+                   support_a | support_b)
 
     __rmul__ = __mul__
 
@@ -456,8 +532,9 @@ class Jet:
         if not isinstance(other, Jet):
             # 0 / 0 is NaN; np.all costs a scalar about 60 times what != does
             nonzero = np.all(other != 0) if isinstance(other, np.ndarray) else other != 0
-            keep = _finite_value(other) and nonzero
-            return Jet(self.space, self.data / other, self.band if keep else None)
+            if _finite_value(other) and nonzero:
+                return Jet(self.space, self.data / other, self.band, self.support)
+            return Jet(self.space, self.data / other)
         return divide(self, other)
 
     def __rtruediv__(self, other):
@@ -469,7 +546,7 @@ def constant(value, sp: JetSpace, tail: tuple = ()) -> Jet:
     per point (shape ``tail``)."""
     data = np.zeros((sp.size,) + tail)
     data[0] = value
-    return Jet(sp, data, (0, 0))
+    return Jet(sp, data, (0, 0), 0)
 
 
 def seed(index: int, value, m: int, order: int, last: bool = False) -> Jet:
@@ -484,7 +561,7 @@ def seed(index: int, value, m: int, order: int, last: bool = False) -> Jet:
     data = np.zeros((sp.size,) + np.shape(value))
     data[0] = value
     data[sp.pos[(index,)]] = 1.0
-    return Jet(sp, data, (0, 1))
+    return Jet(sp, data, (0, 1), 1 << (index - 1))
 
 
 def divide(a: Jet, b: Jet) -> Jet:
@@ -562,20 +639,25 @@ def apply_unary(fn: str, a: Jet, exponent: float | None = None) -> Jet:
     tail = a.data.shape[1:]
     outer = np.stack([np.broadcast_to(d, tail) for d in
                       _outer_derivatives(fn, a.data[0], a.space.order, exponent)])
-    band = a.band
-    if band != (0, a.space.order) and not (_finite(a) and np.isfinite(outer).all()):
-        band = (0, a.space.order)  # 0 * inf is NaN, so no term is skipped
+    sp = a.space
+    band, support = a.band, a.support
+    full, every, start = (0, sp.order), (1 << sp.m) - 1, sp.order_start
+    if (band, support) != (full, every) and not (
+            _bounded(a.data[start[max(band[0], 1)]:start[band[1] + 1]]) and _bounded(outer[1:])):
+        # 0 * inf is NaN, and a skipped term may hold an overflowing product
+        # of kept factors, so no term is skipped
+        band, support = full, every
     out = np.zeros_like(a.data)
     out[0] = outer[0]
     # every entry of a rank has a partition into the same number of blocks,
     # so one outer derivative serves the rank
-    for lo, hi, (first, *blocks) in _faa_plan(a.space, band):
+    for at, (first, *blocks) in _faa_plan(sp, band, support):
         terms = a.data[first]
         for block in blocks:
             terms *= a.data[block]
         terms *= outer[1 + len(blocks)]
-        out[lo:hi] += terms
-    return Jet(a.space, out)
+        out[at] += terms
+    return Jet(sp, out, None, support)
 
 
 def power(a: Jet, exponent: float) -> Jet:

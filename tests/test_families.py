@@ -1,16 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from goursatkit import catalog
+from goursatkit.cli import parse_config_text
 from goursatkit.classify import (first_kind_residual, sample_regular_points, second_kind_pde,
                                  second_kind_residuals)
 from goursatkit.exterior import coefficient_matrix, frobenius_residual, make_system, rank_at
 from goursatkit.expr import evaluate, parse
 from goursatkit import jets as J
 from goursatkit.families import (NEWTON_MAX_ITER, PARAM, FamilySpec, FamilySpecError,
-                                 NoConvergence, SingularEnvelope, _compose, _joint_jets,
-                                 constraint, family_web, parameter_jet, solve_parameter,
-                                 solve_parameter_with_info)
+                                 NoConvergence, SingularEnvelope, _compose, _joint_jets, _newton,
+                                 _solve_delta, constraint, family_web, parameter_jet,
+                                 solve_parameter, solve_parameter_with_info)
 from goursatkit.jets import JetDomainError
 from goursatkit.web import JET_ORDER, derivative_bundle, pfaffian_derivs, torsion
 
@@ -350,3 +353,66 @@ def test_truncated_joint_jet_is_the_full_joint_jet(make):
     assert got.space is J.space(n + 1, order, True)
     assert np.isfinite(got.data).all()
     assert np.array_equal(got.data, full.data[[full.space.pos[t] for t in got.space.tuples]])
+
+
+def _solve_delta_full_space(spec, coords, a, order):
+    """delta as the order-by-order solve computed it in the order-``order``
+    space at every step."""
+    n = spec.arity
+    G = _joint_jets(spec, coords, a, order + 1).partial(n + 1)
+    slope = G.data[G.space.pos[(n + 1,)]]
+    xspace = J.space(n, order)
+    delta = J.Jet(xspace, np.zeros((xspace.size,) + slope.shape))
+    for k in range(1, order + 1):
+        residual = J.substitute_last(G, delta)
+        data = delta.data.copy()
+        lo, hi = xspace.order_start[k], xspace.order_start[k + 1]
+        data[lo:hi] = -residual.data[lo:hi] / slope
+        delta = J.Jet(xspace, data)
+    return delta
+
+
+def _golden_spec(name: str) -> FamilySpec:
+    cfg = parse_config_text((Path(__file__).parent / "data" / "golden" / f"{name}.cfg").read_text())
+    params = [PARAM] if cfg.family_kind == "first" else [PARAM, cfg.slot]
+    return FamilySpec(cfg.family_kind, parse(cfg.phi_text, cfg.n, params),
+                      parse(cfg.psi_text, cfg.n, [PARAM]), cfg.n, cfg.a0, cfg.slot)
+
+
+@pytest.mark.parametrize("make,points", [
+    *((lambda seed=seed, n=n: catalog.random_first_kind_spec(np.random.default_rng(seed), n),
+       None) for seed, n in [(0, 4), (1, 5), (2, 6)]),
+    (lambda: catalog.random_first_kind_spec(np.random.default_rng(3), 5, quadratic_tail=True),
+     None),
+    *((lambda seed=seed, n=n: catalog.random_second_kind_spec(np.random.default_rng(seed), n),
+       None) for seed, n in [(0, 5), (1, 6), (4, 6)]),
+    (_every_node_spec, None),
+    (lambda: _golden_spec("family1-n5"), None),
+    (lambda: _golden_spec("family2-n6"), None),
+    # the points of tests/test_family_oracle.py
+    (catalog.first_kind_demo_spec, (0.85, 1.15, 4)),
+    (catalog.second_kind_demo_spec, (0.85, 1.15, 4)),
+    (lambda: _golden_spec("family2-n6"), (0.85, 1.15, 4)),
+], ids=["first-n4", "first-n5", "first-n6", "first-n5-quadratic", "second-n5", "second-n6",
+        "second-n6-4", "every-node", "golden-family1-n5", "golden-family2-n6",
+        "oracle-first-demo", "oracle-second-demo", "oracle-family2-n6"])
+@pytest.mark.parametrize("order", [1, 2, JET_ORDER])
+def test_each_step_of_the_solve_in_its_own_order_space(make, points, order):
+    """Step k of the parameter solve composes in the order-k spaces, and
+    gives the delta of the solve in the full space at every step."""
+    spec = make()
+    n = spec.arity
+    if points is None:
+        points = np.random.default_rng(n).uniform(0.8, 1.2, (64, n))
+    else:
+        lo, hi, count = points
+        points = np.random.default_rng(n).uniform(lo, hi, (count, n))
+    roots, _, failures = _newton(spec, points, spec.a0)
+    ok = [f is None for f in failures]
+    assert sum(ok) >= len(points) // 2
+    coords, roots = np.ascontiguousarray(points[ok].T), roots[ok]
+    _, got = _solve_delta(spec, coords, roots, order)
+    want = _solve_delta_full_space(spec, coords, roots, order)
+    assert got.space is want.space is J.space(n, order)
+    assert np.isfinite(got.data).all()
+    assert got.data.tobytes() == want.data.tobytes()  # signed zeros too

@@ -330,6 +330,7 @@ def _reference_space(m, order, last=False):
     return dict(
         m=m, order=order, last=last, tuples=tuple(tuples), pos=pos,
         order_start=tuple(order_start),
+        slot_masks=np.asarray([sum(1 << (i - 1) for i in set(t)) for t in tuples], dtype=np.intp),
         mul_i=np.concatenate([i for _, i, _ in mul_ranks]),
         mul_j=np.concatenate([j for _, _, j in mul_ranks]),
         mul_out=np.concatenate([np.arange(lo, size) for lo, _, _ in mul_ranks]),
@@ -607,3 +608,147 @@ class TestBandedKernels:
                 except ArithmeticError:
                     continue  # ln of a non-positive value
                 assert got.data.tobytes() == J.apply_unary(fn, _full(a)).data.tobytes()
+
+
+def _outside_support(jet):
+    """The entries of ``jet`` whose slot tuple holds a slot outside its support."""
+    return jet.data[(jet.space.slot_masks & ~jet.support) != 0]
+
+
+def _supported(rng, sp, band, support, outside=0.0):
+    """A random jet over ``sp`` with this band and slot support; its entries
+    outside either are ``outside``."""
+    jet = _banded(rng, sp, band, outside=outside)
+    jet.data[(sp.slot_masks & ~support) != 0] = outside
+    return J.Jet(sp, jet.data, band, support)
+
+
+def _support_pairs(m):
+    """Supports of two factors: empty, one slot, disjoint, nested, full."""
+    full = (1 << m) - 1
+    last = 1 << (m - 1)  # the slot a truncated space keeps at its full order
+    return [(0, 0), (0, full), (1, 1), (0b10, last), (0b11, 0b1100), (0b101 | last, 0b10),
+            (0b11, 0b111 | last), (last, full), (full ^ last, full), (full, full)]
+
+
+class TestSlotSupports:
+    @pytest.mark.parametrize("m,order,last", BAND_SPACES)
+    def test_entries_outside_the_support_are_zero(self, m, order, last):
+        rng = np.random.default_rng(m * 10 + order)
+        x = rng.uniform(0.5, 1.5, (m, 4))
+        bindings = {f"x{i + 1}": J.seed(i + 1, x[i], m, order, last) for i in range(m)}
+        narrow = 0
+        for _ in range(12):
+            e = parse(random_tree(rng, m, depth=3), m)
+            for node in walk(e.root):
+                try:
+                    jet = J.eval_with_bindings(Expr(node, m), bindings)
+                except ArithmeticError:
+                    continue  # a subtree that leaves its domain at some point
+                assert (_outside_support(jet) == 0.0).all(), (to_text(node), jet.support)
+                narrow += jet.support != (1 << m) - 1
+        assert narrow  # every subtree reads fewer than m slots
+
+    def test_supports_of_seeds_constants_and_operations(self):
+        x1, x3 = J.seed(1, 0.5, 4, 3), J.seed(3, 0.5, 4, 3)
+        assert (x1.support, x3.support) == (0b1, 0b100)
+        assert J.constant(2.0, J.space(4, 3)).support == 0
+        assert (x1 * x3).support == (x1 + x3).support == (x1 - x3).support == 0b101
+        assert (2.0 - x3).support == (-x3).support == (x3 + 1.0).support == (x3 / 2.0).support \
+            == J.apply_unary("exp", x3).support == 0b100
+        with np.errstate(all="ignore"):
+            assert (x1 * np.inf).support == 0b1111  # 0 * inf is NaN
+            assert (x1 / 0.0).support == 0b1111  # 0 / 0 is NaN
+        # built outside the product, sum and unary kernels: no support is known
+        assert J.divide(x1, x3 + 1.0).support == 0b1111
+        assert x1.partial(1).support == J.Jet(J.space(4, 3), x1.data).support == 0b1111
+        assert J.substitute_last(J.seed(4, 0.0, 4, 3), J.seed(2, 0.0, 3, 3) * 0.5).support \
+            == 0b111
+
+    def test_the_widest_space(self):
+        # the support of the last slot is the top bit an int64 mask holds
+        m = J.MAX_SLOTS
+        x, y = J.seed(m, 0.5, m, 2), J.seed(1, 0.5, m, 2)
+        assert x.support == 1 << (m - 1) and (x * y).support == x.support | 1
+        assert (x * y).data.tobytes() == (_full(x) * _full(y)).data.tobytes()
+        with pytest.raises(ValueError, match="slot count"):
+            J.space(m + 1, 1)
+
+
+class TestSupportKernels:
+    """Each kernel on narrow slot supports gives the bytes of the same call on
+    full supports and bands."""
+
+    @pytest.mark.parametrize("m,order,last", BAND_SPACES)
+    @pytest.mark.parametrize("outside", [0.0, -0.0])
+    def test_mul(self, m, order, last, outside):
+        rng = np.random.default_rng(m)
+        sp = J.space(m, order, last)
+        for support_a, support_b in _support_pairs(m):
+            for band_a in TestBandedKernels.bands(order):
+                a = _supported(rng, sp, band_a, support_a, outside)
+                for band_b in TestBandedKernels.bands(order)[::2]:
+                    b = _supported(rng, sp, band_b, support_b, outside)
+                    got = a * b
+                    assert got.support == support_a | support_b
+                    assert got.data.tobytes() == (_full(a) * _full(b)).data.tobytes()
+                    zeros = _outside_support(got)
+                    assert (zeros == 0.0).all() and not np.signbit(zeros).any()
+
+    @pytest.mark.parametrize("m,order,last", BAND_SPACES)
+    @pytest.mark.parametrize("fn,exponent", [("exp", None), ("sin", None), ("pow", 3.0),
+                                             ("pow", -1.0)])
+    @pytest.mark.parametrize("outside", [0.0, -0.0])
+    def test_apply_unary(self, m, order, last, fn, exponent, outside):
+        rng = np.random.default_rng(m)
+        sp = J.space(m, order, last)
+        for support in {s for pair in _support_pairs(m) for s in pair}:
+            for band in TestBandedKernels.bands(order):
+                a = _supported(rng, sp, band, support, outside)
+                if fn == "pow" and exponent < 0:
+                    a = a + 2.0  # a value away from zero
+                got = J.apply_unary(fn, a, exponent)
+                assert got.support == support
+                assert got.data.tobytes() == J.apply_unary(fn, _full(a), exponent).data.tobytes()
+                zeros = _outside_support(got)
+                assert (zeros == 0.0).all() and not np.signbit(zeros).any()
+
+    @pytest.mark.parametrize("m,order,last", BAND_SPACES)
+    @np.errstate(all="ignore")
+    def test_non_finite_entries_give_the_full_kernels_nans(self, m, order, last):
+        rng = np.random.default_rng(m)
+        sp = J.space(m, order, last)
+        for support_a, support_b in _support_pairs(m):
+            a = _supported(rng, sp, (0, order), support_a)
+            b = _supported(rng, sp, (0, order), support_b)
+            a.data[0, 1], a.data[0, 2] = np.inf, np.nan  # values: read by every term
+            b.data[0, 3] = -np.inf
+            for x, y in ((a, b), (b, a), (a, a)):
+                got = x * y
+                assert got.data.tobytes() == (_full(x) * _full(y)).data.tobytes()
+                assert np.isnan(got.data).any()
+                assert got.support == (1 << m) - 1
+            # sin's outer derivatives are NaN at an inf or NaN value, and
+            # ln's second derivative at 1e-160 overflows to -inf
+            tiny = _supported(rng, sp, (0, 2), support_a)
+            tiny.data[0] = 1e-160
+            for x, fn in ((a, "sin"), (b, "sin"), (tiny, "ln")):
+                got = J.apply_unary(fn, x)
+                assert got.data.tobytes() == J.apply_unary(fn, _full(x)).data.tobytes()
+
+    @pytest.mark.parametrize("m,order,last", [(2, 4, False), (3, 4, True), (8, 3, False)])
+    @np.errstate(all="ignore")
+    def test_overflowing_products_of_finite_factors(self, m, order, last):
+        # a skipped Faa di Bruno term multiplies a zero into a partial
+        # product of kept factors, and that product may overflow to inf:
+        # the full kernel's entry is then NaN, so no term may be skipped
+        rng = np.random.default_rng(m)
+        sp = J.space(m, order, last)
+        for support, band in (((1 << m) - 1, (0, 1)), (0b1 | 1 << (m - 1), (0, order))):
+            for scale in (1e150, 1e200):
+                a = _supported(rng, sp, band, support) * scale
+                assert np.isfinite(a.data).all()
+                for fn in ("sin", "cos", "ln"):
+                    x = a + 1e300 if fn == "ln" else a
+                    got = J.apply_unary(fn, x)
+                    assert got.data.tobytes() == J.apply_unary(fn, _full(x)).data.tobytes()

@@ -23,10 +23,14 @@ from hypothesis import strategies as st
 
 import goursatkit.cli as cli_module
 from goursatkit import __version__
+from goursatkit import jets as J
 from goursatkit.classify import Box, fold_max, sample_bundle
 from goursatkit.cli import SCHEMA_VERSION, _Writer, build_web, main, parse_config_text, run
+from goursatkit.expr import parse
 from goursatkit.exterior import NON_FINITE, SYSTEM_NAMES, VERDICTS, CoFormField, \
     FrobeniusColumns, PfaffianSystem, frobenius_columns, frobenius_reports, make_system
+from goursatkit.web import WebFunction
+from genexpr import EDGE_TREES
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden"
@@ -343,3 +347,50 @@ def test_json_flag_streams_the_report(tmp_path, monkeypatch, capsys):
     expected = report.to_dict()
     expected["meta"].pop("timing_seconds")
     assert data == expected
+
+
+def _seeds_with_full_support(monkeypatch):
+    """Make every seed claim all slots, so no jet kernel skips a term by slot."""
+    seed = J.seed
+
+    def full(*args, **kwargs):
+        jet = seed(*args, **kwargs)
+        return J.Jet(jet.space, jet.data, jet.band)
+
+    monkeypatch.setattr(J, "seed", full)
+
+
+def _report_text(config) -> str:
+    report = run(config)
+    report.timing_seconds = 0.0
+    return report.to_json()
+
+
+SUPPORT_CONFIGS = {f"golden-{p.stem}": p.read_text() for p in sorted(GOLDEN.glob("*.cfg"))} | {
+    name: _workloads().config_text(name, 0) for name in _workloads().WORKLOADS}
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORT_CONFIGS))
+def test_reports_do_not_depend_on_slot_supports(name, monkeypatch):
+    config = parse_config_text(SUPPORT_CONFIGS[name])
+    want = _report_text(config)
+    _seeds_with_full_support(monkeypatch)
+    assert _report_text(config) == want
+
+
+# and jet products with a factor that overflows at some points
+@pytest.mark.parametrize("edge", EDGE_TREES + ["x3*x1^(-2000)", "x2*(x1*1e308*10)",
+                                               "x4*sin(x1^(-2000))"])
+def test_edge_jets_do_not_depend_on_slot_supports(edge, monkeypatch):
+    # terms that overflow, leave their domain or meet non-finite constants:
+    # the kernels fall back to full supports exactly where they must
+    web = WebFunction.from_expr(parse(f"x1*x3 + x2*x4 + x5*(x1 + x3) + x2*x5^2 + {edge}", 5))
+    points = np.random.default_rng(5).uniform(0.5, 1.5, (64, 5))
+
+    def evaluate():
+        jet, failures = web.evaluator(points)
+        return jet.data.tobytes(), [(type(f), str(f)) for f in failures]
+
+    want = evaluate()
+    _seeds_with_full_support(monkeypatch)
+    assert evaluate() == want
