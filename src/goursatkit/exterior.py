@@ -5,8 +5,9 @@ named systems are defined in one place, the ``SYSTEMS`` table below: each
 generator is a list of (slot, coefficient) pairs whose coefficients are
 signed sums of products of partial derivatives of the defining function F,
 built with their Jacobians by jet arithmetic on a point's or a batch's jet.
-:func:`frobenius_columns` works on all points at once (a stacked SVD and
-determinant); :func:`frobenius_reports` is its per-point view and
+:func:`frobenius_columns` works on all points at once (a stacked
+determinant, whose minors also certify most ranks, and a stacked SVD for
+the rest); :func:`frobenius_reports` is its per-point view and
 :func:`frobenius_residual` its one-point call.
 
 Integrability is tested by the differential-forms criterion: for each
@@ -34,6 +35,8 @@ from .web import (JET_ORDER, DerivativeBundle, Point, WebFunction, as_point, as_
                   derivative_bundle)
 
 RANK_TOL = 1e-8  # singular values below this fraction of the largest count as zero
+_MARGIN = 100.0  # how far above RANK_TOL * top a certified rank's sigma_min lies
+_SLACK = 1e-6  # relative widening of the bounds of top in a certified rank
 DEFAULT_FROBENIUS_TOL = 1e-7
 NON_INTEGRABLE_FLOOR = 1e-3
 NORM_FLOOR = 1e-12
@@ -234,6 +237,50 @@ def _rank(sv: np.ndarray, units: int = 0):
     return np.where(top[..., 0] > 0.0, count, 0)[()]
 
 
+def _ranks(rows: np.ndarray, minors: np.ndarray | None, units: int) -> np.ndarray:
+    """:func:`_rank` of the singular values of the field rows ``rows``
+    (N, kf, F) beside ``units`` values 1.0, from the rows' kf x kf minors
+    ``minors`` (N, C) where they certify it, else from LAPACK's SVD.
+
+    With ||A|| the Frobenius norm of a point's rows, ||A|| / sqrt(kf) <=
+    sigma_max <= ||A||, and by Cauchy-Binet det(A A^T), the product of the
+    squared singular values, is the sum of the squared minors, so
+    sigma_min^2 >= sum minors^2 / ||A||^(2 (kf - 1)).  So ``top``, sigma_max
+    raised to 1.0 when ``units``, lies between two bounds, here widened by
+    ``_SLACK`` relative.  A point is certified, with rank
+    kf + units * (1.0 > RANK_TOL * top), when sigma_min's bound exceeds
+    ``_MARGIN`` * RANK_TOL times top's upper bound and the unit rows' term
+    has one value at both of top's bounds.  The computed values keep to
+    these bounds: LAPACK's singular values carry an absolute error of about
+    eps * sigma_max, and the LU minors one of about eps * ||A||^kf, which
+    moves a certified sigma_min bound by a relative 1e-8 at most; both lie
+    orders of magnitude inside the margin and the slack.  For kf = 1 the two
+    bounds of top meet, and LAPACK's value differs from the norm by a few
+    ulps, so the slack sends a norm near 1e8 to the SVD.  Every other point
+    takes the SVD, as do all points without minors (None): a zero (as for
+    kf = 0), subnormal or overflowing ||A||^2 or sum of squared minors.
+    """
+    kf = rows.shape[1]
+    if minors is None:
+        return _rank(np.linalg.svd(rows, compute_uv=False), units)
+    with np.errstate(all="ignore"):
+        norm2 = np.square(rows).sum(axis=(1, 2))
+        minor2 = np.square(minors).sum(axis=-1)
+        low = np.sqrt(minor2 / norm2 ** (kf - 1))
+        norm, floor = np.sqrt(norm2), 1.0 if units else 0.0
+        top_lo = np.maximum(norm * ((1 - _SLACK) / np.sqrt(kf)), floor)
+        top_hi = np.maximum(norm * (1 + _SLACK), floor)
+        unit = 1.0 > RANK_TOL * top_hi
+        # normal sums only: a subnormal one has lost its relative accuracy
+        ok = ((np.minimum(norm2, minor2) >= np.finfo(float).tiny)
+              & (np.maximum(norm2, minor2) < np.inf)
+              & (low > _MARGIN * RANK_TOL * top_hi) & (unit == (1.0 > RANK_TOL * top_lo)))
+    ranks = kf + units * unit
+    if not ok.all():
+        ranks[~ok] = _rank(np.linalg.svd(rows[~ok], compute_uv=False), units)
+    return ranks
+
+
 def rank_at(sys: PfaffianSystem, p: Sequence[float]) -> tuple[int, int]:
     """(rank, kernel dimension) of the span at p, by the singular values of
     :func:`coefficient_matrix`; a non-finite coefficient raises ArithmeticError."""
@@ -356,7 +403,9 @@ def frobenius_columns(sys: PfaffianSystem, points,
     (floored at 1e-12); a generator with d t^i = 0 (every dx_s, a row never
     built: its norm is 1.0) contributes residual 0.  Ranks count singular
     values of the field rows on F beside |sigma| values 1.0, or of the full
-    matrix at a point where a field is nonzero in a sigma slot.
+    matrix at a point where a field is nonzero in a sigma slot; where the
+    wedge's minors bound the field rows' singular values far enough from
+    the threshold, they give that count without an SVD (:func:`_ranks`).
     Verdict: 'integrable' below tol, 'non_integrable' above the 1e-3 floor,
     'inconclusive' between, 'degenerate' when the generators are dependent
     at p.  Every point sees the float operations of a one-point evaluation.
@@ -367,7 +416,12 @@ def frobenius_columns(sys: PfaffianSystem, points,
     coeffs = np.where(finite[:, None, None], coeffs, 0.0)
     free = [s for s in range(n) if s not in sigma]
     rows = coeffs[:, :, free]
-    ranks = _rank(np.linalg.svd(rows, compute_uv=False), len(sigma))
+    minors = None
+    if kf + 2 <= len(free):
+        # one stacked determinant takes every minor, for the ranks and the wedge
+        table = _wedge_table(len(free), kf)
+        minors = np.linalg.det(rows[:, :, table[0]].transpose(0, 2, 1, 3))
+    ranks = _ranks(rows, minors, len(sigma))
     touch = coeffs[..., sigma].any(axis=(1, 2))
     if touch.any():
         ranks[touch] = _rank(np.linalg.svd(_stacked(sys, coeffs[touch]), compute_uv=False))
@@ -379,10 +433,7 @@ def frobenius_columns(sys: PfaffianSystem, points,
     upper = np.take(dtheta.reshape(*dtheta.shape[:2], n * n), iu * n + ju, axis=-1)
     dnorm = np.sqrt(np.square(upper, out=upper).sum(axis=-1))
     raw = np.zeros_like(dnorm)
-    if kf + 2 <= len(free):
-        # the wedge on the free slots (see above): one stacked determinant takes every minor
-        table = _wedge_table(len(free), kf)
-        minors = np.linalg.det(rows[:, :, table[0]].transpose(0, 2, 1, 3))
+    if minors is not None:  # the wedge on the free slots (see above)
         raw = _wedge_max(dtheta[..., free, :][..., free], minors[:, None, :], table)
     scale = np.maximum(dnorm * norms.prod(axis=-1)[:, None], NORM_FLOOR)
     residuals = np.zeros((len(points), kf + len(sigma)))  # the dx_s columns stay 0.0

@@ -1,4 +1,6 @@
 import json
+import warnings
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -6,12 +8,12 @@ import numpy as np
 import pytest
 
 from goursatkit import catalog
-from goursatkit.classify import sample_bundle, sample_regular_points
+from goursatkit.classify import Box, sample_bundle, sample_regular_points
 from goursatkit.cli import build_web, parse_config_text
 from goursatkit.exterior import (DEFAULT_FROBENIUS_TOL, DEGENERATE, NON_FINITE,
                                  NON_INTEGRABLE_FLOOR, NORM_FLOOR, RANK_TOL, SYSTEMS,
-                                 CoFormField, PfaffianSystem, SYSTEM_NAMES, _generators,
-                                 _row_values, _wedge_max, _wedge_table, coefficient_matrix,
+                                 CoFormField, PfaffianSystem, SYSTEM_NAMES, _generators, _rank,
+                                 _ranks, _row_values, _wedge_max, _wedge_table, coefficient_matrix,
                                  frobenius_columns, frobenius_reports, frobenius_residual,
                                  make_system, rank_at)
 from goursatkit.expr import parse
@@ -516,12 +518,13 @@ class TestBlockRanks:
     Where every field is zero in the sigma slots, the full matrix is block
     diagonal, [A 0; 0 I], and ``frobenius_columns`` counts the singular
     values of A on the free slots beside |sigma| values 1.0, with the
-    largest taken as at least 1.0.  These are the same singular values as
-    the full matrix's, from a different LAPACK call, so the two ranks can
-    differ only where a singular value lies within rounding of
-    RANK_TOL times the largest; no case here sits that close.  Where a field
-    is nonzero in a sigma slot, ``frobenius_columns`` takes the full matrix
-    at that point too."""
+    largest taken as at least 1.0.  Where the minors of A certify that count
+    (see :class:`TestCertifiedRanks`), no SVD is taken; elsewhere these are
+    the same singular values as the full matrix's, from a different LAPACK
+    call, so the two ranks can differ only where a singular value lies
+    within rounding of RANK_TOL times the largest; no case here sits that
+    close.  Where a field is nonzero in a sigma slot, ``frobenius_columns``
+    takes the full matrix at that point too."""
 
     @staticmethod
     def corpus(rng, n: int, sigma: tuple, kf: int) -> tuple:
@@ -599,3 +602,150 @@ class TestBlockRanks:
             assert columns.ranks.tolist() == [rank_at(system, p)[0] for p in b.points], name
             if case == "family2-n6-64" and name in ("DELTA2", "DELTA3"):
                 assert (columns.codes == DEGENERATE).all(), name
+
+
+SVD = np.linalg.svd  # the reference, out of reach of the recording fixture
+
+
+def svd_rank(rows: np.ndarray, units: int) -> np.ndarray:
+    """The ranks of field rows (N, kf, F) beside ``units`` rows 1.0 from
+    LAPACK's singular values (reference for the certified ranks)."""
+    return _rank(SVD(rows, compute_uv=False), units)
+
+
+def block_minors(rows: np.ndarray) -> np.ndarray:
+    """Every kf x kf minor of field rows (N, kf, F), as the wedge takes them."""
+    with np.errstate(all="ignore"):
+        cols = _wedge_table(rows.shape[2], rows.shape[1])[0]
+        return np.linalg.det(rows[:, :, cols].transpose(0, 2, 1, 3))
+
+
+@pytest.fixture
+def svd_rows(monkeypatch):
+    """The stack of matrices of every ``np.linalg.svd`` call the test makes."""
+    calls = []
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return SVD(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+@lru_cache(maxsize=None)
+def golden_bundle(case: str, count: int = 1024):
+    """A golden config's web and its run's bundle at ``count`` points."""
+    config = parse_config_text((GOLDEN / f"{case}.cfg").read_text())
+    web = build_web(config)
+    return web, sample_bundle(web, Box(config.box), count, config.seed)
+
+
+def sigma_near(kf: int, units: int, top: float, ratio: float) -> list:
+    """kf singular values, all ``top`` but the last, whose Cauchy-Binet bound
+    sum minors^2 / ||A||^(2 (kf - 1)) on sigma_min is ``ratio`` times the
+    certifying margin 100 * RANK_TOL * max(||A|| (1 + 1e-6), 1 if units)."""
+    last = 0.0
+    for _ in range(5):  # the norm hardly moves with the last value
+        norm = np.sqrt((kf - 1) * top**2 + last**2)
+        bar = 100 * RANK_TOL * max(norm * (1 + 1e-6), 1.0 if units else 0.0)
+        last = ratio * bar * norm ** (kf - 1) / top ** (kf - 1)
+    return [top] * (kf - 1) + [last]
+
+
+class TestCertifiedRanks:
+    """``_ranks`` against the ranks of LAPACK's singular values: a point is
+    certified from the minors only where the bounds leave no doubt, with the
+    rank the SVD gives, and every other point goes to the SVD.  Each case
+    states which points go there, so a bound that never certifies, or one
+    that certifies too much, fails here though every rank is right."""
+
+    @staticmethod
+    def check(svd_rows, rows, units: int, certified) -> None:
+        rows = np.asarray(rows, dtype=float)
+        minors = block_minors(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _ranks(rows, minors, units)
+        assert got.tolist() == svd_rank(rows, units).tolist()
+        sent = np.concatenate(svd_rows) if svd_rows else np.zeros((0,) + rows.shape[1:])
+        assert_bitwise(sent, rows[~np.asarray(certified, dtype=bool)])
+
+    @pytest.mark.parametrize("kf, units, top", [(1, 2, 1.0), (2, 0, 3.0), (2, 2, 3.0),
+                                                (2, 1, 0.5), (3, 0, 2.0), (3, 1, 2.0)])
+    def test_margin(self, svd_rows, kf, units, top):
+        # a bound 0.1% inside the margin certifies, 0.1% outside goes to the SVD
+        rng = np.random.default_rng(kf + 10 * units)
+        rows = [with_singular_values(rng, sigma_near(kf, units, top, ratio), 5)
+                for ratio in (1 + 1e-3, 1 - 1e-3, 1e3, 1e-3)]
+        self.check(svd_rows, rows, units, [True, False, True, False])
+
+    def test_one_row_near_1e8(self, svd_rows):
+        # for kf = 1 both bounds of top are the row's norm, which LAPACK's
+        # value may miss by a few ulps: a norm within the slack of 1e8 goes to
+        # the SVD, one 1e-5 away on either side does not
+        u = np.random.default_rng(1).normal(size=5)
+        u /= np.linalg.norm(u)
+        scales = [1e8 * (1 + k * np.finfo(float).eps) for k in range(-4, 5)]
+        rows = [[s * u] for s in scales + [1e8 * (1 - 1e-5), 1e8 * (1 + 1e-5)]]
+        self.check(svd_rows, rows, 2, [False] * len(scales) + [True, True])
+
+    def test_rows_near_1e8(self, svd_rows):
+        # for kf = 2, top lies between ||A|| / sqrt(2) and ||A||: the unit rows'
+        # term is certified only where that whole range lies on one side of 1e8
+        rng = np.random.default_rng(2)
+        cases = {(0.9e8, 0.9e8): False, (1.2e8, 1e7): False, (0.5e8, 0.5e8): True,
+                 (2e8, 2e8): True, (5e7, 5e6): True}
+        rows = [with_singular_values(rng, sv, 5) for sv in cases]
+        self.check(svd_rows, rows, 3, list(cases.values()))
+
+    @pytest.mark.parametrize("scale, kf", [(1e-160, 1), (1e-160, 2), (1e-160, 3),
+                                           (1e-100, 2), (1e-100, 3), (1e80, 2), (1e80, 3),
+                                           (1e160, 1), (1e160, 2), (1e160, 3)])
+    @pytest.mark.parametrize("units", [0, 2])
+    def test_underflow_and_overflow(self, svd_rows, scale, kf, units):
+        # ||A||^2 or the sum of squared minors under- or overflows: to the SVD,
+        # with no float warning
+        rows = np.random.default_rng(kf).uniform(1, 2, (3, kf, 5)) * scale
+        self.check(svd_rows, rows, units, [False] * 3)
+
+    @pytest.mark.parametrize("units", [0, 2])
+    def test_zero_rows_and_no_fields(self, svd_rows, units):
+        # rows zeroed where a coefficient is not finite, and kf = 0
+        self.check(svd_rows, np.zeros((2, 2, 4)), units, [False] * 2)
+        svd_rows.clear()
+        self.check(svd_rows, np.zeros((3, 0, 4)), units, [False] * 3)
+
+    def test_no_minors_take_the_svd(self, svd_rows):
+        rows = np.random.default_rng(3).uniform(-2, 2, (4, 2, 3))
+        assert _ranks(rows, None, 1).tolist() == svd_rank(rows, 1).tolist()
+        assert_bitwise(np.concatenate(svd_rows), rows)
+
+    @pytest.mark.parametrize("case", ["closed-n8", "family2-n6", "family1-n5",
+                                      "first-kind-closed-n5"])
+    def test_golden_ranks_match_svd(self, case):
+        # every system at a golden config's 1024 points
+        web, b = golden_bundle(case)
+        for name in SYSTEM_NAMES:
+            system = make_system(web, name)
+            _, coeffs, _ = _generators(system, b)
+            coeffs[~np.isfinite(coeffs).all(axis=(1, 2))] = 0.0
+            free = [s for s in range(web.arity) if s + 1 not in system.sigma]
+            want = svd_rank(coeffs[:, :, free], len(system.sigma))
+            assert frobenius_columns(system, b).ranks.tolist() == want.tolist(), name
+
+    def test_fast_path_coverage(self, svd_rows):
+        # the closed-n8 golden certifies every point of every system that has
+        # minors; DELTA3 on family2-n6 is degenerate everywhere, so every point
+        # goes to the SVD
+        web, b = golden_bundle("closed-n8")
+        for name in SYSTEM_NAMES:
+            system = make_system(web, name)
+            svd_rows.clear()
+            frobenius_columns(system, b)
+            if len(system.fields) + 2 <= web.arity - len(system.sigma):
+                assert not svd_rows, name
+        web, b = golden_bundle("family2-n6")
+        svd_rows.clear()
+        frobenius_columns(make_system(web, "DELTA3"), b)
+        assert sum(len(a) for a in svd_rows) == len(b.points)
