@@ -221,12 +221,8 @@ def _joint_jets(spec: FamilySpec, coords: np.ndarray, a: np.ndarray, order: int)
     ``coords`` (n, N) and ``a`` (N,), in the space truncated to the
     order-``order`` entries that hold the ``a`` slot."""
     n = spec.arity
-    m = n + 1
-    bindings: dict[str, J.Binding] = {
-        f"x{i + 1}": J.seed(i + 1, coords[i], m, order, True) for i in range(n)
-    }
-    bindings[PARAM] = J.seed(m, a, m, order, True)
-    return _compose(spec, bindings)
+    names = [f"x{i + 1}" for i in range(n)] + [PARAM]
+    return _compose(spec, J.compact_seeds(names, [*coords, a], order, True))
 
 
 def _solve_delta(spec: FamilySpec, coords: np.ndarray, a: np.ndarray,

@@ -50,22 +50,50 @@ right factor lies in the right band; ``apply_unary`` cuts each Faa di
 Bruno rank to the orders whose block sizes all lie in the inner band.
 
 Every jet also carries a slot support, a bitmask with bit i - 1 for slot
-i: each entry whose slot tuple holds a slot outside it is exactly zero.  A
-seed of slot i has ``{i}`` and a constant ``{}``; a sum, a difference and a
-product take the union of their operands' supports, a finite scalar
-factor or nonzero divisor and a unary function keep it, and every other
-jet (a quotient of jets, a partial, ``restrict_last``, ``substitute_last``,
-a ``Jet(...)`` built elsewhere) has all slots.  A product keeps only the
-Leibniz terms whose left sub-tuple lies in the left support and whose right
-sub-tuple lies in the right one; ``apply_unary`` keeps only the outputs
-whose tuple lies in the support, as each of their terms reads a block of
-that tuple.  The outputs of one rank are distinct, so a rank that loses
-some outputs adds its terms through an index array, in the same rank
-order.  The plans are cached per space, bands and supports; on full bands
-and supports nothing is skipped.  The product of two seeds at (7, 4, True)
-reads 71 of the 2,143 Leibniz terms by bands alone, and at (8, 3) the
-product of a jet over 2 slots and one over 3, on full bands, reads 56 of
-the 1,121 by supports.
+i: each entry whose slot tuple holds a slot outside it is exactly zero,
+the same signed zero at every such entry of a point.  A seed of slot i has
+``{i}`` and a constant ``{}``; a sum, a difference and a product take the
+union of their operands' supports, a finite scalar factor or nonzero
+divisor and a unary function keep it, and every other jet (a quotient of
+jets, a partial, ``restrict_last``, ``substitute_last``, a ``Jet(...)``
+built elsewhere) has all slots.  A product keeps only the Leibniz terms
+whose left sub-tuple lies in the left support and whose right sub-tuple
+lies in the right one.  The outputs of one rank are distinct, so a rank
+that loses some outputs adds its terms through an index array, in the
+same rank order.  The plans are cached per space, bands and supports; on
+full bands and supports nothing is skipped.  The product of two seeds at
+(7, 4, True) reads 71 of the 2,143 Leibniz terms by bands alone, and at
+(8, 3) the product of a jet over 2 slots and one over 3, on full bands,
+reads 56 of the 1,121 by supports.  A Faa di Bruno sum skips no output by
+slot: each output outside the support sums zeros.
+
+Expressions are evaluated on compact jets.  A :class:`CompactJet` holds a
+jet over a space ``top`` in the space of its own slots, through an
+order-preserving map of those slots into the slots of ``top``:
+:func:`compact_seeds` gives each symbol a seed over one slot, and
+:func:`eval_with_bindings` holds every other bound jet on its support,
+with the value of its entries outside.  ``x1*x3`` then lives in the space
+over two slots.  A scalar shift or factor and a unary function keep their
+operand's slots; a jet-jet sum, difference or quotient embeds its operands
+into the space over the union of their slots, through positions cached
+per (slots, union), and a product reads its factors in their own spaces,
+through a plan that skips by support every term that would read a slot
+outside a factor.  :func:`eval_with_bindings` builds the jet over all of
+``top`` once, at the end; a jet over all of them is the case where the
+map is the identity.  An order-preserving map keeps each tuple's
+position masks and set partitions in their order, so every entry sums the
+same terms in the same rank order as over all slots.  Over a truncated
+``top``, the space of a set of slots keeps the top-order tuples that end
+in the last slot when the set holds that slot, and has no top-order tuple
+(its order is one less) when it does not; so the family webs' joint jets
+over (x1..xn, a) are compact too.
+
+The entries outside a compact jet's slots are not always +0.0: a negative
+factor, a negation and ``c - x`` turn them to -0.0, a per-point factor to
+one signed zero per point, and a quotient to the zero that solves
+``c * b0 = outside``.  A compact jet records that outside value and writes
+it wherever it is embedded or expanded, and a sum combines its operands'
+outside values, so a -0.0 survives as it does over all slots.
 
 A skipped term is +-0.0, and an entry's sum starts at +0.0 and so is never
 -0.0, so every entry comes out bit for bit as on full bands and supports.
@@ -75,9 +103,12 @@ scaled by a non-finite constant or divided by zero.  A Faa di Bruno term
 multiplies up to MAX_ORDER + 1 factors, and a zero factor after an
 overflowing partial product gives NaN too, so ``apply_unary`` skips terms
 only when every inner entry and outer derivative is at most 2^200 in
-magnitude.  :func:`eval_with_bindings` refuses a non-finite constant
-operand (``1e308*10*x1``), but ``x1*1e308*10`` overflows only inside a jet
-product.
+magnitude.  Where these rules run a kernel on every entry, a compact
+operand is first expanded to all slots, where such a term writes NaN
+outside its slots too (``x3*x1^(-2000)``); so does a quotient of compact
+jets with a non-finite operand.  :func:`eval_with_bindings` refuses a
+non-finite constant operand (``1e308*10*x1``), but ``x1*1e308*10``
+overflows only inside a jet product.
 
 A domain failure (ln/sqrt/power outside the domain, a near-zero divisor,
 an exp overflow, a non-finite constant operand) at some points of a batch
@@ -150,57 +181,118 @@ class JetSpace:
     have the same number of blocks in every entry of the rank, so the rank
     takes the outer derivative of that order.  ``div_ranks[k]`` holds, per
     rank, the terms of the order-k entries whose quotient factor has lower
-    order.
+    order.  The Leibniz tables (``mul_*``, ``div_ranks``) and the Faa di
+    Bruno ones (``faa_*``) are built on first use: many spaces serve only
+    gathers and embeddings.
 
     A space with ``last`` set is truncated: its order-K tuples are only those
     that end in slot m, so a jet over it has ``partial(m)`` and no other
     partial of its full order.
     """
 
-    __slots__ = ("m", "order", "last", "tuples", "pos", "order_start", "slot_masks", "mul_i",
-                 "mul_j", "mul_out", "faa_out", "mul_ranks", "div_ranks", "faa_ranks")
+    __slots__ = ("m", "order", "last", "tuples", "pos", "order_start", "slot_masks", "_digits",
+                 "_lookup", "mul_i", "mul_j", "mul_out", "faa_out", "mul_ranks", "div_ranks",
+                 "faa_ranks")
 
-    def __init__(self, m: int, order: int, last: bool, tuples: tuple, order_start: tuple,
-                 slot_masks: np.ndarray, mul_ranks: tuple, faa_ranks: tuple):
+    def __init__(self, m: int, order: int, last: bool, digits: list):
         self.m = m
         self.order = order
         self.last = last
-        self.tuples = tuples
-        self.pos = {t: i for i, t in enumerate(tuples)}
-        self.order_start = order_start  # order k entries live in [start[k], start[k+1])
-        self.slot_masks = slot_masks  # per entry, bit i - 1 set for each slot i of its tuple
-        self.mul_ranks = mul_ranks  # ((lo, i, j), ...)
-        self.faa_ranks = faa_ranks  # ((lo, entries of block 1, of block 2, ...), ...)
-        size = len(tuples)
-        self.mul_i = np.concatenate([i for _, i, _ in mul_ranks])
-        self.mul_j = np.concatenate([j for _, _, j in mul_ranks])
-        self.mul_out = np.concatenate([np.arange(lo, size) for lo, _, _ in mul_ranks])
-        self.faa_out = np.concatenate([np.arange(rank[0], size) for rank in faa_ranks])
-        # a quotient's order-k entries take every rank but the full mask, c[t] * b[()]
-        div_ranks: list[tuple] = [()]
-        for k in range(1, order + 1):
-            lo, hi = order_start[k], order_start[k + 1]
-            div_ranks.append(tuple((i[lo - start:hi - start], j[lo - start:hi - start])
-                                   for start, i, j in mul_ranks[:(1 << k) - 1]))
-        self.div_ranks = tuple(div_ranks)  # div_ranks[k] = ((i, j), ...)
+        self.tuples = tuple(t for d in digits for t in map(tuple, d.tolist()))
+        self.pos = {t: i for i, t in enumerate(self.tuples)}
+        # order k entries live in [start[k], start[k+1])
+        self.order_start = tuple(np.cumsum([0] + [len(d) for d in digits]).tolist())
+        # per entry, bit i - 1 set for each slot i of its tuple
+        self.slot_masks = np.concatenate([np.bitwise_or.reduce(1 << (d - 1), axis=1)
+                                          for d in digits])
+        self._digits = digits  # digits[k]: the order-k tuples, (count, k)
+        self._lookup = None
+
+    def __getattr__(self, name: str):
+        # called only for a slot not set yet: a table built on first use
+        if name in ("mul_i", "mul_j", "mul_out", "mul_ranks", "div_ranks"):
+            self._leibniz_tables()
+        elif name in ("faa_out", "faa_ranks"):
+            self._faa_tables()
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
 
     @property
     def size(self) -> int:
         return len(self.tuples)
+
+    def _sub_tuples(self, k: int, blocks: list) -> np.ndarray:
+        """Positions of the sub-tuples that ``blocks`` pick out of every
+        order-k entry, one column per block."""
+        base, start = self.m + 1, self.order_start
+        if self._lookup is None:
+            # slots are >= 1, so tuples of different lengths never share a
+            # code; the sub-tuples of a kept tuple are kept, so every
+            # looked-up code is set
+            self._lookup = np.zeros(base ** self.order, dtype=np.intp)  # code -> position
+            for j in range(1, self.order + 1):
+                codes = _codes(self._digits[j], [range(j)], base)[:, 0]
+                self._lookup[codes] = np.arange(start[j], start[j + 1])
+        return self._lookup[_codes(self._digits[k], blocks, base)]
+
+    def _leibniz_tables(self) -> None:
+        # Leibniz terms a[left] * b[right] -> t; a term's position mask is its
+        # rank within its output entry, an order-k entry has the ranks below
+        # 2^k, and the slots a mask picks out of a sorted tuple are sorted
+        order, start, size = self.order, self.order_start, self.size
+        leibniz = [self._sub_tuples(k, [[b for b in range(k) if (mask >> b & 1) == side]
+                                        for mask in range(1 << k) for side in (1, 0)])
+                   for k in range(order + 1)]
+        mul_ranks = []
+        for rank in range(1 << order):
+            ks = range(rank.bit_length(), order + 1)
+            mul_ranks.append(_rank_table(size, start[ks[0]], *(
+                np.concatenate([leibniz[k][:, 2 * rank + side] for k in ks]) for side in (0, 1))))
+        self.mul_ranks = tuple(mul_ranks)  # ((lo, i, j), ...)
+        self.mul_i = np.concatenate([i for _, i, _ in mul_ranks])
+        self.mul_j = np.concatenate([j for _, _, j in mul_ranks])
+        self.mul_out = np.concatenate([np.arange(lo, size) for lo, _, _ in mul_ranks])
+        # a quotient's order-k entries take every rank but the full mask, c[t] * b[()]
+        div_ranks: list[tuple] = [()]
+        for k in range(1, order + 1):
+            lo, hi = start[k], start[k + 1]
+            div_ranks.append(tuple((i[lo - first:hi - first], j[lo - first:hi - first])
+                                   for first, i, j in mul_ranks[:(1 << k) - 1]))
+        self.div_ranks = tuple(div_ranks)  # div_ranks[k] = ((i, j), ...)
+
+    def _faa_tables(self) -> None:
+        # Faa di Bruno terms f^(blocks) * (product of the block entries) -> t,
+        # ranked by set partition; at orders 1..MAX_ORDER the partitions of one
+        # rank all have the same number of blocks, so their columns stack unpadded
+        order, start, size = self.order, self.order_start, self.size
+        partitions = [_set_partitions(k) for k in range(order + 1)]
+        faa = [self._sub_tuples(k, [block for part in partitions[k] for block in part])
+               for k in range(order + 1)]
+        faa_ranks = []
+        for rank in range(len(partitions[order])):
+            ks = [k for k in range(1, order + 1) if rank < len(partitions[k])]
+            blocks = []
+            for k in ks:
+                first = sum(map(len, partitions[k][:rank]))  # the rank's first block column
+                blocks.append(faa[k][:, first:first + len(partitions[k][rank])])
+            faa_ranks.append(_rank_table(size, start[ks[0]], *np.concatenate(blocks).T.copy()))
+        self.faa_ranks = tuple(faa_ranks)  # ((lo, entries of block 1, of block 2, ...), ...)
+        self.faa_out = np.concatenate([np.arange(rank[0], size) for rank in faa_ranks])
 
 
 def _codes(digits: np.ndarray, blocks: Sequence, base: int) -> np.ndarray:
     """Codes of the sub-tuples that ``blocks`` (each a list of increasing
     positions) pick out of every row of ``digits``, one column per block; a
     code reads a tuple's slots as the digits of a base-``base`` number."""
-    # Horner steps, not a matmul: no run touches numpy's integer matmul
-    # otherwise, and its code pages would add to the peak RSS
-    codes = np.zeros((len(digits), len(blocks)), dtype=np.intp)
+    # weights[col, p]: the place value of position p in block col, 0 off
+    # the block; a broadcast product, not a matmul: no run touches numpy's
+    # integer matmul otherwise, and its code pages would add to the peak RSS
+    weights = np.zeros((len(blocks), digits.shape[1]), dtype=np.intp)
     for col, block in enumerate(blocks):
-        for p in block:
-            codes[:, col] *= base
-            codes[:, col] += digits[:, p]
-    return codes
+        for rank, p in enumerate(block):
+            weights[col, p] = base ** (len(block) - 1 - rank)
+    return (digits[:, None, :] * weights).sum(axis=2)
 
 
 def _rank_table(size: int, lo: int, *columns: np.ndarray) -> tuple:
@@ -226,59 +318,13 @@ def space(m: int, order: int, last: bool | None = None, /) -> JetSpace:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
     if not 1 <= m <= MAX_SLOTS:
         raise ValueError(f"slot count must be in 1..{MAX_SLOTS}, got {m}")
-    tuples: list[tuple[int, ...]] = [()]
-    order_start = [0, 1]
-    digits = [np.zeros((1, 0), dtype=np.intp)]  # digits[k]: the order-k tuples, (count, k)
+    digits = [np.zeros((1, 0), dtype=np.intp)]
     for k in range(1, order + 1):
         level = list(combinations_with_replacement(range(1, m + 1), k))
         if last and k == order:
             level = [t for t in level if t[-1] == m]
-        tuples += level
-        order_start.append(len(tuples))
-        digits.append(np.array(level, dtype=np.intp))
-    size = len(tuples)
-    slot_masks = np.concatenate([np.bitwise_or.reduce(1 << (d - 1), axis=1) for d in digits])
-    # slots are >= 1, so tuples of different lengths never share a code; the
-    # sub-tuples of a kept tuple are kept, so every looked-up code is set
-    base = m + 1
-    lookup = np.zeros(base ** order, dtype=np.intp)  # code -> position
-    for k in range(1, order + 1):
-        lookup[_codes(digits[k], [range(k)], base)[:, 0]] = np.arange(order_start[k],
-                                                                      order_start[k + 1])
-
-    def sub_tuples(k: int, blocks: list) -> np.ndarray:
-        return lookup[_codes(digits[k], blocks, base)]
-
-    # Leibniz terms a[left] * b[right] -> t; a term's position mask is its
-    # rank within its output entry, an order-k entry has the ranks below
-    # 2^k, and the slots a mask picks out of a sorted tuple are sorted
-    leibniz = [sub_tuples(k, [[b for b in range(k) if (mask >> b & 1) == side]
-                              for mask in range(1 << k) for side in (1, 0)])
-               for k in range(order + 1)]
-    mul_ranks = []
-    for rank in range(1 << order):
-        ks = range(rank.bit_length(), order + 1)
-        mul_ranks.append(_rank_table(size, order_start[ks[0]], *(
-            np.concatenate([leibniz[k][:, 2 * rank + side] for k in ks]) for side in (0, 1))))
-
-    # Faa di Bruno terms f^(blocks) * (product of the block entries) -> t,
-    # ranked by set partition; at orders 1..MAX_ORDER the partitions of one
-    # rank all have the same number of blocks, so their columns stack unpadded
-    partitions = [_set_partitions(k) for k in range(order + 1)]
-    faa = [sub_tuples(k, [block for part in partitions[k] for block in part])
-           for k in range(order + 1)]
-    faa_ranks = []
-    for rank in range(len(partitions[order])):
-        ks = [k for k in range(1, order + 1) if rank < len(partitions[k])]
-        blocks = []
-        for k in ks:
-            first = sum(map(len, partitions[k][:rank]))  # the rank's first block column
-            blocks.append(faa[k][:, first:first + len(partitions[k][rank])])
-        faa_ranks.append(_rank_table(size, order_start[ks[0]],
-                                     *np.concatenate(blocks).T.copy()))
-
-    return JetSpace(m, order, bool(last), tuple(tuples), tuple(order_start), slot_masks,
-                    tuple(mul_ranks), tuple(faa_ranks))
+        digits.append(np.array(level, dtype=np.intp).reshape(len(level), k))
+    return JetSpace(m, order, bool(last), digits)
 
 
 @lru_cache(maxsize=None)
@@ -309,6 +355,39 @@ def _inside(sp: JetSpace, support: int) -> np.ndarray:
     return (sp.slot_masks & ~support) == 0
 
 
+@lru_cache(maxsize=None)
+def _embedding(slots: int, union: int, top: JetSpace) -> tuple:
+    """(space, positions, local) for two bitmasks over the slots of ``top``:
+    the space over the slots of ``union`` (``top`` itself for all of
+    them), where the entries of the space over the slots of ``slots`` sit
+    in it, and the bitmask of those slots' ranks in ``union``.  Slot j of
+    the smaller space is the j-th slot of ``slots``; the map keeps the
+    order of the slots, and so the order of the tuples."""
+    local, bit, rest = 0, 1, union
+    while rest:
+        low = rest & -rest
+        if slots & low:
+            local |= bit
+        bit <<= 1
+        rest ^= low
+    sp = _space_of(union, top)
+    return sp, np.flatnonzero(_inside(sp, local)), local
+
+
+def _space_of(slots: int, top: JetSpace) -> JetSpace:
+    """The space of a jet over ``top`` held on the slots of ``slots``
+    (nonempty): ``top`` itself for all of them.  A truncated ``top`` keeps
+    only the top-order tuples that end in its last slot, so the space holds
+    them when ``slots`` holds that slot, and no top-order tuple otherwise."""
+    if slots == (1 << top.m) - 1:
+        return top
+    if not top.last:
+        return space(slots.bit_count(), top.order)
+    if slots >> (top.m - 1):
+        return space(slots.bit_count(), top.order, True)
+    return space(slots.bit_count(), top.order - 1)
+
+
 def _cut(start: int, columns: tuple, keep: np.ndarray) -> tuple | None:
     """(outputs, columns): the outputs from ``start`` on that ``keep``
     selects, a slice when it selects them all, and the operand ``columns``
@@ -323,7 +402,7 @@ def _cut(start: int, columns: tuple, keep: np.ndarray) -> tuple | None:
 
 @lru_cache(maxsize=None)
 def _mul_plan(sp: JetSpace, band_a: tuple, band_b: tuple, support_a: int,
-              support_b: int) -> tuple:
+              support_b: int, packed: bool = False) -> tuple:
     """The Leibniz terms that can be nonzero in a product of jets with these
     bands and slot supports, per rank as (outputs, (i, j)), the outputs a
     slice or an index array: a rank's left factor has the order of its
@@ -343,30 +422,27 @@ def _mul_plan(sp: JetSpace, band_a: tuple, band_b: tuple, support_a: int,
         term = _cut(start, (i, j), inside_a[i] & inside_b[j])
         if term is not None:
             plan.append(term)
+    if packed:  # each factor lives in the space over its support's slots
+        rank_a, rank_b = np.cumsum(inside_a) - 1, np.cumsum(inside_b) - 1
+        plan = [(at, (rank_a[i], rank_b[j])) for at, (i, j) in plan]
     return tuple(plan)
 
 
 @lru_cache(maxsize=None)
-def _faa_plan(sp: JetSpace, band: tuple, support: int) -> tuple:
+def _faa_plan(sp: JetSpace, band: tuple) -> tuple:
     """The Faa di Bruno terms that can be nonzero on an inner jet with this
-    band and slot support, per rank as (outputs, block index arrays), the
-    outputs a slice or an index array: each rank is cut to the orders whose
-    set partition has every block size in ``band`` (up to MAX_ORDER those
-    orders are contiguous; an order inside the cut that failed the test
-    would only add zeros), and then to the outputs whose tuple lies in
-    ``support``."""
-    inside = _inside(sp, support)
+    band, per rank as (outputs, block index arrays), the outputs a slice:
+    each rank is cut to the orders whose set partition has every block size
+    in ``band`` (up to MAX_ORDER those orders are contiguous; an order
+    inside the cut that failed the test would only add zeros)."""
     partitions = [_set_partitions(k) for k in range(sp.order + 1)]
     plan = []
     for rank, (lo, *blocks) in enumerate(sp.faa_ranks):
         kept = [k for k in range(1, sp.order + 1) if rank < len(partitions[k])
                 and all(band[0] <= len(b) <= band[1] for b in partitions[k][rank])]
-        if not kept:
-            continue
-        start, stop = sp.order_start[kept[0]], sp.order_start[kept[-1] + 1]
-        term = _cut(start, tuple(b[start - lo:stop - lo] for b in blocks), inside[start:stop])
-        if term is not None:
-            plan.append(term)
+        if kept:
+            start, stop = sp.order_start[kept[0]], sp.order_start[kept[-1] + 1]
+            plan.append((slice(start, stop), tuple(b[start - lo:stop - lo] for b in blocks)))
     return tuple(plan)
 
 
@@ -391,6 +467,11 @@ def _finite(jet: "Jet") -> bool:
     """Whether every entry of ``jet`` is finite; those outside its band are 0."""
     s = jet.space.order_start
     return bool(np.isfinite(jet.data[s[jet.band[0]]:s[jet.band[1] + 1]]).all())
+
+
+def _narrow(jet: "Jet") -> bool:
+    """Whether ``jet``'s band or support leaves out some entry of its space."""
+    return jet.band != (0, jet.space.order) or jet.support != (1 << jet.space.m) - 1
 
 
 def _bounded(values) -> bool:
@@ -506,39 +587,47 @@ class Jet:
                 return Jet(self.space, self.data * other, self.band, self.support)
             return Jet(self.space, self.data * other)  # 0 * inf is NaN
         self._check(other)
-        sp = self.space
-        a, b = self.data, other.data
-        band_a, band_b = self.band, other.band
-        support_a, support_b = self.support, other.support
-        full, every = (0, sp.order), (1 << sp.m) - 1
-        if (band_a, band_b, support_a, support_b) != (full, full, every, every) \
-                and not (_finite(self) and _finite(other)):
-            # 0 * inf is NaN, so no term is skipped
-            band_a = band_b = full
-            support_a = support_b = every
-        out = np.zeros(a.shape)
-        # gathers are fresh arrays, so the products are taken in place; the
-        # outputs of one rank are distinct, so += adds each term once
-        for at, (i, j) in _mul_plan(sp, band_a, band_b, support_a, support_b):
-            term = a[i]
-            term *= b[j]
-            out[at] += term
-        return Jet(sp, out, (band_a[0] + band_b[0], min(sp.order, band_a[1] + band_b[1])),
-                   support_a | support_b)
+        return _product(self, other, not (_narrow(self) or _narrow(other))
+                        or (_finite(self) and _finite(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            # 0 / 0 is NaN; np.all costs a scalar about 60 times what != does
-            nonzero = np.all(other != 0) if isinstance(other, np.ndarray) else other != 0
-            if _finite_value(other) and nonzero:
+            if _exact_divisor(other):
                 return Jet(self.space, self.data / other, self.band, self.support)
             return Jet(self.space, self.data / other)
         return divide(self, other)
 
     def __rtruediv__(self, other):
         return divide(constant(other, self.space, self.data.shape[1:]), self)
+
+
+def _leibniz(x: np.ndarray, y: np.ndarray, size: int, plan: tuple) -> np.ndarray:
+    """The Leibniz sums of ``plan`` over the factor data ``x`` and ``y``."""
+    out = np.zeros((size,) + x.shape[1:])
+    # gathers are fresh arrays, so the products are taken in place; the
+    # outputs of one rank are distinct, so += adds each term once
+    for at, (i, j) in plan:
+        term = x[i]
+        term *= y[j]
+        out[at] += term
+    return out
+
+
+def _product(a: Jet, b: Jet, cut: bool) -> Jet:
+    """a * b; with ``cut``, the Leibniz terms that read entries outside the
+    factors' bands or supports are skipped, which needs finite factors, as
+    ``0 * inf`` is NaN."""
+    sp = a.space
+    if cut:
+        band_a, band_b, support_a, support_b = a.band, b.band, a.support, b.support
+    else:
+        band_a = band_b = (0, sp.order)
+        support_a = support_b = (1 << sp.m) - 1
+    out = _leibniz(a.data, b.data, sp.size, _mul_plan(sp, band_a, band_b, support_a, support_b))
+    return Jet(sp, out, (band_a[0] + band_b[0], min(sp.order, band_a[1] + band_b[1])),
+               support_a | support_b)
 
 
 def constant(value, sp: JetSpace, tail: tuple = ()) -> Jet:
@@ -634,24 +723,32 @@ def _outer_derivatives(fn: str, v, order: int, exponent: float | None) -> list:
     raise ValueError(f"unknown unary function {fn!r}")
 
 
-def apply_unary(fn: str, a: Jet, exponent: float | None = None) -> Jet:
-    """Compose a univariate function with a jet via Faa di Bruno partitions."""
+def _outer(fn: str, a: Jet, exponent: float | None) -> np.ndarray:
+    """The outer derivatives f(v)..f^(K)(v) at ``a``'s value, one row each."""
     tail = a.data.shape[1:]
-    outer = np.stack([np.broadcast_to(d, tail) for d in
-                      _outer_derivatives(fn, a.data[0], a.space.order, exponent)])
+    return np.stack([np.broadcast_to(d, tail) for d in
+                     _outer_derivatives(fn, a.data[0], a.space.order, exponent)])
+
+
+def _bounded_terms(a: Jet, outer: np.ndarray) -> bool:
+    """Whether ``a``'s entries inside its band above order 0, and the outer
+    derivatives, are small enough to skip Faa di Bruno terms."""
+    start, (lo, hi) = a.space.order_start, a.band
+    return _bounded(a.data[start[max(lo, 1)]:start[hi + 1]]) and _bounded(outer[1:])
+
+
+def _composed(a: Jet, outer: np.ndarray, cut: bool) -> Jet:
+    """The Faa di Bruno sum of ``outer`` over ``a``; with ``cut``, which
+    needs :func:`_bounded_terms`, the terms that read entries outside
+    ``a``'s band are skipped and the result keeps ``a``'s support, as each
+    output outside it sums zeros."""
     sp = a.space
-    band, support = a.band, a.support
-    full, every, start = (0, sp.order), (1 << sp.m) - 1, sp.order_start
-    if (band, support) != (full, every) and not (
-            _bounded(a.data[start[max(band[0], 1)]:start[band[1] + 1]]) and _bounded(outer[1:])):
-        # 0 * inf is NaN, and a skipped term may hold an overflowing product
-        # of kept factors, so no term is skipped
-        band, support = full, every
+    band, support = (a.band, a.support) if cut else ((0, sp.order), (1 << sp.m) - 1)
     out = np.zeros_like(a.data)
     out[0] = outer[0]
     # every entry of a rank has a partition into the same number of blocks,
     # so one outer derivative serves the rank
-    for at, (first, *blocks) in _faa_plan(sp, band, support):
+    for at, (first, *blocks) in _faa_plan(sp, band):
         terms = a.data[first]
         for block in blocks:
             terms *= a.data[block]
@@ -660,12 +757,20 @@ def apply_unary(fn: str, a: Jet, exponent: float | None = None) -> Jet:
     return Jet(sp, out, None, support)
 
 
+def apply_unary(fn: str, a: Jet, exponent: float | None = None) -> Jet:
+    """Compose a univariate function with a jet via Faa di Bruno partitions."""
+    outer = _outer(fn, a, exponent)
+    # 0 * inf is NaN, and a skipped term may hold an overflowing product of
+    # kept factors, so terms are skipped only on bounded entries
+    return _composed(a, outer, not _narrow(a) or _bounded_terms(a, outer))
+
+
 def power(a: Jet, exponent: float) -> Jet:
     return apply_unary("pow", a, exponent)
 
 
 # a symbol is bound to a jet or a constant: a scalar or one value per point
-Binding = Union[Jet, float, np.ndarray]
+Binding = Union[Jet, "CompactJet", float, np.ndarray]
 
 
 def _finite_value(value) -> bool:
@@ -676,15 +781,194 @@ def _finite_value(value) -> bool:
     return math.isfinite(value)
 
 
+def _exact_divisor(value) -> bool:
+    """Whether dividing by a constant keeps every zero entry zero: it must
+    be finite and nonzero, as 0 / 0 is NaN.  np.all costs a scalar about 60
+    times what != does."""
+    nonzero = np.all(value != 0) if isinstance(value, np.ndarray) else value != 0
+    return bool(nonzero) and _finite_value(value)
+
+
 def _finite_constant(value, node: ex.Node) -> None:
     if not _finite_value(value):
         _domain(~np.isfinite(value), value,
                 f"the constant part '{ex.to_text(node)}' is not finite ({{!r}})")
 
 
+class CompactJet:
+    """A jet over ``top`` held in the space of its own slots: a seed from
+    :func:`compact_seeds`, a jet bound over part of its slots, and every
+    subexpression built from them in :func:`eval_with_bindings`.
+
+    ``slots`` is a bitmask over ``top``, and ``jet`` lives in the space over
+    as many slots, its slot j standing for the j-th slot of ``slots`` in
+    increasing order.  Every entry of the jet over ``top`` whose tuple
+    holds a slot outside ``slots`` has the value ``outside``: a signed
+    zero, or one per point.  A compact jet over every slot holds a jet over
+    ``top`` itself, with that jet's band and support.
+    """
+
+    __slots__ = ("jet", "slots", "outside", "top")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
+
+    def __init__(self, jet: Jet, slots: int, outside, top: JetSpace):
+        self.jet = jet
+        self.slots = slots
+        self.outside = outside
+        self.top = top
+
+    @property
+    def every(self) -> int:
+        """The bitmask of all slots of ``top``."""
+        return (1 << self.top.m) - 1
+
+    def embedded(self, union: int) -> Jet:
+        """The jet over the slots of ``union``, which holds ``slots``."""
+        if union == self.slots:
+            return self.jet
+        sp, at, local = _embedding(self.slots, union, self.top)
+        data = np.full((sp.size,) + self.jet.data.shape[1:], self.outside)
+        data[at] = self.jet.data
+        return Jet(sp, data, self.jet.band, local)
+
+    def expanded(self) -> Jet:
+        """The jet over ``top``."""
+        return self.embedded(self.every)
+
+    def _scaled(self, op: np.ufunc, factor) -> "CompactJet":
+        """``op(self, factor)`` for ``np.multiply`` or ``np.divide`` and a
+        finite nonzero constant, which keeps the band and the support."""
+        jet = self.jet
+        return CompactJet(Jet(jet.space, op(jet.data, factor), jet.band, jet.support), self.slots,
+                          op(self.outside, factor), self.top)
+
+    def _union(self, other: "CompactJet") -> int:
+        if other.top is not self.top:
+            raise ValueError("jets must share one space")
+        return self.slots | other.slots
+
+    def _combined(self, other: "CompactJet", op: np.ufunc) -> "CompactJet":
+        """``op(self, other)`` for ``np.add`` or ``np.subtract``: each entry
+        of the union's space combines its two operands' entries, an
+        operand's outside value where the entry is not among its own."""
+        union = self._union(other)
+        a, b = self.jet, other.jet
+        base = self.embedded(union)
+        out = None if base is a else base.data  # a fresh array may be written over
+        if other.slots == union:
+            out = op(a.data if out is None else out, b.data, out=out)
+        else:
+            _, at, _ = _embedding(other.slots, union, self.top)
+            inside = op(base.data[at], b.data)
+            out = op(base.data, other.outside, out=out)
+            out[at] = inside
+        band = (min(a.band[0], b.band[0]), max(a.band[1], b.band[1]))
+        return CompactJet(Jet(base.space, out, band), union, op(self.outside, other.outside),
+                          self.top)
+
+    def __add__(self, other):
+        if not isinstance(other, CompactJet):
+            return CompactJet(self.jet + other, self.slots, self.outside, self.top)
+        return self._combined(other, np.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, CompactJet):
+            return CompactJet(self.jet - other, self.slots, self.outside, self.top)
+        return self._combined(other, np.subtract)
+
+    def __rsub__(self, other):
+        return CompactJet(other - self.jet, self.slots, -self.outside, self.top)
+
+    def __mul__(self, other):
+        if not isinstance(other, CompactJet):
+            if _finite_value(other):
+                return self._scaled(np.multiply, other)
+            return _whole(self.expanded() * other)  # 0 * inf is NaN
+        union = self._union(other)
+        a, b = self.jet, other.jet
+        if not (_finite(a) and _finite(b)):
+            # 0 * inf is NaN, so no term is skipped and no entry is left out
+            return _whole(_product(self.expanded(), other.expanded(), False))
+        # the factors stay in their own spaces: the plan reads each term's
+        # sub-tuples there, and skips every term that reads a slot outside
+        sp, _, local_a = _embedding(self.slots, union, self.top)
+        local_b = _embedding(other.slots, union, self.top)[2]
+        plan = _mul_plan(sp, a.band, b.band, local_a, local_b, True)
+        out = _leibniz(a.data, b.data, sp.size, plan)
+        band = (a.band[0] + b.band[0], min(sp.order, a.band[1] + b.band[1]))
+        return CompactJet(Jet(sp, out, band), union, 0.0, self.top)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, CompactJet):
+            if _exact_divisor(other):
+                return self._scaled(np.divide, other)
+            return _whole(self.expanded() / other)  # 0 / 0 is NaN
+        union = self._union(other)
+        if union != self.every and not (_finite(self.jet) and _finite(other.jet)):
+            return _whole(divide(self.expanded(), other.expanded()))
+        # an entry outside both operands' slots solves c * b0 = outside
+        return CompactJet(divide(self.embedded(union), other.embedded(union)), union,
+                          self.outside / other.jet.data[0], self.top)
+
+    def __rtruediv__(self, other):
+        if self.slots != self.every and not _finite(self.jet):
+            return _whole(other / self.expanded())
+        return CompactJet(other / self.jet, self.slots, 0.0 / self.jet.data[0], self.top)
+
+    def unary(self, fn: str, exponent: float | None) -> "CompactJet":
+        jet = self.jet
+        outer = _outer(fn, jet, exponent)
+        narrow = self.slots != self.every or _narrow(jet)
+        if narrow and not _bounded_terms(jet, outer):
+            # 0 * inf is NaN, and a skipped term may hold an overflowing
+            # product of kept factors, so no term is skipped
+            return _whole(_composed(self.expanded(), outer, False))
+        return CompactJet(_composed(jet, outer, True), self.slots, 0.0, self.top)
+
+
+def _whole(jet: Jet) -> CompactJet:
+    return CompactJet(jet, (1 << jet.space.m) - 1, 0.0, jet.space)
+
+
+def _bound(jet: Jet) -> CompactJet:
+    """A jet bound to a symbol, held in the space of its support: every
+    entry outside the support holds the value of the first such entry."""
+    top, slots = jet.space, jet.support
+    if not slots or slots == (1 << top.m) - 1:
+        return _whole(jet)
+    _, at, _ = _embedding(slots, (1 << top.m) - 1, top)
+    out = np.flatnonzero(~_inside(top, slots))
+    outside = jet.data[out[0]] if out.size else 0.0
+    return CompactJet(Jet(_space_of(slots, top), jet.data[at], jet.band), slots, outside, top)
+
+
+def compact_seeds(names: Sequence[str], values, order: int,
+                  last: bool = False) -> dict[str, CompactJet]:
+    """Bindings of ``names[i]`` to the seed of slot i + 1 over
+    ``space(len(names), order, last)`` at ``values[i]``, a scalar or one
+    value per point: each seed is held in the space of its own slot, as
+    :func:`eval_with_bindings` holds a :func:`seed`."""
+    top = space(len(names), order, last)
+    seeds = {}
+    for i, name in enumerate(names):
+        if last and order == 1 and i + 1 < top.m:
+            raise ValueError(f"the truncated space({top.m}, 1, True) has no first-order entry "
+                             f"for slot {i + 1}")
+        sp = _space_of(1 << i, top)
+        data = np.zeros((sp.size,) + np.shape(values[i]))
+        data[0] = values[i]
+        data[1] = 1.0
+        seeds[name] = CompactJet(Jet(sp, data, (0, 1)), 1 << i, 0.0, top)
+    return seeds
+
+
 def _unary(fn: str, arg, exponent=None):
-    if isinstance(arg, Jet):
-        return apply_unary(fn, arg, exponent)
+    if isinstance(arg, CompactJet):
+        return arg.unary(fn, exponent)
     return _outer_derivatives(fn, arg, 0, exponent)[0]
 
 
@@ -706,10 +990,10 @@ def _walk(node: ex.Node, bindings: Mapping[str, Binding]):
     if node.op == "^":  # the parser folds every exponent to a constant
         return _unary("pow", _walk(node.left, bindings), node.right.value)
     left, right = _walk(node.left, bindings), _walk(node.right, bindings)
-    if not isinstance(left, Jet):
-        if isinstance(right, Jet):
+    if not isinstance(left, CompactJet):
+        if isinstance(right, CompactJet):
             _finite_constant(left, node.left)
-    elif not isinstance(right, Jet):
+    elif not isinstance(right, CompactJet):
         _finite_constant(right, node.right)
     if node.op == "+":
         return left + right
@@ -717,7 +1001,7 @@ def _walk(node: ex.Node, bindings: Mapping[str, Binding]):
         return left - right
     if node.op == "*":
         return left * right
-    if not isinstance(right, Jet):
+    if not isinstance(right, CompactJet):
         _nonzero_divisor(right)
     return left / right
 
@@ -727,22 +1011,27 @@ def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding]) -> Jet:
 
     The result lives in the space of the jets bound to symbols ('x3', 'a',
     ...), which must share that space and one point axis; a ValueError is
-    raised when no symbol is bound to a jet.  Symbols bound to a scalar or
+    raised when no symbol is bound to a jet.  A compact jet (from
+    :func:`compact_seeds`) stands for a jet over its ``top`` space, and a
+    jet whose support leaves out some slot is held on its support: every
+    subexpression stays in the space of its own slots, and the result is
+    built over all slots once, at the end.  Symbols bound to a scalar or
     to one value per point are held constant.  Subtrees without a jet stay
     constants, so the tree is walked once per batch and only the jet nodes
     pay for jet arithmetic.  A constant that meets a jet, or is the result,
     must be finite, as a domain failure.  Every domain check is false on
     NaN, so with NaN-valued jets only the variable-free parts can raise.
     """
-    sp = next((v.space for v in bindings.values() if isinstance(v, Jet)), None)
+    bound = {name: _bound(v) if isinstance(v, Jet) else v for name, v in bindings.items()}
+    sp = next((v.top for v in bound.values() if isinstance(v, CompactJet)), None)
     if sp is None:
         raise ValueError("no symbol is bound to a jet, so the result has no jet space")
-    out = _walk(expr.root, bindings)
-    if isinstance(out, Jet):
-        return out
+    out = _walk(expr.root, bound)
+    if isinstance(out, CompactJet):
+        return out.expanded()
     _finite_constant(out, expr.root)
-    tail = np.broadcast_shapes(*(v.data.shape[1:] if isinstance(v, Jet) else np.shape(v)
-                                 for v in bindings.values()))
+    tail = np.broadcast_shapes(*(v.jet.data.shape[1:] if isinstance(v, CompactJet)
+                                 else np.shape(v) for v in bound.values()))
     return constant(out, sp, tail)
 
 
@@ -785,11 +1074,11 @@ def per_point(sp: JetSpace, evaluate: Callable[[np.ndarray], Jet], failures: lis
     columns.  Points do not interact, so a point's entries do not depend on
     which others failed.
     """
-    data = np.full((sp.size, len(failures)), np.nan)
     rows = np.flatnonzero([f is None for f in failures])
+    values = None
     while rows.size:
         try:
-            data[:, rows] = evaluate(rows).data
+            values = evaluate(rows).data
             break
         except PointFailures as err:
             failed = err.failed
@@ -798,6 +1087,11 @@ def per_point(sp: JetSpace, evaluate: Callable[[np.ndarray], Jet], failures: lis
         for i, error in failed.items():
             failures[rows[i]] = error
         rows = np.delete(rows, list(failed))
+    if values is not None and rows.size == len(failures):
+        return Jet(sp, values)  # the first call evaluated every point
+    data = np.full((sp.size, len(failures)), np.nan)
+    if rows.size:
+        data[:, rows] = values
     return Jet(sp, data)
 
 

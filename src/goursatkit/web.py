@@ -163,13 +163,13 @@ class WebFunction:
         missing = expression.parameters_used - set(params)
         if missing:
             raise ValueError(f"unbound parameters: {sorted(missing)}")
+        names = [f"x{i + 1}" for i in range(n)]
 
         def evaluator(points: np.ndarray):
             coords = np.ascontiguousarray(points.T)
 
             def jet_at(rows: np.ndarray) -> Jet:
-                bindings: dict = {f"x{i + 1}": J.seed(i + 1, coords[i, rows], n, JET_ORDER)
-                                  for i in range(n)}
+                bindings: dict = J.compact_seeds(names, coords[:, rows], JET_ORDER)
                 bindings.update(params)
                 return J.eval_with_bindings(expression, bindings)
 

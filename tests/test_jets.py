@@ -752,3 +752,50 @@ class TestSupportKernels:
                     x = a + 1e300 if fn == "ln" else a
                     got = J.apply_unary(fn, x)
                     assert got.data.tobytes() == J.apply_unary(fn, _full(x)).data.tobytes()
+
+
+def _names(n):
+    return [f"x{i + 1}" for i in range(n)]
+
+
+class TestCompactJets:
+    @pytest.mark.parametrize("last", [False, True])
+    def test_seeds_hold_one_slot(self, last):
+        v = np.random.default_rng(0).uniform(0.5, 1.5, (4, 3))
+        seeds = J.compact_seeds(_names(4), v, 3, last)
+        for i in range(4):
+            got = seeds[f"x{i + 1}"]
+            # a truncated space keeps the order-3 tuples that end in slot 4
+            want = J.space(1, 3, True) if last and i == 3 else J.space(1, 3 - (last and i < 3))
+            assert got.jet.space is want and got.top is J.space(4, 3, last)
+            assert got.expanded().data.tobytes() == J.seed(i + 1, v[i], 4, 3, last).data.tobytes()
+        with pytest.raises(ValueError, match="no first-order entry for slot 1"):
+            J.compact_seeds(_names(2), [0.5, 0.5], 1, True)
+
+    def test_a_subexpression_lives_in_the_space_of_its_slots(self):
+        seeds = J.compact_seeds(_names(8), np.full(8, 0.5), 3)
+        x1, x3, x5 = seeds["x1"], seeds["x3"], seeds["x5"]
+        assert ((x1 * x3).slots, (x1 * x3).jet.space) == (0b101, J.space(2, 3))
+        s = (x1 * x3 + x5) * -2.0
+        assert s.slots == 0b10101 and s.jet.space is J.space(3, 3)
+        assert np.signbit(s.outside) and s.outside == 0.0
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_bound_jets_are_held_on_their_supports(self, last):
+        # seeds, a jet over every slot and compact seeds give the same bytes
+        x = np.random.default_rng(1).uniform(0.5, 1.5, (4, 5))
+        e = parse("(x1*x2 - x3)*(-0.5) + x4*x1 - 1/(x2 + x4)", 4)
+        seeds = {f"x{i + 1}": J.seed(i + 1, x[i], 4, 3, last) for i in range(4)}
+        dense = {name: J.Jet(jet.space, jet.data) for name, jet in seeds.items()}
+        want = J.eval_with_bindings(e, dense).data.tobytes()
+        mixed = {**J.compact_seeds(_names(4), x, 3, last), "x3": seeds["x3"]}
+        for bindings in (seeds, mixed, J.compact_seeds(_names(4), x, 3, last)):
+            assert J.eval_with_bindings(e, bindings).data.tobytes() == want
+
+    def test_compact_jets_of_two_spaces_do_not_mix(self):
+        a = J.compact_seeds(_names(4), [0.5] * 4, 3)["x1"]
+        b = J.compact_seeds(_names(5), [0.5] * 5, 3)["x2"]
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+                   lambda x, y: x / y):
+            with pytest.raises(ValueError, match="share one space"):
+                op(a, b)

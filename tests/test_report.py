@@ -30,7 +30,7 @@ from goursatkit.expr import parse
 from goursatkit.exterior import NON_FINITE, SYSTEM_NAMES, VERDICTS, CoFormField, \
     FrobeniusColumns, PfaffianSystem, frobenius_columns, frobenius_reports, make_system
 from goursatkit.web import WebFunction
-from genexpr import EDGE_TREES
+from genexpr import EDGE_TREES, random_tree
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden"
@@ -350,14 +350,22 @@ def test_json_flag_streams_the_report(tmp_path, monkeypatch, capsys):
 
 
 def _seeds_with_full_support(monkeypatch):
-    """Make every seed claim all slots, so no jet kernel skips a term by slot."""
+    """Make every seed claim all n slots, so no jet is held in the space of
+    fewer slots and no jet kernel skips a term by slot: ``J.compact_seeds``
+    (the seeds of every web) and ``J.seed`` give jets over the whole space
+    with every slot in their support."""
     seed = J.seed
 
     def full(*args, **kwargs):
         jet = seed(*args, **kwargs)
         return J.Jet(jet.space, jet.data, jet.band)
 
+    def full_seeds(names, values, order, last=False):
+        return {name: full(i + 1, values[i], len(names), order, last)
+                for i, name in enumerate(names)}
+
     monkeypatch.setattr(J, "seed", full)
+    monkeypatch.setattr(J, "compact_seeds", full_seeds)
 
 
 def _report_text(config) -> str:
@@ -367,7 +375,8 @@ def _report_text(config) -> str:
 
 
 SUPPORT_CONFIGS = {f"golden-{p.stem}": p.read_text() for p in sorted(GOLDEN.glob("*.cfg"))} | {
-    name: _workloads().config_text(name, 0) for name in _workloads().WORKLOADS}
+    name: _workloads().config_text(name, 0) for name in _workloads().WORKLOADS} | {
+    "negative-factor": (REPORT_DATA / "negative-factor.cfg").read_text()}
 
 
 @pytest.mark.parametrize("name", sorted(SUPPORT_CONFIGS))
@@ -394,3 +403,62 @@ def test_edge_jets_do_not_depend_on_slot_supports(edge, monkeypatch):
     want = evaluate()
     _seeds_with_full_support(monkeypatch)
     assert evaluate() == want
+
+
+def _evaluated(web, points):
+    jet, failures = web.evaluator(points)
+    return jet.data.tobytes(), [(type(f), str(f)) for f in failures]
+
+
+def _negated_trees(count: int) -> list[str]:
+    """Random trees over x1..x5 under a negation, a negative factor or a
+    negative divisor: their jets hold -0.0 outside their slots."""
+    rng = np.random.default_rng(11)
+    wraps = ("-({})", "({})*(-0.75)", "-0.5*x{i} - ({})", "({})/(-3)", "x{i}*x{j} - ({})")
+    out = []
+    for k in range(count):
+        i, j = rng.integers(1, 6, 2)
+        out.append(wraps[k % len(wraps)].format(random_tree(rng, 5, depth=3), i=i, j=j))
+    return out
+
+
+# -0.0 in 48 of the 56 entries of the first one; NaN outside the slots of
+# the overflowing products, which must run on every slot
+SIGNED_AND_NON_FINITE = ["(x1*x2 + x3*x4 + x5)*(-1)", "(-0.5)*x1 + (-2)*x2 + x3*x4",
+                         "x3*x1^(-2000)", "x2*(x1*1e308*10)", "x4*sin(x1^(-2000))"]
+
+
+@pytest.mark.parametrize("text", SIGNED_AND_NON_FINITE + _negated_trees(15))
+def test_compact_jets_match_jets_over_every_slot(text, monkeypatch):
+    web = WebFunction.from_expr(parse(text, 5))
+    for count in (1, 64):
+        points = np.random.default_rng(count).uniform(0.5, 1.5, (count, 5))
+        got = _evaluated(web, points)
+        with monkeypatch.context() as patched:
+            _seeds_with_full_support(patched)
+            assert _evaluated(web, points) == got
+
+
+def test_negative_zeros_survive_outside_the_slots():
+    # the dense jets of the parent code hold -0.0 in 48 of these 56 entries
+    web = WebFunction.from_expr(parse("(x1*x2 + x3*x4 + x5)*(-1)", 5))
+    jet, _ = web.evaluator(np.full((1, 5), 0.7))
+    assert (np.signbit(jet.data) & (jet.data == 0.0)).sum() == 48
+
+
+def test_a_per_point_factor_of_mixed_signs(monkeypatch):
+    # the outside value becomes one signed zero per point: every term is
+    # -0.0 outside its slots where c < 0, and so is their sum
+    e = parse("c*(x1*x2 + x3) + x4/c + 2*x5*c", 5, ["c"])
+    x = np.random.default_rng(2).uniform(0.5, 1.5, (5, 6))
+    c = np.array([1.5, -2.0, 0.5, -0.25, 3.0, -1.0])
+
+    def evaluate():
+        seeds = J.compact_seeds([f"x{i + 1}" for i in range(5)], x, 3)
+        return J.eval_with_bindings(e, {**seeds, "c": c}).data
+
+    want = evaluate()
+    negative_zeros = (np.signbit(want) & (want == 0.0)).any(axis=0)
+    assert (negative_zeros == (c < 0)).all()
+    _seeds_with_full_support(monkeypatch)
+    assert evaluate().tobytes() == want.tobytes()
