@@ -121,10 +121,11 @@ class FamilySpec:
 def _compose(spec: FamilySpec, bindings: dict) -> J.Jet:
     """Phi, in the space of the bound jets, from the bindings of x1..xn and
     ``a``: phi + psi for the first kind, phi with psi's value in its slot
-    for the second."""
+    for the second.  psi's compact jet is bound as it is, and the jet over
+    all slots is built once, for Phi."""
     if spec.kind == "first":
-        return J.eval_with_bindings(spec.phi, bindings) + J.eval_with_bindings(spec.psi, bindings)
-    bindings[spec.slot] = J.eval_with_bindings(spec.psi, bindings)
+        return (J.eval_compact(spec.phi, bindings) + J.eval_compact(spec.psi, bindings)).expanded()
+    bindings[spec.slot] = J.eval_compact(spec.psi, bindings)
     return J.eval_with_bindings(spec.phi, bindings)
 
 

@@ -49,44 +49,36 @@ mask) lies outside the left band and cuts each rank to the orders whose
 right factor lies in the right band; ``apply_unary`` cuts each Faa di
 Bruno rank to the orders whose block sizes all lie in the inner band.
 
-Every jet also carries a slot support, a bitmask with bit i - 1 for slot
-i: each entry whose slot tuple holds a slot outside it is exactly zero,
-the same signed zero at every such entry of a point.  A seed of slot i has
-``{i}`` and a constant ``{}``; a sum, a difference and a product take the
-union of their operands' supports, a finite scalar factor or nonzero
-divisor and a unary function keep it, and every other jet (a quotient of
-jets, a partial, ``restrict_last``, ``substitute_last``, a ``Jet(...)``
-built elsewhere) has all slots.  A product keeps only the Leibniz terms
-whose left sub-tuple lies in the left support and whose right sub-tuple
-lies in the right one.  The outputs of one rank are distinct, so a rank
-that loses some outputs adds its terms through an index array, in the
-same rank order.  The plans are cached per space, bands and supports; on
-full bands and supports nothing is skipped.  The product of two seeds at
-(7, 4, True) reads 71 of the 2,143 Leibniz terms by bands alone, and at
-(8, 3) the product of a jet over 2 slots and one over 3, on full bands,
-reads 56 of the 1,121 by supports.  A Faa di Bruno sum skips no output by
-slot: each output outside the support sums zeros.
-
 Expressions are evaluated on compact jets.  A :class:`CompactJet` holds a
-jet over a space ``top`` in the space of its own slots, through an
-order-preserving map of those slots into the slots of ``top``:
-:func:`compact_seeds` gives each symbol a seed over one slot, and
-:func:`eval_with_bindings` holds every other bound jet on its support,
-with the value of its entries outside.  ``x1*x3`` then lives in the space
-over two slots.  A scalar shift or factor and a unary function keep their
-operand's slots; a jet-jet sum, difference or quotient embeds its operands
-into the space over the union of their slots, through positions cached
-per (slots, union), and a product reads its factors in their own spaces,
-through a plan that skips by support every term that would read a slot
-outside a factor.  :func:`eval_with_bindings` builds the jet over all of
-``top`` once, at the end; a jet over all of them is the case where the
-map is the identity.  An order-preserving map keeps each tuple's
-position masks and set partitions in their order, so every entry sums the
-same terms in the same rank order as over all slots.  Over a truncated
-``top``, the space of a set of slots keeps the top-order tuples that end
-in the last slot when the set holds that slot, and has no top-order tuple
-(its order is one less) when it does not; so the family webs' joint jets
-over (x1..xn, a) are compact too.
+jet over a space ``top`` in the space of its own slots (a bitmask with bit
+i - 1 for slot i of ``top``), through an order-preserving map of those
+slots into the slots of ``top``: :func:`compact_seeds` gives each symbol a
+seed over one slot, and :func:`eval_compact` holds a bound :class:`Jet`
+over all of its slots.  ``x1*x3`` then lives in the space over two slots.
+A scalar shift or factor and a unary function keep their operand's slots;
+a jet-jet sum, difference or quotient embeds its operands into the space
+over the union of their slots, through positions cached per (slots,
+union, top).  A product runs in the union's space too, but reads each
+factor in its own space: it keeps only the Leibniz terms whose left
+sub-tuple lies in the left factor's slots and whose right sub-tuple lies
+in the right one's, and a kept sub-tuple's position in its factor's space
+is its rank among the entries over that factor's slots.  The outputs of
+one rank are distinct, so a rank that loses some outputs adds its terms
+through an index array, in the same rank order.  The plans are cached per
+space, bands and slots; on full bands and slots nothing is skipped.  The
+product of two seeds at (7, 4, True) reads 71 of the 2,143 Leibniz terms
+by bands alone, and the product of a jet over 2 slots and one over 3, on
+full bands, reads 56 of the 351 of their union's space (5, 3).
+:func:`eval_with_bindings` builds the jet over all of ``top`` once, at
+the end; a compact jet over all of them is the case where the map is the
+identity, and the compact result of one evaluation may be bound in
+another (a second-kind family binds psi's into phi).  An order-preserving
+map keeps each tuple's position masks and set partitions in their order,
+so every entry sums the same terms in the same rank order as over all
+slots.  Over a truncated ``top``, the space of a set of slots keeps the
+top-order tuples that end in the last slot when the set holds that slot,
+and has no top-order tuple (its order is one less) when it does not; so
+the family webs' joint jets over (x1..xn, a) are compact too.
 
 The entries outside a compact jet's slots are not always +0.0: a negative
 factor, a negation and ``c - x`` turn them to -0.0, a per-point factor to
@@ -96,19 +88,23 @@ it wherever it is embedded or expanded, and a sum combines its operands'
 outside values, so a -0.0 survives as it does over all slots.
 
 A skipped term is +-0.0, and an entry's sum starts at +0.0 and so is never
--0.0, so every entry comes out bit for bit as on full bands and supports.
-That needs finite operands, as ``0 * inf`` is NaN: a product whose operand
-holds a non-finite entry runs on full bands and supports, and so does a jet
+-0.0, so every entry comes out bit for bit as on full bands over all
+slots.  That needs finite operands, as ``0 * inf`` is NaN: a product whose
+operand holds a non-finite entry runs on full bands, and so does a jet
 scaled by a non-finite constant or divided by zero.  A Faa di Bruno term
 multiplies up to MAX_ORDER + 1 factors, and a zero factor after an
 overflowing partial product gives NaN too, so ``apply_unary`` skips terms
 only when every inner entry and outer derivative is at most 2^200 in
 magnitude.  Where these rules run a kernel on every entry, a compact
 operand is first expanded to all slots, where such a term writes NaN
-outside its slots too (``x3*x1^(-2000)``); so does a quotient of compact
-jets with a non-finite operand.  :func:`eval_with_bindings` refuses a
-non-finite constant operand (``1e308*10*x1``), but ``x1*1e308*10``
-overflows only inside a jet product.
+outside its slots too (``x3*x1^(-2000)``).  So does a quotient of compact
+jets that holds a non-finite entry, from finite operands too
+(``1e10/(x1*1e-299)`` overflows), as ``c[()] * b[t]`` is then NaN outside
+the union.  Over a truncated ``top``, a compact jet without the last slot
+has one order less, but its unary function tests f^(K) as the jet over
+all slots does.  :func:`eval_with_bindings` refuses a non-finite constant
+operand (``1e308*10*x1``), but ``x1*1e308*10`` overflows only inside a
+jet product.
 
 A domain failure (ln/sqrt/power outside the domain, a near-zero divisor,
 an exp overflow, a non-finite constant operand) at some points of a batch
@@ -129,7 +125,7 @@ import numpy as np
 from . import expr as ex
 
 MAX_ORDER = 4
-MAX_SLOTS = 63  # a slot support is a bitmask, held in an int64 per entry
+MAX_SLOTS = 63  # a slot set is a bitmask, held in an int64 per entry
 
 _DIV_FLOOR = 1e-300
 
@@ -350,9 +346,9 @@ def derivative_index(m: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _inside(sp: JetSpace, support: int) -> np.ndarray:
-    """Per entry of ``sp``, whether every slot of its tuple is in ``support``."""
-    return (sp.slot_masks & ~support) == 0
+def _inside(sp: JetSpace, slots: int) -> np.ndarray:
+    """Per entry of ``sp``, whether every slot of its tuple is in ``slots``."""
+    return (sp.slot_masks & ~slots) == 0
 
 
 @lru_cache(maxsize=None)
@@ -401,15 +397,17 @@ def _cut(start: int, columns: tuple, keep: np.ndarray) -> tuple | None:
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(sp: JetSpace, band_a: tuple, band_b: tuple, support_a: int,
-              support_b: int, packed: bool = False) -> tuple:
-    """The Leibniz terms that can be nonzero in a product of jets with these
-    bands and slot supports, per rank as (outputs, (i, j)), the outputs a
-    slice or an index array: a rank's left factor has the order of its
-    mask's popcount, the rank is cut to the output orders whose right factor
-    lies in ``band_b``, and then to the terms whose left and right sub-tuples
-    lie in ``support_a`` and ``support_b``."""
-    inside_a, inside_b = _inside(sp, support_a), _inside(sp, support_b)
+def _mul_plan(sp: JetSpace, band_a: tuple, band_b: tuple, slots_a: int, slots_b: int) -> tuple:
+    """The Leibniz terms that can be nonzero in a product over ``sp`` of a
+    jet over the slots of ``slots_a`` and one over those of ``slots_b``
+    (bitmasks over ``sp``), each held in the space of its own slots, with
+    these bands; per rank as (outputs, (i, j)), the outputs a slice or an
+    index array, and ``i`` and ``j`` positions in the factors' spaces.  A
+    rank's left factor has the order of its mask's popcount, the rank is cut
+    to the output orders whose right factor lies in ``band_b``, and then to
+    the terms whose left and right sub-tuples lie in ``slots_a`` and
+    ``slots_b``."""
+    inside_a, inside_b = _inside(sp, slots_a), _inside(sp, slots_b)
     plan = []
     for rank, (lo, i, j) in enumerate(sp.mul_ranks):
         left = rank.bit_count()
@@ -422,10 +420,10 @@ def _mul_plan(sp: JetSpace, band_a: tuple, band_b: tuple, support_a: int,
         term = _cut(start, (i, j), inside_a[i] & inside_b[j])
         if term is not None:
             plan.append(term)
-    if packed:  # each factor lives in the space over its support's slots
-        rank_a, rank_b = np.cumsum(inside_a) - 1, np.cumsum(inside_b) - 1
-        plan = [(at, (rank_a[i], rank_b[j])) for at, (i, j) in plan]
-    return tuple(plan)
+    # an order-preserving map: an entry's position in its factor's space is
+    # its rank among the entries over that factor's slots
+    rank_a, rank_b = np.cumsum(inside_a) - 1, np.cumsum(inside_b) - 1
+    return tuple((at, (rank_a[i], rank_b[j])) for at, (i, j) in plan)
 
 
 @lru_cache(maxsize=None)
@@ -470,8 +468,8 @@ def _finite(jet: "Jet") -> bool:
 
 
 def _narrow(jet: "Jet") -> bool:
-    """Whether ``jet``'s band or support leaves out some entry of its space."""
-    return jet.band != (0, jet.space.order) or jet.support != (1 << jet.space.m) - 1
+    """Whether ``jet``'s band leaves out some order of its space."""
+    return jet.band != (0, jet.space.order)
 
 
 def _bounded(values) -> bool:
@@ -482,17 +480,13 @@ def _bounded(values) -> bool:
 
 
 class Jet:
-    __slots__ = ("space", "data", "band", "support")
+    __slots__ = ("space", "data", "band")
 
-    def __init__(self, space: JetSpace, data: np.ndarray, band: tuple | None = None,
-                 support: int | None = None):
+    def __init__(self, space: JetSpace, data: np.ndarray, band: tuple | None = None):
         self.space = space
         self.data = data  # (size,) or (size, N), aligned with space.tuples; do not mutate
         # (lo, hi): every entry of an order outside lo..hi is exactly zero
         self.band = (0, space.order) if band is None else band
-        # bit i - 1 for slot i: every entry whose tuple holds a slot outside
-        # the support is exactly zero
-        self.support = (1 << space.m) - 1 if support is None else support
 
     __array_ufunc__ = None  # numpy operands defer to the reflected jet operators
 
@@ -552,12 +546,11 @@ class Jet:
     def _shifted(self, value) -> "Jet":
         data = self.data.copy()
         data[0] = value
-        return Jet(self.space, data, (0, self.band[1]), self.support)
+        return Jet(self.space, data, (0, self.band[1]))
 
     def _joined(self, other: "Jet", data: np.ndarray) -> "Jet":
         return Jet(self.space, data, (min(self.band[0], other.band[0]),
-                                      max(self.band[1], other.band[1])),
-                   self.support | other.support)
+                                      max(self.band[1], other.band[1])))
 
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -576,15 +569,15 @@ class Jet:
     def __rsub__(self, other):
         data = -self.data
         data[0] = other - self.data[0]
-        return Jet(self.space, data, (0, self.band[1]), self.support)
+        return Jet(self.space, data, (0, self.band[1]))
 
     def __neg__(self):
-        return Jet(self.space, -self.data, self.band, self.support)
+        return Jet(self.space, -self.data, self.band)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             if _finite_value(other):
-                return Jet(self.space, self.data * other, self.band, self.support)
+                return Jet(self.space, self.data * other, self.band)
             return Jet(self.space, self.data * other)  # 0 * inf is NaN
         self._check(other)
         return _product(self, other, not (_narrow(self) or _narrow(other))
@@ -595,7 +588,7 @@ class Jet:
     def __truediv__(self, other):
         if not isinstance(other, Jet):
             if _exact_divisor(other):
-                return Jet(self.space, self.data / other, self.band, self.support)
+                return Jet(self.space, self.data / other, self.band)
             return Jet(self.space, self.data / other)
         return divide(self, other)
 
@@ -617,17 +610,13 @@ def _leibniz(x: np.ndarray, y: np.ndarray, size: int, plan: tuple) -> np.ndarray
 
 def _product(a: Jet, b: Jet, cut: bool) -> Jet:
     """a * b; with ``cut``, the Leibniz terms that read entries outside the
-    factors' bands or supports are skipped, which needs finite factors, as
-    ``0 * inf`` is NaN."""
+    factors' bands are skipped, which needs finite factors, as ``0 * inf``
+    is NaN."""
     sp = a.space
-    if cut:
-        band_a, band_b, support_a, support_b = a.band, b.band, a.support, b.support
-    else:
-        band_a = band_b = (0, sp.order)
-        support_a = support_b = (1 << sp.m) - 1
-    out = _leibniz(a.data, b.data, sp.size, _mul_plan(sp, band_a, band_b, support_a, support_b))
-    return Jet(sp, out, (band_a[0] + band_b[0], min(sp.order, band_a[1] + band_b[1])),
-               support_a | support_b)
+    band_a, band_b = (a.band, b.band) if cut else ((0, sp.order), (0, sp.order))
+    every = (1 << sp.m) - 1
+    out = _leibniz(a.data, b.data, sp.size, _mul_plan(sp, band_a, band_b, every, every))
+    return Jet(sp, out, (band_a[0] + band_b[0], min(sp.order, band_a[1] + band_b[1])))
 
 
 def constant(value, sp: JetSpace, tail: tuple = ()) -> Jet:
@@ -635,7 +624,7 @@ def constant(value, sp: JetSpace, tail: tuple = ()) -> Jet:
     per point (shape ``tail``)."""
     data = np.zeros((sp.size,) + tail)
     data[0] = value
-    return Jet(sp, data, (0, 0), 0)
+    return Jet(sp, data, (0, 0))
 
 
 def seed(index: int, value, m: int, order: int, last: bool = False) -> Jet:
@@ -650,7 +639,7 @@ def seed(index: int, value, m: int, order: int, last: bool = False) -> Jet:
     data = np.zeros((sp.size,) + np.shape(value))
     data[0] = value
     data[sp.pos[(index,)]] = 1.0
-    return Jet(sp, data, (0, 1), 1 << (index - 1))
+    return Jet(sp, data, (0, 1))
 
 
 def divide(a: Jet, b: Jet) -> Jet:
@@ -723,11 +712,11 @@ def _outer_derivatives(fn: str, v, order: int, exponent: float | None) -> list:
     raise ValueError(f"unknown unary function {fn!r}")
 
 
-def _outer(fn: str, a: Jet, exponent: float | None) -> np.ndarray:
-    """The outer derivatives f(v)..f^(K)(v) at ``a``'s value, one row each."""
+def _outer(fn: str, a: Jet, exponent: float | None, order: int) -> np.ndarray:
+    """The outer derivatives f(v)..f^(order)(v) at ``a``'s value, one row each."""
     tail = a.data.shape[1:]
     return np.stack([np.broadcast_to(d, tail) for d in
-                     _outer_derivatives(fn, a.data[0], a.space.order, exponent)])
+                     _outer_derivatives(fn, a.data[0], order, exponent)])
 
 
 def _bounded_terms(a: Jet, outer: np.ndarray) -> bool:
@@ -738,12 +727,11 @@ def _bounded_terms(a: Jet, outer: np.ndarray) -> bool:
 
 
 def _composed(a: Jet, outer: np.ndarray, cut: bool) -> Jet:
-    """The Faa di Bruno sum of ``outer`` over ``a``; with ``cut``, which
-    needs :func:`_bounded_terms`, the terms that read entries outside
-    ``a``'s band are skipped and the result keeps ``a``'s support, as each
-    output outside it sums zeros."""
+    """The Faa di Bruno sum of ``outer`` (at least up to ``a``'s order) over
+    ``a``; with ``cut``, which needs :func:`_bounded_terms`, the terms that
+    read entries outside ``a``'s band are skipped."""
     sp = a.space
-    band, support = (a.band, a.support) if cut else ((0, sp.order), (1 << sp.m) - 1)
+    band = a.band if cut else (0, sp.order)
     out = np.zeros_like(a.data)
     out[0] = outer[0]
     # every entry of a rank has a partition into the same number of blocks,
@@ -754,12 +742,12 @@ def _composed(a: Jet, outer: np.ndarray, cut: bool) -> Jet:
             terms *= a.data[block]
         terms *= outer[1 + len(blocks)]
         out[at] += terms
-    return Jet(sp, out, None, support)
+    return Jet(sp, out)
 
 
 def apply_unary(fn: str, a: Jet, exponent: float | None = None) -> Jet:
     """Compose a univariate function with a jet via Faa di Bruno partitions."""
-    outer = _outer(fn, a, exponent)
+    outer = _outer(fn, a, exponent, a.space.order)
     # 0 * inf is NaN, and a skipped term may hold an overflowing product of
     # kept factors, so terms are skipped only on bounded entries
     return _composed(a, outer, not _narrow(a) or _bounded_terms(a, outer))
@@ -797,15 +785,15 @@ def _finite_constant(value, node: ex.Node) -> None:
 
 class CompactJet:
     """A jet over ``top`` held in the space of its own slots: a seed from
-    :func:`compact_seeds`, a jet bound over part of its slots, and every
-    subexpression built from them in :func:`eval_with_bindings`.
+    :func:`compact_seeds`, and every subexpression built from seeds in
+    :func:`eval_compact`.
 
     ``slots`` is a bitmask over ``top``, and ``jet`` lives in the space over
     as many slots, its slot j standing for the j-th slot of ``slots`` in
     increasing order.  Every entry of the jet over ``top`` whose tuple
     holds a slot outside ``slots`` has the value ``outside``: a signed
     zero, or one per point.  A compact jet over every slot holds a jet over
-    ``top`` itself, with that jet's band and support.
+    ``top`` itself.
     """
 
     __slots__ = ("jet", "slots", "outside", "top")
@@ -826,10 +814,10 @@ class CompactJet:
         """The jet over the slots of ``union``, which holds ``slots``."""
         if union == self.slots:
             return self.jet
-        sp, at, local = _embedding(self.slots, union, self.top)
+        sp, at, _ = _embedding(self.slots, union, self.top)
         data = np.full((sp.size,) + self.jet.data.shape[1:], self.outside)
         data[at] = self.jet.data
-        return Jet(sp, data, self.jet.band, local)
+        return Jet(sp, data, self.jet.band)
 
     def expanded(self) -> Jet:
         """The jet over ``top``."""
@@ -837,9 +825,9 @@ class CompactJet:
 
     def _scaled(self, op: np.ufunc, factor) -> "CompactJet":
         """``op(self, factor)`` for ``np.multiply`` or ``np.divide`` and a
-        finite nonzero constant, which keeps the band and the support."""
+        finite nonzero constant, which keeps the band."""
         jet = self.jet
-        return CompactJet(Jet(jet.space, op(jet.data, factor), jet.band, jet.support), self.slots,
+        return CompactJet(Jet(jet.space, op(jet.data, factor), jet.band), self.slots,
                           op(self.outside, factor), self.top)
 
     def _union(self, other: "CompactJet") -> int:
@@ -895,7 +883,7 @@ class CompactJet:
         # sub-tuples there, and skips every term that reads a slot outside
         sp, _, local_a = _embedding(self.slots, union, self.top)
         local_b = _embedding(other.slots, union, self.top)[2]
-        plan = _mul_plan(sp, a.band, b.band, local_a, local_b, True)
+        plan = _mul_plan(sp, a.band, b.band, local_a, local_b)
         out = _leibniz(a.data, b.data, sp.size, plan)
         band = (a.band[0] + b.band[0], min(sp.order, a.band[1] + b.band[1]))
         return CompactJet(Jet(sp, out, band), union, 0.0, self.top)
@@ -908,20 +896,26 @@ class CompactJet:
                 return self._scaled(np.divide, other)
             return _whole(self.expanded() / other)  # 0 / 0 is NaN
         union = self._union(other)
-        if union != self.every and not (_finite(self.jet) and _finite(other.jet)):
+        quotient = divide(self.embedded(union), other.embedded(union))
+        if union != self.every and not _finite(quotient):
+            # over every slot, c[()] * b[t] is NaN outside the union where c
+            # holds an inf (a non-finite operand, or a finite one that
+            # overflows), as 0 * inf is NaN
             return _whole(divide(self.expanded(), other.expanded()))
         # an entry outside both operands' slots solves c * b0 = outside
-        return CompactJet(divide(self.embedded(union), other.embedded(union)), union,
-                          self.outside / other.jet.data[0], self.top)
+        return CompactJet(quotient, union, self.outside / other.jet.data[0], self.top)
 
     def __rtruediv__(self, other):
-        if self.slots != self.every and not _finite(self.jet):
-            return _whole(other / self.expanded())
-        return CompactJet(other / self.jet, self.slots, 0.0 / self.jet.data[0], self.top)
+        quotient = other / self.jet
+        if self.slots != self.every and not _finite(quotient):
+            return _whole(other / self.expanded())  # as in __truediv__
+        return CompactJet(quotient, self.slots, 0.0 / self.jet.data[0], self.top)
 
     def unary(self, fn: str, exponent: float | None) -> "CompactJet":
         jet = self.jet
-        outer = _outer(fn, jet, exponent)
+        # over a truncated top, a jet whose slots leave out the last one
+        # has an order less, and the full kernel would still read f^(K)
+        outer = _outer(fn, jet, exponent, self.top.order)
         narrow = self.slots != self.every or _narrow(jet)
         if narrow and not _bounded_terms(jet, outer):
             # 0 * inf is NaN, and a skipped term may hold an overflowing
@@ -932,18 +926,6 @@ class CompactJet:
 
 def _whole(jet: Jet) -> CompactJet:
     return CompactJet(jet, (1 << jet.space.m) - 1, 0.0, jet.space)
-
-
-def _bound(jet: Jet) -> CompactJet:
-    """A jet bound to a symbol, held in the space of its support: every
-    entry outside the support holds the value of the first such entry."""
-    top, slots = jet.space, jet.support
-    if not slots or slots == (1 << top.m) - 1:
-        return _whole(jet)
-    _, at, _ = _embedding(slots, (1 << top.m) - 1, top)
-    out = np.flatnonzero(~_inside(top, slots))
-    outside = jet.data[out[0]] if out.size else 0.0
-    return CompactJet(Jet(_space_of(slots, top), jet.data[at], jet.band), slots, outside, top)
 
 
 def compact_seeds(names: Sequence[str], values, order: int,
@@ -1006,33 +988,40 @@ def _walk(node: ex.Node, bindings: Mapping[str, Binding]):
     return left / right
 
 
-def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding]) -> Jet:
-    """Evaluate an expression tree where symbols map to jets or constants.
+def eval_compact(expr: ex.Expr, bindings: Mapping[str, Binding]) -> CompactJet:
+    """Evaluate an expression tree where symbols map to jets or constants,
+    as a compact jet.
 
-    The result lives in the space of the jets bound to symbols ('x3', 'a',
-    ...), which must share that space and one point axis; a ValueError is
-    raised when no symbol is bound to a jet.  A compact jet (from
-    :func:`compact_seeds`) stands for a jet over its ``top`` space, and a
-    jet whose support leaves out some slot is held on its support: every
-    subexpression stays in the space of its own slots, and the result is
-    built over all slots once, at the end.  Symbols bound to a scalar or
+    The result lives over the space of the jets bound to symbols ('x3',
+    'a', ...), which must share that space and one point axis; a ValueError
+    is raised when no symbol is bound to a jet.  A compact jet (from
+    :func:`compact_seeds`, or the result of another evaluation) stands for
+    a jet over its ``top`` space, and a :class:`Jet` is held over all of its
+    slots; every subexpression stays in the space of its own slots.  A
+    constant result is held over all slots.  Symbols bound to a scalar or
     to one value per point are held constant.  Subtrees without a jet stay
     constants, so the tree is walked once per batch and only the jet nodes
     pay for jet arithmetic.  A constant that meets a jet, or is the result,
     must be finite, as a domain failure.  Every domain check is false on
     NaN, so with NaN-valued jets only the variable-free parts can raise.
     """
-    bound = {name: _bound(v) if isinstance(v, Jet) else v for name, v in bindings.items()}
+    bound = {name: _whole(v) if isinstance(v, Jet) else v for name, v in bindings.items()}
     sp = next((v.top for v in bound.values() if isinstance(v, CompactJet)), None)
     if sp is None:
         raise ValueError("no symbol is bound to a jet, so the result has no jet space")
     out = _walk(expr.root, bound)
     if isinstance(out, CompactJet):
-        return out.expanded()
+        return out
     _finite_constant(out, expr.root)
     tail = np.broadcast_shapes(*(v.jet.data.shape[1:] if isinstance(v, CompactJet)
                                  else np.shape(v) for v in bound.values()))
-    return constant(out, sp, tail)
+    return _whole(constant(out, sp, tail))
+
+
+def eval_with_bindings(expr: ex.Expr, bindings: Mapping[str, Binding]) -> Jet:
+    """:func:`eval_compact`, with the result built over all slots once, at
+    the end."""
+    return eval_compact(expr, bindings).expanded()
 
 
 @np.errstate(all="ignore")

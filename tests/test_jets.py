@@ -610,21 +610,26 @@ class TestBandedKernels:
                 assert got.data.tobytes() == J.apply_unary(fn, _full(a)).data.tobytes()
 
 
-def _outside_support(jet):
-    """The entries of ``jet`` whose slot tuple holds a slot outside its support."""
-    return jet.data[(jet.space.slot_masks & ~jet.support) != 0]
+def _outside_slots(jet, slots):
+    """The entries of ``jet`` whose slot tuple holds a slot outside ``slots``."""
+    return jet.data[(jet.space.slot_masks & ~slots) != 0]
 
 
-def _supported(rng, sp, band, support, outside=0.0):
-    """A random jet over ``sp`` with this band and slot support; its entries
-    outside either are ``outside``."""
-    jet = _banded(rng, sp, band, outside=outside)
-    jet.data[(sp.slot_masks & ~support) != 0] = outside
-    return J.Jet(sp, jet.data, band, support)
+def _compact(rng, top, band, slots, outside=0.0):
+    """A random jet over ``top`` with this band whose entries outside the
+    band or outside ``slots`` are ``outside``: as a compact jet held on
+    ``slots`` (over every slot when ``slots`` is empty), and over ``top``."""
+    dense = _banded(rng, top, band, outside=outside)
+    dense.data[(top.slot_masks & ~slots) != 0] = outside
+    if slots in (0, (1 << top.m) - 1):
+        return J._whole(dense), dense
+    at, sp = J._embedding(slots, (1 << top.m) - 1, top)[1], J._space_of(slots, top)
+    inner = J.Jet(sp, dense.data[at], (min(band[0], sp.order), min(band[1], sp.order)))
+    return J.CompactJet(inner, slots, outside, top), dense
 
 
 def _support_pairs(m):
-    """Supports of two factors: empty, one slot, disjoint, nested, full."""
+    """Slots of two factors: empty, one slot, disjoint, nested, full."""
     full = (1 << m) - 1
     last = 1 << (m - 1)  # the slot a truncated space keeps at its full order
     return [(0, 0), (0, full), (1, 1), (0b10, last), (0b11, 0b1100), (0b101 | last, 0b10),
@@ -635,64 +640,67 @@ class TestSlotSupports:
     @pytest.mark.parametrize("m,order,last", BAND_SPACES)
     def test_entries_outside_the_support_are_zero(self, m, order, last):
         rng = np.random.default_rng(m * 10 + order)
-        x = rng.uniform(0.5, 1.5, (m, 4))
-        bindings = {f"x{i + 1}": J.seed(i + 1, x[i], m, order, last) for i in range(m)}
+        seeds = J.compact_seeds(_names(m), rng.uniform(0.5, 1.5, (m, 4)), order, last)
         narrow = 0
         for _ in range(12):
             e = parse(random_tree(rng, m, depth=3), m)
             for node in walk(e.root):
                 try:
-                    jet = J.eval_with_bindings(Expr(node, m), bindings)
+                    jet = J.eval_compact(Expr(node, m), seeds)
                 except ArithmeticError:
                     continue  # a subtree that leaves its domain at some point
-                assert (_outside_support(jet) == 0.0).all(), (to_text(node), jet.support)
-                narrow += jet.support != (1 << m) - 1
+                outside = _outside_slots(jet.expanded(), jet.slots)
+                assert (outside == 0.0).all(), (to_text(node), jet.slots)
+                narrow += jet.slots != (1 << m) - 1
         assert narrow  # every subtree reads fewer than m slots
 
     def test_supports_of_seeds_constants_and_operations(self):
-        x1, x3 = J.seed(1, 0.5, 4, 3), J.seed(3, 0.5, 4, 3)
-        assert (x1.support, x3.support) == (0b1, 0b100)
-        assert J.constant(2.0, J.space(4, 3)).support == 0
-        assert (x1 * x3).support == (x1 + x3).support == (x1 - x3).support == 0b101
-        assert (2.0 - x3).support == (-x3).support == (x3 + 1.0).support == (x3 / 2.0).support \
-            == J.apply_unary("exp", x3).support == 0b100
+        seeds = J.compact_seeds(_names(4), [0.5] * 4, 3)
+        x1, x3 = seeds["x1"], seeds["x3"]
+        assert (x1.slots, x3.slots) == (0b1, 0b100)
+        assert (x1 * x3).slots == (x1 + x3).slots == (x1 - x3).slots == (x1 / (x3 + 1.0)).slots \
+            == 0b101
+        assert (2.0 - x3).slots == (x3 * -2.0).slots == (x3 + 1.0).slots == (x3 / 2.0).slots \
+            == x3.unary("exp", None).slots == (1.0 / x3).slots == 0b100
         with np.errstate(all="ignore"):
-            assert (x1 * np.inf).support == 0b1111  # 0 * inf is NaN
-            assert (x1 / 0.0).support == 0b1111  # 0 / 0 is NaN
-        # built outside the product, sum and unary kernels: no support is known
-        assert J.divide(x1, x3 + 1.0).support == 0b1111
-        assert x1.partial(1).support == J.Jet(J.space(4, 3), x1.data).support == 0b1111
-        assert J.substitute_last(J.seed(4, 0.0, 4, 3), J.seed(2, 0.0, 3, 3) * 0.5).support \
-            == 0b111
+            assert (x1 * np.inf).slots == 0b1111  # 0 * inf is NaN
+            assert (x1 / 0.0).slots == 0b1111  # 0 / 0 is NaN
+            # the quotient's value overflows, and c[()] * b[t] is NaN outside
+            assert (1e10 / (x1 * 1e-299)).slots == (x3 * 1e10 / (x1 * 1e-299)).slots == 0b1111
+        # a constant result and a bound Jet are held over every slot
+        assert J.eval_compact(parse("2.5", 4), seeds).slots == 0b1111
+        dense = {"x1": J.seed(1, 0.5, 4, 3), "x3": J.seed(3, 0.5, 4, 3)}
+        assert J.eval_compact(parse("x1*x3", 4), dense).slots == 0b1111
 
     def test_the_widest_space(self):
-        # the support of the last slot is the top bit an int64 mask holds
+        # the last slot is the top bit an int64 mask holds
         m = J.MAX_SLOTS
-        x, y = J.seed(m, 0.5, m, 2), J.seed(1, 0.5, m, 2)
-        assert x.support == 1 << (m - 1) and (x * y).support == x.support | 1
-        assert (x * y).data.tobytes() == (_full(x) * _full(y)).data.tobytes()
+        seeds = J.compact_seeds(_names(m), [0.5] * m, 2)
+        x, y = seeds[f"x{m}"], seeds["x1"]
+        assert x.slots == 1 << (m - 1) and (x * y).slots == x.slots | 1
+        want = _full(J.seed(m, 0.5, m, 2)) * _full(J.seed(1, 0.5, m, 2))
+        assert (x * y).expanded().data.tobytes() == want.data.tobytes()
         with pytest.raises(ValueError, match="slot count"):
             J.space(m + 1, 1)
 
 
 class TestSupportKernels:
-    """Each kernel on narrow slot supports gives the bytes of the same call on
-    full supports and bands."""
+    """Each compact kernel, on jets held on part of their slots, gives the
+    bytes of the same call over every slot on full bands."""
 
     @pytest.mark.parametrize("m,order,last", BAND_SPACES)
     @pytest.mark.parametrize("outside", [0.0, -0.0])
     def test_mul(self, m, order, last, outside):
         rng = np.random.default_rng(m)
-        sp = J.space(m, order, last)
-        for support_a, support_b in _support_pairs(m):
+        top = J.space(m, order, last)
+        for slots_a, slots_b in _support_pairs(m):
             for band_a in TestBandedKernels.bands(order):
-                a = _supported(rng, sp, band_a, support_a, outside)
+                a, dense_a = _compact(rng, top, band_a, slots_a, outside)
                 for band_b in TestBandedKernels.bands(order)[::2]:
-                    b = _supported(rng, sp, band_b, support_b, outside)
-                    got = a * b
-                    assert got.support == support_a | support_b
-                    assert got.data.tobytes() == (_full(a) * _full(b)).data.tobytes()
-                    zeros = _outside_support(got)
+                    b, dense_b = _compact(rng, top, band_b, slots_b, outside)
+                    got = (a * b).expanded()
+                    assert got.data.tobytes() == (_full(dense_a) * _full(dense_b)).data.tobytes()
+                    zeros = _outside_slots(got, slots_a | slots_b)
                     assert (zeros == 0.0).all() and not np.signbit(zeros).any()
 
     @pytest.mark.parametrize("m,order,last", BAND_SPACES)
@@ -701,40 +709,46 @@ class TestSupportKernels:
     @pytest.mark.parametrize("outside", [0.0, -0.0])
     def test_apply_unary(self, m, order, last, fn, exponent, outside):
         rng = np.random.default_rng(m)
-        sp = J.space(m, order, last)
-        for support in {s for pair in _support_pairs(m) for s in pair}:
+        top = J.space(m, order, last)
+        for slots in {s for pair in _support_pairs(m) for s in pair}:
             for band in TestBandedKernels.bands(order):
-                a = _supported(rng, sp, band, support, outside)
+                a, dense = _compact(rng, top, band, slots, outside)
                 if fn == "pow" and exponent < 0:
-                    a = a + 2.0  # a value away from zero
-                got = J.apply_unary(fn, a, exponent)
-                assert got.support == support
-                assert got.data.tobytes() == J.apply_unary(fn, _full(a), exponent).data.tobytes()
-                zeros = _outside_support(got)
+                    a, dense = a + 2.0, dense + 2.0  # a value away from zero
+                got = a.unary(fn, exponent).expanded()
+                want = J.apply_unary(fn, _full(dense), exponent)
+                assert got.data.tobytes() == want.data.tobytes()
+                zeros = _outside_slots(got, slots)
                 assert (zeros == 0.0).all() and not np.signbit(zeros).any()
 
     @pytest.mark.parametrize("m,order,last", BAND_SPACES)
     @np.errstate(all="ignore")
     def test_non_finite_entries_give_the_full_kernels_nans(self, m, order, last):
         rng = np.random.default_rng(m)
-        sp = J.space(m, order, last)
-        for support_a, support_b in _support_pairs(m):
-            a = _supported(rng, sp, (0, order), support_a)
-            b = _supported(rng, sp, (0, order), support_b)
-            a.data[0, 1], a.data[0, 2] = np.inf, np.nan  # values: read by every term
-            b.data[0, 3] = -np.inf
-            for x, y in ((a, b), (b, a), (a, a)):
-                got = x * y
-                assert got.data.tobytes() == (_full(x) * _full(y)).data.tobytes()
-                assert np.isnan(got.data).any()
-                assert got.support == (1 << m) - 1
+        top = J.space(m, order, last)
+        for slots_a, slots_b in _support_pairs(m):
+            a, dense_a = _compact(rng, top, (0, order), slots_a)
+            b, dense_b = _compact(rng, top, (0, order), slots_b)
+            for jet in (a.jet, dense_a):  # values: read by every term
+                jet.data[0, 1], jet.data[0, 2] = np.inf, np.nan
+            for jet in (b.jet, dense_b):
+                jet.data[0, 3] = -np.inf
+            for (x, dense_x), (y, dense_y) in (((a, dense_a), (b, dense_b)),
+                                               ((b, dense_b), (a, dense_a)),
+                                               ((a, dense_a), (a, dense_a))):
+                product = x * y
+                got = product.expanded().data
+                assert got.tobytes() == (_full(dense_x) * _full(dense_y)).data.tobytes()
+                assert np.isnan(got).any() and product.slots == (1 << m) - 1
             # sin's outer derivatives are NaN at an inf or NaN value, and
             # ln's second derivative at 1e-160 overflows to -inf
-            tiny = _supported(rng, sp, (0, 2), support_a)
-            tiny.data[0] = 1e-160
-            for x, fn in ((a, "sin"), (b, "sin"), (tiny, "ln")):
-                got = J.apply_unary(fn, x)
-                assert got.data.tobytes() == J.apply_unary(fn, _full(x)).data.tobytes()
+            tiny, dense_tiny = _compact(rng, top, (0, 2), slots_a)
+            for jet in (tiny.jet, dense_tiny):
+                jet.data[0] = 1e-160
+            for x, dense_x, fn in ((a, dense_a, "sin"), (b, dense_b, "sin"),
+                                   (tiny, dense_tiny, "ln")):
+                got = x.unary(fn, None).expanded()
+                assert got.data.tobytes() == J.apply_unary(fn, _full(dense_x)).data.tobytes()
 
     @pytest.mark.parametrize("m,order,last", [(2, 4, False), (3, 4, True), (8, 3, False)])
     @np.errstate(all="ignore")
@@ -743,15 +757,16 @@ class TestSupportKernels:
         # product of kept factors, and that product may overflow to inf:
         # the full kernel's entry is then NaN, so no term may be skipped
         rng = np.random.default_rng(m)
-        sp = J.space(m, order, last)
-        for support, band in (((1 << m) - 1, (0, 1)), (0b1 | 1 << (m - 1), (0, order))):
+        top = J.space(m, order, last)
+        for slots, band in (((1 << m) - 1, (0, 1)), (0b1 | 1 << (m - 1), (0, order))):
             for scale in (1e150, 1e200):
-                a = _supported(rng, sp, band, support) * scale
-                assert np.isfinite(a.data).all()
+                a, dense = _compact(rng, top, band, slots)
+                a, dense = a * scale, dense * scale
+                assert np.isfinite(dense.data).all()
                 for fn in ("sin", "cos", "ln"):
-                    x = a + 1e300 if fn == "ln" else a
-                    got = J.apply_unary(fn, x)
-                    assert got.data.tobytes() == J.apply_unary(fn, _full(x)).data.tobytes()
+                    x, dense_x = (a + 1e300, dense + 1e300) if fn == "ln" else (a, dense)
+                    got = x.unary(fn, None).expanded()
+                    assert got.data.tobytes() == J.apply_unary(fn, _full(dense_x)).data.tobytes()
 
 
 def _names(n):
@@ -781,7 +796,7 @@ class TestCompactJets:
         assert np.signbit(s.outside) and s.outside == 0.0
 
     @pytest.mark.parametrize("last", [False, True])
-    def test_bound_jets_are_held_on_their_supports(self, last):
+    def test_dense_and_compact_seeds_give_the_same_bytes(self, last):
         # seeds, a jet over every slot and compact seeds give the same bytes
         x = np.random.default_rng(1).uniform(0.5, 1.5, (4, 5))
         e = parse("(x1*x2 - x3)*(-0.5) + x4*x1 - 1/(x2 + x4)", 4)

@@ -27,6 +27,7 @@ from goursatkit import jets as J
 from goursatkit.classify import Box, fold_max, sample_bundle
 from goursatkit.cli import SCHEMA_VERSION, _Writer, build_web, main, parse_config_text, run
 from goursatkit.expr import parse
+from goursatkit.families import FamilySpec, family_web
 from goursatkit.exterior import NON_FINITE, SYSTEM_NAMES, VERDICTS, CoFormField, \
     FrobeniusColumns, PfaffianSystem, frobenius_columns, frobenius_reports, make_system
 from goursatkit.web import WebFunction
@@ -352,19 +353,12 @@ def test_json_flag_streams_the_report(tmp_path, monkeypatch, capsys):
 def _seeds_with_full_support(monkeypatch):
     """Make every seed claim all n slots, so no jet is held in the space of
     fewer slots and no jet kernel skips a term by slot: ``J.compact_seeds``
-    (the seeds of every web) and ``J.seed`` give jets over the whole space
-    with every slot in their support."""
-    seed = J.seed
-
-    def full(*args, **kwargs):
-        jet = seed(*args, **kwargs)
-        return J.Jet(jet.space, jet.data, jet.band)
-
+    (the seeds of every web) gives :func:`J.seed` jets, which an evaluation
+    holds over all slots."""
     def full_seeds(names, values, order, last=False):
-        return {name: full(i + 1, values[i], len(names), order, last)
+        return {name: J.seed(i + 1, values[i], len(names), order, last)
                 for i, name in enumerate(names)}
 
-    monkeypatch.setattr(J, "seed", full)
     monkeypatch.setattr(J, "compact_seeds", full_seeds)
 
 
@@ -423,9 +417,13 @@ def _negated_trees(count: int) -> list[str]:
 
 
 # -0.0 in 48 of the 56 entries of the first one; NaN outside the slots of
-# the overflowing products, which must run on every slot
+# the overflowing products, which must run on every slot, and of the
+# quotients of finite operands whose value overflows: F_2 is NaN, so the
+# last one fails with a non-finite jet, not as irregular
 SIGNED_AND_NON_FINITE = ["(x1*x2 + x3*x4 + x5)*(-1)", "(-0.5)*x1 + (-2)*x2 + x3*x4",
-                         "x3*x1^(-2000)", "x2*(x1*1e308*10)", "x4*sin(x1^(-2000))"]
+                         "x3*x1^(-2000)", "x2*(x1*1e308*10)", "x4*sin(x1^(-2000))",
+                         "1e10/(x1*1e-299) + x2 + x3 + x4",
+                         "1e10/(x1*1e-299) + x2*1e-20 + x3 + x4"]
 
 
 @pytest.mark.parametrize("text", SIGNED_AND_NON_FINITE + _negated_trees(15))
@@ -437,6 +435,22 @@ def test_compact_jets_match_jets_over_every_slot(text, monkeypatch):
         with monkeypatch.context() as patched:
             _seeds_with_full_support(patched)
             assert _evaluated(web, points) == got
+
+
+def test_a_family_power_whose_top_derivative_overflows(monkeypatch):
+    # the jet of x1*1e-301 leaves out the parameter's slot, so it lives in
+    # a space of order 3, while the joint jets have order 4; the power's
+    # fourth derivative is -inf there, and over every slot the full
+    # Faa di Bruno sum writes 0 * -inf = NaN into the order-4 entries that
+    # hold the parameter
+    spec = FamilySpec("first", parse("(x1*1e-301)^2.97 + x1*x2 + a^2*x1 - a*x2", 4, ["a"]),
+                      parse("x3*x4 + a*x3", 4, ["a"]), 4, 0.0)
+    web = family_web(spec)
+    points = np.random.default_rng(3).uniform(0.5, 1.5, (16, 4))
+    got = _evaluated(web, points)
+    assert not np.isfinite(np.frombuffer(got[0])).all()
+    _seeds_with_full_support(monkeypatch)
+    assert _evaluated(web, points) == got
 
 
 def test_negative_zeros_survive_outside_the_slots():
