@@ -1038,15 +1038,12 @@ def eval_jet(expr: ex.Expr, point: Mapping[str, float],
     ``active`` lists variable/parameter names in slot order (slot i+1 is
     active[i]); all other symbols are held constant at their point value.
     """
-    m = len(active)
-    bindings: dict[str, Binding] = {}
-    for i, name in enumerate(active):
+    for name in active:
         if name not in point:
             raise KeyError(f"point is missing active symbol '{name}'")
-        bindings[name] = seed(i + 1, float(point[name]), m, order)
-    for name, val in point.items():
-        if name not in bindings:
-            bindings[name] = float(val)
+    bindings: dict[str, Binding] = {name: float(val) for name, val in point.items()}
+    if active:
+        bindings.update(compact_seeds(active, [float(point[name]) for name in active], order))
     return eval_with_bindings(expr, bindings)
 
 
