@@ -1,11 +1,12 @@
 """Pfaffian systems in coordinates: ranks and Frobenius integrability.
 
-Systems are lists of 1-form fields with jet-evaluable coefficients.  The
-named systems are defined in one place, the ``SYSTEMS`` table below: each
-generator is a list of (slot, coefficient) pairs whose coefficients are
-signed sums of products of partial derivatives of the defining function F,
-built with their Jacobians by jet arithmetic on a point's or a batch's jet.
-:func:`frobenius_columns` works on all points at once (a stacked
+A system is its generators: constant coordinate forms dx_s, one per sigma
+slot, and 1-form fields, each a row of the ``SYSTEMS`` table below read
+from the system's web.  A row is a list of (slot, coefficient) pairs whose
+coefficients are signed sums of products of partial derivatives of the
+defining function F, built with their Jacobians by jet arithmetic on a
+point's or a batch's jet.  :func:`frobenius_columns` reads the rows at all
+points at once and hands the arrays to one array-level core (a stacked
 determinant, whose minors also certify most ranks, and a stacked SVD for
 the rest); :func:`frobenius_reports` is its per-point view and
 :func:`frobenius_residual` its one-point call.
@@ -15,24 +16,24 @@ generator t^i of a system spanned by t^1..t^k, the (k+2)-form
 d t^i ^ t^1 ^ ... ^ t^k must vanish.  This avoids constructing a smooth
 kernel basis and works at a single point from order-1 jets of the
 coefficients.  Most generators are the constant coordinate forms dx_s,
-s in sigma, and wedging with them kills every dx_sigma component, so a
-batch builds no dx_s row: the wedge is expanded on the free slots, over
-the minors of the field rows there, which also give the ranks.
+s in sigma, and no row has a slot in sigma, so wedging with them only
+appends dx_sigma: a batch builds no dx_s row, the wedge is expanded on the
+free slots, over the minors of the field rows there, which also give the
+ranks.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .classify import fold_max
 from .jets import Jet, _partial_index, space
-from .web import (JET_ORDER, DerivativeBundle, Point, WebFunction, as_point, as_points,
-                  derivative_bundle)
+from .web import JET_ORDER, DerivativeBundle, WebFunction, as_points, derivative_bundle
 
 RANK_TOL = 1e-8  # singular values below this fraction of the largest count as zero
 _MARGIN = 100.0  # how far above RANK_TOL * top a certified rank's sigma_min lies
@@ -44,37 +45,20 @@ NON_FINITE = "non-finite generator coefficients"
 
 
 class CoFormField:
-    """A 1-form field: coefficient values and their Jacobian at a point.
+    """A 1-form field: a ``SYSTEMS`` row, read from its system's web."""
 
-    ``evaluate(p)`` returns (c, dc) with c[i] the dx_{i+1} coefficient and
-    dc[i, j] = d c_i / d x_{j+1}; a ``SYSTEMS`` ``row`` also runs on a batch jet.
-    """
+    __slots__ = ("row",)
 
-    __slots__ = ("arity", "label", "evaluate", "row")
-
-    def __init__(self, arity: int, label: str,
-                 evaluate: Callable[[Point], tuple[np.ndarray, np.ndarray]],
-                 row: list | None = None):
-        self.arity = arity
-        self.label = label
-        self.evaluate = evaluate
+    def __init__(self, row: list):
         self.row = row
-
-    def coefficients(self, p: Sequence[float]) -> np.ndarray:
-        return self.evaluate(as_point(p, self.arity))[0]
-
-    @classmethod
-    def constant(cls, coeffs: Sequence[float], label: str) -> "CoFormField":
-        c = np.asarray(coeffs, dtype=float)
-        n = len(c)
-        zero = np.zeros((n, n))
-        return cls(n, label, lambda p: (c.copy(), zero.copy()))
 
 
 class PfaffianSystem:
     """Named list of 1-form fields plus constant coordinate forms dx_s, one
-    per sigma slot (distinct ints in 1..arity); a ``SYSTEMS`` system keeps the
-    web its rows are read from."""
+    per sigma slot (distinct ints in 1..arity).  The fields are rows of the
+    ``web`` they are read from; a system with fields refuses to be built
+    without a web, and any system refuses a web of another arity or a row
+    slot outside 1..arity or in sigma."""
 
     __slots__ = ("name", "arity", "fields", "sigma", "expected_kernel_dim", "web")
 
@@ -88,9 +72,15 @@ class PfaffianSystem:
         if len(set(sigma)) < len(sigma) or not all(
                 isinstance(s, (int, np.integer)) and 1 <= s <= arity for s in sigma):
             raise ValueError(f"sigma slots must be distinct ints in 1..{arity}, got {sigma}")
+        if fields and web is None:
+            raise ValueError("a system's fields are read from its web, and none was given")
+        if web is not None and web.arity != arity:
+            raise ValueError(f"a web of arity {web.arity} for a system of arity {arity}")
         for f in fields:
-            if f.arity != arity:
-                raise ValueError("field arity mismatch")
+            slots = [slot for slot, _ in f.row]
+            if not all(1 <= slot <= arity and slot not in sigma for slot in slots):
+                raise ValueError(f"row slots must lie in 1..{arity} outside sigma {sigma}, "
+                                 f"got {slots}")
         self.name = name
         self.arity = arity
         self.fields = fields
@@ -137,16 +127,6 @@ SYSTEMS = {
 SYSTEM_NAMES = tuple(SYSTEMS)
 
 
-def _row_label(row) -> str:
-    """A SYSTEMS row in the README's notation, e.g. '(F3 F14 - F4 F13) dx4'."""
-    def coefficient(terms) -> str:
-        text = " ".join(("- " if sign < 0 else "+ ")
-                        + " ".join("F" + "".join(map(str, idx)) for idx in factors)
-                        for sign, *factors in terms).removeprefix("+ ")
-        return f"({text})" if len(terms) > 1 else text
-    return " + ".join(f"{coefficient(terms)} dx{slot}" for slot, terms in row)
-
-
 @lru_cache(maxsize=None)
 def _factor_index(m: int, idx: tuple[int, ...]) -> np.ndarray:
     """Positions, in a jet of F over m slots of order above len(idx), of the
@@ -178,10 +158,6 @@ def _row_values(row, jet: Jet) -> tuple[np.ndarray, np.ndarray]:
     return out[..., 0], out[..., 1:]
 
 
-def _row_at(web: WebFunction, row, p: Point) -> tuple[np.ndarray, np.ndarray]:
-    return _row_values(row, web.jet(p, JET_ORDER))
-
-
 def make_system(web: WebFunction, name: str) -> PfaffianSystem:
     n = web.arity
     name = name.upper()
@@ -190,43 +166,27 @@ def make_system(web: WebFunction, name: str) -> PfaffianSystem:
     if name.startswith("DELTA") and n < 5:
         raise ValueError(f"{name} needs arity n >= 5, got {n}")
     rows, first_sigma, kernel_dim = SYSTEMS[name]
-    fields = tuple(CoFormField(n, _row_label(row), partial(_row_at, web, row), row)
-                   for row in rows)
-    return PfaffianSystem(name, n, fields, tuple(range(first_sigma, n + 1)), kernel_dim, web)
-
-
-def coefficient_matrix(sys: PfaffianSystem, p: Sequence[float]) -> np.ndarray:
-    return _stacked(sys, _generators(sys, [p])[1])[0]
-
-
-def _stacked(sys: PfaffianSystem, coeffs: np.ndarray) -> np.ndarray:
-    """Field rows (N, kf, n) with one dx_s row appended per sigma slot."""
-    units = np.eye(sys.arity)[[s - 1 for s in sys.sigma]]
-    return np.concatenate([coeffs, np.broadcast_to(units, (len(coeffs),) + units.shape)], 1)
+    return PfaffianSystem(name, n, tuple(CoFormField(row) for row in rows),
+                          tuple(range(first_sigma, n + 1)), kernel_dim, web)
 
 
 def _generators(sys: PfaffianSystem, points) -> tuple:
     """The points (N, n), the coefficients (N, kf, n) of the field rows and
     their exterior derivatives dtheta = J.T - J (N, kf, n, n), in ``fields``
     order; the dx_s rows are left out.  ``points`` is an (N, n) array or a
-    :class:`DerivativeBundle`.  Field rows run on the batch jet of the
-    bundle (by default, of the web at the points, if any), other fields
-    stack their ``evaluate`` output."""
+    :class:`DerivativeBundle`; the rows run on the batch jet of the bundle
+    (by default, of the system's web at the points)."""
     b = points if isinstance(points, DerivativeBundle) else None
     points = as_points(points if b is None else b.points, sys.arity)
-    if b is None and sys.web is not None:
-        b = derivative_bundle(sys.web, points)
-    jet = None if b is None else Jet(space(sys.arity, JET_ORDER), b.data.T)
     coeffs = np.zeros((len(points), len(sys.fields), sys.arity))
     dtheta = np.zeros(coeffs.shape + (sys.arity,))
-    for g, field in enumerate(sys.fields):
-        if jet is not None and field.row is not None:
+    if sys.fields:
+        if b is None:
+            b = derivative_bundle(sys.web, points)
+        jet = Jet(space(sys.arity, JET_ORDER), b.data.T)
+        for g, field in enumerate(sys.fields):
             coeffs[:, g], jac = _row_values(field.row, jet)
-        else:
-            jac = np.zeros((len(points), sys.arity, sys.arity))
-            for i, p in enumerate(points):
-                coeffs[i, g], jac[i] = field.evaluate(as_point(p, sys.arity))
-        dtheta[:, g] = jac.swapaxes(-1, -2) - jac
+            dtheta[:, g] = jac.swapaxes(-1, -2) - jac
     return points, coeffs, dtheta
 
 
@@ -279,16 +239,6 @@ def _ranks(rows: np.ndarray, minors: np.ndarray | None, units: int) -> np.ndarra
     if not ok.all():
         ranks[~ok] = _rank(np.linalg.svd(rows[~ok], compute_uv=False), units)
     return ranks
-
-
-def rank_at(sys: PfaffianSystem, p: Sequence[float]) -> tuple[int, int]:
-    """(rank, kernel dimension) of the span at p, by the singular values of
-    :func:`coefficient_matrix`; a non-finite coefficient raises ArithmeticError."""
-    matrix = coefficient_matrix(sys, p)
-    if not np.isfinite(matrix).all():
-        raise ArithmeticError(NON_FINITE)
-    rank = int(_rank(np.linalg.svd(matrix, compute_uv=False)))
-    return rank, sys.arity - rank
 
 
 @lru_cache(maxsize=None)
@@ -394,7 +344,18 @@ def frobenius_columns(sys: PfaffianSystem, points,
     """Normalized residuals of d t^i ^ t^1 ^ ... ^ t^k per generator at every
     point, as :class:`FrobeniusColumns`.  ``points`` is an ``(N, n)`` array,
     or a :class:`~goursatkit.web.DerivativeBundle`, whose points are taken
-    with the jets it holds.
+    with the jets it holds.  The system's rows are read there and handed to
+    :func:`_frobenius_core`, which documents the residuals, ranks and
+    verdicts."""
+    points, coeffs, dtheta = _generators(sys, points)
+    return _frobenius_core(sys.name, points, coeffs, dtheta, sys.sigma, tol)
+
+
+def _frobenius_core(name: str, points: np.ndarray, coeffs: np.ndarray, dtheta: np.ndarray,
+                    sigma: tuple[int, ...], tol: float) -> FrobeniusColumns:
+    """:func:`frobenius_columns` on arrays: the field rows' coefficients
+    ``coeffs`` (N, kf, n), zero in the sigma slots (1-based), and their
+    ``dtheta`` (N, kf, n, n) at ``points`` (N, n).
 
     The wedge is taken on the free slots F outside sigma:
     d t^i ^ t^1 ^ ... ^ t^k = +-(d t^i|F ^ fields|F) ^ dx_sigma has the same
@@ -402,19 +363,18 @@ def frobenius_columns(sys: PfaffianSystem, points,
     Residuals are divided by ||d t^i|| times the product of generator norms
     (floored at 1e-12); a generator with d t^i = 0 (every dx_s, a row never
     built: its norm is 1.0) contributes residual 0.  Ranks count singular
-    values of the field rows on F beside |sigma| values 1.0, or of the full
-    matrix at a point where a field is nonzero in a sigma slot; where the
-    wedge's minors bound the field rows' singular values far enough from
-    the threshold, they give that count without an SVD (:func:`_ranks`).
+    values of the field rows on F beside |sigma| values 1.0: the generator
+    matrix is block diagonal, [A 0; 0 I].  Where the wedge's minors bound
+    the field rows' singular values far enough from the threshold, they
+    give that count without an SVD (:func:`_ranks`).
     Verdict: 'integrable' below tol, 'non_integrable' above the 1e-3 floor,
     'inconclusive' between, 'degenerate' when the generators are dependent
     at p.  Every point sees the float operations of a one-point evaluation.
     """
-    points, coeffs, dtheta = _generators(sys, points)
-    n, kf, sigma = sys.arity, len(sys.fields), [s - 1 for s in sys.sigma]
+    _, kf, n = coeffs.shape
     finite = np.isfinite(coeffs).all(axis=(1, 2))
     coeffs = np.where(finite[:, None, None], coeffs, 0.0)
-    free = [s for s in range(n) if s not in sigma]
+    free = [s for s in range(n) if s + 1 not in sigma]
     rows = coeffs[:, :, free]
     minors = None
     if kf + 2 <= len(free):
@@ -422,9 +382,6 @@ def frobenius_columns(sys: PfaffianSystem, points,
         table = _wedge_table(len(free), kf)
         minors = np.linalg.det(rows[:, :, table[0]].transpose(0, 2, 1, 3))
     ranks = _ranks(rows, minors, len(sigma))
-    touch = coeffs[..., sigma].any(axis=(1, 2))
-    if touch.any():
-        ranks[touch] = _rank(np.linalg.svd(_stacked(sys, coeffs[touch]), compute_uv=False))
     # a row times a column sums as np.linalg.norm does for one row
     norms = np.maximum(np.sqrt((coeffs[..., None, :] @ coeffs[..., None])[..., 0, 0]),
                        NORM_FLOOR)
@@ -442,4 +399,4 @@ def frobenius_columns(sys: PfaffianSystem, points,
     # codes into VERDICTS: degenerate, integrable, non_integrable, else inconclusive
     codes = np.select([ranks < residuals.shape[1], worst < tol, worst > NON_INTEGRABLE_FLOOR],
                       [0, 2, 3], 1)
-    return FrobeniusColumns(sys.name, tol, points, finite, ranks, residuals, worst, codes)
+    return FrobeniusColumns(name, tol, points, finite, ranks, residuals, worst, codes)

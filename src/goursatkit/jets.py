@@ -515,6 +515,8 @@ class Jet:
         return float(self.data[sp.pos[key]])
 
     def _all_of_order(self, k: int) -> None:
+        if k > self.space.order:
+            raise ValueError(f"an order-{self.space.order} jet holds no order-{k} entries")
         if self.space.last and k >= self.space.order:
             raise ValueError(f"a truncated space holds only part of its order-{k} entries")
 

@@ -229,7 +229,7 @@ def check_family_verdicts():
 def check_theta_rho_coordinates():
     system = E.make_system(catalog.product_web(4), "THETA_RHO")
     p = [1, 1, 1, 1]
-    got = [f.coefficients(p) for f in system.fields]
+    got = E._generators(system, [p])[1][0]
     return _close(got, [[0, 0, 1, 1], [1, 1, 0, 0]])
 
 
@@ -239,12 +239,11 @@ def check_frobenius_foliation():
 
 
 def check_frobenius_contact():
-    contact = E.CoFormField(
-        3, "dx1 + x2 dx3",
-        lambda p: (np.array([1.0, 0.0, p[1]]),
-                   np.array([[0, 0, 0], [0, 0, 0], [0, 1.0, 0]])))
-    rep = E.frobenius_residual(E.PfaffianSystem("CONTACT", 3, (contact,), ()),
-                               [0.5, 0.7, 0.2])
+    # dx1 + x2 dx3 as the row F1 dx1 + F3 dx3, with F1 = 1, F3 = x2, F32 = 1
+    web = W.WebFunction.from_expr(parse("x1 + x2*x3 + x4", 4))
+    contact = E.CoFormField([(1, [(+1, (1,))]), (3, [(+1, (3,))])])
+    rep = E.frobenius_residual(E.PfaffianSystem("CONTACT", 4, (contact,), (), web=web),
+                               [0.5, 0.7, 0.2, 1.0])
     return rep.verdict == "non_integrable", f"residual {rep.max_residual:.3f}"
 
 

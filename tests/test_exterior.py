@@ -12,10 +12,10 @@ from goursatkit.classify import Box, sample_bundle, sample_regular_points
 from goursatkit.cli import build_web, parse_config_text
 from goursatkit.exterior import (DEFAULT_FROBENIUS_TOL, DEGENERATE, NON_FINITE,
                                  NON_INTEGRABLE_FLOOR, NORM_FLOOR, RANK_TOL, SYSTEMS,
-                                 CoFormField, PfaffianSystem, SYSTEM_NAMES, _generators, _rank,
-                                 _ranks, _row_values, _wedge_max, _wedge_table, coefficient_matrix,
-                                 frobenius_columns, frobenius_reports, frobenius_residual,
-                                 make_system, rank_at)
+                                 VERDICTS, CoFormField, PfaffianSystem, SYSTEM_NAMES,
+                                 _frobenius_core, _generators, _rank, _ranks, _row_values,
+                                 _wedge_max, _wedge_table, frobenius_columns, frobenius_reports,
+                                 frobenius_residual, make_system)
 from goursatkit.expr import parse
 from goursatkit.families import family_web
 from goursatkit.jets import Jet, derivative_index, space
@@ -24,6 +24,30 @@ from goursatkit.web import JET_ORDER, WebFunction, derivative_bundle
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 ONES4 = [1.0] * 4
+
+SVD = np.linalg.svd  # the reference, out of reach of the recording fixture
+
+
+def full_matrix(coeffs: np.ndarray, sigma: tuple) -> np.ndarray:
+    """One point's field rows (kf, n) with one dx_s row appended per sigma
+    slot: the full generator matrix."""
+    return np.concatenate([coeffs, np.eye(coeffs.shape[1])[[s - 1 for s in sigma]]])
+
+
+def full_rank(coeffs: np.ndarray, sigma: tuple) -> int:
+    """The rank of :func:`full_matrix` by its own singular values (the
+    oracle for the block ranks); a non-finite coefficient raises
+    ArithmeticError."""
+    matrix = full_matrix(coeffs, sigma)
+    if not np.isfinite(matrix).all():
+        raise ArithmeticError(NON_FINITE)
+    return int(_rank(SVD(matrix, compute_uv=False)))
+
+
+def rank_at(sys: PfaffianSystem, p) -> tuple[int, int]:
+    """(rank, kernel dimension) of the span at p, by :func:`full_rank`."""
+    rank = full_rank(_generators(sys, [p])[1][0], sys.sigma)
+    return rank, sys.arity - rank
 
 
 def reference_wedge_max(dtheta, thetas):
@@ -46,40 +70,46 @@ def reference_wedge_max(dtheta, thetas):
     return best
 
 
-def reference_report(sys, p):
-    """(rank, residuals, verdict) at p with the wedge taken on the full
-    generator matrix, coordinate forms included (reference for the
-    free-slot wedge)."""
-    thetas = coefficient_matrix(sys, p)
-    rank, _ = rank_at(sys, p)
+def reference_report(coeffs, dtheta, sigma):
+    """(rank, residuals, verdict) of one point's field rows (kf, n) and their
+    d theta (kf, n, n), with the wedge taken on the full generator matrix,
+    coordinate forms included (reference for the free-slot wedge)."""
+    thetas = full_matrix(coeffs, sigma)
+    rank = full_rank(coeffs, sigma)
     if rank < len(thetas):
         return rank, (), "degenerate"
     scale = np.prod(np.maximum(np.linalg.norm(thetas, axis=1), NORM_FLOOR))
     residuals = []
-    for field in sys.fields:
-        _, jac = field.evaluate(np.asarray(p, dtype=float))
-        d = jac.T - jac
-        dnorm = np.linalg.norm(d[np.triu_indices(sys.arity, 1)])
+    for d in dtheta:
+        dnorm = np.linalg.norm(d[np.triu_indices(len(d), 1)])
         residuals.append(0.0 if dnorm == 0.0 else reference_wedge_max(d, list(thetas))
                          / max(dnorm * scale, NORM_FLOOR))
-    residuals += [0.0] * len(sys.sigma)  # d(dx_s) = 0
+    residuals += [0.0] * len(sigma)  # d(dx_s) = 0
     top = max(residuals)
     verdict = ("integrable" if top < DEFAULT_FROBENIUS_TOL else "non_integrable"
                if top > NON_INTEGRABLE_FLOOR else "inconclusive")
     return rank, tuple(residuals), verdict
 
 
-def assert_matches_reference(sys, points):
-    for report, p in zip(frobenius_reports(sys, points), points):
-        rank, residuals, verdict = reference_report(sys, p)
-        assert (report.rank, report.verdict) == (rank, verdict), (sys.name, p)
-        np.testing.assert_allclose(report.residuals, residuals, rtol=1e-12, atol=0.0)
+def assert_matches_reference(columns, coeffs, dtheta, sigma):
+    """``columns`` against :func:`reference_report` of the arrays they were
+    computed from, point by point."""
+    for i, p in enumerate(columns.points):
+        rank, residuals, verdict = reference_report(coeffs[i], dtheta[i], sigma)
+        assert (columns.ranks[i], VERDICTS[columns.codes[i]]) == (rank, verdict), \
+            (columns.system, p)
+        if verdict != "degenerate":
+            np.testing.assert_allclose(columns.residuals[i], residuals, rtol=1e-12, atol=0.0)
 
 
-def linear_field(rng, n: int, label: str) -> CoFormField:
-    """c(p) = c0 + J p with random c0 and J, nonzero in every slot."""
-    c0, jac = rng.uniform(-2, 2, n), rng.uniform(-2, 2, (n, n))
-    return CoFormField(n, label, lambda p: (c0 + jac @ p, jac.copy()))
+def core(name, points, coeffs, dtheta, sigma):
+    """The array-level Frobenius core at the default tolerance."""
+    return _frobenius_core(name, points, coeffs, dtheta, sigma, DEFAULT_FROBENIUS_TOL)
+
+
+def linear_field(rng, n: int) -> tuple:
+    """c(p) = c0 + J p: random c0 and J (nonzero in every slot)."""
+    return rng.uniform(-2, 2, n), rng.uniform(-2, 2, (n, n))
 
 
 def ref_jet1(b, idx):
@@ -121,9 +151,21 @@ def assert_bitwise(got, want):
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def field_dtheta(field: CoFormField, p) -> np.ndarray:
-    """d theta of one field at p, as the Frobenius core takes it."""
-    return _generators(PfaffianSystem(field.label, field.arity, (field,)), [p])[2][0, 0]
+def row_system(expression: str, rows, sigma: tuple = ()) -> PfaffianSystem:
+    """A system of ``rows`` on the closed-form web of ``expression`` in x1..x4."""
+    return PfaffianSystem("ROWS", 4, tuple(CoFormField(row) for row in rows), sigma,
+                          web=WebFunction.from_expr(parse(expression, 4)))
+
+
+# dx1 + x2 dx3 as the row F1 dx1 + F3 dx3 on F = x1 + x2 x3 + x4 (F1 = 1, F3 = x2)
+CONTACT_WEB = "x1 + x2*x3 + x4"
+DX1 = [(1, [(+1, (1,))])]
+CONTACT = [(1, [(+1, (1,))]), (3, [(+1, (3,))])]
+
+
+def row_dtheta(expression: str, row, p) -> np.ndarray:
+    """d theta of one row at p, as the Frobenius core takes it."""
+    return _generators(row_system(expression, [row]), [p])[2][0, 0]
 
 
 def joint_rank(web, names, p) -> int:
@@ -155,24 +197,18 @@ ROW_WEBS = {
 }
 
 
-def contact_form():
-    return CoFormField(
-        3, "dx1 + x2 dx3",
-        lambda p: (np.array([1.0, 0.0, p[1]]),
-                   np.array([[0, 0, 0], [0, 0, 0], [0, 1.0, 0]])))
-
-
 class TestMakeSystem:
     def test_theta_rho_product_coordinates(self):
         system = make_system(catalog.product_web(4), "THETA_RHO")
-        theta, rho = system.fields
-        assert np.allclose(theta.coefficients(ONES4), [0, 0, 1, 1])
-        assert np.allclose(rho.coefficients(ONES4), [1, 1, 0, 0])
+        theta, rho = _generators(system, [ONES4])[1][0]
+        assert np.allclose(theta, [0, 0, 1, 1])
+        assert np.allclose(rho, [1, 1, 0, 0])
 
     def test_s10_generator_count_n6(self):
         system = make_system(catalog.product_web(6), "S10")
         assert len(system.fields) == 1 and system.sigma == (5, 6)
-        assert coefficient_matrix(system, [1.0] * 6).shape == (3, 6)
+        coeffs = _generators(system, [[1.0] * 6])[1][0]
+        assert full_matrix(coeffs, system.sigma).shape == (3, 6)
 
     def test_delta4_degenerate_when_row_constant(self):
         # equal a13 = a14 = a15 makes the cleared difference form vanish
@@ -180,7 +216,7 @@ class TestMakeSystem:
             parse("x1*(x3+x4+x5) + x2^2/2 + (x3^2+x4^2+x5^2)/2", 5))
         system = make_system(web, "DELTA4")
         p = [1.0, 1.0, 0.5, 0.5, 0.5]
-        assert np.allclose(system.fields[0].coefficients(p), 0.0, atol=1e-14)
+        assert np.allclose(_generators(system, [p])[1][0, 0], 0.0, atol=1e-14)
         assert frobenius_residual(system, p).verdict == "degenerate"
 
     def test_arity_guards(self):
@@ -197,10 +233,8 @@ class TestMakeSystem:
 
 class TestDForm:
     def test_linear_coefficient(self):
-        f = CoFormField(3, "x2 dx1",
-                        lambda p: (np.array([p[1], 0, 0]),
-                                   np.array([[0, 1.0, 0], [0, 0, 0], [0, 0, 0]])))
-        d = field_dtheta(f, [1.0, 2.0, 3.0])
+        # x2 dx1 as the row F2 dx1 (F2 = x2)
+        d = row_dtheta("x1 + x2^2/2 + x3 + x4", [(1, [(+1, (2,))])], [1.0, 2.0, 3.0, 4.0])
         assert d[1, 0] == 1.0 and d[0, 1] == -1.0
         assert np.allclose(d + d.T, 0.0)
 
@@ -208,17 +242,13 @@ class TestDForm:
         # dF = F_i dx_i as a SYSTEMS row, read from the web's batch jet
         web = catalog.control_web(4)
         row = [(i, [(+1, (i,))]) for i in range(1, 5)]
-        field = CoFormField(4, "dF", lambda p: _row_values(row, web.jet(p, JET_ORDER)), row)
-        _, coeffs, dtheta = _generators(PfaffianSystem("DF", 4, (field,), web=web),
+        _, coeffs, dtheta = _generators(PfaffianSystem("DF", 4, (CoFormField(row),), web=web),
                                         [[1.1, 0.9, 1.2, 0.8]])
         assert np.abs(coeffs).min() > 0.0 and np.abs(dtheta).max() == 0.0
 
     def test_two_entries(self):
-        f = CoFormField(3, "dx1 + x2 dx3",
-                        lambda p: (np.array([1.0, 0, p[1]]),
-                                   np.array([[0, 0, 0], [0, 0, 0], [0, 1.0, 0]])))
-        d = field_dtheta(f, [0.0, 0.0, 0.0])
-        nonzero = {(i, j) for i in range(3) for j in range(3) if d[i, j] != 0}
+        d = row_dtheta(CONTACT_WEB, CONTACT, [0.0, 0.5, 0.5, 0.0])
+        nonzero = {(i, j) for i in range(4) for j in range(4) if d[i, j] != 0}
         assert nonzero == {(1, 2), (2, 1)}
 
     def test_named_system_jacobians_match_finite_differences(self):
@@ -226,16 +256,19 @@ class TestDForm:
         web = catalog.control_web(5)
         p = np.array([1.1, 0.8, 1.2, 0.9, 1.3])
         h = 1e-6
+
+        def values(row, x):
+            return _row_values(row, web.jet(x, JET_ORDER))
+
         for name in SYSTEM_NAMES:
             system = make_system(web, name)
-            for f in system.fields:
-                _, jac = f.evaluate(p)
+            for g, f in enumerate(system.fields):
+                _, jac = values(f.row, p)
                 for j in range(5):
                     hi = p.copy(); hi[j] += h
                     lo = p.copy(); lo[j] -= h
-                    fd = (f.coefficients(hi) - f.coefficients(lo)) / (2 * h)
-                    assert np.allclose(jac[:, j], fd, rtol=1e-5, atol=1e-5), \
-                        (name, f.label, j)
+                    fd = (values(f.row, hi)[0] - values(f.row, lo)[0]) / (2 * h)
+                    assert np.allclose(jac[:, j], fd, rtol=1e-5, atol=1e-5), (name, g, j)
 
 
 class TestSystemRows:
@@ -256,35 +289,64 @@ class TestSystemRows:
                     assert_bitwise(one, g[i])
 
 
-class TestFrobenius:
-    @pytest.mark.parametrize("sigma, message", [
-        ((), "at least one generator"), ((1, 2, 3, 4, 1), "more generators")],
-        ids=["none", "more-than-arity"])
-    def test_generator_count_checked(self, sigma, message):
-        # a system spanned by nothing once raised IndexError in the rank
-        with pytest.raises(ValueError, match=message):
-            PfaffianSystem("BAD", 4, (), sigma)
+def rescaled(system: PfaffianSystem, p) -> tuple:
+    """The points, coefficients and d theta of ``system`` at p, with its
+    first field multiplied by the smooth nonzero factor 1 + x1^2."""
+    points, coeffs, dtheta = _generators(system, [p])
+    c, jac = _row_values(system.fields[0].row, system.web.jet(p, JET_ORDER))
+    factor, dfactor = 1 + p[0] ** 2, np.eye(len(p))[0] * (2 * p[0])
+    jac = factor * jac + np.outer(c, dfactor)
+    coeffs[0, 0], dtheta[0, 0] = factor * c, jac.T - jac
+    return points, coeffs, dtheta
 
-    @pytest.mark.parametrize("sigma", [(3, 3), (0,), (5,), (2.0,)],
-                             ids=["repeated", "zero", "past-arity", "float"])
-    def test_sigma_slots_checked(self, sigma):
+
+BAD_SIGMA = "sigma slots must be distinct ints in 1..4"
+
+# a row whose coefficient F1 F1 overflows to inf on F = 1e200 x1 + ..., and one
+# whose F1 F1 - F1 F1 is inf - inf = NaN
+NON_FINITE_WEB = "1e200*x1 + x2*x3 + x4"
+NON_FINITE_ROWS = {"inf": [(1, [(+1, (1,), (1,))]), (2, [(+1, (2,))])],
+                   "nan": [(1, [(+1, (1,), (1,)), (-1, (1,), (1,))]), (2, [(+1, (2,))])]}
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("rows, sigma, web, message", [
+        ([], (), None, "at least one generator"),
+        ([], (1, 2, 3, 4, 1), None, "more generators"),
+        ([DX1], (), None, "read from its web"),
+        ([DX1], (), 5, "a web of arity 5 for a system of arity 4")],
+        ids=["none", "more-than-arity", "no-web", "web-arity"])
+    def test_generator_count_checked(self, rows, sigma, web, message):
+        # a system spanned by nothing once raised IndexError in the rank; a
+        # field is a row of the system's web, so a field without a web, or on
+        # a web of another arity, is refused
+        web = None if web is None else catalog.control_web(web)
+        with pytest.raises(ValueError, match=message):
+            PfaffianSystem("BAD", 4, tuple(CoFormField(row) for row in rows), sigma, web=web)
+
+    @pytest.mark.parametrize("sigma, message", [
+        ((3, 3), BAD_SIGMA), ((0,), BAD_SIGMA), ((5,), BAD_SIGMA), ((2.0,), BAD_SIGMA),
+        ((1,), r"row slots must lie in 1..4 outside sigma \(1,\), got \[1\]")],
+        ids=["repeated", "zero", "past-arity", "float", "row-slot"])
+    def test_sigma_slots_checked(self, sigma, message):
         # at arity 4, (3, 3) once gave rank 3 and 'integrable' in the Frobenius
         # core but rank 2 from rank_at, (0,) silently meant dx4, and (5,) raised
-        # a bare IndexError inside frobenius_columns
-        field = CoFormField.constant([1.0, 0.0, 0.0, 0.0], "dx1")
-        with pytest.raises(ValueError, match="sigma slots must be distinct ints in 1..4"):
-            PfaffianSystem("BAD", 4, (field,), sigma)
-        assert PfaffianSystem("OK", 4, (field,), (np.int64(3), 4)).sigma == (3, 4)
+        # a bare IndexError inside frobenius_columns; a row with a slot in sigma
+        # would need the full generator matrix for its rank
+        with pytest.raises(ValueError, match=message):
+            row_system(CONTACT_WEB, [DX1], sigma)
+        assert row_system(CONTACT_WEB, [DX1], (np.int64(3), 4)).sigma == (3, 4)
 
     def test_coordinate_foliation(self):
         rep = frobenius_residual(PfaffianSystem("COORDS", 4, (), (3, 4)), ONES4)
         assert rep.verdict == "integrable" and rep.max_residual == 0.0
 
     def test_contact_form_not_integrable(self):
+        system = row_system(CONTACT_WEB, [CONTACT])
         rng = np.random.default_rng(0)
         for _ in range(10):
-            p = rng.uniform(-1, 1, 3)
-            rep = frobenius_residual(PfaffianSystem("K", 3, (contact_form(),), ()), p)
+            p = rng.uniform(-1, 1, 4)
+            rep = frobenius_residual(system, p)
             assert rep.verdict == "non_integrable"
             assert rep.max_residual == pytest.approx(1 / np.sqrt(1 + p[1] ** 2), rel=1e-12)
 
@@ -306,33 +368,22 @@ class TestFrobenius:
         assert bad >= 18  # at least 90 percent of sampled points
 
     def test_rescaling_invariance(self):
-        # multiply a generator by the smooth nonzero factor 1 + x1^2:
-        # integrable systems keep residual ~0, negative controls keep verdict
-        def scaled(f):
-            def ev(p):
-                c, dc = f.evaluate(p)
-                factor = 1 + p[0] ** 2
-                dfactor = np.zeros(len(p))
-                dfactor[0] = 2 * p[0]
-                return factor * c, factor * dc + np.outer(c, dfactor)
-            return CoFormField(f.arity, f.label + " scaled", ev)
-
+        # multiply a generator by the smooth nonzero factor 1 + x1^2, through
+        # the core: integrable systems keep residual ~0, negative controls
+        # keep verdict
         rng = np.random.default_rng(2)
         _, web, box = catalog.random_family_web(rng, "first", 5)
         system = make_system(web, "THETA_RHO")
         p = sample_regular_points(web, box, 1, seed=4)[0]
         base = frobenius_residual(system, p)
-        mod = PfaffianSystem("THETA_RHO*", 5,
-                             (scaled(system.fields[0]), system.fields[1]),
-                             system.sigma)
-        alt = frobenius_residual(mod, p)
-        assert abs(alt.max_residual - base.max_residual) < 1e-10
+        alt = core("THETA_RHO*", *rescaled(system, p), system.sigma)
+        assert abs(alt.worst[0] - base.max_residual) < 1e-10
 
         ctrl = catalog.control_web(4)
         csys = make_system(ctrl, "S10")
         cp = sample_regular_points(ctrl, catalog.control_box(4), 1, seed=5)[0]
-        cmod = PfaffianSystem("S10*", 4, (scaled(csys.fields[0]),), csys.sigma)
-        assert frobenius_residual(cmod, cp).verdict == "non_integrable"
+        cmod = core("S10*", *rescaled(csys, cp), csys.sigma)
+        assert VERDICTS[cmod.codes[0]] == "non_integrable"
 
     @pytest.mark.parametrize("n", [4, 5, 6, 8])
     def test_wedge_kernel_matches_reference(self, n):
@@ -355,11 +406,20 @@ class TestFrobenius:
         (6, 3, (2, 5)),                                        # kf + 2 > free slots
         (4, 0, (3, 4)), (5, 0, (1, 4))])                       # no fields
     def test_free_slot_wedge_matches_full_reference(self, n, kf, sigma):
-        # the fields are nonzero in the sigma slots too, which dx_sigma kills
+        # random linear fields through the core; their coefficients are zeroed
+        # in the sigma slots, as every row is, and their Jacobians stay whole,
+        # nonzero in the sigma slots too, which dx_sigma kills
         rng = np.random.default_rng(100 * n + 10 * kf + len(sigma))
-        fields = tuple(linear_field(rng, n, f"t{i}") for i in range(kf))
-        system = PfaffianSystem("RANDOM", n, fields, sigma)
-        assert_matches_reference(system, rng.uniform(-1, 1, (4, n)))
+        fields = [linear_field(rng, n) for _ in range(kf)]
+        points = rng.uniform(-1, 1, (4, n))
+        coeffs = np.zeros((len(points), kf, n))
+        dtheta = np.zeros(coeffs.shape + (n,))
+        for g, (c0, jac) in enumerate(fields):
+            coeffs[:, g] = c0 + points @ jac.T
+            dtheta[:, g] = jac.T - jac
+        coeffs[:, :, [s - 1 for s in sigma]] = 0.0
+        assert_matches_reference(core("RANDOM", points, coeffs, dtheta, sigma),
+                                 coeffs, dtheta, sigma)
 
     def test_named_systems_match_full_reference_at_golden_points(self):
         web, _ = _golden_closed_n8()
@@ -367,17 +427,22 @@ class TestFrobenius:
                             .read_text())
         points = np.array([r["point"] for r in golden["frobenius"][0]["points"]])
         for name in SYSTEM_NAMES:
-            assert_matches_reference(make_system(web, name), points)
+            system = make_system(web, name)
+            _, coeffs, dtheta = _generators(system, points)
+            assert_matches_reference(frobenius_columns(system, points), coeffs, dtheta,
+                                     system.sigma)
+            # a degenerate point's report holds no residuals
+            assert all(r.residuals == () for r in frobenius_reports(system, points)
+                       if r.verdict == "degenerate")
 
     def test_non_finite_coefficient_raises(self):
-        field = CoFormField(4, "inf", lambda p: (np.array([np.inf, 1.0, 0.0, 0.0]),
-                                                 np.zeros((4, 4))))
-        with pytest.raises(ArithmeticError, match=NON_FINITE):
-            frobenius_residual(PfaffianSystem("INF", 4, (field,)), ONES4)
+        system = row_system(NON_FINITE_WEB, [NON_FINITE_ROWS["inf"]])
+        with pytest.raises(ArithmeticError, match=NON_FINITE), np.errstate(over="ignore"):
+            frobenius_residual(system, ONES4)
 
     def test_user_field_with_no_points(self):
         # a field without a SYSTEMS row once failed to stack zero points
-        system = PfaffianSystem("X", 4, (CoFormField.constant([1, 0, 0, 0], "dx1"),), (3,))
+        system = row_system(CONTACT_WEB, [DX1], (3,))
         assert frobenius_reports(system, np.zeros((0, 4))) == []
 
     @pytest.mark.parametrize("points", [np.ones((2, 5)), [[np.nan, 1.0, 1.0, 1.0]],
@@ -391,24 +456,24 @@ class TestFrobenius:
     @pytest.mark.parametrize("call", [rank_at, frobenius_residual])
     def test_non_finite_coefficient_raises_in_rank_and_kernel(self, bad, call):
         # inf once gave rank 0 and a full kernel, NaN a LinAlgError
-        field = CoFormField.constant([bad, 1.0, 0.0, 0.0], "bad")
-        with pytest.raises(ArithmeticError, match=NON_FINITE):
-            call(PfaffianSystem("BAD", 4, (field,)), ONES4)
+        system = row_system(NON_FINITE_WEB, [NON_FINITE_ROWS[str(bad)]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert str(_generators(system, [ONES4])[1][0, 0, 0]) == str(bad)
+            with pytest.raises(ArithmeticError, match=NON_FINITE):
+                call(system, ONES4)
 
     def test_degenerate_on_dependent_generators(self):
-        dup = CoFormField.constant([1, 1, 0, 0], "dup")
-        system = PfaffianSystem("DUP", 4, (dup, dup), ())
+        dup = [(1, [(+1, (1,))]), (2, [(+1, (2,))])]  # F1 = F2 = 1
+        system = row_system("x1 + x2 + x3*x4", [dup, dup])
         assert frobenius_residual(system, ONES4).verdict == "degenerate"
 
     def test_inconclusive_gap_zone(self):
         # nearly-integrable: a huge constant component shrinks the normalized
-        # residual into the (1e-7, 1e-3) gap
-        field = CoFormField(
-            3, "dx1 + C dx2 + x2 dx3",
-            lambda p: (np.array([1.0, 1e5, p[1]]),
-                       np.array([[0, 0, 0], [0, 0, 0], [0, 1.0, 0]])))
-        rep = frobenius_residual(PfaffianSystem("NEAR", 3, (field,), ()),
-                                 [0.1, 0.2, 0.3])
+        # residual into the (1e-7, 1e-3) gap; dx1 + C dx2 + x2 dx3 is the row
+        # F1 dx1 + F4 dx2 + F3 dx3 (F4 = C = 1e5)
+        row = [(1, [(+1, (1,))]), (2, [(+1, (4,))]), (3, [(+1, (3,))])]
+        rep = frobenius_residual(row_system("x1 + x2*x3 + 1e5*x4", [row]),
+                                 [0.1, 0.2, 0.3, 0.4])
         assert rep.verdict == "inconclusive"
         assert 1e-7 < rep.max_residual < 1e-3
 
@@ -480,15 +545,12 @@ class TestRanks:
             assert rank + kern == 6
 
 
-def table_system(mats: np.ndarray, sigma: tuple) -> tuple:
-    """A user system whose field g has the coefficients ``mats[i, g]`` (and
-    Jacobian 0) at the point i * e_1, with those points: one system per
-    stack of (kf, n) field blocks."""
-    n = mats.shape[2]
-    fields = tuple(CoFormField(n, f"t{g}", lambda p, g=g: (mats[int(p[0]), g].copy(),
-                                                             np.zeros((n, n))))
-                   for g in range(mats.shape[1]))
-    return PfaffianSystem("TABLE", n, fields, sigma), np.eye(n)[0] * np.arange(len(mats))[:, None]
+def block_ranks(mats: np.ndarray, sigma: tuple) -> list:
+    """The core's ranks for the field blocks ``mats`` (N, kf, n), one per
+    point, with d theta 0."""
+    points = np.zeros((len(mats), mats.shape[2]))
+    dtheta = np.zeros(mats.shape + mats.shape[2:])
+    return core("TABLE", points, mats, dtheta, sigma).ranks.tolist()
 
 
 def with_singular_values(rng, sv, cols: int) -> np.ndarray:
@@ -512,19 +574,18 @@ SV_CASES = [
 
 
 class TestBlockRanks:
-    """The ranks of ``frobenius_columns`` against :func:`rank_at`, which
-    takes the SVD of the full generator matrix, dx_s rows included.
+    """The ranks of the Frobenius core against :func:`full_rank`, the SVD
+    of the full generator matrix, dx_s rows included.
 
-    Where every field is zero in the sigma slots, the full matrix is block
-    diagonal, [A 0; 0 I], and ``frobenius_columns`` counts the singular
-    values of A on the free slots beside |sigma| values 1.0, with the
-    largest taken as at least 1.0.  Where the minors of A certify that count
-    (see :class:`TestCertifiedRanks`), no SVD is taken; elsewhere these are
-    the same singular values as the full matrix's, from a different LAPACK
+    Every field is zero in the sigma slots, so the full matrix is block
+    diagonal, [A 0; 0 I], and the core counts the singular values of A on
+    the free slots beside |sigma| values 1.0, with the largest taken as at
+    least 1.0.  Where the minors of A certify that count (see
+    :class:`TestCertifiedRanks`), no SVD is taken; elsewhere these are the
+    same singular values as the full matrix's, from a different LAPACK
     call, so the two ranks can differ only where a singular value lies
     within rounding of RANK_TOL times the largest; no case here sits that
-    close.  Where a field is nonzero in a sigma slot, ``frobenius_columns``
-    takes the full matrix at that point too."""
+    close."""
 
     @staticmethod
     def corpus(rng, n: int, sigma: tuple, kf: int) -> tuple:
@@ -553,9 +614,8 @@ class TestBlockRanks:
     @pytest.mark.parametrize("kf", [1, 2, 3])
     def test_block_ranks_match_full_svd(self, n, sigma, kf):
         mats, want = self.corpus(np.random.default_rng(10 * n + kf), n, sigma, kf)
-        system, points = table_system(mats, sigma)
-        got = frobenius_columns(system, points).ranks.tolist()
-        assert got == [rank_at(system, p)[0] for p in points]
+        got = block_ranks(mats, sigma)
+        assert got == [full_rank(m, sigma) for m in mats]
         assert [g for g, w in zip(got, want) if w >= 0] == [w for w in want if w >= 0]
 
     @pytest.mark.parametrize("n, sigma", [(4, (3, 4)), (5, (1, 4)), (6, (1, 2, 3, 4, 5, 6))])
@@ -567,22 +627,18 @@ class TestBlockRanks:
 
     @pytest.mark.parametrize("kf", [1, 2])
     def test_fields_in_sigma_slots_take_the_full_matrix(self, kf):
-        # every other point has a field nonzero in a sigma slot; each point
-        # gets the rank of the full matrix there, and the rank it gets alone
-        n, sigma = 6, (2, 5)
-        mats, _ = self.corpus(np.random.default_rng(kf), n, sigma, kf)
-        mats[::2, :, 4] = 1e-3
-        # a field equal to a dx_s row is dependent only through the sigma slots
-        mats[2, 0] = np.eye(n)[1]
-        # a field 1e9 in a sigma slot lifts the largest singular value, and the
-        # threshold with it, which the field block alone would not see
-        mats[1, 0, 1] = 1e9
-        system, points = table_system(mats, sigma)
-        got = frobenius_columns(system, points).ranks
-        assert got.tolist() == [rank_at(system, p)[0] for p in points]
-        assert got[1] < kf + len(sigma) and got[2] < kf + len(sigma)
-        for p, rank in zip(points, got):
-            assert frobenius_columns(system, p[None]).ranks[0] == rank
+        # a field nonzero in a sigma slot once took the SVD of the full
+        # generator matrix; no SYSTEMS row has a slot in sigma, and a system
+        # refuses such a row, so the block ranks are the only ranks.  The
+        # same rows stand beside a sigma that they miss.
+        rows = [[(3, [(+1, (1, 3))]), (4, [(+1, (1, 4))])],
+                [(1, [(+1, (1,))]), (5, [(+1, (5,))])]][-kf:]
+        fields, web = tuple(CoFormField(row) for row in rows), catalog.control_web(6)
+        with pytest.raises(ValueError, match=r"outside sigma \(2, 5\), got \[1, 5\]"):
+            PfaffianSystem("TOUCH", 6, fields, (2, 5), web=web)
+        system = PfaffianSystem("MISS", 6, fields, (2, 6), web=web)
+        p = sample_regular_points(web, catalog.control_box(6), 1, seed=kf)[0]
+        assert frobenius_columns(system, p[None]).ranks[0] == rank_at(system, p)[0] == kf + 2
 
     @pytest.mark.parametrize("case", ["closed-n8", "family1-n5", "family2-n6",
                                       "first-kind-closed-n5", "family2-n6-64"])
@@ -602,9 +658,6 @@ class TestBlockRanks:
             assert columns.ranks.tolist() == [rank_at(system, p)[0] for p in b.points], name
             if case == "family2-n6-64" and name in ("DELTA2", "DELTA3"):
                 assert (columns.codes == DEGENERATE).all(), name
-
-
-SVD = np.linalg.svd  # the reference, out of reach of the recording fixture
 
 
 def svd_rank(rows: np.ndarray, units: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from goursatkit import catalog
 from goursatkit.cli import parse_config_text
 from goursatkit.classify import (first_kind_residual, sample_regular_points, second_kind_pde,
                                  second_kind_residuals)
-from goursatkit.exterior import coefficient_matrix, frobenius_residual, make_system, rank_at
+from goursatkit.exterior import _generators, frobenius_residual, make_system
 from goursatkit.expr import evaluate, parse
 from goursatkit import jets as J
 from goursatkit.families import (NEWTON_MAX_ITER, PARAM, FamilySpec, FamilySpecError,
@@ -312,7 +312,7 @@ def test_one_evaluation_per_point(make):
     calls = _record_evaluations(web)
     one_point_calls = [lambda p: torsion(web, p), lambda p: pfaffian_derivs(web, p),
                        lambda p: frobenius_residual(system, p),
-                       lambda p: rank_at(system, p), lambda p: coefficient_matrix(system, p)]
+                       lambda p: _generators(system, [p])]
     for p in points:
         for call in one_point_calls:
             calls.clear()

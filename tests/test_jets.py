@@ -468,6 +468,9 @@ class TestTruncatedSpace:
             jet.hessian()
         with pytest.raises(ValueError, match="order-1"):
             J.seed(3, 0.5, 3, 1, True).gradient()
+        # an order-1 jet once raised a bare IndexError from the index table
+        with pytest.raises(ValueError, match="order-1 jet holds no order-2 entries"):
+            J.seed(1, 0.5, 3, 1).hessian()
 
     def test_dropped_entries_name_the_truncation(self):
         with pytest.raises(ValueError, match="no first-order entry for slot 1"):

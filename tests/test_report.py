@@ -28,8 +28,8 @@ from goursatkit.classify import Box, fold_max, sample_bundle
 from goursatkit.cli import SCHEMA_VERSION, _Writer, build_web, main, parse_config_text, run
 from goursatkit.expr import parse
 from goursatkit.families import FamilySpec, family_web
-from goursatkit.exterior import NON_FINITE, SYSTEM_NAMES, VERDICTS, CoFormField, \
-    FrobeniusColumns, PfaffianSystem, frobenius_columns, frobenius_reports, make_system
+from goursatkit.exterior import DEFAULT_FROBENIUS_TOL, NON_FINITE, SYSTEM_NAMES, VERDICTS, \
+    FrobeniusColumns, _frobenius_core, frobenius_columns, frobenius_reports, make_system
 from goursatkit.web import WebFunction
 from genexpr import EDGE_TREES, random_tree
 
@@ -199,22 +199,19 @@ class TestRecords:
 
     def test_worst_folds_as_max(self):
         # a NaN Jacobian entry makes its generator's residual NaN: the columns
-        # keep a NaN in first place and skip a later one, as max does
-        def nan_jacobian(p):
-            jac = np.zeros((4, 4))
-            jac[0, 1] = np.nan
-            return np.array([1.0, 0.0, 0.0, 0.0]), jac
-
-        def tilted(p):
-            jac = np.zeros((4, 4))
-            jac[2, 0] = 1.0
-            return np.array([0.0, 1.0, p[0], 0.0]), jac
-
-        fields = (CoFormField(4, "nan", nan_jacobian), CoFormField(4, "tilted", tilted))
+        # keep a NaN in first place and skip a later one, as max does.  The
+        # fields go to the Frobenius core as arrays: dx1 with a NaN d/dx2 of
+        # its dx1 coefficient, and dx2 + x1 dx3.
         points = np.array([[1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.5, 2.0]])
-        for order in (fields, fields[::-1]):
+        coeffs = np.zeros((2, 2, 4))
+        jacs = np.zeros((2, 2, 4, 4))
+        coeffs[:, 0, 0], jacs[:, 0, 0, 1] = 1.0, np.nan
+        coeffs[:, 1, 1], coeffs[:, 1, 2], jacs[:, 1, 2, 0] = 1.0, points[:, 0], 1.0
+        dtheta = jacs.swapaxes(-1, -2) - jacs
+        for order in ([0, 1], [1, 0]):
             with np.errstate(invalid="ignore"):
-                cols = frobenius_columns(PfaffianSystem("NAN", 4, order), points)
+                cols = _frobenius_core("NAN", points, coeffs[:, order], dtheta[:, order], (),
+                                       DEFAULT_FROBENIUS_TOL)
             rows = cols.residuals.tolist()
             assert sum(math.isnan(r) for r in rows[0]) == 1
             assert repr(cols.worst.tolist()) == repr([max(row) for row in rows])
