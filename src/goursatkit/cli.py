@@ -35,33 +35,30 @@ under the rules the run applies: ``sqrt(0)*x1``, ``x1*(2-2)^0.5``,
 ``x1/1e-301`` and ``1/1e-301*x1`` exit 2, where they once spent the draw
 budget and exited 3.  A reader that closes stdout early (``run ... | head``)
 does not change the exit code, and the ``--json`` report is still written.
+Importing this module loads ``expr``, ``jets``, ``web``, ``classify`` and
+``exterior``; a run adds ``identities`` when it takes that suite and
+``families`` for a family source, and ``argparse`` and ``json`` load only
+where ``main`` parses its arguments and a report is written or parsed.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, jets
-from . import identities as ident
 from .classify import DEFAULT_TOL, SCALE_FLOOR, Box, TooFewRegularPoints, classify_bundle, \
     first_kind_pde, first_kind_residual, fold_max, running_max, sample_bundle, \
     second_kind_residuals
 from .exterior import DEFAULT_FROBENIUS_TOL, DEGENERATE, NON_FINITE, SYSTEM_NAMES, VERDICTS, \
     FrobeniusColumns, frobenius_columns, make_system
 from .expr import Const, Expr, ExprError, parse, walk
-from .families import FamilySpec, FamilySpecError, NoConvergence, SingularEnvelope, \
-    family_web
-from .web import JET_ORDER, DerivativeBundle, Gauge, PfaffianDerivs, RegularityError, \
-    TorsionTensor, WebFunction
+from .web import JET_ORDER, DerivativeBundle, Gauge, PfaffianDerivs, TorsionTensor, WebFunction
 
 SCHEMA_VERSION = "goursat-kit/1"
 SUITES = ("classify", "frobenius", "identities")
@@ -317,6 +314,8 @@ def build_web(config: RunConfig) -> WebFunction:
             raise ConfigError(f"bad expression: {err}") from err
         web = WebFunction.from_expr(_finite_constants("[web] expr", expression))
     else:
+        from .families import FamilySpec, FamilySpecError, family_web
+
         # a first-kind phi has no psi slot
         params = ["a"] if config.family_kind == "first" else ["a", config.slot]
         try:
@@ -370,7 +369,10 @@ class _Writer:
     held at once."""
 
     def __init__(self, write):
+        from json.encoder import encode_basestring_ascii
+
         self.write = write
+        self.quote = encode_basestring_ascii
         self.out: list[str] = []
         self.point_texts: dict = {}  # (id(points), level) -> the points' texts
 
@@ -390,7 +392,7 @@ class _Writer:
     def value(self, obj, level: int):
         out = self.out
         if isinstance(obj, str):
-            out.append(encode_basestring_ascii(obj))
+            out.append(self.quote(obj))
         elif obj is None:
             out.append("null")
         elif obj is True or obj is False or isinstance(obj, np.bool_):
@@ -406,7 +408,7 @@ class _Writer:
             inner = _indent(level + 1)
             sep = "{" + inner
             for key in sorted(obj):
-                out.append(sep + encode_basestring_ascii(key) + ": ")
+                out.append(sep + self.quote(key) + ": ")
                 self.value(obj[key], level + 1)
                 sep = "," + inner
             out.append(_indent(level) + "}")
@@ -443,15 +445,15 @@ class _Writer:
         key = (id(cols.points), level)
         if key not in self.point_texts:  # the systems of a run share their points
             self.point_texts[key] = [self.text(p, level + 2) for p in cols.points.tolist()]
-        i1, i2 = _indent(level + 1), _indent(level + 2)
-        failed = "{" + i2 + '"failure": ' + encode_basestring_ascii(NON_FINITE) + "," \
+        quote, i1, i2 = self.quote, _indent(level + 1), _indent(level + 2)
+        failed = "{" + i2 + '"failure": ' + quote(NON_FINITE) + "," \
             + i2 + '"point": %s' + i1 + "}"
         # the keys in sorted order; each %d and %s is a point's value text
         record = "{" + ",".join(i2 + f'"{name}": {text}' for name, text in (
             ("kernel_dim", "%d"), ("max_residual", "%s"), ("point", "%s"), ("rank", "%d"),
-            ("residuals", "%s"), ("system", encode_basestring_ascii(cols.system)),
+            ("residuals", "%s"), ("system", quote(cols.system)),
             ("tol", self.text(cols.tol, level + 2)), ("verdict", "%s"))) + i1 + "}"
-        verdicts = [encode_basestring_ascii(v) for v in VERDICTS]
+        verdicts = [quote(v) for v in VERDICTS]
         n, texts = cols.points.shape[1], []
         for point, ok, rank, code, top, row in zip(
                 self.point_texts[key], cols.finite.tolist(), cols.ranks.tolist(),
@@ -510,6 +512,8 @@ class RunReport:
         return "".join(chunks)
 
     def to_dict(self) -> dict:
+        import json
+
         return json.loads(self.to_json())
 
 
@@ -568,6 +572,10 @@ def _consistency_assertions(b: DerivativeBundle, config: RunConfig) -> list[dict
 def run(config: RunConfig) -> RunReport:
     """Execute the requested suites; numerical failures become report entries."""
     started = time.perf_counter()
+    if "identities" in config.suites:
+        # only the runs that take this suite compile it, and before sampling:
+        # imported at its point of use, it raised a run's peak memory more
+        from . import identities as ident
     report = RunReport(config=config)
     web = build_web(config)
     box = Box(config.box)
@@ -714,6 +722,8 @@ def selftest(names: list[str] | None = None, list_only: bool = False,
 # --- entry point --------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="goursatkit",
         description="classification, integrability and identity checks for "
@@ -766,7 +776,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TooFewRegularPoints, NoConvergence, SingularEnvelope, RegularityError) as err:
+    except TooFewRegularPoints as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

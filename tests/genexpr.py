@@ -41,8 +41,9 @@ CONSTANT_PART_CONFIGS = sorted([*_HOSTILE.glob("nonfinite-literal-*.cfg"),
 # jets' rules (sqrt(0), 1/1e-301, an overflow) or folds to inf or NaN, or a
 # tree too deep for the parser or the evaluators
 HOSTILE_CONFIGS = sorted(set(_HOSTILE.glob("*.cfg")) - set(CONSTANT_PART_CONFIGS))
-# configs with no failing variable-free part, whose jets fail at every point:
-# each run spends its draw budget and exits 3, a numerical failure
+# configs with no failing variable-free part, whose jets (or, for a family,
+# whose envelope solve) fail at every point: each run spends its draw budget
+# and exits 3, a numerical failure
 NUMERICAL_FAILURE_CONFIGS = sorted((_DATA / "numerical").glob("*.cfg"))
 
 
