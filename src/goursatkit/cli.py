@@ -37,12 +37,13 @@ budget and exited 3.  A reader that closes stdout early (``run ... | head``)
 does not change the exit code, and the ``--json`` report is still written.
 Importing this module loads ``expr``, ``jets``, ``web``, ``classify`` and
 ``exterior``; a run adds ``identities`` when it takes that suite and
-``families`` for a family source, and ``argparse`` and ``json`` load only
-where ``main`` parses its arguments and a report is written or parsed.
+``families`` for a family source, and ``json`` loads only where a report is
+written or parsed.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import sys
@@ -369,6 +370,8 @@ class _Writer:
     held at once."""
 
     def __init__(self, write):
+        # json loads here, after the run's arrays are freed, so its modules
+        # do not add to a fresh run's peak memory
         from json.encoder import encode_basestring_ascii
 
         self.write = write
@@ -722,8 +725,6 @@ def selftest(names: list[str] | None = None, list_only: bool = False,
 # --- entry point --------------------------------------------------------------
 
 def main(argv: list[str] | None = None) -> int:
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="goursatkit",
         description="classification, integrability and identity checks for "

@@ -22,15 +22,11 @@ print(json.dumps([loaded, isinstance(goursatkit.classify, types.ModuleType)]))
 """
 
 
-# the package's submodules, argparse and json that ``code`` loads in a fresh
-# process, beyond what numpy loads
+# the package's submodules, and json, that ``code`` loads in a fresh process
 LOADS = """
 import sys
-import numpy
-before = set(sys.modules)
 {code}
-loaded = sorted(m for m in set(sys.modules) - before
-                if m.startswith("goursatkit.") or m in ("argparse", "json"))
+loaded = sorted(m for m in sys.modules if m.startswith("goursatkit.") or m == "json")
 import json
 print(json.dumps(loaded))
 """
@@ -63,8 +59,8 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_loads_what_config_parsing_needs():
-    # no suite module past classify and exterior, and neither the argument
-    # parser nor the JSON codec: main and the report writer import those
+    # no suite module past classify and exterior, and not json: the report
+    # writer imports it
     assert json.loads(_fresh(LOADS.format(code="from goursatkit import cli"))) == CLI_MODULES
 
 
